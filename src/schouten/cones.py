@@ -181,10 +181,14 @@ class CurvatureFunction:
         if not ok.all():
             bad = int(np.argmin(ok))
             raise DomainError(f"eigenvalue vector outside cone (row {bad})")
+        vals = self._value_rows(lams)
+        return vals[0] if single else vals
+
+    def _value_rows(self, lams):
+        """``value_batch`` of (rows, n) vectors the caller has already found inside the cone."""
         mapped = self.cone._map(lams)
         e = _kernels.elementary_symmetric(mapped, self.cone.k)
-        vals = self.kappa * e[:, self.cone.k] ** (1.0 / self.cone.k)
-        return vals[0] if single else vals
+        return self.kappa * e[:, self.cone.k] ** (1.0 / self.cone.k)
 
     def value(self, lam):
         return float(self.value_batch(np.asarray(lam, dtype=np.float64)))

@@ -18,6 +18,14 @@ The solver walks the two-parameter residual family
 with damped Newton steps, finite-difference Jacobians and step halving
 whenever the eigenvalues leave the cone; it also hosts the semilinear
 family H_t used by the degree checkpoints.
+
+On the uniform grid the residual at node i reads only u[i-1..i+1], so its
+Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
+the columns j = c mod 3 are perturbed together and one central pair of
+residual calls fills a whole colour, six calls per Jacobian instead of 2m.
+Every entry equals the one-column-at-a-time difference bit for bit.  The
+spectral Lobatto grid and the H_t family (whose mean(u^2) term couples all
+nodes) keep the dense one-column-per-colour Jacobian.
 """
 
 from __future__ import annotations
@@ -244,16 +252,24 @@ def _psi_values(psi, profile):
                            (profile.num_nodes,)).astype(np.float64)
 
 
-def residual_Fs(profile, f, s, psi=1.0, values=None):
-    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
-    v = profile.values if values is None else values
-    lam = schouten_eig_matrix(profile, v)
+def _cone_residual(f, lam, rhs):
+    """f(lam) - rhs row by row, with a single cone-membership pass.
+
+    Raises ``ConeExitError`` naming the first node outside the cone; the
+    coloured Jacobian uses that node to find the column that caused the exit.
+    """
     inside = f.cone.contains_batch(lam)
     if not inside.all():
         node = int(np.argmin(inside))
         raise ConeExitError(f"eigenvalues left the cone at node {node}", node=node)
-    vals = f.value_batch(lam)
-    return vals - _psi_values(psi, profile) * v ** (-s)
+    return f._value_rows(lam) - rhs
+
+
+def residual_Fs(profile, f, s, psi=1.0, values=None):
+    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
+    v = profile.values if values is None else values
+    lam = schouten_eig_matrix(profile, v)
+    return _cone_residual(f, lam, _psi_values(psi, profile) * v ** (-s))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +302,9 @@ def _ricci_margin_from_eigs(lam, n, alpha=0.0):
 
 def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     ft = f.deform(t) if t != 1.0 else f
-    res = residual_Fs(profile, ft, s, psi)
-    lam = schouten_eig_matrix(profile)
+    v = profile.values
+    lam = schouten_eig_matrix(profile, v)
+    res = _cone_residual(ft, lam, _psi_values(psi, profile) * v ** (-s))
     margin = float(ft.cone.margin_batch(lam).min())
     logu = np.log(profile.values)
     state = ContinuationState(
@@ -305,7 +322,43 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     return state
 
 
-def _fd_jacobian(res_fn, u, r0):
+def _jacobian_bandwidth(profile):
+    # the uniform grid's three-point stencils make node i read u[i-1..i+1];
+    # spectral (Lobatto) differentiation couples every node
+    return 1 if profile.grid == "uniform" else None
+
+
+def _fd_column(res_fn, u, r0, j, jac):
+    """Difference column j alone: shrinking central steps, then one-sided probes."""
+    base = 1e-8 * (1.0 + abs(u[j]))
+    for shrink in range(6):
+        step = base / 8.0 ** shrink
+        up = u.copy()
+        um = u.copy()
+        up[j] += step
+        um[j] -= step
+        try:
+            rp = res_fn(up)
+        except (DomainError, ConeExitError):
+            rp = None
+        try:
+            rm = res_fn(um)
+        except (DomainError, ConeExitError):
+            rm = None
+        if rp is not None and rm is not None:
+            jac[:, j] = (rp - rm) / (2.0 * step)
+            return
+        if rp is not None:
+            jac[:, j] = (rp - r0) / step
+            return
+        if rm is not None:
+            jac[:, j] = (r0 - rm) / step
+            return
+    raise ContinuationError(
+        f"cannot difference the residual at node {j}: cone boundary")
+
+
+def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     """Central-difference Jacobian with step 1e-8 (1 + |u_j|).
 
     The residual depends on u through 1/h^2-scale stencils, so its second
@@ -313,42 +366,58 @@ def _fd_jacobian(res_fn, u, r0):
     with an O(1e-7) step buries the soft (near-constant) modes of the
     Jacobian under truncation error and wrecks the Newton direction.
     Central differencing at a smaller step keeps every mode accurate.
-    Falls back to one-sided probes when a side leaves the admissible set.
+
+    ``bandwidth=None`` differences one column per residual pair.  With a
+    bandwidth b (node i reads only u[i-b..i+b]) the columns j = c mod 2b+1
+    form colour c: no row reads two of them, so one central pair with each
+    column at its own step fills the band rows j-b..j+b of all of them, and
+    every other entry is exactly zero, as the one-column difference is.
+    When a colour probe leaves the cone at node i, the one column whose band
+    holds i is peeled off and the rest is probed again; a failure without a
+    node sends the whole colour to the per-column routine, which falls back
+    to shrinking steps and one-sided probes when a side leaves the
+    admissible set.
     """
     m = len(u)
-    jac = np.empty((m, m))
-    for j in range(m):
-        base = 1e-8 * (1.0 + abs(u[j]))
-        for shrink in range(6):
-            step = base / 8.0 ** shrink
+    if bandwidth is None:
+        jac = np.empty((m, m))
+        colours = [[j] for j in range(m)]
+    else:
+        jac = np.zeros((m, m))
+        width = 2 * bandwidth + 1
+        colours = [list(range(c, m, width)) for c in range(width)]
+    for cols in colours:
+        while len(cols) > 1:
+            idx = np.array(cols)
+            steps = 1e-8 * (1.0 + np.abs(u[idx]))
             up = u.copy()
             um = u.copy()
-            up[j] += step
-            um[j] -= step
+            up[idx] += steps
+            um[idx] -= steps
             try:
                 rp = res_fn(up)
-            except (DomainError, ConeExitError):
-                rp = None
-            try:
                 rm = res_fn(um)
-            except (DomainError, ConeExitError):
-                rm = None
-            if rp is not None and rm is not None:
-                jac[:, j] = (rp - rm) / (2.0 * step)
+            except ConeExitError as exc:
+                near = [j for j in cols if exc.node is not None
+                        and abs(j - exc.node) <= bandwidth]
+                if not near:
+                    break
+                _fd_column(res_fn, u, r0, near[0], jac)
+                cols.remove(near[0])
+                continue
+            except DomainError:
                 break
-            if rp is not None:
-                jac[:, j] = (rp - r0) / step
-                break
-            if rm is not None:
-                jac[:, j] = (r0 - rm) / step
-                break
-        else:
-            raise ContinuationError(
-                f"cannot difference the residual at node {j}: cone boundary")
+            for d in range(-bandwidth, bandwidth + 1):
+                rows = idx + d
+                ok = (rows >= 0) & (rows < m)
+                jac[rows[ok], idx[ok]] = (rp[rows[ok]] - rm[rows[ok]]) / (2.0 * steps[ok])
+            cols = []
+        for j in cols:
+            _fd_column(res_fn, u, r0, j, jac)
     return jac
 
 
-def _damped_newton(res_fn, u0, tol, max_iter, guard=None):
+def _damped_newton(res_fn, u0, tol, max_iter, guard=None, bandwidth=None, r0=None):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
     Steps are accepted when the simplified Newton correction contracts,
@@ -356,15 +425,16 @@ def _damped_newton(res_fn, u0, tol, max_iter, guard=None):
     invariant under the ill-conditioning of the stencil operator; trial
     points violating positivity, the guard, or the cone are skipped by
     halving a.  Convergence is declared in the discrete max norm.
-    Returns (u, iterations, residual_norm).
+    ``bandwidth`` is passed to the Jacobian; ``r0``, when given, is the
+    residual already evaluated at u0.  Returns (u, iterations, residual_norm).
     """
     u = np.asarray(u0, dtype=np.float64).copy()
-    r = res_fn(u)
+    r = res_fn(u) if r0 is None else r0
     rn = float(np.abs(r).max())
     for it in range(max_iter):
         if rn <= tol:
             return u, it, rn
-        jac = _fd_jacobian(res_fn, u, r)
+        jac = _fd_jacobian(res_fn, u, r, bandwidth)
         try:
             lu = sla.lu_factor(jac)
         except ValueError as exc:
@@ -412,6 +482,7 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
     lam0 = schouten_eig_matrix(profile)
     f0 = np.maximum(ft.power_value_batch(lam0), 0.0) ** (1.0 / ft.cone.k)
     psi_arr = _psi_values(psi, profile)
+    bandwidth = _jacobian_bandwidth(profile)
     u = profile.values.copy()
     tau, dtau = 0.0, 0.125
     total = 0
@@ -419,17 +490,13 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
         target = min(1.0, tau + dtau)
 
         def res_fn(v, target=target):
-            lam = schouten_eig_matrix(profile, v)
-            inside = ft.cone.contains_batch(lam)
-            if not inside.all():
-                node = int(np.argmin(inside))
-                raise ConeExitError(f"cone exit at node {node}", node=node)
-            return (ft.value_batch(lam)
-                    - (target * psi_arr * v ** (-s) + (1.0 - target) * f0))
+            return _cone_residual(ft, schouten_eig_matrix(profile, v),
+                                  target * psi_arr * v ** (-s) + (1.0 - target) * f0)
 
         leg_tol = tol if target >= 1.0 else max(tol, 1e-8)
         try:
-            u_new, iters, _ = _damped_newton(res_fn, u, leg_tol, max_iter)
+            u_new, iters, _ = _damped_newton(res_fn, u, leg_tol, max_iter,
+                                             bandwidth=bandwidth)
         except ContinuationError:
             dtau *= 0.5
             if dtau < 1e-4:
@@ -453,11 +520,13 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10, max_iter=60):
     def res_fn(u):
         return residual_Fs(profile, ft, s, psi, values=u)
 
-    if float(np.abs(res_fn(profile.values)).max()) <= tol:
+    r0 = res_fn(profile.values)
+    if float(np.abs(r0).max()) <= tol:
         return make_state(profile.with_values(profile.values.copy()), f, s, t,
                           psi, iterations=0)
     try:
-        u, iters, _ = _damped_newton(res_fn, profile.values, tol, max_iter)
+        u, iters, _ = _damped_newton(res_fn, profile.values, tol, max_iter,
+                                     bandwidth=_jacobian_bandwidth(profile), r0=r0)
     except ContinuationError:
         u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)

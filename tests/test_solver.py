@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from schouten import _kernels
 from schouten import conformal as cf
 from schouten import solver as sv
-from schouten.cones import CurvatureFunction
+from schouten.cones import ConeSpec, CurvatureFunction
 from schouten.errors import ConeExitError, ContinuationError, DomainError
 
 
@@ -326,3 +326,174 @@ def test_continuation_step_underflow(monkeypatch):
     with pytest.raises(ContinuationError) as err:
         sv.newton_continuation(start, [(0.5, 1.0)], f, min_step=1e-3)
     assert err.value.last_state is start
+
+
+# ---------------------------------------------------------------------------
+# coloured Jacobian against the dense one-column-at-a-time oracle
+# ---------------------------------------------------------------------------
+
+def _jacobian_pair(res_fn, u):
+    r0 = res_fn(u)
+    return sv._fd_jacobian(res_fn, u, r0), sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+
+
+def _assert_tridiagonal(jac):
+    rows, cols = np.nonzero(jac)
+    assert np.abs(rows - cols).max() <= 1
+
+
+def test_coloured_jacobian_bitwise_at_psi_state():
+    prof = sv.RadialProfile.make(4, 64)
+    f = CurvatureFunction.sigma_root(4, 2)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    state = sv.newton_solve(prof, f, 1.0, psi=psi)
+    assert state.max_u > 1.05  # nonconstant
+
+    def res_fn(u):
+        return sv.residual_Fs(prof, f, 1.0, psi, values=u)
+
+    dense, coloured = _jacobian_pair(res_fn, state.profile.values)
+    assert np.array_equal(dense, coloured)
+    _assert_tridiagonal(dense)
+
+
+def test_coloured_jacobian_bitwise_on_deformed_cone():
+    prof = sv.RadialProfile.make(4, 48)
+    ft = CurvatureFunction.sigma_root(4, 2).deform(0.5)
+    u = 1.0 + 0.1 * np.cos(prof.theta) + 0.02 * np.cos(2.0 * prof.theta)
+
+    def res_fn(v):
+        return sv.residual_Fs(prof, ft, 0.5, values=v)
+
+    dense, coloured = _jacobian_pair(res_fn, u)
+    assert np.array_equal(dense, coloured)
+
+
+def _walled_residual(u, wall, exc):
+    # a tridiagonal residual whose admissible set ends at u[wall]: raising
+    # that node value raises ``exc``, so its column is one-sided
+    calls = []
+
+    def res_fn(v):
+        calls.append(1)
+        if v[wall] > u[wall]:
+            raise exc
+        out = v ** 3 - 2.0 * v
+        out[1:] += np.sin(v[:-1])
+        out[:-1] += 0.5 * v[1:] ** 2
+        return out
+
+    return res_fn, calls
+
+
+@pytest.mark.parametrize("exc, coloured_calls", [
+    # colours 0 and 2 take a pair each; colour 1 hits the wall once, then
+    # column 7 alone is peeled off (2 calls) and the rest probed again
+    (ConeExitError("left the cone at node 8", node=8), 4 + 1 + 2 + 2),
+    # no node: every column of colour 1 is differenced alone
+    (DomainError("outside the domain"), 4 + 1 + 7 * 2),
+])
+def test_coloured_jacobian_fallback_matches_dense(exc, coloured_calls):
+    u = np.linspace(0.8, 1.4, 20)
+    wall = 7
+    res_fn, calls = _walled_residual(u, wall, exc)
+    r0 = res_fn(u)
+    dense = sv._fd_jacobian(res_fn, u, r0)
+    calls.clear()
+    coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+    assert len(calls) == coloured_calls
+    assert np.array_equal(dense, coloured)
+    _assert_tridiagonal(coloured)
+    # column `wall` is the backward difference, the rest are central
+    step = 1e-8 * (1.0 + u[wall])
+    um = u.copy()
+    um[wall] -= step
+    assert np.array_equal(coloured[:, wall], (r0 - res_fn(um)) / step)
+
+
+def test_coloured_jacobian_both_sides_blocked_raises():
+    u = np.linspace(0.8, 1.4, 20)
+
+    def res_fn(v):
+        if v[5] != u[5]:
+            raise ConeExitError("pinned at node 5", node=5)
+        return v ** 2
+
+    with pytest.raises(ContinuationError, match="node 5"):
+        sv._fd_jacobian(res_fn, u, res_fn(u), bandwidth=1)
+
+
+def test_coloured_jacobian_makes_six_residual_calls():
+    prof = sv.RadialProfile.make(4, 64)
+    f = CurvatureFunction.sigma_root(4, 2)
+    u = 1.0 + 0.1 * np.cos(prof.theta)
+    calls = []
+
+    def res_fn(v):
+        calls.append(1)
+        return sv.residual_Fs(prof, f, 1.0, values=v)
+
+    r0 = res_fn(u)
+    calls.clear()
+    sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+    assert len(calls) == 6
+
+
+def test_only_uniform_newton_uses_the_coloured_jacobian(monkeypatch):
+    f = CurvatureFunction.sigma_root(4, 2)
+    seen = []
+    real = sv._fd_jacobian
+
+    def spy(res_fn, u, r0, bandwidth=None):
+        seen.append(bandwidth)
+        return real(res_fn, u, r0, bandwidth)
+
+    monkeypatch.setattr(sv, "_fd_jacobian", spy)
+    for grid, expect in (("uniform", 1), ("lobatto", None)):
+        prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.05 * np.cos(th),
+                                     grid=grid)
+        seen.clear()
+        state = sv.newton_solve(prof, f, 1.0)
+        assert state.residual_norm <= 1e-10
+        assert seen and set(seen) == {expect}
+    seen.clear()
+    prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.05 * np.cos(th))
+    sv._rhs_homotopy_solve(prof, f, 1.0, 1.0, 1e-10, 60)
+    assert seen and set(seen) == {1}
+    seen.clear()
+    sv.ht_continuation(sv.RadialProfile.make(4, 24), [0.5])
+    assert seen and set(seen) == {None}
+
+
+def test_lobatto_and_ht_jacobians_are_not_banded():
+    # why they stay dense: both couple nodes beyond the three-point band
+    f = CurvatureFunction.sigma_root(4, 2)
+    lob = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th),
+                                grid="lobatto")
+    uni = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th))
+    for res_fn, u in (
+            (lambda v: sv.residual_Fs(lob, f, 1.0, values=v), lob.values),
+            (lambda v: sv.ht_residual(uni, 0.5, values=v), uni.values)):
+        jac = sv._fd_jacobian(res_fn, u, res_fn(u))
+        rows, cols = np.nonzero(jac)
+        assert np.abs(rows - cols).max() > 1
+
+
+def test_residual_checks_cone_membership_once(monkeypatch):
+    prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.1 * np.cos(th))
+    f = CurvatureFunction.sigma_root(4, 2)
+    expect = f.value_batch(sv.schouten_eig_matrix(prof)) - prof.values ** -0.5
+    calls = []
+    real = ConeSpec.contains_batch
+
+    def counted(self, lams):
+        calls.append(1)
+        return real(self, lams)
+
+    monkeypatch.setattr(ConeSpec, "contains_batch", counted)
+    res = sv.residual_Fs(prof, f, 0.5)
+    assert len(calls) == 1
+    assert np.array_equal(res, expect)
+    calls.clear()
+    sv.make_state(prof, f, 0.5, 1.0)
+    assert len(calls) == 1
