@@ -1,9 +1,11 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels of the cone layer, vectorised over rows with numpy.
 
-The jitted path is used whenever numba imports cleanly; setting the
-environment variable ``SCHOUTEN_NO_NUMBA`` to a non-empty value forces the
-numpy path.  Both implementations are kept importable side by side so the
-parity tests and ``benchmarks/bench_kernels.py`` can compare them directly.
+Each kernel has exactly one implementation, defined under its private
+``_*_np`` name; the public names are plain aliases of those definitions.
+``BACKEND`` names the implementation and is recorded in run summaries.
+Per-call timings at the shapes the cone layer and the solver really use
+(64-512 rows of length n) are the ``micro.*`` metrics of a traced
+``perfbench/run.py`` run.
 
 Kernels:
   elementary_symmetric  -- all e_0..e_kmax of each row, Newton/Horner recurrence
@@ -14,8 +16,6 @@ Kernels:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
@@ -24,15 +24,10 @@ __all__ = [
     "gamma_member",
     "gamma_margin",
     "radial_sphere_eigs",
-    "IMPLEMENTATIONS",
 ]
 
-_MARGIN_FLOOR = -1.0e12  # bracket expansion guard; beyond this report -inf
+BACKEND = "numpy"
 
-
-# ---------------------------------------------------------------------------
-# numpy implementations (reference semantics, vectorised over rows)
-# ---------------------------------------------------------------------------
 
 def _elementary_symmetric_np(lam, kmax):
     lam = np.ascontiguousarray(lam, dtype=np.float64)
@@ -103,177 +98,10 @@ def _radial_sphere_eigs_np(u, up, upp, cot_theta, pole, n):
     return lam_rad * s, lam_tan * s
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "elementary_symmetric": _elementary_symmetric_np,
-        "gamma_member": _gamma_member_np,
-        "gamma_margin": _gamma_margin_np,
-        "radial_sphere_eigs": _radial_sphere_eigs_np,
-    },
-    "numba": None,
-}
-
-BACKEND = "numpy"
-
-if not os.environ.get("SCHOUTEN_NO_NUMBA"):
-    try:
-        import numba
-
-        _cache = True
-
-        @numba.njit(cache=_cache)
-        def _cache_probe():  # pragma: no cover - exercised only on import
-            return 0
-
-        try:
-            _cache_probe()
-        except RuntimeError:  # cache dir not writable
-            _cache = False
-
-        @numba.njit(cache=_cache)
-        def _e_all_row(row, kmax, out):
-            out[0] = 1.0
-            for j in range(1, kmax + 1):
-                out[j] = 0.0
-            n = row.shape[0]
-            for i in range(n):
-                x = row[i]
-                top = i + 1 if i + 1 < kmax else kmax
-                for j in range(top, 0, -1):
-                    out[j] += x * out[j - 1]
-
-        @numba.njit(cache=_cache)
-        def _elementary_symmetric_nb(lam, kmax):
-            nrow = lam.shape[0]
-            e = np.empty((nrow, kmax + 1))
-            for r in range(nrow):
-                _e_all_row(lam[r], kmax, e[r])
-            return e
-
-        @numba.njit(cache=_cache)
-        def _member_row(row, k, scratch):
-            _e_all_row(row, k, scratch)
-            for j in range(1, k + 1):
-                if scratch[j] <= 0.0:
-                    return False
-            return True
-
-        @numba.njit(cache=_cache)
-        def _gamma_member_nb(lam, k):
-            nrow, n = lam.shape
-            out = np.empty(nrow, dtype=np.bool_)
-            scratch = np.empty(k + 1)
-            for r in range(nrow):
-                out[r] = _member_row(lam[r], k, scratch)
-            return out
-
-        @numba.njit(cache=_cache)
-        def _gamma_margin_nb(lam, k, rtol):
-            nrow, n = lam.shape
-            out = np.empty(nrow)
-            scratch = np.empty(k + 1)
-            shifted = np.empty(n)
-            for r in range(nrow):
-                row = lam[r]
-                scale = 0.0
-                s1 = 0.0
-                for i in range(n):
-                    a = abs(row[i])
-                    if a > scale:
-                        scale = a
-                    s1 += row[i]
-                if scale == 0.0:
-                    out[r] = 0.0
-                    continue
-                inside = _member_row(row, k, scratch)
-                if inside:
-                    lo = 0.0
-                    hi = s1 / n
-                else:
-                    lo = -2.0 * scale
-                    hi = 0.0
-                    guard = 0
-                    while True:
-                        ok = True
-                        for i in range(n):
-                            shifted[i] = row[i] - lo
-                        if not _member_row(shifted, k, scratch):
-                            ok = False
-                        if ok:
-                            break
-                        lo *= 2.0
-                        guard += 1
-                        if guard > 60:
-                            break
-                    if guard > 60:
-                        out[r] = -np.inf
-                        continue
-                tol = rtol * scale
-                guard = 0
-                while hi - lo > tol and guard < 200:
-                    mid = 0.5 * (lo + hi)
-                    for i in range(n):
-                        shifted[i] = row[i] - mid
-                    if _member_row(shifted, k, scratch):
-                        lo = mid
-                    else:
-                        hi = mid
-                    guard += 1
-                out[r] = 0.5 * (lo + hi)
-            return out
-
-        @numba.njit(cache=_cache)
-        def _radial_sphere_eigs_nb(u, up, upp, cot_theta, pole, n):
-            m = u.shape[0]
-            lam_rad = np.empty(m)
-            lam_tan = np.empty(m)
-            q = 2.0 / (n - 2.0)
-            for i in range(m):
-                logd = up[i] / u[i]
-                th = upp[i] if pole[i] else cot_theta[i] * up[i]
-                s = u[i] ** (-2.0 * q)
-                lam_rad[i] = (-q * upp[i] / u[i]
-                              + (n - 1.0) * 0.5 * q * q * logd * logd + 0.5) * s
-                lam_tan[i] = (-q * th / u[i]
-                              - 0.5 * q * q * logd * logd + 0.5) * s
-            return lam_rad, lam_tan
-
-        def _margin_nb_wrap(lam, k, rtol=1e-12):
-            return _gamma_margin_nb(np.ascontiguousarray(lam, dtype=np.float64), k, rtol)
-
-        def _member_nb_wrap(lam, k):
-            return _gamma_member_nb(np.ascontiguousarray(lam, dtype=np.float64), k)
-
-        def _e_nb_wrap(lam, kmax):
-            return _elementary_symmetric_nb(np.ascontiguousarray(lam, dtype=np.float64), kmax)
-
-        def _radial_nb_wrap(u, up, upp, cot_theta, pole, n):
-            return _radial_sphere_eigs_nb(
-                np.ascontiguousarray(u, dtype=np.float64),
-                np.ascontiguousarray(up, dtype=np.float64),
-                np.ascontiguousarray(upp, dtype=np.float64),
-                np.ascontiguousarray(cot_theta, dtype=np.float64),
-                np.ascontiguousarray(pole),
-                float(n),
-            )
-
-        IMPLEMENTATIONS["numba"] = {
-            "elementary_symmetric": _e_nb_wrap,
-            "gamma_member": _member_nb_wrap,
-            "gamma_margin": _margin_nb_wrap,
-            "radial_sphere_eigs": _radial_nb_wrap,
-        }
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover
-        pass
-
-_active = IMPLEMENTATIONS[BACKEND]
-
-elementary_symmetric = _active["elementary_symmetric"]
-gamma_member = _active["gamma_member"]
-gamma_margin = _active["gamma_margin"]
-radial_sphere_eigs = _active["radial_sphere_eigs"]
+# The membership and margin kernels call ``_elementary_symmetric_np`` by its
+# private name; keep the public names aliases, not wrappers, so each e_k pass
+# is one call of one function.
+elementary_symmetric = _elementary_symmetric_np
+gamma_member = _gamma_member_np
+gamma_margin = _gamma_margin_np
+radial_sphere_eigs = _radial_sphere_eigs_np

@@ -150,10 +150,19 @@ def supersolution_eval(n, mu, delta, eps, r):
     _check_super_params(mu, delta, eps)
     if np.any(r <= 0):
         raise DomainError("radius must be positive")
-    base = eps * r ** (1.0 - mu) + 1.0 - r ** delta
-    if np.any(base <= 0):
-        raise DomainError("super-solution base is nonpositive")
+    base, _, _ = _super_base(mu, delta, eps, r)
     return base ** ((n - 2.0) / (mu - 1.0))
+
+
+def _super_base(mu, delta, eps, r):
+    """b = eps r^(1-mu) + 1 - r^delta with b' and b''; b must be positive."""
+    b = eps * r ** (1.0 - mu) + 1.0 - r ** delta
+    if np.any(b <= 0):
+        raise DomainError("super-solution base is nonpositive")
+    b1 = eps * (1.0 - mu) * r ** (-mu) - delta * r ** (delta - 1.0)
+    b2 = eps * mu * (mu - 1.0) * r ** (-mu - 1.0) \
+        - delta * (delta - 1.0) * r ** (delta - 2.0)
+    return b, b1, b2
 
 
 def _check_super_params(mu, delta, eps):
@@ -178,12 +187,7 @@ def chi_coefficients_super(mu, delta, eps, r):
     """
     r = np.asarray(r, dtype=np.float64)
     _check_super_params(mu, delta, eps)
-    b = eps * r ** (1.0 - mu) + 1.0 - r ** delta
-    if np.any(b <= 0):
-        raise DomainError("super-solution base is nonpositive")
-    b1 = eps * (1.0 - mu) * r ** (-mu) - delta * r ** (delta - 1.0)
-    b2 = eps * mu * (mu - 1.0) * r ** (-mu - 1.0) \
-        - delta * (delta - 1.0) * r ** (delta - 2.0)
+    b, b1, b2 = _super_base(mu, delta, eps, r)
     lm = b1 / b
     lmp = b2 / b - lm ** 2
     chi1 = -2.0 * lm / ((mu - 1.0) * r) - 2.0 * lm ** 2 / (mu - 1.0) ** 2
@@ -263,31 +267,22 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
     else:
         beta = (n - 2.0) / (mu - 1.0)
 
-        def base(r):
-            return eps * r ** (1.0 - mu) + 1.0 - r ** delta
-
-        def base1(r):
-            return eps * (1.0 - mu) * r ** (-mu) - delta * r ** (delta - 1.0)
-
-        def base2(r):
-            return (eps * mu * (mu - 1.0) * r ** (-mu - 1.0)
-                    - delta * (delta - 1.0) * r ** (delta - 2.0))
-
         def v(r):
-            b = base(r)
-            if np.any(b <= 0):
-                raise DomainError("super-solution base is nonpositive")
+            b, _, _ = _super_base(mu, delta, eps, r)
             return b ** beta
 
         def v1(r):
-            return beta * base(r) ** (beta - 1.0) * base1(r)
+            b, b1, _ = _super_base(mu, delta, eps, r)
+            return beta * b ** (beta - 1.0) * b1
 
         def v2(r):
-            b = base(r)
-            return (beta * (beta - 1.0) * b ** (beta - 2.0) * base1(r) ** 2
-                    + beta * b ** (beta - 1.0) * base2(r))
+            b, b1, b2 = _super_base(mu, delta, eps, r)
+            return (beta * (beta - 1.0) * b ** (beta - 2.0) * b1 ** 2
+                    + beta * b ** (beta - 1.0) * b2)
 
-        dlog = lambda r: beta * base1(r) / base(r)
+        def dlog(r):
+            b, b1, _ = _super_base(mu, delta, eps, r)
+            return beta * b1 / b
     return v, v1, v2, dlog
 
 

@@ -111,11 +111,16 @@ def _fd_d2(fn, x, h):
     return out
 
 
-def _richardson(op, h):
-    def refined(fn, x):
-        return (4.0 * op(fn, x, h / 2.0) - op(fn, x, h)) / 3.0
-
-    return refined
+def _derivative(field, exact_fn, fd_op, xb):
+    """``exact_fn(xb)`` when given, else ``fd_op`` central differences of
+    ``field.value_fn`` with step ``field.h`` (Richardson-refined when
+    ``field.richardson``)."""
+    if exact_fn is not None:
+        return exact_fn(xb)
+    fn, h = field.value_fn, field.h
+    if field.richardson:
+        return (4.0 * fd_op(fn, xb, h / 2.0) - fd_op(fn, xb, h)) / 3.0
+    return fd_op(fn, xb, h)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +164,12 @@ class MetricField:
     def d1(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        if self.d1_fn is not None:
-            return _unbatch(self.d1_fn(xb), single)
-        op = _richardson(_fd_d1, self.h) if self.richardson else (
-            lambda fn, y: _fd_d1(fn, y, self.h))
-        return _unbatch(op(self.value_fn, xb), single)
+        return _unbatch(_derivative(self, self.d1_fn, _fd_d1, xb), single)
 
     def d2(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        if self.d2_fn is not None:
-            return _unbatch(self.d2_fn(xb), single)
-        op = _richardson(_fd_d2, self.h) if self.richardson else (
-            lambda fn, y: _fd_d2(fn, y, self.h))
-        return _unbatch(op(self.value_fn, xb), single)
+        return _unbatch(_derivative(self, self.d2_fn, _fd_d2, xb), single)
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
         """Same components, derivatives forced to finite differences."""
@@ -359,19 +356,11 @@ class ConformalFactor:
 
     def grad(self, x):
         xb, single = _batchify(x, self.n)
-        if self.grad_fn is not None:
-            return _unbatch(self.grad_fn(xb), single)
-        op = _richardson(_fd_d1, self.h) if self.richardson else (
-            lambda fn, y: _fd_d1(fn, y, self.h))
-        return _unbatch(op(self.value_fn, xb), single)
+        return _unbatch(_derivative(self, self.grad_fn, _fd_d1, xb), single)
 
     def hess(self, x):
         xb, single = _batchify(x, self.n)
-        if self.hess_fn is not None:
-            return _unbatch(self.hess_fn(xb), single)
-        op = _richardson(_fd_d2, self.h) if self.richardson else (
-            lambda fn, y: _fd_d2(fn, y, self.h))
-        return _unbatch(op(self.value_fn, xb), single)
+        return _unbatch(_derivative(self, self.hess_fn, _fd_d2, xb), single)
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
         return replace(self, grad_fn=None, hess_fn=None, h=h, richardson=richardson)
@@ -425,14 +414,9 @@ class ConformalFactor:
 # curvature assembly (batched core)
 # ---------------------------------------------------------------------------
 
-def _gamma_from(ginv, d1):
-    # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
-    # Gamma^m_ij = 1/2 g^{ml} sym_ijl
-    return 0.5 * np.einsum("bml,bijl->bmij", ginv, sym), sym
-
-
 def _geometry(g, x):
+    """First-order chart geometry at ``x``:
+    (xb, single, g_ij, g^ij, d_k g_ij, Gamma^m_ij, sym_ijl)."""
     xb, single = _batchify(x, g.n)
     gmat = g.components(xb)
     d1 = g.d1(xb)
@@ -440,25 +424,22 @@ def _geometry(g, x):
         ginv = np.linalg.inv(gmat)
     except np.linalg.LinAlgError as exc:
         raise DomainError("metric is singular at a queried point") from exc
-    gamma, _ = _gamma_from(ginv, d1)
-    return xb, single, gmat, ginv, d1, gamma
+    # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
+    # Gamma^m_ij = 1/2 g^{ml} sym_ijl
+    gamma = 0.5 * np.einsum("bml,bijl->bmij", ginv, sym)
+    return xb, single, gmat, ginv, d1, gamma, sym
 
 
 def christoffel(g, x):
     """Christoffel symbols; index order [m, i, j] for Gamma^m_ij."""
-    _, single, _, _, _, gamma = _geometry(g, x)
+    _, single, _, _, _, gamma, _ = _geometry(g, x)
     return _unbatch(gamma, single)
 
 
-def _ricci_batch(g, xb):
-    gmat = g.components(xb)
-    d1 = g.d1(xb)
+def _ricci_batch(g, x):
+    xb, single, gmat, ginv, d1, gamma, sym = _geometry(g, x)
     d2 = g.d2(xb)
-    try:
-        ginv = np.linalg.inv(gmat)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("metric is singular at a queried point") from exc
-    gamma, sym = _gamma_from(ginv, d1)
     # d_a Gamma^m_ij needs d_a g^{ml} = -g^{mp} (d_a g_pq) g^{ql}
     dginv = -np.einsum("bmp,bapq,bql->baml", ginv, d1, ginv)
     # d_a sym[i, j, l] = d_a d_i g_jl + d_a d_j g_il - d_a d_l g_ij
@@ -473,25 +454,22 @@ def _ricci_batch(g, xb):
     term3 = np.einsum("bp,bpjk->bjk", trace_gamma, gamma)
     term4 = np.einsum("bmjp,bpmk->bjk", gamma, gamma)
     ric = term1 - term2 + term3 - term4
-    return gmat, ginv, ric
+    return single, gmat, ginv, ric
 
 
 def ricci_background(g, x):
-    xb, single = _batchify(x, g.n)
-    _, _, ric = _ricci_batch(g, xb)
+    single, _, _, ric = _ricci_batch(g, x)
     return _unbatch(ric, single)
 
 
 def scalar_curvature(g, x):
-    xb, single = _batchify(x, g.n)
-    _, ginv, ric = _ricci_batch(g, xb)
+    single, _, ginv, ric = _ricci_batch(g, x)
     return _unbatch(np.einsum("bjk,bjk->b", ginv, ric), single)
 
 
 def schouten_background(g, x):
     """Schouten tensor A_g = (Ric - R g / (2(n-1))) / (n-2)."""
-    xb, single = _batchify(x, g.n)
-    gmat, ginv, ric = _ricci_batch(g, xb)
+    single, gmat, ginv, ric = _ricci_batch(g, x)
     n = g.n
     scal = np.einsum("bjk,bjk->b", ginv, ric)
     a = (ric - scal[:, None, None] * gmat / (2.0 * (n - 1.0))) / (n - 2.0)
@@ -500,7 +478,7 @@ def schouten_background(g, x):
 
 def covariant_hessian(g, u, x):
     """Hess_g u = d^2 u - Gamma^m d_m u."""
-    xb, single, _, _, _, gamma = _geometry(g, x)
+    xb, single, _, _, _, gamma, _ = _geometry(g, x)
     du = u.grad(xb)
     d2u = u.hess(xb)
     return _unbatch(d2u - np.einsum("bmij,bm->bij", gamma, du), single)
@@ -516,6 +494,7 @@ def laplace_beltrami(g, u, x):
 
 
 def _schouten_conformal_batch(g, u, xb):
+    """A_{g_u} and the conformal metric g_u = u^(4/(n-2)) g on a point batch."""
     n = g.n
     uval = np.atleast_1d(u.value(xb))
     if np.any(uval <= 0.0):
@@ -533,13 +512,14 @@ def _schouten_conformal_batch(g, u, xb):
            + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
            - c3 * grad_sq[:, None, None] * gmat / uval[:, None, None] ** 2
            + a_bg)
-    return a_u, gmat, uval
+    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
+    return a_u, gu
 
 
 def schouten_conformal(g, u, x):
     """Schouten tensor of g_u = u^(4/(n-2)) g, as a bilinear form in the chart."""
     xb, single = _batchify(x, g.n)
-    a_u, _, _ = _schouten_conformal_batch(g, u, xb)
+    a_u, _ = _schouten_conformal_batch(g, u, xb)
     return _unbatch(a_u, single)
 
 
@@ -624,27 +604,24 @@ def eigen_rel(a, gmat):
     return np.linalg.eigvalsh(reduced)
 
 
-def _conformal_eigs_batch(g, u, xb):
-    a_u, gmat, uval = _schouten_conformal_batch(g, u, xb)
-    n = g.n
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
-    return eigen_rel(a_u, gu)
-
-
 def conformal_schouten_eigs(g, u, x):
     """lambda(A_{g_u}) relative to g_u, ascending."""
     xb, single = _batchify(x, g.n)
-    return _unbatch(_conformal_eigs_batch(g, u, xb), single)
+    a_u, gu = _schouten_conformal_batch(g, u, xb)
+    return _unbatch(eigen_rel(a_u, gu), single)
+
+
+def _ricci_conformal_batch(g, u, xb):
+    """Ric_{g_u} = (n-2) A + tr_{g_u}(A) g_u, and g_u, on a point batch."""
+    a_u, gu = _schouten_conformal_batch(g, u, xb)
+    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
+    return (g.n - 2.0) * a_u + tr[:, None, None] * gu, gu
 
 
 def ricci_conformal(g, u, x):
     """Ric_{g_u} reconstructed from the Schouten tensor: (n-2) A + tr(A) g_u."""
     xb, single = _batchify(x, g.n)
-    a_u, gmat, uval = _schouten_conformal_batch(g, u, xb)
-    n = g.n
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
-    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
-    ric = (n - 2.0) * a_u + tr[:, None, None] * gu
+    ric, _ = _ricci_conformal_batch(g, u, xb)
     return _unbatch(ric, single)
 
 
@@ -652,11 +629,7 @@ def ricci_lower_margin(g, u, alpha, points):
     """min over points of the smallest eigenvalue of Ric_{g_u} + (n-1) alpha^2 g_u
     relative to g_u; nonnegative return certifies the Ricci lower bound there."""
     xb, _ = _batchify(points, g.n)
-    a_u, gmat, uval = _schouten_conformal_batch(g, u, xb)
-    n = g.n
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
-    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
-    ric = (n - 2.0) * a_u + tr[:, None, None] * gu
-    shifted = ric + (n - 1.0) * alpha ** 2 * gu
+    ric, gu = _ricci_conformal_batch(g, u, xb)
+    shifted = ric + (g.n - 1.0) * alpha ** 2 * gu
     eigs = eigen_rel(shifted, gu)
     return float(eigs[:, 0].min())

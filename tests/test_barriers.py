@@ -113,6 +113,25 @@ def test_supersolution_asymptotic_slope():
     assert slope == pytest.approx(-(n - 2), abs=0.02)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("sub", {"delta": 0.1}),
+    ("super", {"mu": 1.3, "delta": 0.2, "eps": 0.1}),
+    ("super", {"mu": 1.8, "delta": 0.7, "eps": 0.0}),
+])
+def test_radial_factor_derivatives_match_central_differences(kind, params):
+    n = 4
+    v, v1, v2, dlog = br._radial_factor(n, kind=kind, **params)
+    r = np.geomspace(0.02, 0.5, 25)
+    h = 1e-4 * r
+    fd1 = (v(r + h) - v(r - h)) / (2.0 * h)
+    fd2 = (v(r + h) - 2.0 * v(r) + v(r - h)) / h ** 2
+    assert np.allclose(v1(r), fd1, rtol=1e-7, atol=0.0)
+    assert np.allclose(v2(r), fd2, rtol=1e-5, atol=0.0)
+    assert np.allclose(dlog(r), v1(r) / v(r), rtol=1e-13, atol=0.0)
+    if kind == "super":
+        assert np.array_equal(v(r), br.supersolution_eval(n, r=r, **params))
+
+
 def test_chi_super_inequality_closed_form(rng):
     for _ in range(300):
         mu = rng.uniform(1.05, 1.95)
