@@ -255,15 +255,18 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
         a = n - 2.0 - 2.0 * delta
 
         def v(r):
-            return r ** (-a) * np.exp(r)
+            return subsolution_eval(n, delta, r)[0]
 
         def v1(r):
-            return v(r) * (1.0 - a / r)
+            val, dl = subsolution_eval(n, delta, r)
+            return val * dl
 
         def v2(r):
-            return v(r) * ((1.0 - a / r) ** 2 + a / r ** 2)
+            val, dl = subsolution_eval(n, delta, r)
+            return val * (dl ** 2 + a / r ** 2)
 
-        dlog = lambda r: 1.0 - a / r
+        def dlog(r):
+            return subsolution_eval(n, delta, r)[1]
     else:
         beta = (n - 2.0) / (mu - 1.0)
 
@@ -286,18 +289,13 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
     return v, v1, v2, dlog
 
 
-def _sweep_once(cfg, params, kind, r1):
-    """Evaluate one parameter combination over the (r, direction) grid.
+def _sweep_once(params, kind, g, geometry, rr, cone):
+    """Evaluate one parameter combination over the (r, direction) samples.
 
-    Returns (margins, remainders, rows) with one entry per sample.
+    ``geometry`` is the chart geometry of the sample points, at radii ``rr``.
+    Returns (margins, remainders) with one entry per sample.
     """
-    n = cfg.n
-    g = cfg.metric()
-    dirs = cfg.directions()
-    radii = cfg.radii(r1)
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    rr = np.repeat(radii, cfg.num_dirs)
-
+    n = g.n
     if kind == "sub":
         delta = params["delta"]
         v, v1, v2, dlog = _radial_factor(n, delta=delta, kind="sub")
@@ -308,8 +306,7 @@ def _sweep_once(cfg, params, kind, r1):
         chi1, chi2 = chi_coefficients_super(mu, delta, eps, rr)
 
     u = cf.ConformalFactor.radial(n, v, v1, v2)
-    eigs = cf.conformal_schouten_eigs(g, u, pts)
-    cone = ConeSpec.gamma(n, cfg.k)
+    eigs = cf.conformal_schouten_eigs(g, u, geometry.points, geometry=geometry)
     margins = cone.margin_batch(eigs)
 
     vals = v(rr)
@@ -321,7 +318,7 @@ def _sweep_once(cfg, params, kind, r1):
     rl = rr * dlog(rr)
     rem_scale = scale * (1.0 + np.abs(rl) + rl ** 2)
     remainders = np.abs(eigs - pred).max(axis=1) / rem_scale
-    return rr, margins, remainders
+    return margins, remainders
 
 
 def barrier_sweep_sub(cfg):
@@ -401,6 +398,9 @@ def barrier_sweep_super(cfg):
 
 
 def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
+    g = cfg.metric()
+    dirs = cfg.directions()
+    cone = ConeSpec.gamma(cfg.n, cfg.k)
     candidates = [cfg.r1] if cfg.r1 is not None else \
         [r_start / 2 ** i for i in range(8)]
     best_r1 = None
@@ -418,8 +418,14 @@ def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
         max_remainder = 0.0
         fail_list = []
         eps_verdicts = {}
+        # one point grid and one chart geometry per ceiling, shared by every
+        # parameter combination
+        radii = cfg.radii(r1)
+        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
+        rr = np.repeat(radii, cfg.num_dirs)
+        geometry = cf.chart_geometry(g, pts)
         for combo in combos:
-            rr, margins, rems = _sweep_once(cfg, combo, kind, r1)
+            margins, rems = _sweep_once(combo, kind, g, geometry, rr, cone)
             ok_mask = margins < -cfg.tol if want_negative else margins > cfg.tol
             combo_ok = bool(ok_mask.all())
             all_ok = all_ok and combo_ok

@@ -20,6 +20,14 @@ the tests.
 
 All operations accept a single point ``(n,)`` or a batch ``(B, n)`` and are
 vectorised over the batch.
+
+Background geometry depends only on the metric and the points, not on the
+factor u.  ``chart_geometry`` evaluates it once per point batch into a
+``ChartGeometry`` value: metric, first derivatives and inverse once,
+Christoffel symbols and A_g from that one pass.  The conformal operations
+assemble from it, and ``conformal_schouten_eigs(..., geometry=...)`` lets a
+caller that owns its point grid (the barrier sweeps) build it once and reuse
+it for every factor.  There is no cache: the geometry is passed explicitly.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ from .errors import DomainError
 __all__ = [
     "MetricField",
     "ConformalFactor",
+    "ChartGeometry",
+    "chart_geometry",
     "christoffel",
     "ricci_background",
     "scalar_curvature",
@@ -414,10 +424,28 @@ class ConformalFactor:
 # curvature assembly (batched core)
 # ---------------------------------------------------------------------------
 
-def _geometry(g, x):
-    """First-order chart geometry at ``x``:
-    (xb, single, g_ij, g^ij, d_k g_ij, Gamma^m_ij, sym_ijl)."""
-    xb, single = _batchify(x, g.n)
+@dataclass(frozen=True)
+class ChartGeometry:
+    """Background geometry of one point batch, evaluated once.
+
+    ``points`` (B, n); ``gmat`` g_ij and ``ginv`` g^ij (B, n, n); ``d1``
+    d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma``
+    Gamma^m_ij (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or
+    None on a first-order pass.  Built by ``chart_geometry``.
+    """
+
+    points: np.ndarray
+    gmat: np.ndarray
+    ginv: np.ndarray
+    d1: np.ndarray
+    sym: np.ndarray
+    gamma: np.ndarray
+    a_bg: Optional[np.ndarray] = None
+
+
+def _geometry(g, xb):
+    """First-order chart geometry on the point batch ``xb``: one evaluation of
+    the metric, its first derivatives and its inverse."""
     gmat = g.components(xb)
     d1 = g.d1(xb)
     try:
@@ -428,18 +456,32 @@ def _geometry(g, x):
     sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
     # Gamma^m_ij = 1/2 g^{ml} sym_ijl
     gamma = 0.5 * np.einsum("bml,bijl->bmij", ginv, sym)
-    return xb, single, gmat, ginv, d1, gamma, sym
+    return ChartGeometry(xb, gmat, ginv, d1, sym, gamma)
+
+
+def chart_geometry(g, x):
+    """``ChartGeometry`` of the points ``x`` ((B, n) or (n,)): one first-order
+    pass, with A_g from ``schouten_background`` on that pass."""
+    xb, _ = _batchify(x, g.n)
+    geom = _geometry(g, xb)
+    return replace(geom, a_bg=schouten_background(g, xb, geometry=geom))
+
+
+def _checked(geometry, xb):
+    if geometry.points is not xb and not np.array_equal(geometry.points, xb):
+        raise ValueError("geometry was built for a different point batch")
+    return geometry
 
 
 def christoffel(g, x):
     """Christoffel symbols; index order [m, i, j] for Gamma^m_ij."""
-    _, single, _, _, _, gamma, _ = _geometry(g, x)
-    return _unbatch(gamma, single)
+    xb, single = _batchify(x, g.n)
+    return _unbatch(_geometry(g, xb).gamma, single)
 
 
-def _ricci_batch(g, x):
-    xb, single, gmat, ginv, d1, gamma, sym = _geometry(g, x)
-    d2 = g.d2(xb)
+def _ricci_batch(g, geom):
+    ginv, d1, gamma, sym = geom.ginv, geom.d1, geom.gamma, geom.sym
+    d2 = g.d2(geom.points)
     # d_a Gamma^m_ij needs d_a g^{ml} = -g^{mp} (d_a g_pq) g^{ql}
     dginv = -np.einsum("bmp,bapq,bql->baml", ginv, d1, ginv)
     # d_a sym[i, j, l] = d_a d_i g_jl + d_a d_j g_il - d_a d_l g_ij
@@ -453,73 +495,82 @@ def _ricci_batch(g, x):
     trace_gamma = np.einsum("bmmp->bp", gamma)
     term3 = np.einsum("bp,bpjk->bjk", trace_gamma, gamma)
     term4 = np.einsum("bmjp,bpmk->bjk", gamma, gamma)
-    ric = term1 - term2 + term3 - term4
-    return single, gmat, ginv, ric
+    return term1 - term2 + term3 - term4
 
 
 def ricci_background(g, x):
-    single, _, _, ric = _ricci_batch(g, x)
-    return _unbatch(ric, single)
+    xb, single = _batchify(x, g.n)
+    return _unbatch(_ricci_batch(g, _geometry(g, xb)), single)
 
 
 def scalar_curvature(g, x):
-    single, _, ginv, ric = _ricci_batch(g, x)
-    return _unbatch(np.einsum("bjk,bjk->b", ginv, ric), single)
+    xb, single = _batchify(x, g.n)
+    geom = _geometry(g, xb)
+    ric = _ricci_batch(g, geom)
+    return _unbatch(np.einsum("bjk,bjk->b", geom.ginv, ric), single)
 
 
-def schouten_background(g, x):
-    """Schouten tensor A_g = (Ric - R g / (2(n-1))) / (n-2)."""
-    single, gmat, ginv, ric = _ricci_batch(g, x)
+def schouten_background(g, x, *, geometry=None):
+    """Schouten tensor A_g = (Ric - R g / (2(n-1))) / (n-2).
+
+    ``geometry``: a first-order ``ChartGeometry`` of the points ``x`` to
+    assemble from; evaluated here when omitted.
+    """
+    xb, single = _batchify(x, g.n)
+    geom = _geometry(g, xb) if geometry is None else _checked(geometry, xb)
+    ric = _ricci_batch(g, geom)
     n = g.n
-    scal = np.einsum("bjk,bjk->b", ginv, ric)
-    a = (ric - scal[:, None, None] * gmat / (2.0 * (n - 1.0))) / (n - 2.0)
+    scal = np.einsum("bjk,bjk->b", geom.ginv, ric)
+    a = (ric - scal[:, None, None] * geom.gmat / (2.0 * (n - 1.0))) / (n - 2.0)
     return _unbatch(a, single)
+
+
+def _covariant_hessian(geom, du, d2u):
+    """Hess_g u = d^2 u - Gamma^m d_m u from the chart derivatives of u."""
+    return d2u - np.einsum("bmij,bm->bij", geom.gamma, du)
 
 
 def covariant_hessian(g, u, x):
     """Hess_g u = d^2 u - Gamma^m d_m u."""
-    xb, single, _, _, _, gamma, _ = _geometry(g, x)
-    du = u.grad(xb)
-    d2u = u.hess(xb)
-    return _unbatch(d2u - np.einsum("bmij,bm->bij", gamma, du), single)
+    xb, single = _batchify(x, g.n)
+    hess = _covariant_hessian(_geometry(g, xb), u.grad(xb), u.hess(xb))
+    return _unbatch(hess, single)
 
 
 def laplace_beltrami(g, u, x):
     """Delta_g u = tr_g Hess_g u."""
     xb, single = _batchify(x, g.n)
-    gmat = g.components(xb)
-    hess = covariant_hessian(g, u, xb)
-    ginv = np.linalg.inv(gmat)
-    return _unbatch(np.einsum("bij,bij->b", ginv, hess), single)
+    geom = _geometry(g, xb)
+    hess = _covariant_hessian(geom, u.grad(xb), u.hess(xb))
+    return _unbatch(np.einsum("bij,bij->b", geom.ginv, hess), single)
 
 
-def _schouten_conformal_batch(g, u, xb):
-    """A_{g_u} and the conformal metric g_u = u^(4/(n-2)) g on a point batch."""
-    n = g.n
+def _schouten_conformal_batch(geom, u):
+    """A_{g_u} and the conformal metric g_u = u^(4/(n-2)) g on the batch of
+    ``geom``."""
+    xb = geom.points
+    n = xb.shape[1]
     uval = np.atleast_1d(u.value(xb))
     if np.any(uval <= 0.0):
         raise DomainError("conformal factor is nonpositive at a queried point")
-    gmat = g.components(xb)
-    ginv = np.linalg.inv(gmat)
     du = u.grad(xb)
-    hess = covariant_hessian(g, u, xb)
-    a_bg = schouten_background(g, xb)
-    grad_sq = np.einsum("bij,bi,bj->b", ginv, du, du)
+    hess = _covariant_hessian(geom, du, u.hess(xb))
+    grad_sq = np.einsum("bij,bi,bj->b", geom.ginv, du, du)
     c1 = 2.0 / (n - 2.0)
     c2 = 2.0 * n / (n - 2.0) ** 2
     c3 = 2.0 / (n - 2.0) ** 2
     a_u = (-c1 * hess / uval[:, None, None]
            + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
-           - c3 * grad_sq[:, None, None] * gmat / uval[:, None, None] ** 2
-           + a_bg)
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
+           - c3 * grad_sq[:, None, None] * geom.gmat / uval[:, None, None] ** 2
+           + geom.a_bg)
+    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * geom.gmat
     return a_u, gu
 
 
 def schouten_conformal(g, u, x):
     """Schouten tensor of g_u = u^(4/(n-2)) g, as a bilinear form in the chart."""
     xb, single = _batchify(x, g.n)
-    a_u, _ = _schouten_conformal_batch(g, u, xb)
+    a_u, _ = _schouten_conformal_batch(chart_geometry(g, xb), u)
     return _unbatch(a_u, single)
 
 
@@ -604,24 +655,29 @@ def eigen_rel(a, gmat):
     return np.linalg.eigvalsh(reduced)
 
 
-def conformal_schouten_eigs(g, u, x):
-    """lambda(A_{g_u}) relative to g_u, ascending."""
+def conformal_schouten_eigs(g, u, x, *, geometry=None):
+    """lambda(A_{g_u}) relative to g_u, ascending.
+
+    ``geometry``: ``chart_geometry(g, x)`` to reuse, e.g. across the factors
+    of a barrier sweep on one point grid; built here when omitted.
+    """
     xb, single = _batchify(x, g.n)
-    a_u, gu = _schouten_conformal_batch(g, u, xb)
+    geom = chart_geometry(g, xb) if geometry is None else _checked(geometry, xb)
+    a_u, gu = _schouten_conformal_batch(geom, u)
     return _unbatch(eigen_rel(a_u, gu), single)
 
 
-def _ricci_conformal_batch(g, u, xb):
-    """Ric_{g_u} = (n-2) A + tr_{g_u}(A) g_u, and g_u, on a point batch."""
-    a_u, gu = _schouten_conformal_batch(g, u, xb)
+def _ricci_conformal_batch(geom, u):
+    """Ric_{g_u} = (n-2) A + tr_{g_u}(A) g_u, and g_u, on the batch of ``geom``."""
+    a_u, gu = _schouten_conformal_batch(geom, u)
     tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
-    return (g.n - 2.0) * a_u + tr[:, None, None] * gu, gu
+    return (geom.points.shape[1] - 2.0) * a_u + tr[:, None, None] * gu, gu
 
 
 def ricci_conformal(g, u, x):
     """Ric_{g_u} reconstructed from the Schouten tensor: (n-2) A + tr(A) g_u."""
     xb, single = _batchify(x, g.n)
-    ric, _ = _ricci_conformal_batch(g, u, xb)
+    ric, _ = _ricci_conformal_batch(chart_geometry(g, xb), u)
     return _unbatch(ric, single)
 
 
@@ -629,7 +685,7 @@ def ricci_lower_margin(g, u, alpha, points):
     """min over points of the smallest eigenvalue of Ric_{g_u} + (n-1) alpha^2 g_u
     relative to g_u; nonnegative return certifies the Ricci lower bound there."""
     xb, _ = _batchify(points, g.n)
-    ric, gu = _ricci_conformal_batch(g, u, xb)
+    ric, gu = _ricci_conformal_batch(chart_geometry(g, xb), u)
     shifted = ric + (g.n - 1.0) * alpha ** 2 * gu
     eigs = eigen_rel(shifted, gu)
     return float(eigs[:, 0].min())

@@ -130,6 +130,8 @@ def test_radial_factor_derivatives_match_central_differences(kind, params):
     assert np.allclose(dlog(r), v1(r) / v(r), rtol=1e-13, atol=0.0)
     if kind == "super":
         assert np.array_equal(v(r), br.supersolution_eval(n, r=r, **params))
+    else:
+        assert np.array_equal(v(r), br.subsolution_eval(n, params["delta"], r)[0])
 
 
 def test_chi_super_inequality_closed_form(rng):
@@ -208,6 +210,31 @@ def test_super_sweep_passes_and_is_eps_uniform():
     for (mu, delta, eps), verdict in rep.epsilon_verdicts.items():
         verdicts.setdefault((mu, delta), set()).add(verdict)
     assert all(len(v) == 1 for v in verdicts.values())
+
+
+def test_super_sweep_builds_chart_geometry_once_per_ceiling(monkeypatch):
+    # the background Schouten tensor depends only on the point grid: one
+    # evaluation per r1 candidate, shared by every (mu, delta, eps)
+    background_r1, eigs_r1 = [], []
+
+    def counted(fn, log):
+        def wrapper(*args, **kwargs):
+            log.append(float(np.linalg.norm(args[-1], axis=-1).max()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cf, "schouten_background",
+                        counted(cf.schouten_background, background_r1))
+    monkeypatch.setattr(cf, "conformal_schouten_eigs",
+                        counted(cf.conformal_schouten_eigs, eigs_r1))
+    cfg = br.BarrierSweepConfig(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3,),
+                                epsilons=(0.1, 0.9), background="sphere",
+                                num_r=8, num_dirs=2)
+    rep = br.barrier_sweep_super(cfg)
+    assert rep.passed and rep.r1_certified == 0.125
+    tried = [0.5, 0.25, 0.125]
+    assert background_r1 == pytest.approx(tried, rel=1e-12)
+    assert eigs_r1 == pytest.approx(np.repeat(tried, 4), rel=1e-12)
 
 
 def test_super_sweep_precondition_violations():

@@ -219,3 +219,105 @@ def test_domain_guard():
     g = cf.MetricField.sphere_normal(3, chart_radius=1.0)
     with pytest.raises(DomainError):
         g.components(np.array([2.0, 0.0, 0.0]))
+
+
+# -- shared chart geometry against the per-call assembly ----------------------
+
+def _fresh_conformal(g, u, x):
+    """A_{g_u}, g_u and Ric_{g_u} assembled from the public per-call
+    operations, each evaluating the background geometry on its own."""
+    n = g.n
+    uval = u.value(x)
+    du = u.grad(x)
+    gmat = g.components(x)
+    ginv = np.linalg.inv(gmat)
+    hess = cf.covariant_hessian(g, u, x)
+    a_bg = cf.schouten_background(g, x)
+    grad_sq = np.einsum("bij,bi,bj->b", ginv, du, du)
+    c1 = 2.0 / (n - 2.0)
+    c2 = 2.0 * n / (n - 2.0) ** 2
+    c3 = 2.0 / (n - 2.0) ** 2
+    a_u = (-c1 * hess / uval[:, None, None]
+           + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
+           - c3 * grad_sq[:, None, None] * gmat / uval[:, None, None] ** 2
+           + a_bg)
+    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
+    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
+    return a_u, gu, (n - 2.0) * a_u + tr[:, None, None] * gu
+
+
+def _exp_factor(a):
+    a = np.asarray(a)
+    return cf.ConformalFactor.from_callable(
+        len(a), lambda x: np.exp(x @ a),
+        grad=lambda x: np.exp(x @ a)[:, None] * a,
+        hess=lambda x: np.exp(x @ a)[:, None, None] * np.outer(a, a))
+
+
+@pytest.mark.parametrize("chart", ["normal", "polar", "flat", "normal-fd"])
+def test_shared_geometry_matches_per_call_assembly(chart, rng):
+    n = 4
+    if chart == "polar":
+        g = cf.MetricField.sphere_polar(n)
+        pts = rng.uniform(0.6, 2.4, (7, n))
+    else:
+        g = {"normal": cf.MetricField.sphere_normal(n),
+             "flat": cf.MetricField.flat(n),
+             "normal-fd": cf.MetricField.sphere_normal(n).with_fd()}[chart]
+        pts = rng.uniform(-0.8, 0.8, (7, n))
+    geom = cf.chart_geometry(g, pts)
+    assert np.array_equal(geom.a_bg, cf.schouten_background(g, pts))
+    assert np.array_equal(geom.gamma, cf.christoffel(g, pts))
+    for a in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.0, 0.2, 0.1]):
+        u = _exp_factor(a)
+        a_u, gu, ric = _fresh_conformal(g, u, pts)
+        eigs = cf.eigen_rel(a_u, gu)
+        assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts, geometry=geom), eigs)
+        assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts), eigs)
+        assert np.array_equal(cf.schouten_conformal(g, u, pts), a_u)
+        assert np.array_equal(cf.ricci_conformal(g, u, pts), ric)
+        # single points go through the same batch path
+        assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts[2]), eigs[2])
+
+
+def test_laplace_beltrami_is_trace_of_covariant_hessian(rng):
+    g = cf.MetricField.sphere_normal(4)
+    u = _exp_factor([0.3, -0.2, 0.1, 0.4])
+    pts = rng.uniform(-0.8, 0.8, (5, 4))
+    ginv = np.linalg.inv(g.components(pts))
+    expect = np.einsum("bij,bij->b", ginv, cf.covariant_hessian(g, u, pts))
+    assert np.array_equal(cf.laplace_beltrami(g, u, pts), expect)
+
+
+def test_shared_geometry_keeps_domain_checks():
+    one = cf.ConformalFactor.constant(3, 1.0)
+    g = cf.MetricField.sphere_normal(3, chart_radius=1.0)
+    outside = np.array([[2.0, 0.0, 0.0]])
+    with pytest.raises(DomainError, match="outside chart domain"):
+        cf.chart_geometry(g, outside)
+    with pytest.raises(DomainError, match="outside chart domain"):
+        cf.conformal_schouten_eigs(g, one, outside)
+
+    def degenerate(x):
+        out = np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
+        out[:, 0, 0] = x[:, 0] ** 2
+        return out
+
+    singular = cf.MetricField(n=3, value_fn=degenerate)
+    at_zero = np.array([[0.0, 0.1, 0.2]])
+    for call in (lambda: cf.chart_geometry(singular, at_zero),
+                 lambda: cf.conformal_schouten_eigs(singular, one, at_zero),
+                 lambda: cf.ricci_conformal(singular, one, at_zero)):
+        with pytest.raises(DomainError, match="singular"):
+            call()
+
+    flat = cf.MetricField.flat(3)
+    pts = np.array([[-1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    geom = cf.chart_geometry(flat, pts)
+    u = cf.ConformalFactor.from_callable(3, lambda x: x[:, 0])
+    with pytest.raises(DomainError, match="nonpositive"):
+        cf.conformal_schouten_eigs(flat, u, pts, geometry=geom)
+    with pytest.raises(DomainError, match="nonpositive"):
+        cf.ricci_lower_margin(flat, u, 0.0, pts)
+    with pytest.raises(ValueError, match="different point batch"):
+        cf.conformal_schouten_eigs(flat, one, pts[::-1], geometry=geom)
