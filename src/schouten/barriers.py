@@ -21,7 +21,10 @@ holds by dyadic descent, and record how far the eigenvalues drift from the
 1 + |r v'/v| + (r v'/v)^2.
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
-prediction rests on, and ``suph_barrier_check`` probes the spherical-harmonic
+prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
+takes (..., n, n) stacks of pairs through one ``eigh``/``eigvalsh`` call each
+and returns the per-pair ratios and within-bound flags bit-identical to the
+per-pair results.  ``suph_barrier_check`` probes the spherical-harmonic
 barrier G(r) = r^(2-n) - K r^(5/2-n) used in superharmonic minimum tracking.
 """
 
@@ -41,6 +44,7 @@ __all__ = [
     "BarrierSweepConfig",
     "GershgorinResult",
     "gershgorin_pairing",
+    "gershgorin_ratios",
     "subsolution_eval",
     "chi_coefficients_sub",
     "supersolution_eval",
@@ -74,6 +78,31 @@ class GershgorinResult:
         return self.total_deviation / self.max_perturbation
 
 
+def _pairing_stack(m, mt):
+    """The eigen path shared by ``gershgorin_pairing`` and ``gershgorin_ratios``.
+
+    Takes (..., n, n) stacks and returns, per pair, the max-entry perturbation
+    eps, the eigenvectors of ``m``, the per-eigenvalue drifts, their total,
+    the n^2 eps bound and whether the total is within it (up to 1e-12 of the
+    spectrum scale).  ``m`` goes through ``eigh`` even where only its
+    eigenvalues are read: ``eigvalsh`` differs from ``eigh`` in the last bits.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    mt = np.asarray(mt, dtype=np.float64)
+    if m.shape != mt.shape or m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("matrices must be square and of equal size")
+    n = m.shape[-1]
+    eps = np.abs(m - mt).max(axis=(-2, -1))
+    vals_m, q = np.linalg.eigh(m)
+    # both spectra ascending: the identity pairing minimises the total
+    per_pair = np.abs(vals_m - np.linalg.eigvalsh(mt))
+    total = per_pair.sum(axis=-1)
+    bound = n ** 2 * eps
+    slack = 1e-12 * np.maximum(1.0, np.abs(vals_m).max(axis=-1))
+    within = ~(total > bound + slack)
+    return eps, q, per_pair, total, bound, within
+
+
 def gershgorin_pairing(m, mt):
     """Pair the spectra of two symmetric matrices and bound the total drift.
 
@@ -88,25 +117,33 @@ def gershgorin_pairing(m, mt):
     """
     m = np.asarray(m, dtype=np.float64)
     mt = np.asarray(mt, dtype=np.float64)
-    if m.shape != mt.shape or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise ValueError("matrices must be square and of equal size")
-    n = m.shape[0]
-    eps = float(np.abs(m - mt).max())
-    vals_m, q = np.linalg.eigh(m)
-    rotated = q.T @ mt @ q
-    radii = np.abs(rotated).sum(axis=1) - np.abs(np.diag(rotated))
-    vals_t = np.linalg.eigvalsh(mt)
-    perm = np.arange(n)  # both spectra ascending: identity minimises the total
-    per_pair = np.abs(vals_m - vals_t[perm])
-    total = float(per_pair.sum())
-    bound = n ** 2 * eps
-    if total > bound + 1e-12 * max(1.0, np.abs(vals_m).max()):
+    eps, q, per_pair, total, bound, within = _pairing_stack(m, mt)
+    if not within:
         raise AssertionError(
             f"eigenvalue drift {total:g} exceeds n^2 * max-perturbation {bound:g}")
-    return GershgorinResult(permutation=perm, total_deviation=total, bound=bound,
-                            max_perturbation=eps, per_pair=per_pair,
-                            gershgorin_radii=radii,
-                            rotated_diagonal=np.diag(rotated).copy())
+    rotated = q.T @ mt @ q
+    diag = np.diag(rotated).copy()
+    return GershgorinResult(permutation=np.arange(m.shape[0]),
+                            total_deviation=float(total), bound=float(bound),
+                            max_perturbation=float(eps), per_pair=per_pair,
+                            gershgorin_radii=np.abs(rotated).sum(axis=1) - np.abs(diag),
+                            rotated_diagonal=diag)
+
+
+def gershgorin_ratios(m, mt):
+    """Batched ``gershgorin_pairing`` over (..., n, n) stacks of pairs.
+
+    Returns ``(ratio, within_bound)``, each of the stack's leading shape:
+    the total eigenvalue drift over ||m - mt||_max (0 where the matrices are
+    equal) and whether the n^2 bound held.  Where it holds, ``ratio`` is
+    bit-identical to ``gershgorin_pairing(m[i], mt[i]).ratio``; where it
+    fails, the pair is flagged instead of raising.
+    """
+    eps, _, _, total, _, within = _pairing_stack(m, mt)
+    ratio = np.divide(total, eps, out=np.zeros_like(total), where=eps != 0.0)
+    return ratio, within
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ KNOWN_KINDS = (
 )
 
 
+# sample counts a campaign kind reads; zero would check nothing and pass
+_POSITIVE_COUNTS = {
+    "verify gershgorin": ("trials",),
+    "verify bubble": ("samples", "points"),
+    "compare hawking": ("samples",),
+}
+
+
 class ConfigError(Exception):
     pass
 
@@ -200,23 +208,28 @@ def _run_gershgorin(spec, rng):
     rows = []
     passed = True
     measured = {}
+    out_of_bound = {}
     for n in dims:
-        sharp = 0.0
+        # per-trial draws in the per-pair order, then one stacked pass
+        m = np.empty((trials, n, n))
+        noise = np.empty((trials, n, n))
+        scale = np.empty(trials)
         for trial in range(trials):
-            m = rng.standard_normal((n, n))
-            m = 0.5 * (m + m.T)
-            scale = 10.0 ** rng.uniform(-8, 0)
-            noise = rng.standard_normal((n, n))
-            mt = m + scale * 0.5 * (noise + noise.T)
-            try:
-                res = barriers.gershgorin_pairing(m, mt)
-            except AssertionError:
-                passed = False
-                continue
-            sharp = max(sharp, res.ratio)
+            m[trial] = rng.standard_normal((n, n))
+            scale[trial] = 10.0 ** rng.uniform(-8, 0)
+            noise[trial] = rng.standard_normal((n, n))
+        m = 0.5 * (m + m.transpose(0, 2, 1))
+        mt = m + (scale * 0.5)[:, None, None] * (noise + noise.transpose(0, 2, 1))
+        del noise
+        ratio, within = barriers.gershgorin_ratios(m, mt)
+        out_of_bound[str(n)] = int(np.count_nonzero(~within))
+        passed = passed and bool(within.all())
+        sharp = float(ratio[within].max(initial=0.0))
         measured[str(n)] = sharp
         rows.append((n, trials, sharp, n ** 2, sharp / n ** 2))
-    summary = {"passed": passed, "measured_constants": measured}
+    summary = {"passed": passed, "measured_constants": measured,
+               "trials": {str(n): trials for n in dims},
+               "out_of_bound": out_of_bound}
     return summary, [("gershgorin.csv",
                       ("n", "trials", "measured_constant", "bound_constant",
                        "fraction_of_bound"), rows)]
@@ -394,6 +407,10 @@ def load_config(path):
         for field in ("tolerance", "tolerance_analytic", "tolerance_fd", "r_min"):
             if field in spec and not float(spec[field]) > 0:
                 raise ConfigError(f"campaign '{cid}': field '{field}' must be positive")
+        for field in _POSITIVE_COUNTS.get(kind, ()):
+            if field in spec and not _count(spec[field]) > 0:
+                raise ConfigError(
+                    f"campaign '{cid}': field '{field}' must be a positive integer")
         for pfield in ("pairs", "negative_controls"):
             for p in spec.get(pfield, []):
                 n, k = int(p[0]), int(p[1])
@@ -401,6 +418,14 @@ def load_config(path):
                     raise ConfigError(
                         f"campaign '{cid}': field '{pfield}': invalid (n, k) = ({n}, {k})")
     return cfg
+
+
+def _count(value):
+    """``value`` as the runners read it (``int``), or 0 if it is not a number."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        return 0
 
 
 def _run_item(args):

@@ -46,6 +46,60 @@ def test_gershgorin_shape_mismatch():
         br.gershgorin_pairing(np.eye(3), np.eye(4))
 
 
+def _symmetric_pairs(rng, trials, n):
+    m = rng.standard_normal((trials, n, n))
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    noise = rng.standard_normal((trials, n, n))
+    scale = 10.0 ** rng.uniform(-8, 0, size=trials)
+    return m, m + (0.5 * scale)[:, None, None] * (noise + noise.transpose(0, 2, 1))
+
+
+def _pairing_loop(m, mt):
+    results = [br.gershgorin_pairing(a, b) for a, b in zip(m, mt)]
+    # the per-pair total as the estimate defines it, spectrum of m from eigh
+    for a, b, res in zip(m, mt, results):
+        drift = np.abs(np.linalg.eigh(a)[0] - np.linalg.eigvalsh(b))
+        assert res.total_deviation == float(drift.sum())
+    return (np.array([r.ratio for r in results]),
+            np.array([r.total_deviation for r in results]),
+            np.array([r.max_perturbation for r in results]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_gershgorin_ratios_match_per_pair_loop(rng, n):
+    m, mt = _symmetric_pairs(rng, 50, n)
+    ratio, within = br.gershgorin_ratios(m, mt)
+    loop_ratio, loop_total, loop_eps = _pairing_loop(m, mt)
+    assert ratio.shape == within.shape == (50,)
+    assert within.all()
+    assert np.array_equal(ratio, loop_ratio)
+    eps, _, _, total, bound, ok = br._pairing_stack(m, mt)
+    assert np.array_equal(total, loop_total) and np.array_equal(eps, loop_eps)
+    assert np.array_equal(bound, n ** 2 * loop_eps) and ok.all()
+
+
+def test_gershgorin_ratios_single_trial_and_identical_row(rng):
+    m, mt = _symmetric_pairs(rng, 1, 4)
+    ratio, within = br.gershgorin_ratios(m, mt)
+    assert ratio.shape == (1,) and within.all()
+    assert np.array_equal(ratio, _pairing_loop(m, mt)[0])
+
+    m, mt = _symmetric_pairs(rng, 3, 5)
+    mt[1] = m[1]  # eps = 0: ratio 0, as the per-pair result reports it
+    ratio, within = br.gershgorin_ratios(m, mt)
+    assert within.all() and ratio[1] == 0.0 and ratio[0] > 0.0
+    assert np.array_equal(ratio, _pairing_loop(m, mt)[0])
+
+
+def test_gershgorin_ratios_shape_validation():
+    with pytest.raises(ValueError):
+        br.gershgorin_ratios(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)))
+    with pytest.raises(ValueError):
+        br.gershgorin_ratios(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError):
+        br.gershgorin_ratios(np.zeros(3), np.zeros(3))
+
+
 # -- closed forms -------------------------------------------------------------
 
 def test_subsolution_value_and_log_derivative():

@@ -1,8 +1,9 @@
 import json
 
+import pytest
 import yaml
 
-from schouten import cli, reports
+from schouten import barriers, cli, reports
 
 
 def write_cfg(tmp_path, campaigns, seed=0):
@@ -72,6 +73,22 @@ def test_malformed_config_exit_two(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("verify gershgorin", "trials"),
+    ("verify bubble", "samples"),
+    ("verify bubble", "points"),
+    ("compare hawking", "samples"),
+])
+@pytest.mark.parametrize("value", [0, -2, "many"])
+def test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, field, value):
+    # a campaign that draws no samples checks nothing and must not pass
+    cfg = write_cfg(tmp_path, {"x": {"kind": kind, field: value}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    msg = capsys.readouterr().err
+    assert "campaign 'x'" in msg and f"field '{field}'" in msg
+    assert not (tmp_path / "o").exists()
+
+
 def test_jobs_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CAMPAIGNS)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -96,6 +113,61 @@ def test_deterministic_csv_bodies(tmp_path):
               "--seed", "8"])
     assert reports.csv_body(tmp_path / "a" / "bubble/bubble.csv") \
         != reports.csv_body(tmp_path / "c" / "bubble/bubble.csv")
+
+
+def _gershgorin_per_pair(rng, dims, trials):
+    """The campaign as one ``gershgorin_pairing`` call per trial."""
+    rows = []
+    for n in dims:
+        sharp = 0.0
+        for _ in range(trials):
+            m = rng.standard_normal((n, n))
+            m = 0.5 * (m + m.T)
+            scale = 10.0 ** rng.uniform(-8, 0)
+            noise = rng.standard_normal((n, n))
+            mt = m + scale * 0.5 * (noise + noise.T)
+            sharp = max(sharp, barriers.gershgorin_pairing(m, mt).ratio)
+        rows.append((n, trials, sharp, n ** 2, sharp / n ** 2))
+    return rows
+
+
+def test_gershgorin_campaign_matches_per_pair_loop(tmp_path):
+    spec = {"kind": "verify gershgorin", "dims": [2, 5, 8], "trials": 200}
+    cfg = write_cfg(tmp_path, {"gersh": spec}, seed=7)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    rng = cli._rng_for(7, "gersh")
+    rows = _gershgorin_per_pair(rng, spec["dims"], spec["trials"])
+    reports.write_csv(tmp_path / "loop.csv", ("n", "trials", "measured_constant",
+                                              "bound_constant", "fraction_of_bound"), rows)
+    assert reports.csv_body(tmp_path / "out" / "gersh" / "gershgorin.csv") \
+        == reports.csv_body(tmp_path / "loop.csv")
+    # the batched draws consume the stream exactly as the per-pair loop does
+    campaign_rng = cli._rng_for(7, "gersh")
+    summary, _ = cli._run_gershgorin(spec, campaign_rng)
+    assert campaign_rng.bit_generator.state == rng.bit_generator.state
+    assert summary["trials"] == {"2": 200, "5": 200, "8": 200}
+    assert summary["out_of_bound"] == {"2": 0, "5": 0, "8": 0}
+    written = reports.load_summary(tmp_path / "out" / "summary.json")["results"][0]
+    assert written["out_of_bound"] == summary["out_of_bound"]
+
+
+def test_gershgorin_out_of_bound_trial_fails_and_is_not_sharp(monkeypatch):
+    spec = {"kind": "verify gershgorin", "dims": [3, 4], "trials": 30}
+    real = barriers.gershgorin_ratios
+    seen = []
+
+    def first_trial_out_of_bound(m, mt):
+        ratio, within = real(m, mt)
+        seen.append(ratio.copy())
+        ratio[0], within[0] = 1e9, False
+        return ratio, within
+
+    monkeypatch.setattr(barriers, "gershgorin_ratios", first_trial_out_of_bound)
+    summary, files = cli._run_gershgorin(spec, cli._rng_for(0, "gersh"))
+    assert summary["passed"] is False
+    assert summary["out_of_bound"] == {"3": 1, "4": 1}
+    sharp = [row[2] for row in files[0][2]]
+    assert sharp == [float(r[1:].max()) for r in seen]
 
 
 def test_parallel_jobs_match_serial(tmp_path):
