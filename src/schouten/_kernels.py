@@ -10,8 +10,18 @@ Per-call timings at the shapes the cone layer and the solver really use
 Kernels:
   elementary_symmetric  -- all e_0..e_kmax of each row, Newton/Horner recurrence
   gamma_member          -- sigma_j > 0 for j = 1..k, batched
-  gamma_margin          -- diagonal-ray distance to the cone boundary, batched bisection
+  gamma_margin          -- diagonal-ray distance to the cone boundary: Laguerre's
+                           iteration for the smallest root of sigma_k(lam - t*e),
+                           certified by two membership passes, bisection fallback
   radial_sphere_eigs    -- Schouten eigenvalues of a radial conformal factor on the round sphere
+
+The margin sup{t : lam - t*e in Gamma_k}, e = (1, ..., 1), is the smallest
+root of p(t) = sigma_k(lam - t*e): sigma_k is hyperbolic in the direction e
+(Garding 1959), so p has k real roots, and the smallest lies in
+[min lam, sigma_1(lam)/n].  Laguerre's iteration started at min lam climbs
+monotonically to it (Parlett 1964) and is exact in one step when all k roots
+coincide (lam proportional to e).  p, p' and p'' are read off one e_k pass on
+the shifted vector lam - t*e, never from expanded coefficients.
 """
 
 from __future__ import annotations
@@ -27,6 +37,10 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+
+# Laguerre iterations per margin call; rows still moving after this many go
+# to the certificate (and, failing it, to bisection) like every other row.
+_LAGUERRE_MAXITER = 50
 
 
 def _elementary_symmetric_np(lam, kmax):
@@ -46,32 +60,42 @@ def _gamma_member_np(lam, k):
     return np.all(e[:, 1:] > 0.0, axis=1)
 
 
-def _gamma_margin_np(lam, k, rtol=1e-12):
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
+def _laguerre_root(lam, k, tol):
+    """Smallest root of t -> sigma_k(lam - t*e) per row, by Laguerre's iteration from min lam.
+
+    With a = e_k, b = (n-k+1) e_{k-1} and c = (n-k+1)(n-k+2) e_{k-2} of
+    lam - t*e we have p = a, p' = -b and p'' = c, and left of every root
+    a, b > 0, so the step k*p / (-p' + sqrt((k-1)((k-1)p'^2 - k*p*p''))) is
+    positive.  The iterate is capped at sigma_1/n; a row stops once its step
+    is at most tol/4.
+    """
     nrow, n = lam.shape
-    # tolerance is relative to the row scale so the margin sign stays
-    # resolvable for arbitrarily small eigenvalue vectors (homogeneity)
-    scale = np.abs(lam).max(axis=1)
-    zero_rows = scale == 0.0
-    scale = np.where(zero_rows, 1.0, scale)
-    inside = _gamma_member_np(lam, k)
-
-    # Inside rows: 0 is admissible, sigma_1/n is not (sigma_1 vanishes there).
-    # Outside rows: 0 is inadmissible; -2*scale shifts into the positive orthant.
-    lo = np.where(inside, 0.0, -2.0 * scale)
-    hi = np.where(inside, lam.sum(axis=1) / n, 0.0)
-
-    bad = ~_gamma_member_np(lam - lo[:, None], k)
-    guard = 0
-    while bad.any():
-        lo[bad] *= 2.0
-        guard += 1
-        if guard > 60:
+    m = n - k + 1.0
+    t = lam.min(axis=1)
+    cap = np.maximum(lam.sum(axis=1) / n, t)  # sigma_1/n, less its rounding below min lam
+    rows = np.arange(nrow)
+    for _ in range(_LAGUERRE_MAXITER):
+        if rows.size == 0:
             break
-        bad = ~_gamma_member_np(lam - lo[:, None], k)
-    dead = bad if guard > 60 else np.zeros(nrow, dtype=bool)
+        e = _elementary_symmetric_np(lam[rows] - t[rows, None], k)
+        a = e[:, k]
+        b = m * e[:, k - 1]
+        c = m * (m + 1.0) * e[:, k - 2] if k >= 2 else 0.0
+        den = b + np.sqrt(np.maximum((k - 1.0) * ((k - 1.0) * b * b - k * a * c), 0.0))
+        go = (a > 0.0) & (den > 0.0)
+        step = np.zeros(rows.size)
+        step[go] = k * a[go] / den[go]
+        t[rows] = np.minimum(t[rows] + step, cap[rows])
+        rows = rows[step > 0.25 * tol[rows]]
+    return t
 
-    tol = rtol * scale
+
+def _bisect_margin(lam, k, lo, hi, tol):
+    """Bisect each row's [lo, hi] (lo inside, hi outside) to width tol; returns the midpoints.
+
+    The fallback of ``gamma_margin`` for rows its certificate rejects, and the
+    test oracle for the Laguerre root.
+    """
     active = (hi - lo) > tol
     guard = 0
     while active.any() and guard < 200:
@@ -81,9 +105,40 @@ def _gamma_margin_np(lam, k, rtol=1e-12):
         hi = np.where(active & ~mem, mid, hi)
         active = (hi - lo) > tol
         guard += 1
-    out = 0.5 * (lo + hi)
-    out[dead] = -np.inf
-    out[zero_rows] = 0.0
+    return 0.5 * (lo + hi)
+
+
+def _gamma_margin_np(lam, k, rtol=1e-12):
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    out = np.zeros(lam.shape[0])
+    finite = np.isfinite(lam).all(axis=1)
+    out[~finite] = -np.inf
+    scale = np.abs(lam).max(axis=1)
+    live = finite & (scale > 0.0)
+    if not live.any():
+        return out
+    # Rescale each row by a power of two (exact, so membership of the scaled
+    # row is membership of the row) to keep e_k in range at any magnitude; the
+    # tolerance is relative to the row scale, so margin signs stay resolvable
+    # for arbitrarily small eigenvalue vectors (homogeneity).
+    ex = np.frexp(scale[live])[1]
+    x = np.ldexp(lam[live], -ex[:, None])
+    xscale = np.abs(x).max(axis=1)
+    tol = rtol * xscale
+
+    r = _laguerre_root(x, k, tol)
+    # Certificate: r - tol/2 inside and r + tol/2 outside, in one stacked pass.
+    h = 0.5 * tol
+    mem = _gamma_member_np(np.concatenate([x - (r - h)[:, None], x - (r + h)[:, None]]), k)
+    below_in, above_in = mem[: r.size], mem[r.size:]
+    bad = ~(below_in & ~above_in)
+    if bad.any():
+        # x - (min x - max|x|) e lies in the open positive orthant and
+        # x - (max x) e has sigma_1 <= 0: inside and outside for every row.
+        lo = np.where(above_in, r + h, x.min(axis=1) - xscale)
+        hi = np.where(above_in, x.max(axis=1), r - h)
+        r[bad] = _bisect_margin(x[bad], k, lo[bad], hi[bad], tol[bad])
+    out[live] = np.ldexp(r, ex)
     return out
 
 

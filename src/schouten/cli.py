@@ -405,19 +405,43 @@ def load_config(path):
                 f"campaign '{cid}': field 'kind': unknown kind {kind!r}; "
                 f"expected one of {', '.join(KNOWN_KINDS)}")
         for field in ("tolerance", "tolerance_analytic", "tolerance_fd", "r_min"):
-            if field in spec and not float(spec[field]) > 0:
-                raise ConfigError(f"campaign '{cid}': field '{field}' must be positive")
+            if field in spec and not _real(spec[field]) > 0:
+                raise ConfigError(f"campaign '{cid}': field '{field}' must be a positive number")
         for field in _POSITIVE_COUNTS.get(kind, ()):
             if field in spec and not _count(spec[field]) > 0:
                 raise ConfigError(
                     f"campaign '{cid}': field '{field}' must be a positive integer")
         for pfield in ("pairs", "negative_controls"):
-            for p in spec.get(pfield, []):
-                n, k = int(p[0]), int(p[1])
+            entries = spec.get(pfield, [])
+            if not isinstance(entries, list):
+                raise ConfigError(f"campaign '{cid}': field '{pfield}': expected a list of [n, k]")
+            for p in entries:
+                nk = _pair(p)
+                if nk is None:
+                    raise ConfigError(
+                        f"campaign '{cid}': field '{pfield}': expected [n, k], got {p!r}")
+                n, k = nk
                 if not (n >= 3 and 1 <= k <= n):
                     raise ConfigError(
                         f"campaign '{cid}': field '{pfield}': invalid (n, k) = ({n}, {k})")
     return cfg
+
+
+def _real(value):
+    """``value`` as the runners read it (``float``), or NaN if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _pair(p):
+    """``p`` as the (n, k) the runners unpack, or None if it is not two integers."""
+    try:
+        n, k = p
+        return int(n), int(k)
+    except (TypeError, ValueError):
+        return None
 
 
 def _count(value):

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+# bisection levels of ``ConeSpec.mu_plus`` resolved per membership call
+# (2**levels - 1 rays per batch)
+_MU_PLUS_LEVELS = 6
+
+
 def sigma_all(lam, kmax):
     """All elementary symmetric values (e_0, ..., e_kmax) of one vector."""
     lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
@@ -137,13 +142,29 @@ class ConeSpec:
             if not member(-1e-9):
                 raise BrokenConeError("positive orthant not inside cone")
             return 0.0
+        # Bisection, _MU_PLUS_LEVELS levels per membership call: the interior
+        # points of the bracket's dyadic grid are built by the same midpoint
+        # formula and tested in one batch, then the bisection is replayed on
+        # them, so the result is bit-identical to one call per midpoint.
         lo, hi = 0.0, n - 1.0
         while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if member(mid):
-                lo = mid
-            else:
-                hi = mid
+            grid = np.array([lo, hi])
+            for _ in range(_MU_PLUS_LEVELS):
+                fine = np.empty(2 * grid.size - 1)
+                fine[0::2] = grid
+                fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
+                grid = fine
+            lam = np.ones((grid.size - 2, n))
+            lam[:, 0] = -grid[1:-1]
+            inside = self.contains_batch(lam)  # inside[i - 1] is grid point i
+            i, j = 0, grid.size - 1
+            while j - i > 1 and grid[j] - grid[i] > tol:
+                mid = (i + j) // 2
+                if inside[mid - 1]:
+                    i = mid
+                else:
+                    j = mid
+            lo, hi = float(grid[i]), float(grid[j])
         return 0.5 * (lo + hi)
 
 

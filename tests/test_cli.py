@@ -89,6 +89,29 @@ def test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, field, value)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "cones mu-plus", "tolerance": "abc"}, "tolerance"),
+    ({"kind": "cones mu-plus", "tolerance": None}, "tolerance"),
+    ({"kind": "verify bubble", "tolerance_analytic": [1e-8]}, "tolerance_analytic"),
+    ({"kind": "verify bubble", "tolerance_fd": "tight"}, "tolerance_fd"),
+    ({"kind": "verify barrier-sub", "r_min": "small"}, "r_min"),
+    ({"kind": "verify barrier-sub", "pairs": [[4]]}, "pairs"),
+    ({"kind": "verify barrier-sub", "pairs": [[4, 2, 1]]}, "pairs"),
+    ({"kind": "verify barrier-sub", "pairs": [4]}, "pairs"),
+    ({"kind": "verify barrier-sub", "pairs": [["four", 2]]}, "pairs"),
+    ({"kind": "verify barrier-sub", "pairs": 4}, "pairs"),
+    ({"kind": "verify barrier-sub", "negative_controls": [[4]]}, "negative_controls"),
+])
+def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
+    # a value the runners cannot read is a config error naming the field,
+    # not a traceback
+    cfg = write_cfg(tmp_path, {"x": spec})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    msg = capsys.readouterr().err
+    assert "campaign 'x'" in msg and f"field '{field}'" in msg
+    assert not (tmp_path / "o").exists()
+
+
 def test_jobs_validation(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FAST_CAMPAIGNS)
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),

@@ -266,3 +266,90 @@ def test_cone_spec_validation():
         ConeSpec.gamma(4, 5)
     with pytest.raises(ValueError):
         ConeSpec.homotopy(4, 2, 1.5)
+
+
+def _scalar_mu_plus(cone, tol=1e-10):
+    """mu_plus as one single-ray membership call per bisection step."""
+    n = cone.n
+
+    def member(mu):
+        lam = np.ones(n)
+        lam[0] = -mu
+        return cone.contains(lam)
+
+    if member(n - 1.0):
+        return "sandwich violated"
+    if not member(0.0):
+        return 0.0 if member(-1e-9) else "orthant outside"
+    lo, hi = 0.0, n - 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_mu_plus_bit_equal_to_scalar_bisection():
+    from schouten.errors import BrokenConeError
+    for n in range(3, 11):
+        for k in range(1, n + 1):
+            for t in (1.0, 0.95, 0.7, 0.3):
+                for tol in (1e-10, 1e-3):
+                    cone = ConeSpec.homotopy(n, k, t)
+                    want = _scalar_mu_plus(cone, tol)
+                    if isinstance(want, str):
+                        with pytest.raises(BrokenConeError, match=want.split()[0]):
+                            cone.mu_plus(tol)
+                    else:
+                        got = cone.mu_plus(tol)
+                        assert type(got) is float and got == want, (n, k, t, tol)
+
+
+def test_mu_plus_batches_its_membership_calls(monkeypatch):
+    calls = []
+    batch = ConeSpec.contains_batch
+
+    def counted(self, lams):
+        calls.append(np.atleast_2d(lams).shape[0])
+        return batch(self, lams)
+
+    monkeypatch.setattr(ConeSpec, "contains_batch", counted)
+    ConeSpec.gamma(10, 3).mu_plus()
+    # two edge rays, then 6 bisection levels per call over 37 levels
+    assert len(calls) == 2 + 7
+    assert max(calls) == 63
+
+
+def _bisection_margin(cone, lams, rtol=1e-12):
+    """ConeSpec.margin_batch by bisection of the mapped rows, and its tolerance."""
+    from schouten import _kernels
+    mapped = cone._map(np.atleast_2d(lams))
+    scale = np.abs(mapped).max(axis=1)
+    tol = rtol * scale
+    m = _kernels._bisect_margin(mapped, cone.k, mapped.min(axis=1) - scale,
+                                mapped.max(axis=1), tol)
+    factor = cone.t + (1.0 - cone.t) * cone.n
+    return m / factor, tol / factor
+
+
+def test_margin_batch_matches_bisection_on_homotopy_cones(rng):
+    for n in (3, 4, 6, 9):
+        for k in range(1, n + 1):
+            for t in (1.0, 0.95, 0.7, 0.3, 0.0):
+                cone = ConeSpec.homotopy(n, k, t)
+                lams = np.concatenate([
+                    rng.standard_normal((40, n)),                    # mostly outside
+                    rng.uniform(0.05, 2.0, (20, n)),                 # inside
+                    1e-10 * rng.standard_normal((20, n)),            # tiny scale
+                    0.5 + 1e-6 * rng.standard_normal((20, n)),       # near the round sphere
+                    np.zeros((2, n)),
+                ])
+                want, tol = _bisection_margin(cone, lams)
+                got = cone.margin_batch(lams)
+                assert np.all(np.abs(got - want) <= tol), (n, k, t)
+                assert np.all(got[-2:] == 0.0)
+                decided = np.abs(got) > tol
+                assert np.array_equal((got > 0)[decided], cone.contains_batch(lams)[decided])
+

@@ -1,4 +1,5 @@
-"""The numpy cone kernels: one implementation each, and margin edge cases."""
+"""The numpy cone kernels: one implementation each, and the certified margin
+against its bisection oracle."""
 
 import numpy as np
 import pytest
@@ -26,3 +27,127 @@ def test_margin_scale_invariance_small_vectors():
     base = _kernels.gamma_margin(lam, 1)[0]
     tiny = _kernels.gamma_margin(1e-9 * lam, 1)[0]
     assert tiny == pytest.approx(1e-9 * base, rel=1e-9)
+
+
+# the fallback of gamma_margin, bound here so that spies on it see only the kernel's calls
+_bisect = _kernels._bisect_margin
+
+
+def _oracle(lam, k, rtol=1e-12):
+    """Bisection on [min lam - scale, max lam]: inside and outside for every nonzero row."""
+    scale = np.abs(lam).max(axis=1)
+    return _bisect(lam, k, lam.min(axis=1) - scale, lam.max(axis=1), rtol * scale)
+
+
+def _families(rng, n, rows=60):
+    return {
+        "uniform": rng.uniform(-1.0, 1.0, (rows, n)),
+        "wide": rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-3, 3, (rows, 1)),
+        "positive": rng.uniform(0.05, 2.0, (rows, n)),
+        "clustered": 0.5 + 1e-3 * rng.standard_normal((rows, n)),
+        "round-sphere": 0.5 + 1e-9 * rng.standard_normal((rows, n)),
+        "proportional": np.outer(rng.uniform(-3.0, 3.0, rows), np.ones(n)),
+        "tiny": 1e-9 * rng.standard_normal((rows, n)),
+    }
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """Counts the rows ``gamma_margin`` hands to its bisection fallback."""
+    seen = []
+
+    def spy(lam, k, lo, hi, tol):
+        seen.append(len(lam))
+        return _bisect(lam, k, lo, hi, tol)
+
+    monkeypatch.setattr(_kernels, "_bisect_margin", spy)
+    return seen
+
+
+def test_margin_matches_bisection_oracle_every_n_k(rng, fallback_rows):
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            for name, lam in _families(rng, n).items():
+                want = _oracle(lam, k)
+                got = _kernels.gamma_margin(lam, k)
+                scale = np.abs(lam).max(axis=1)
+                err = np.abs(got - want) / scale
+                assert err.max() <= 1e-12, (n, k, name, err.max())
+    # the certificate accepted every Laguerre root: the fallback never ran
+    assert fallback_rows == []
+
+
+def test_margin_root_at_repeated_minimum(rng, fallback_rows):
+    # with min lam repeated n-k+1 times, sigma_k(lam - min(lam) e) = 0 and the
+    # margin is min lam itself
+    for n in range(2, 11):
+        for k in range(1, n + 1):
+            lam = rng.uniform(0.5, 2.0, (20, n))
+            lam[:, : n - k + 1] = rng.uniform(-1.0, 0.4, (20, 1))
+            got = _kernels.gamma_margin(lam, k)
+            tol = 1e-12 * np.abs(lam).max(axis=1)
+            assert np.all(np.abs(got - lam.min(axis=1)) <= 0.5 * tol), (n, k)
+            assert np.all(np.abs(got - _oracle(lam, k)) <= tol), (n, k)
+    assert fallback_rows == []
+
+
+def test_margin_proportional_rows_exact():
+    for n in range(1, 11):
+        c = np.array([-2.5, -1e-7, 0.5, 3.0, 1e-200, 1e200])
+        lam = np.outer(c, np.ones(n))
+        for k in range(1, n + 1):
+            assert np.array_equal(_kernels.gamma_margin(lam, k), c), (n, k)
+
+
+def test_margin_extreme_scales_are_homogeneous():
+    lam = np.array([[3.0, 1.0, -0.5, 2.0], [0.2, -1.0, 4.0, 1.5]])
+    for k in range(1, 5):
+        base = _kernels.gamma_margin(lam, k)
+        for s in (2.0 ** -900, 2.0 ** -60, 2.0 ** 60, 2.0 ** 900):
+            # power-of-two scaling is exact, so the margin scales exactly
+            assert np.array_equal(_kernels.gamma_margin(s * lam, k), s * base), (k, s)
+
+
+def test_margin_non_finite_rows_are_minus_inf():
+    lam = np.array([[1.0, 2.0, 3.0],
+                    [np.nan, 1.0, 1.0],
+                    [np.inf, 1.0, 1.0],
+                    [1.0, -np.inf, 1.0],
+                    [0.0, 0.0, 0.0],
+                    [-1.0, 2.0, 0.5]])
+    for k in (1, 2, 3):
+        got = _kernels.gamma_margin(lam, k)
+        assert np.all(got[1:4] == -np.inf)
+        assert got[4] == 0.0
+        finite = lam[[0, 5]]
+        assert np.array_equal(got[[0, 5]], _kernels.gamma_margin(finite, k))
+
+
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3, -10.0, 10.0])
+def test_certificate_failure_reaches_fallback(rng, monkeypatch, fallback_rows, offset):
+    # a root candidate off by more than the tolerance, on either side, fails
+    # the certificate and is bisected on the bracket the certificate left
+    root = _kernels._laguerre_root
+    monkeypatch.setattr(_kernels, "_laguerre_root",
+                        lambda lam, k, tol: root(lam, k, tol) + offset)
+    for n, k in [(3, 1), (4, 2), (6, 3), (8, 8)]:
+        lam = rng.standard_normal((40, n))
+        want = _oracle(lam, k)
+        got = _kernels.gamma_margin(lam, k)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(lam).max(axis=1)), (n, k)
+    assert sum(fallback_rows) == 4 * 40
+
+
+def test_margin_uses_few_esym_passes(rng, monkeypatch):
+    # 64 x 4 positive rows (the psi-branch shape): two Laguerre steps and one
+    # stacked certificate pass, against about 50 passes of a bisection
+    calls = []
+    esym = _kernels._elementary_symmetric_np
+
+    def counted(lam, kmax):
+        calls.append(len(lam))
+        return esym(lam, kmax)
+
+    monkeypatch.setattr(_kernels, "_elementary_symmetric_np", counted)
+    _kernels.gamma_margin(rng.uniform(0.05, 2.0, (64, 4)), 2)
+    assert len(calls) <= 4
