@@ -244,11 +244,9 @@ class BarrierSweepConfig:
     mus: tuple = ()
     epsilons: tuple = ()
     r_min: float = 1e-4
-    r1: Optional[float] = None  # None: certify by dyadic descent from 0.5
     num_r: int = 64
     num_dirs: int = 8
     background: str = "sphere"  # "sphere" (normal coordinates) or "flat"
-    tol: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -363,7 +361,7 @@ def barrier_sweep_sub(cfg):
 
     Over the (delta, r, direction) grid the margin must be strictly negative;
     the largest grid ceiling r1 for which this holds is found by dyadic
-    descent from 0.5 (unless cfg.r1 pins it) and reported.
+    descent from 0.5 and reported.
     """
     cone = ConeSpec.gamma(cfg.n, cfg.k)
     if cone.mu_plus() > 1.0 + 1e-9:
@@ -438,8 +436,7 @@ def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
     g = cfg.metric()
     dirs = cfg.directions()
     cone = ConeSpec.gamma(cfg.n, cfg.k)
-    candidates = [cfg.r1] if cfg.r1 is not None else \
-        [r_start / 2 ** i for i in range(8)]
+    candidates = [r_start / 2 ** i for i in range(8)]
     best_r1 = None
     final_rows = []
     worst = math.inf if want_negative else -math.inf
@@ -463,7 +460,7 @@ def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
         geometry = cf.chart_geometry(g, pts)
         for combo in combos:
             margins, rems = _sweep_once(combo, kind, g, geometry, rr, cone)
-            ok_mask = margins < -cfg.tol if want_negative else margins > cfg.tol
+            ok_mask = margins < 0 if want_negative else margins > 0
             combo_ok = bool(ok_mask.all())
             all_ok = all_ok and combo_ok
             worst_margin = (max(worst_margin, margins.max()) if want_negative

@@ -55,13 +55,13 @@ class Bubble:
         return 1.0 + self.a ** 2 * rho2
 
     def value(self, x):
-        x, single = _pts(x, self.n)
+        x, single = cf._batchify(x, self.n)
         m = (self.n - 2) / 2.0
         out = self.c * (self.a / self._w(x)) ** m
         return out[0] if single else out
 
     def grad(self, x):
-        x, single = _pts(x, self.n)
+        x, single = cf._batchify(x, self.n)
         m = (self.n - 2) / 2.0
         w = self._w(x)
         coef = -2.0 * m * self.a ** 2 * self.c * self.a ** m * w ** (-m - 1.0)
@@ -69,7 +69,7 @@ class Bubble:
         return out[0] if single else out
 
     def hess(self, x):
-        x, single = _pts(x, self.n)
+        x, single = cf._batchify(x, self.n)
         n, m = self.n, (self.n - 2) / 2.0
         w = self._w(x)
         d = x - self.p
@@ -90,15 +90,6 @@ class Bubble:
             return cf.ConformalFactor.from_callable(
                 self.n, lambda x: self.value(x), h=h, richardson=richardson)
         raise ValueError(f"unknown derivative mode {mode!r}")
-
-
-def _pts(x, n):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != n:
-            raise ValueError("point has wrong length")
-        return x[None, :], True
-    return x, False
 
 
 def bubble_eval(bubble, x, deriv=0):

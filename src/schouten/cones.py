@@ -131,12 +131,14 @@ class ConeSpec:
         """Unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary."""
         n = self.n
 
-        def member(mu):
+        def member(mu, cone=self):
             lam = np.ones(n)
             lam[0] = -mu
-            return self.contains(lam)
+            return cone.contains(lam)
 
-        if member(n - 1.0):
+        # sigma_1(T_t lam) = (t + (1-t) n) sigma_1(lam): the sigma_1 = 0 edge ray
+        # is tested on the base cone, where it sums to zero without rounding
+        if member(n - 1.0, self.deform(1.0)):
             raise BrokenConeError("(-(n-1),1,...,1) inside cone; sigma_1 sandwich violated")
         if not member(0.0):
             if not member(-1e-9):

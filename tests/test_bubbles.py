@@ -46,6 +46,15 @@ def test_bubble_eval_dispatch():
         bb.bubble_eval(b, x, 3)
 
 
+def test_wrong_length_points_raise():
+    # a batch of length-1 rows would otherwise broadcast against the centre
+    b = bb.Bubble(n=4, a=1.0, p=np.zeros(4))
+    for x in (np.ones(3), np.ones((5, 1)), np.ones((5, 5))):
+        for method in (b.value, b.grad, b.hess):
+            with pytest.raises(ValueError, match="chart dimension is 4"):
+                method(x)
+
+
 def test_stereographic_factor_identities(rng):
     for n in (3, 4, 6):
         x0 = np.zeros(n)

@@ -272,12 +272,13 @@ def _scalar_mu_plus(cone, tol=1e-10):
     """mu_plus as one single-ray membership call per bisection step."""
     n = cone.n
 
-    def member(mu):
+    def member(mu, cone=cone):
         lam = np.ones(n)
         lam[0] = -mu
         return cone.contains(lam)
 
-    if member(n - 1.0):
+    # the sigma_1 = 0 edge ray is tested on the base cone, as in ConeSpec.mu_plus
+    if member(n - 1.0, cone.deform(1.0)):
         return "sandwich violated"
     if not member(0.0):
         return 0.0 if member(-1e-9) else "orthant outside"
@@ -305,6 +306,14 @@ def test_mu_plus_bit_equal_to_scalar_bisection():
                     else:
                         got = cone.mu_plus(tol)
                         assert type(got) is float and got == want, (n, k, t, tol)
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+@pytest.mark.parametrize("t", (0.95, 0.7, 0.3))
+def test_mu_plus_of_deformed_gamma_1_is_n_minus_1(n, t):
+    # T_t rounds the boundary ray (-(n-1), 1, ..., 1) of Gamma_1 to a positive
+    # sigma_1; the sandwich check used to read it as inside and raise
+    assert ConeSpec.homotopy(n, 1, t).mu_plus() == pytest.approx(n - 1.0, abs=1e-10)
 
 
 def test_mu_plus_batches_its_membership_calls(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,6 +327,159 @@ def test_continuation_step_underflow(monkeypatch):
     with pytest.raises(ContinuationError) as err:
         sv.newton_continuation(start, [(0.5, 1.0)], f, min_step=1e-3)
     assert err.value.last_state is start
+
+
+# ---------------------------------------------------------------------------
+# the bisecting parameter walk
+# ---------------------------------------------------------------------------
+
+def _pending_list_continuation(start, schedule, solve, min_step, max_steps):
+    """newton_continuation as its own pending-list loop, with ``solve`` as the leg."""
+    states = [start]
+    cur = start
+    pending = list(schedule)
+    attempts = 0
+    while pending:
+        target_s, target_t = pending[0]
+        attempts += 1
+        if attempts > max_steps:
+            raise ContinuationError("continuation exceeded the step budget",
+                                    last_state=cur)
+        try:
+            state = solve(cur.profile, None, target_s, target_t, 1.0, 1e-10)
+            if state.min_cone_margin <= 0:
+                raise ContinuationError("cone margin lost at accepted state")
+        except (ContinuationError, ConeExitError, DomainError):
+            gap = max(abs(target_s - cur.s), abs(target_t - cur.t))
+            if gap < min_step:
+                raise ContinuationError("continuation step underflow",
+                                        last_state=cur)
+            pending.insert(0, (0.5 * (cur.s + target_s), 0.5 * (cur.t + target_t)))
+            continue
+        states.append(state)
+        cur = state
+        pending.pop(0)
+    return states
+
+
+def _synthetic_solve(log):
+    # a leg from (s0, t0), carried as the state's profile, to (s, t): legs
+    # longer than 0.3 stall, s in (0.35, 0.45) leaves the cone, s below 0.1
+    # leaves the domain and t in (0.5, 0.6) loses the cone margin
+    def solve(profile, f, s, t, psi, tol):
+        s0, t0 = profile
+        log.append((s0, t0, s, t))
+        if max(abs(s - s0), abs(t - t0)) > 0.3:
+            raise ContinuationError("synthetic stall")
+        if 0.35 < s < 0.45:
+            raise ConeExitError("synthetic cone exit", node=3)
+        if s < 0.1:
+            raise DomainError("synthetic domain exit")
+        margin = -1.0 if 0.5 < t < 0.6 else 1.0
+        return SimpleNamespace(s=s, t=t, profile=(s, t), min_cone_margin=margin,
+                               residual_norm=0.0)
+    return solve
+
+
+@pytest.mark.parametrize("schedule, min_step, max_steps", [
+    ([(1.0, 0.0), (0.2, 1.0)], 1e-6, 400),
+    ([(0.9, 0.2), (0.3, 0.4), (0.15, 1.0)], 1e-6, 400),
+    ([(0.9, 0.2), (0.3, 0.4), (0.15, 1.0)], 1e-6, 8),
+    ([(0.8, 0.45), (0.75, 0.55)], 1e-6, 400),
+    ([(1.0, 0.1), (0.0, 0.1)], 1e-3, 400),
+    ([(1.0, 0.1), (0.0, 0.1)], 1e-9, 400),
+])
+def test_continuation_walk_matches_pending_list_loop(monkeypatch, schedule,
+                                                     min_step, max_steps):
+    start = SimpleNamespace(s=1.0, t=0.0, profile=(1.0, 0.0), residual_norm=0.0)
+    outcomes = []
+    for walk in ("oracle", "walker"):
+        log = []
+        solve = _synthetic_solve(log)
+        try:
+            if walk == "oracle":
+                states = _pending_list_continuation(start, schedule, solve,
+                                                    min_step, max_steps)
+            else:
+                monkeypatch.setattr(sv, "newton_solve", solve)
+                states = sv.newton_continuation(start, schedule, None,
+                                                min_step=min_step,
+                                                max_steps=max_steps)
+            end = [(st.s, st.t) for st in states]
+        except ContinuationError as exc:
+            end = (str(exc), exc.last_state.s, exc.last_state.t)
+        outcomes.append((log, end))
+    assert outcomes[0] == outcomes[1]
+    assert len(outcomes[0][0]) > 2 * len(schedule)  # the legs were bisected
+
+
+def _tau_recording_newton(visits, fail):
+    # Stands in for _damped_newton in the right-hand-side sweep and reads
+    # tau off the start residual: at u = 1 with psi = 2 the blended residual
+    # f(e/2) - tau * 2 - (1 - tau) * f(e/2) is -tau up to rounding.  Fails
+    # the first visit of each tau in ``fail`` and keeps u.
+    def newton(res_fn, u0, tol, max_iter, guard=None, bandwidth=None, r0=None):
+        tau = -float(res_fn(u0)[0])
+        visits.append(tau)
+        for bad in fail:
+            if abs(tau - bad) < 1e-12:
+                fail.remove(bad)
+                raise ContinuationError("synthetic stall")
+        return u0.copy(), 1, 0.0
+    return newton
+
+
+def test_rhs_sweep_visits_schedule_and_bisects_toward_pending_target(monkeypatch):
+    prof = sv.RadialProfile.make(4, 16)
+    f = CurvatureFunction.sigma_root(4, 2)
+    visits = []
+    monkeypatch.setattr(sv, "_damped_newton",
+                        _tau_recording_newton(visits, [0.375, 1.0]))
+    u, iters = sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10, 60)
+    expect = [0.125, 0.375, 0.25, 0.375, 0.625, 0.875, 1.0, 0.9375, 1.0]
+    assert visits == pytest.approx(expect, abs=1e-12)
+    assert iters == 7  # one per accepted leg
+    assert np.array_equal(u, prof.values)
+    # no leg is tried twice: each retry starts from a newer accepted tau
+    accepted = [0.0, 0.125, 0.125, 0.25, 0.375, 0.625, 0.875, 0.875, 0.9375]
+    legs = list(zip(accepted, np.round(visits, 12)))
+    assert len(set(legs)) == len(legs)
+
+
+def test_rhs_sweep_underflow_raises_without_state(monkeypatch):
+    prof = sv.RadialProfile.make(4, 16)
+    f = CurvatureFunction.sigma_root(4, 2)
+    visits = []
+    newton = _tau_recording_newton(visits, [])
+
+    def never(res_fn, u0, *args, **kwargs):
+        newton(res_fn, u0, *args, **kwargs)
+        raise ContinuationError("synthetic stall")
+
+    monkeypatch.setattr(sv, "_damped_newton", never)
+    with pytest.raises(ContinuationError, match="right-hand-side sweep") as err:
+        sv.newton_solve(prof, f, 1.0, psi=2.0)
+    assert err.value.last_state is None
+    # the direct attempt at tau = 1, then the leg from 0 halved from 0.125
+    # until a failing leg is shorter than 2e-4
+    assert visits == pytest.approx([1.0] + [0.125 / 2 ** i for i in range(11)],
+                                   abs=1e-12)
+
+
+def test_uniform_stencil_matrices_are_the_three_point_stencils():
+    for m in (5, 33, 64, 128):
+        prof = sv.RadialProfile.make(4, m)
+        h = prof.theta[1] - prof.theta[0]
+        d1 = np.zeros((m, m))
+        d2 = np.zeros((m, m))
+        for j in range(1, m - 1):
+            d1[j, j - 1], d1[j, j + 1] = -0.5 / h, 0.5 / h
+            d2[j, j - 1], d2[j, j], d2[j, j + 1] = 1.0 / h ** 2, -2.0 / h ** 2, 1.0 / h ** 2
+        d2[0, 0], d2[0, 1] = -2.0 / h ** 2, 2.0 / h ** 2
+        d2[-1, -1], d2[-1, -2] = -2.0 / h ** 2, 2.0 / h ** 2
+        for got, want in ((prof.d1_matrix(), d1), (prof.d2_matrix(), d2)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ---------------------------------------------------------------------------
