@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import sqrtm
@@ -321,3 +323,137 @@ def test_shared_geometry_keeps_domain_checks():
         cf.ricci_lower_margin(flat, u, 0.0, pts)
     with pytest.raises(ValueError, match="different point batch"):
         cf.conformal_schouten_eigs(flat, one, pts[::-1], geometry=geom)
+
+
+# -- trace-only Ricci assembly against the full d Gamma assembly --------------
+
+def _ricci_full_dgamma(g, geom):
+    """Ric_jk from the full (B, n, n, n, n) tensor d_a Gamma^m_ij, built from
+    d_a g^{ml} and d_a sym_ijl; the brute-force assembly kept as the oracle."""
+    ginv, d1, gamma, sym = geom.ginv, geom.d1, geom.gamma, geom.sym
+    d2 = g.d2(geom.points)
+    dginv = -np.einsum("bmp,bapq,bql->baml", ginv, d1, ginv)
+    dsym = d2 + d2.transpose(0, 1, 3, 2, 4) - d2.transpose(0, 1, 3, 4, 2)
+    dgamma = 0.5 * (np.einsum("baml,bijl->bamij", dginv, sym)
+                    + np.einsum("bml,baijl->bamij", ginv, dsym))
+    term1 = np.einsum("bmmjk->bjk", dgamma)
+    term2 = np.einsum("bjmmk->bjk", dgamma)
+    trace_gamma = np.einsum("bmmp->bp", gamma)
+    term3 = np.einsum("bp,bpjk->bjk", trace_gamma, gamma)
+    term4 = np.einsum("bmjp,bpmk->bjk", gamma, gamma)
+    return term1 - term2 + term3 - term4
+
+
+def _oracle_charts(n, rng):
+    normal = cf.MetricField.sphere_normal(n)
+    polar = cf.MetricField.sphere_polar(n)
+    flat = cf.MetricField.flat(n)
+    inner = rng.uniform(-0.8, 0.8, (6, n)) / np.sqrt(n)
+    angles = rng.uniform(0.6, 2.4, (6, n))
+    scaled = cf.conformal_metric(normal, _exp_factor(rng.uniform(-0.4, 0.4, n)))
+    assert scaled.mode == "analytic"
+    return [(normal, inner), (polar, angles), (flat, inner),
+            (normal.with_fd(), inner), (polar.with_fd(), angles),
+            (flat.with_fd(), inner), (scaled, inner)]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_ricci_trace_assembly_matches_full_dgamma_oracle(n, rng):
+    for g, pts in _oracle_charts(n, rng):
+        geom = cf._geometry(g, pts)
+        expect = _ricci_full_dgamma(g, geom)
+        got = cf._ricci_batch(g, geom)
+        scale = np.abs(expect).max()
+        assert np.abs(got - expect).max() <= 1e-13 * scale, (g.name, g.mode)
+        assert np.array_equal(cf.ricci_background(g, pts), got)
+
+
+# -- one-call finite-difference Hessian against the per-stencil loop ----------
+
+def _fd_d2_per_stencil(fn, x, h):
+    """Second derivatives from one call of ``fn`` per stencil point set."""
+    B, n = x.shape
+    f0 = fn(x)
+    out = np.zeros((B, n, n) + f0.shape[1:])
+    for k in range(n):
+        xp, xm = x.copy(), x.copy()
+        xp[:, k] += h
+        xm[:, k] -= h
+        out[:, k, k] = (fn(xp) - 2.0 * f0 + fn(xm)) / h ** 2
+    for k in range(n):
+        for l in range(k + 1, n):
+            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
+            xpp[:, k] += h
+            xpp[:, l] += h
+            xpm[:, k] += h
+            xpm[:, l] -= h
+            xmp[:, k] -= h
+            xmp[:, l] += h
+            xmm[:, k] -= h
+            xmm[:, l] -= h
+            mixed = (fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * h ** 2)
+            out[:, k, l] = mixed
+            out[:, l, k] = mixed
+    return out
+
+
+def _counting(fn):
+    calls = []
+
+    def wrapped(x):
+        calls.append(x.shape)
+        return fn(x)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
+    from schouten.bubbles import Bubble
+
+    # a scalar field (a bubble) and (B, n, n) fields (metric components)
+    near = rng.uniform(-1.0, 1.0, (7, n))
+    fields = [("scalar", Bubble(n=n, a=1.3, p=np.zeros(n)).value, near),
+              ("metric", cf.MetricField.sphere_normal(n).value_fn, near),
+              ("metric", cf.MetricField.sphere_polar(n).value_fn,
+               rng.uniform(0.6, 2.4, (7, n)))]
+    for kind, fn, pts in fields:
+        for h in (1e-4, 1e-3):
+            counted, calls = _counting(fn)
+            got = cf._fd_d2(counted, pts, h)
+            assert calls == [((1 + 2 * n * n) * len(pts), n)]
+            assert np.array_equal(got, _fd_d2_per_stencil(fn, pts, h))
+        # Richardson: one call per step size
+        counted, calls = _counting(fn)
+        if kind == "scalar":
+            refined = cf.ConformalFactor(n=n, value_fn=counted, h=1e-3,
+                                         richardson=True).hess(pts)
+        else:
+            refined = cf.MetricField(n=n, value_fn=counted, h=1e-3,
+                                     richardson=True).d2(pts)
+        assert len(calls) == 2
+        expect = (4.0 * _fd_d2_per_stencil(fn, pts, 5e-4)
+                  - _fd_d2_per_stencil(fn, pts, 1e-3)) / 3.0
+        assert np.array_equal(refined, expect)
+
+
+# -- argument checks ----------------------------------------------------------
+
+def test_schouten_tensor_needs_n_at_least_3():
+    g = cf.MetricField.flat(2)
+    x = np.array([0.1, -0.2])
+    one = cf.ConformalFactor.constant(2, 1.0)
+    with pytest.raises(DomainError, match=r"needs n >= 3"):
+        cf.schouten_background(g, x)
+    with pytest.raises(DomainError, match=r"needs n >= 3"):
+        cf.conformal_schouten_eigs(g, one, x)
+    # Ricci and scalar curvature stay defined in dimension 2
+    assert np.array_equal(cf.ricci_background(g, x), np.zeros((2, 2)))
+    assert cf.scalar_curvature(g, x) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(), (2, 2, 3)])
+def test_points_of_wrong_rank_raise(shape):
+    g = cf.MetricField.flat(3)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        cf.schouten_background(g, np.full(shape, 0.1))
