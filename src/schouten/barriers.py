@@ -18,7 +18,10 @@ machinery, check the diagonal-ray cone margin sign demanded by each barrier
 the super-solution), certify the largest radius r1 at which the verdict
 holds by dyadic descent, and record how far the eigenvalues drift from the
 (chi1 - chi2, chi1, ..., chi1) prediction relative to the remainder scale
-1 + |r v'/v| + (r v'/v)^2.
+1 + |r v'/v| + (r v'/v)^2.  Each ceiling r1 tried gets its own report (rows,
+failures, worst margin, largest remainder, per-combination verdicts); a sweep
+returns the report of the first ceiling it certifies, otherwise that of the
+last ceiling tried.
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
 prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
@@ -254,6 +257,8 @@ class BarrierSweepConfig:
             raise ValueError("r grid must be strictly positive")
         if self.background not in ("sphere", "flat"):
             raise ValueError("background must be 'sphere' or 'flat'")
+        if self.num_r < 1 or self.num_dirs < 1:
+            raise ValueError("num_r and num_dirs must be at least 1")
 
     def metric(self):
         if self.background == "flat":
@@ -324,21 +329,18 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
     return v, v1, v2, dlog
 
 
-def _sweep_once(params, kind, g, geometry, rr, cone):
+def _sweep_once(combo, kind, g, geometry, rr, cone):
     """Evaluate one parameter combination over the (r, direction) samples.
 
     ``geometry`` is the chart geometry of the sample points, at radii ``rr``.
     Returns (margins, remainders) with one entry per sample.
     """
     n = g.n
+    v, v1, v2, dlog = _radial_factor(n, kind=kind, **combo)
     if kind == "sub":
-        delta = params["delta"]
-        v, v1, v2, dlog = _radial_factor(n, delta=delta, kind="sub")
-        chi1, chi2 = chi_coefficients_sub(n, delta, rr)
+        chi1, chi2 = chi_coefficients_sub(n, combo["delta"], rr)
     else:
-        mu, delta, eps = params["mu"], params["delta"], params["eps"]
-        v, v1, v2, dlog = _radial_factor(n, delta=delta, mu=mu, eps=eps, kind="super")
-        chi1, chi2 = chi_coefficients_super(mu, delta, eps, rr)
+        chi1, chi2 = chi_coefficients_super(combo["mu"], combo["delta"], combo["eps"], rr)
 
     u = cf.ConformalFactor.radial(n, v, v1, v2)
     eigs = cf.conformal_schouten_eigs(g, u, geometry.points, geometry=geometry)
@@ -376,9 +378,7 @@ def barrier_sweep_sub(cfg):
     # ceiling below that (binds only for n = 3 with delta near 1/4)
     r_cap = min(0.5, 0.9 * (cfg.n - 2.0 - 2.0 * max(cfg.deltas)))
     report = _run_sweep(cfg, kind="sub",
-                        combos=[{"delta": d} for d in cfg.deltas],
-                        want_negative=True, r_start=r_cap)
-    report.kind = "barrier-sub"
+                        combos=[{"delta": d} for d in cfg.deltas], r_start=r_cap)
     if not precondition_ok:
         report.failures.append(("precondition", "mu_plus > 1; sweep run as negative control"))
     return report
@@ -406,8 +406,7 @@ def barrier_sweep_super(cfg):
     eps_grid = cfg.epsilons or (1e-3, 0.1, 0.9)
     combos = [{"mu": mu, "delta": d, "eps": e}
               for mu in cfg.mus for d in cfg.deltas for e in eps_grid]
-    report = _run_sweep(cfg, kind="super", combos=combos, want_negative=False)
-    report.kind = "barrier-super"
+    report = _run_sweep(cfg, kind="super", combos=combos)
 
     # chi inequality on a dense radius grid, per (mu, delta, eps)
     ok = True
@@ -432,26 +431,29 @@ def barrier_sweep_super(cfg):
     return report
 
 
-def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
+def _run_sweep(cfg, kind, combos, r_start=0.5):
+    """Try the dyadic ceilings r1 = r_start / 2^i above 2 r_min in turn.
+
+    Each ceiling gets a fresh report filled from every combination.  Returns
+    the first report whose samples all have the sign the barrier needs
+    (sub: margin < 0, super: margin > 0), otherwise the last one tried.
+    """
     g = cfg.metric()
     dirs = cfg.directions()
     cone = ConeSpec.gamma(cfg.n, cfg.k)
-    candidates = [r_start / 2 ** i for i in range(8)]
-    best_r1 = None
-    final_rows = []
-    worst = math.inf if want_negative else -math.inf
-    max_rem = 0.0
-    failures = []
-    eps_verdicts = {}
-    for r1 in candidates:
+    sub = kind == "sub"
+
+    def fresh(worst_margin):
+        return SweepReport(kind=f"barrier-{kind}", n=cfg.n, k=cfg.k,
+                           background=cfg.background, passed=False,
+                           r1_certified=None, worst_margin=worst_margin,
+                           max_remainder=0.0)
+
+    report = fresh(math.inf if sub else -math.inf)  # no ceiling tried
+    for r1 in (r_start / 2 ** i for i in range(8)):
         if r1 <= cfg.r_min * 2:
             break
-        rows = []
-        all_ok = True
-        worst_margin = -math.inf if want_negative else math.inf
-        max_remainder = 0.0
-        fail_list = []
-        eps_verdicts = {}
+        report = fresh(-math.inf if sub else math.inf)
         # one point grid and one chart geometry per ceiling, shared by every
         # parameter combination
         radii = cfg.radii(r1)
@@ -460,32 +462,22 @@ def _run_sweep(cfg, kind, combos, want_negative, r_start=0.5):
         geometry = cf.chart_geometry(g, pts)
         for combo in combos:
             margins, rems = _sweep_once(combo, kind, g, geometry, rr, cone)
-            ok_mask = margins < 0 if want_negative else margins > 0
-            combo_ok = bool(ok_mask.all())
-            all_ok = all_ok and combo_ok
-            worst_margin = (max(worst_margin, margins.max()) if want_negative
-                            else min(worst_margin, margins.min()))
-            max_remainder = max(max_remainder, float(rems.max()))
-            key = (combo.get("mu"), combo.get("delta"), combo.get("eps"))
-            eps_verdicts[key] = combo_ok
+            ok = margins < 0 if sub else margins > 0
+            combo_ok = bool(ok.all())
+            report.worst_margin = (max(report.worst_margin, float(margins.max())) if sub
+                                   else min(report.worst_margin, float(margins.min())))
+            report.max_remainder = max(report.max_remainder, float(rems.max()))
+            mu, delta, eps = combo.get("mu"), combo["delta"], combo.get("eps")
+            report.epsilon_verdicts[(mu, delta, eps)] = combo_ok
             if not combo_ok:
-                bad = int(np.argmin(ok_mask))
-                fail_list.append((combo, float(rr[bad]), float(margins[bad])))
-            for r_val, margin, okv in zip(rr, margins, ok_mask):
-                rows.append((combo.get("delta"), combo.get("mu"), combo.get("eps"),
-                             float(r_val), float(margin), bool(okv)))
-        final_rows = rows
-        worst = worst_margin
-        max_rem = max_remainder
-        failures = fail_list
-        if all_ok:
-            best_r1 = r1
+                bad = int(np.argmin(ok))
+                report.failures.append((combo, float(rr[bad]), float(margins[bad])))
+            report.rows.extend((delta, mu, eps) + row for row in
+                               zip(rr.tolist(), margins.tolist(), ok.tolist()))
+        if not report.failures:
+            report.passed, report.r1_certified = True, r1
             break
-    passed = best_r1 is not None
-    return SweepReport(kind=kind, n=cfg.n, k=cfg.k, background=cfg.background,
-                       passed=passed, r1_certified=best_r1, worst_margin=float(worst),
-                       max_remainder=float(max_rem), rows=final_rows,
-                       failures=failures, epsilon_verdicts=eps_verdicts)
+    return report
 
 
 # ---------------------------------------------------------------------------

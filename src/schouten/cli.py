@@ -35,26 +35,22 @@ import yaml
 from . import barriers, bubbles, comparison, reports, solver
 from .cones import ConeSpec, CurvatureFunction
 
-KNOWN_KINDS = (
-    "cones mu-plus",
-    "verify bubble",
-    "verify barrier-sub",
-    "verify barrier-super",
-    "verify gershgorin",
-    "verify suph",
-    "compare hawking",
-    "compare bishop-gromov",
-    "solve radial",
-    "solve homotopy",
-)
-
-
-# sample counts a campaign kind reads; zero would check nothing and pass
+# sample counts a campaign kind reads, with the least value each accepts;
+# fewer would check nothing and pass, or fail with a traceback.  A radial
+# grid needs an interior node for its three-point stencils.
 _POSITIVE_COUNTS = {
-    "verify gershgorin": ("trials",),
-    "verify bubble": ("samples", "points"),
-    "compare hawking": ("samples",),
+    "verify gershgorin": {"trials": 1},
+    "verify bubble": {"samples": 1, "points": 1},
+    "verify barrier-sub": {"num_r": 1, "num_dirs": 1},
+    "verify barrier-super": {"num_r": 1, "num_dirs": 1, "mu_count": 1},
+    "compare hawking": {"samples": 1},
+    "compare bishop-gromov": {"num_r": 1},
+    "solve radial": {"steps": 1, "nodes": 3},
+    "solve homotopy": {"steps": 1, "nodes": 3},
 }
+
+# the columns of both barrier sweep CSVs: (n, k) + SweepReport row
+_BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
 
 
 class ConfigError(Exception):
@@ -157,14 +153,11 @@ def _run_barrier_sub(spec, rng):
         if not expect_fail:
             worst_margin = max(worst_margin, rep.worst_margin)
             certified[f"{n},{k}"] = rep.r1_certified
-        rows.extend((n, k, d, mu, eps, r, margin, okv)
-                    for (d, mu, eps, r, margin, okv) in rep.rows)
+        rows.extend((n, k) + row for row in rep.rows)
     summary = {"passed": passed, "worst_margin": worst_margin,
                "r1_certified": certified,
                "negative_controls": [list(c) for c in controls]}
-    return summary, [("barrier_sub.csv",
-                      ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass"),
-                      rows)]
+    return summary, [("barrier_sub.csv", _BARRIER_COLUMNS, rows)]
 
 
 def _mu_grid(n, k, count):
@@ -193,13 +186,10 @@ def _run_barrier_super(spec, rng):
         passed = passed and rep.passed and bool(rep.chi_inequality_ok)
         worst_margin = min(worst_margin, rep.worst_margin)
         certified[f"{n},{k}"] = rep.r1_certified
-        rows.extend((n, k, d, mu, eps, r, margin, okv)
-                    for (d, mu, eps, r, margin, okv) in rep.rows)
+        rows.extend((n, k) + row for row in rep.rows)
     summary = {"passed": passed, "worst_margin": worst_margin,
                "r1_certified": certified}
-    return summary, [("barrier_super.csv",
-                      ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass"),
-                      rows)]
+    return summary, [("barrier_super.csv", _BARRIER_COLUMNS, rows)]
 
 
 def _run_gershgorin(spec, rng):
@@ -400,17 +390,17 @@ def load_config(path):
         if not isinstance(spec, dict):
             raise ConfigError(f"campaign '{cid}': expected a mapping")
         kind = spec.get("kind")
-        if kind not in KNOWN_KINDS:
+        if kind not in _RUNNERS:
             raise ConfigError(
                 f"campaign '{cid}': field 'kind': unknown kind {kind!r}; "
-                f"expected one of {', '.join(KNOWN_KINDS)}")
+                f"expected one of {', '.join(_RUNNERS)}")
         for field in ("tolerance", "tolerance_analytic", "tolerance_fd", "r_min"):
             if field in spec and not _real(spec[field]) > 0:
                 raise ConfigError(f"campaign '{cid}': field '{field}' must be a positive number")
-        for field in _POSITIVE_COUNTS.get(kind, ()):
-            if field in spec and not _count(spec[field]) > 0:
+        for field, least in _POSITIVE_COUNTS.get(kind, {}).items():
+            if field in spec and not _count(spec[field]) >= least:
                 raise ConfigError(
-                    f"campaign '{cid}': field '{field}' must be a positive integer")
+                    f"campaign '{cid}': field '{field}' must be an integer >= {least}")
         for pfield in ("pairs", "negative_controls"):
             entries = spec.get(pfield, [])
             if not isinstance(entries, list):

@@ -594,11 +594,19 @@ def schouten_conformal(g, u, x):
     return _unbatch(a_u, single)
 
 
+def _conformal_power(n):
+    """The exponent 4/(n-2) of g_u = u^(4/(n-2)) g, undefined for n < 3."""
+    if n < 3:
+        raise DomainError("the conformal metric u^(4/(n-2)) g needs n >= 3")
+    return 4.0 / (n - 2.0)
+
+
 def conformal_metric_components(g, u, x):
+    p = _conformal_power(g.n)
     xb, single = _batchify(x, g.n)
     uval = np.atleast_1d(u.value(xb))
     gmat = g.components(xb)
-    phi = uval ** (4.0 / (g.n - 2.0))
+    phi = uval ** p
     return _unbatch(phi[:, None, None] * gmat, single)
 
 
@@ -609,7 +617,7 @@ def conformal_metric(g, u):
     differences on the product components.
     """
     n = g.n
-    p = 4.0 / (n - 2.0)
+    p = _conformal_power(n)
 
     def value(x):
         uval = np.atleast_1d(u.value(x))

@@ -304,7 +304,7 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
         max_abs_log_u=float(np.abs(logu).max()),
         c1_log=float(np.abs(profile.d1(logu)).max()),
         c2_log=float(np.abs(profile.d2(logu)).max()),
-        ricci_margin=_ricci_margin_from_eigs(lam, profile.n, 0.0),
+        ricci_margin=_ricci_margin_from_eigs(lam, profile.n, alpha),
         newton_iterations=iterations,
     )
     return state
@@ -405,14 +405,14 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     return jac
 
 
-def _damped_newton(res_fn, u0, tol, max_iter, guard=None, bandwidth=None, r0=None):
+def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
     Steps are accepted when the simplified Newton correction contracts,
     ||J^-1 R(u + a*step)|| <= (1 - a/2) ||J^-1 R(u)||, a test that is
     invariant under the ill-conditioning of the stencil operator; trial
-    points violating positivity, the guard, or the cone are skipped by
-    halving a.  Convergence is declared in the discrete max norm.
+    points violating positivity or the cone are skipped by halving a.
+    Convergence is declared in the discrete max norm.
     ``bandwidth`` is passed to the Jacobian; ``r0``, when given, is the
     residual already evaluated at u0.  Returns (u, iterations, residual_norm).
     """
@@ -435,7 +435,7 @@ def _damped_newton(res_fn, u0, tol, max_iter, guard=None, bandwidth=None, r0=Non
         accepted = False
         while alpha > 1e-14:
             trial = u + alpha * delta
-            if np.all(trial > 0) and (guard is None or guard(trial)):
+            if np.all(trial > 0):
                 try:
                     rt = res_fn(trial)
                 except (DomainError, ConeExitError):

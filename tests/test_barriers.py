@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from schouten import barriers as br
 from schouten import conformal as cf
+from schouten.cones import ConeSpec
 from schouten.errors import DomainError
 
 
@@ -252,6 +254,12 @@ def test_sub_sweep_delta_validation():
         br.barrier_sweep_sub(cfg)
 
 
+@pytest.mark.parametrize("counts", [{"num_r": 0}, {"num_dirs": 0}, {"num_r": -1}])
+def test_sweep_config_needs_samples(counts):
+    with pytest.raises(ValueError, match="at least 1"):
+        br.BarrierSweepConfig(n=4, k=2, **counts)
+
+
 def test_super_sweep_passes_and_is_eps_uniform():
     cfg = br.BarrierSweepConfig(n=4, k=1, deltas=(0.25, 0.5),
                                 mus=(1.3, 1.6), epsilons=(1e-3, 0.1, 0.9),
@@ -299,6 +307,85 @@ def test_super_sweep_precondition_violations():
         br.barrier_sweep_super(br.BarrierSweepConfig(n=4, k=1, mus=(2.5,)))
     with pytest.raises(ValueError):
         br.barrier_sweep_super(br.BarrierSweepConfig(n=4, k=1))
+
+
+def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
+    # the sweep loop as it was before it kept one report per ceiling: state
+    # for the current ceiling, copied into the result at its end
+    g = cfg.metric()
+    dirs = cfg.directions()
+    cone = ConeSpec.gamma(cfg.n, cfg.k)
+    candidates = [r_start / 2 ** i for i in range(8)]
+    best_r1 = None
+    final_rows = []
+    worst = math.inf if want_negative else -math.inf
+    max_rem = 0.0
+    failures = []
+    eps_verdicts = {}
+    for r1 in candidates:
+        if r1 <= cfg.r_min * 2:
+            break
+        rows = []
+        all_ok = True
+        worst_margin = -math.inf if want_negative else math.inf
+        max_remainder = 0.0
+        fail_list = []
+        eps_verdicts = {}
+        radii = cfg.radii(r1)
+        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
+        rr = np.repeat(radii, cfg.num_dirs)
+        geometry = cf.chart_geometry(g, pts)
+        for combo in combos:
+            margins, rems = br._sweep_once(combo, kind, g, geometry, rr, cone)
+            ok_mask = margins < 0 if want_negative else margins > 0
+            combo_ok = bool(ok_mask.all())
+            all_ok = all_ok and combo_ok
+            worst_margin = (max(worst_margin, margins.max()) if want_negative
+                            else min(worst_margin, margins.min()))
+            max_remainder = max(max_remainder, float(rems.max()))
+            key = (combo.get("mu"), combo.get("delta"), combo.get("eps"))
+            eps_verdicts[key] = combo_ok
+            if not combo_ok:
+                bad = int(np.argmin(ok_mask))
+                fail_list.append((combo, float(rr[bad]), float(margins[bad])))
+            for r_val, margin, okv in zip(rr, margins, ok_mask):
+                rows.append((combo.get("delta"), combo.get("mu"), combo.get("eps"),
+                             float(r_val), float(margin), bool(okv)))
+        final_rows = rows
+        worst = worst_margin
+        max_rem = max_remainder
+        failures = fail_list
+        if all_ok:
+            best_r1 = r1
+            break
+    return br.SweepReport(kind=f"barrier-{kind}", n=cfg.n, k=cfg.k,
+                          background=cfg.background, passed=best_r1 is not None,
+                          r1_certified=best_r1, worst_margin=float(worst),
+                          max_remainder=float(max_rem), rows=final_rows,
+                          failures=failures, epsilon_verdicts=eps_verdicts)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sub", dict(n=4, k=2, deltas=(0.05, 0.2))),
+    ("sub", dict(n=4, k=1, deltas=(0.05, 0.2))),  # negative control
+    ("sub", dict(n=4, k=2, deltas=(0.1,), background="flat")),
+    ("sub", dict(n=4, k=2, deltas=(0.1,), r_min=0.3)),  # no ceiling tried
+    ("super", dict(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3, 1.6),
+                   epsilons=(0.1, 0.9))),
+    ("super", dict(n=6, k=2, deltas=(0.25, 0.5), mus=(1.5,))),
+])
+def test_sweep_report_matches_copied_out_oracle(monkeypatch, kind, params):
+    cfg = br.BarrierSweepConfig(num_r=12, num_dirs=3, **params)
+    sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
+    got = sweep(cfg)
+    monkeypatch.setattr(br, "_run_sweep", lambda cfg, kind, combos, r_start=0.5:
+                        _copied_out_sweep(cfg, kind, combos, kind == "sub", r_start))
+    want = sweep(cfg)
+    for f in dataclasses.fields(br.SweepReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    # the CSV writer formats numpy scalars differently from Python ones
+    assert all(type(row[3]) is float and type(row[4]) is float
+               and type(row[5]) is bool for row in got.rows)
 
 
 def test_sweep_prediction_remainder_scales():

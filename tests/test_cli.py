@@ -78,15 +78,33 @@ def test_malformed_config_exit_two(tmp_path, capsys):
     ("verify bubble", "samples"),
     ("verify bubble", "points"),
     ("compare hawking", "samples"),
+    ("verify barrier-sub", "num_r"),
+    ("verify barrier-sub", "num_dirs"),
+    ("verify barrier-super", "num_r"),
+    ("verify barrier-super", "num_dirs"),
+    ("verify barrier-super", "mu_count"),
+    ("compare bishop-gromov", "num_r"),
+    ("solve radial", "steps"),
+    ("solve radial", "nodes"),
+    ("solve homotopy", "steps"),
+    ("solve homotopy", "nodes"),
 ])
 @pytest.mark.parametrize("value", [0, -2, "many"])
 def test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, field, value):
-    # a campaign that draws no samples checks nothing and must not pass
+    # a campaign that draws no samples checks nothing and must not pass; one
+    # that cannot use the count must not fail with a traceback
     cfg = write_cfg(tmp_path, {"x": {"kind": kind, field: value}})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     msg = capsys.readouterr().err
     assert "campaign 'x'" in msg and f"field '{field}'" in msg
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["solve radial", "solve homotopy"])
+@pytest.mark.parametrize("nodes", [1, 2])
+def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, nodes):
+    # the three-point stencils need an interior node
+    test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, "nodes", nodes)
 
 
 @pytest.mark.parametrize("spec, field", [

@@ -452,6 +452,16 @@ def test_schouten_tensor_needs_n_at_least_3():
     assert cf.scalar_curvature(g, x) == 0.0
 
 
+def test_conformal_metric_needs_n_at_least_3():
+    # the exponent 4/(n-2) is undefined at n = 2
+    g = cf.MetricField.flat(2)
+    one = cf.ConformalFactor.constant(2, 1.0)
+    with pytest.raises(DomainError, match=r"needs n >= 3"):
+        cf.conformal_metric_components(g, one, np.array([0.1, -0.2]))
+    with pytest.raises(DomainError, match=r"needs n >= 3"):
+        cf.conformal_metric(g, one)
+
+
 @pytest.mark.parametrize("shape", [(), (2, 2, 3)])
 def test_points_of_wrong_rank_raise(shape):
     g = cf.MetricField.flat(3)

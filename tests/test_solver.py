@@ -158,6 +158,20 @@ def test_continuation_requires_converged_start():
         sv.newton_continuation(state, [(0.5, 1.0)], f)
 
 
+def test_make_state_ricci_margin_shifts_by_alpha():
+    # Ric_{g_u} + (n-1) alpha^2 g_u: every relative eigenvalue moves by
+    # (n-1) alpha^2
+    n = 4
+    prof = sv.RadialProfile.make(n, 32)
+    f = CurvatureFunction.sigma_root(n, 2)
+    prof = prof.with_values(1.0 + 0.05 * np.cos(prof.theta))
+    unshifted = sv.make_state(prof, f, 1.0, 1.0)
+    shifted = sv.make_state(prof, f, 1.0, 1.0, alpha=0.7)
+    assert shifted.alpha == 0.7
+    assert shifted.ricci_margin - unshifted.ricci_margin == pytest.approx(
+        (n - 1) * 0.7 ** 2, rel=1e-12)
+
+
 def test_homotopy_continuation_lands_on_unit_constant():
     # G_t walk: at t the constant solution is (t + (1-t) n)^((n-2)/2)
     n, k, num = 4, 2, 48
@@ -418,7 +432,7 @@ def _tau_recording_newton(visits, fail):
     # tau off the start residual: at u = 1 with psi = 2 the blended residual
     # f(e/2) - tau * 2 - (1 - tau) * f(e/2) is -tau up to rounding.  Fails
     # the first visit of each tau in ``fail`` and keeps u.
-    def newton(res_fn, u0, tol, max_iter, guard=None, bandwidth=None, r0=None):
+    def newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
         tau = -float(res_fn(u0)[0])
         visits.append(tau)
         for bad in fail:
