@@ -32,22 +32,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import barriers, bubbles, comparison, reports, solver
+from . import barriers, bubbles, comparison, conformal, reports, solver
 from .cones import ConeSpec, CurvatureFunction
-
-# sample counts a campaign kind reads, with the least value each accepts;
-# fewer would check nothing and pass, or fail with a traceback.  A radial
-# grid needs an interior node for its three-point stencils.
-_POSITIVE_COUNTS = {
-    "verify gershgorin": {"trials": 1},
-    "verify bubble": {"samples": 1, "points": 1},
-    "verify barrier-sub": {"num_r": 1, "num_dirs": 1},
-    "verify barrier-super": {"num_r": 1, "num_dirs": 1, "mu_count": 1},
-    "compare hawking": {"samples": 1},
-    "compare bishop-gromov": {"num_r": 1},
-    "solve radial": {"steps": 1, "nodes": 3},
-    "solve homotopy": {"steps": 1, "nodes": 3},
-}
 
 # the columns of both barrier sweep CSVs: (n, k) + SweepReport row
 _BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
@@ -63,38 +49,34 @@ def _rng_for(seed, campaign_id):
 
 
 # ---------------------------------------------------------------------------
-# campaign runners; each returns (summary dict, list of (csv name, cols, rows))
+# campaign runners; each takes its campaign's fields as ``_params`` returns
+# them and returns (summary dict, list of (csv name, cols, rows))
 # ---------------------------------------------------------------------------
 
-def _run_mu_plus(spec, rng):
-    dims = spec.get("dims", [3, 4, 5, 6, 7, 8, 9, 10])
-    tol = float(spec.get("tolerance", 1e-9))
+def _run_mu_plus(par, rng):
     rows = []
     worst = 0.0
-    for n in dims:
+    for n in par["dims"]:
         for k in range(1, n + 1):
             mp = ConeSpec.gamma(n, k).mu_plus()
             expected = (n - k) / k
             err = abs(mp - expected)
             worst = max(worst, err)
             rows.append((n, k, mp, expected, err))
-    summary = {"passed": worst <= tol, "max_error": worst, "tolerance": tol}
+    summary = {"passed": worst <= par["tolerance"], "max_error": worst,
+               "tolerance": par["tolerance"]}
     return summary, [("mu_plus.csv", ("n", "k", "mu_plus", "expected", "abs_err"), rows)]
 
 
-def _run_bubble(spec, rng):
-    dims = spec.get("dims", [3, 4, 5])
-    samples = int(spec.get("samples", 20))
-    npoints = int(spec.get("points", 10))
-    modes = spec.get("modes", ["analytic", "fd"])
-    tols = {"analytic": float(spec.get("tolerance_analytic", 1e-8)),
-            "fd": float(spec.get("tolerance_fd", 1e-6))}
+def _run_bubble(par, rng):
+    modes, npoints = par["modes"], par["points"]
+    tols = {"analytic": par["tolerance_analytic"], "fd": par["tolerance_fd"]}
     rows = []
     passed = True
     worst = {m: 0.0 for m in modes}
-    for n in dims:
+    for n in par["dims"]:
         f = CurvatureFunction.sigma_root(n, max(1, n // 2))
-        for _ in range(samples):
+        for _ in range(par["samples"]):
             a = rng.uniform(0.7, 1.5)
             p = rng.uniform(-1.0, 1.0, size=n)
             bubble = bubbles.Bubble(n=n, a=a, p=p)
@@ -116,39 +98,28 @@ def _run_bubble(spec, rng):
                       rows)]
 
 
-def _pairs_mu_le_1(dims):
-    out = []
-    for n in dims:
-        for k in range(1, n + 1):
-            if (n - k) / k <= 1.0 + 1e-12:
-                out.append((n, k))
-    return out
+def _sweep_config(par, n, k, rng, **grids):
+    return barriers.BarrierSweepConfig(
+        n=n, k=k, deltas=tuple(par["deltas"]), r_min=par["r_min"],
+        num_r=par["num_r"], num_dirs=par["num_dirs"], background=par["background"],
+        seed=int(rng.integers(2 ** 31)), **grids)
 
 
-def _run_barrier_sub(spec, rng):
-    if "pairs" in spec:
-        pairs = [tuple(p) for p in spec["pairs"]]
-    else:
-        pairs = _pairs_mu_le_1(spec.get("dims", [3, 4, 5, 6]))
-    controls = [tuple(p) for p in spec.get("negative_controls", [])]
-    deltas = tuple(spec.get("deltas", (0.01, 0.05, 0.1, 0.2)))
-    background = spec.get("background", "sphere")
-    r_min = float(spec.get("r_min", 1e-4))
-    min_r1 = float(spec.get("min_r1", 1e-2))
+def _run_barrier_sub(par, rng):
+    # by default every (n, k) of the dims with mu+ = (n - k)/k <= 1
+    pairs = par["pairs"] or [(n, k) for n in par["dims"] for k in range(1, n + 1)
+                             if (n - k) / k <= 1.0 + 1e-12]
+    controls = par["negative_controls"]
     rows = []
     passed = True
     worst_margin = -math.inf
     certified = {}
-    for (n, k) in pairs + controls:
-        cfg = barriers.BarrierSweepConfig(
-            n=n, k=k, deltas=deltas, r_min=r_min, background=background,
-            num_r=int(spec.get("num_r", 64)), num_dirs=int(spec.get("num_dirs", 8)),
-            seed=int(rng.integers(2 ** 31)))
-        rep = barriers.barrier_sweep_sub(cfg)
+    for (n, k) in [*pairs, *controls]:
+        rep = barriers.barrier_sweep_sub(_sweep_config(par, n, k, rng))
         expect_fail = (n, k) in controls
         ok = (not rep.passed) if expect_fail else (
             rep.passed and rep.r1_certified is not None
-            and rep.r1_certified >= min_r1)
+            and rep.r1_certified >= par["min_r1"])
         passed = passed and ok
         if not expect_fail:
             worst_margin = max(worst_margin, rep.worst_margin)
@@ -166,23 +137,15 @@ def _mu_grid(n, k, count):
     return tuple(1.0 + f * (top - 1.0) for f in fracs)
 
 
-def _run_barrier_super(spec, rng):
-    pairs = [tuple(p) for p in spec.get("pairs", [(4, 1), (5, 1), (5, 2), (6, 2)])]
-    deltas = tuple(spec.get("deltas", (0.25, 0.5)))
-    epsilons = tuple(spec.get("epsilons", (1e-3, 0.1, 0.9)))
+def _run_barrier_super(par, rng):
     rows = []
     passed = True
     worst_margin = math.inf
     certified = {}
-    for (n, k) in pairs:
-        mus = tuple(spec.get("mus", _mu_grid(n, k, int(spec.get("mu_count", 3)))))
-        cfg = barriers.BarrierSweepConfig(
-            n=n, k=k, deltas=deltas, mus=mus, epsilons=epsilons,
-            r_min=float(spec.get("r_min", 1e-4)),
-            num_r=int(spec.get("num_r", 64)), num_dirs=int(spec.get("num_dirs", 8)),
-            background=spec.get("background", "sphere"),
-            seed=int(rng.integers(2 ** 31)))
-        rep = barriers.barrier_sweep_super(cfg)
+    for (n, k) in par["pairs"]:
+        mus = tuple(par["mus"] or _mu_grid(n, k, par["mu_count"]))
+        rep = barriers.barrier_sweep_super(_sweep_config(
+            par, n, k, rng, mus=mus, epsilons=tuple(par["epsilons"])))
         passed = passed and rep.passed and bool(rep.chi_inequality_ok)
         worst_margin = min(worst_margin, rep.worst_margin)
         certified[f"{n},{k}"] = rep.r1_certified
@@ -192,9 +155,8 @@ def _run_barrier_super(spec, rng):
     return summary, [("barrier_super.csv", _BARRIER_COLUMNS, rows)]
 
 
-def _run_gershgorin(spec, rng):
-    dims = spec.get("dims", [2, 3, 4, 5, 6, 7, 8])
-    trials = int(spec.get("trials", 1000))
+def _run_gershgorin(par, rng):
+    dims, trials = par["dims"], par["trials"]
     rows = []
     passed = True
     measured = {}
@@ -225,14 +187,10 @@ def _run_gershgorin(spec, rng):
                        "fraction_of_bound"), rows)]
 
 
-def _run_suph(spec, rng):
-    from . import conformal as cf
-
-    n = int(spec.get("dim", 4))
-    K = float(spec.get("K", 1.0))
-    delta = float(spec.get("delta", 0.25))
-    background = spec.get("background", "flat")
-    g = cf.MetricField.flat(n) if background == "flat" else cf.MetricField.sphere_normal(n)
+def _run_suph(par, rng):
+    n, K, delta, background = par["dim"], par["K"], par["delta"], par["background"]
+    g = (conformal.MetricField.flat(n) if background == "flat"
+         else conformal.MetricField.sphere_normal(n))
     rep = barriers.suph_barrier_check(g, K, delta)
     monotone_ok = all(rep.ratio_monotone.values())
     checks = [rep.min_G >= -1e-12, monotone_ok]
@@ -247,7 +205,7 @@ def _run_suph(spec, rng):
                       ("n", "K", "delta", "background", "min_G", "min_LG"), rows)]
 
 
-def _run_hawking(spec, rng):
+def _run_hawking(par, rng):
     rows = []
     checks = []
     for c0 in (0.5, 1.0, 2.0, 5.0):
@@ -255,11 +213,11 @@ def _run_hawking(spec, rng):
         checks.append(comparison.hawking_bound(0.0, c0) == 1.0 / c0)
     checks.append(abs(comparison.hawking_bound(1.0, 2.0) - math.log(3.0) / 2.0) < 1e-12)
     # Euclidean ball of radius rho: H = (n-1)/rho, attained bound = rho
-    rho = float(spec.get("rho", 0.7))
+    rho = par["rho"]
     checks.append(abs(comparison.hawking_bound(0.0, 1.0 / rho) - rho) < 1e-10)
     # monotonicity samples
     ok_mono = True
-    for _ in range(int(spec.get("samples", 200))):
+    for _ in range(par["samples"]):
         alpha = rng.uniform(0.0, 2.0)
         c0 = alpha + rng.uniform(0.05, 3.0)
         dc = rng.uniform(0.01, 1.0)
@@ -273,13 +231,12 @@ def _run_hawking(spec, rng):
     return summary, [("hawking.csv", ("alpha", "c0", "bound"), rows)]
 
 
-def _run_bishop_gromov(spec, rng):
-    dims = spec.get("dims", [3, 4, 5])
+def _run_bishop_gromov(par, rng):
     files = []
     checks = []
-    for n in dims:
+    for n in par["dims"]:
         model = comparison.ModelSpace(n=n, alpha=0.0)
-        radii = np.geomspace(1e-3, 3.0, int(spec.get("num_r", 48)))
+        radii = np.geomspace(1e-3, 3.0, par["num_r"])
         flat = comparison.bg_ratio(
             lambda r: comparison.unit_ball_volume(n) * r ** n, model, radii)
         checks.append(bool(np.all(np.abs(flat.ratios - 1.0) <= 1e-12)))
@@ -297,19 +254,15 @@ def _run_bishop_gromov(spec, rng):
     return summary, files
 
 
-def _run_solve_radial(spec, rng):
-    n = int(spec.get("dim", 3))
-    k = int(spec.get("k", max(1, (n + 1) // 2)))
-    nodes = int(spec.get("nodes", 128))
-    steps = int(spec.get("steps", 20))
-    tol = float(spec.get("tolerance", 1e-10))
-    amp = float(spec.get("perturbation", 0.2))
+def _run_solve_radial(par, rng):
+    n, tol = par["dim"], par["tolerance"]
+    k = par["k"] or max(1, (n + 1) // 2)
     s0 = 2.0 / (n - 2.0)
-    prof = solver.RadialProfile.make(n, nodes, grid=spec.get("grid", "uniform"))
+    prof = solver.RadialProfile.make(n, par["nodes"], grid=par["grid"])
     f = CurvatureFunction.sigma_root(n, k)
     start = solver.newton_solve(
-        prof.with_values(1.0 + amp * np.cos(prof.theta)), f, s0, tol=tol)
-    schedule = [(s, 1.0) for s in np.linspace(s0, 0.0, steps + 1)[1:]]
+        prof.with_values(1.0 + par["perturbation"] * np.cos(prof.theta)), f, s0, tol=tol)
+    schedule = [(s, 1.0) for s in np.linspace(s0, 0.0, par["steps"] + 1)[1:]]
     states = solver.newton_continuation(start, schedule, f, tol=tol)
     rows = [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u,
              st.min_cone_margin) for i, st in enumerate(states)]
@@ -318,8 +271,7 @@ def _run_solve_radial(spec, rng):
     margins_ok = all(st.min_cone_margin > 0 for st in states)
     ricci_ok = all(st.ricci_margin >= 0 for st in states)
     profile_rows = list(zip(states[-1].profile.theta, states[-1].profile.values))
-    summary = {"passed": bool(dev <= float(spec.get("dev_tolerance", 1e-8))
-                              and margins_ok and ricci_ok),
+    summary = {"passed": bool(dev <= par["dev_tolerance"] and margins_ok and ricci_ok),
                "max_dev_from_const": dev,
                "worst_margin": min(st.min_cone_margin for st in states),
                "newton_iterations": start.newton_iterations}
@@ -330,23 +282,19 @@ def _run_solve_radial(spec, rng):
     ]
 
 
-def _run_solve_homotopy(spec, rng):
-    n = int(spec.get("dim", 4))
-    k = int(spec.get("k", 2))
-    nodes = int(spec.get("nodes", 96))
-    steps = int(spec.get("steps", 20))
-    tol = float(spec.get("tolerance", 1e-10))
+def _run_solve_homotopy(par, rng):
+    n, nodes = par["dim"], par["nodes"]
     s0 = 2.0 / (n - 2.0)
-    prof = solver.RadialProfile.make(n, nodes, grid=spec.get("grid", "uniform"))
-    f = CurvatureFunction.sigma_root(n, k)
+    prof = solver.RadialProfile.make(n, nodes, grid=par["grid"])
+    f = CurvatureFunction.sigma_root(n, par["k"])
     c0 = float(n) ** ((n - 2.0) / 2.0)
     start = solver.make_state(prof.with_values(c0 * np.ones(nodes)), f, s0, 0.0)
-    schedule = [(s0, t) for t in np.linspace(0.0, 1.0, steps + 1)[1:]]
-    states = solver.newton_continuation(start, schedule, f, tol=tol)
+    schedule = [(s0, t) for t in np.linspace(0.0, 1.0, par["steps"] + 1)[1:]]
+    states = solver.newton_continuation(start, schedule, f, tol=par["tolerance"])
     rows = [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u,
              st.min_cone_margin) for i, st in enumerate(states)]
     end_dev = float(np.abs(states[-1].profile.values - 1.0).max())
-    summary = {"passed": bool(end_dev <= float(spec.get("dev_tolerance", 1e-8))
+    summary = {"passed": bool(end_dev <= par["dev_tolerance"]
                               and all(st.min_cone_margin > 0 for st in states)),
                "end_dev_from_one": end_dev,
                "worst_margin": min(st.min_cone_margin for st in states)}
@@ -370,6 +318,128 @@ _RUNNERS = {
 
 
 # ---------------------------------------------------------------------------
+# campaign fields: per kind, every field a runner reads, as (field type,
+# default).  A field type is (what a valid value is, reader); the reader
+# returns the value the runner uses or raises TypeError, ValueError or
+# OverflowError (a YAML integer too large for a float).
+# ---------------------------------------------------------------------------
+
+def _checked(read, ok):
+    """``read``, then require ``ok`` of what it returns."""
+    def reader(value):
+        out = read(value)
+        if not ok(out):
+            raise ValueError(value)
+        return out
+    return reader
+
+
+_integer = _checked(lambda v: v, lambda v: isinstance(v, int) and not isinstance(v, bool))
+# a finite real; YAML 1.1 reads 1e-9 (no dot) as a string, so a numeric string
+# counts, but a boolean does not
+_number = _checked(lambda v: math.nan if isinstance(v, bool) else float(v), math.isfinite)
+
+
+def _nk(value):
+    n, k = map(_integer, value)
+    if not (n >= 3 and 1 <= k <= n):
+        raise ValueError(value)
+    return (n, k)
+
+
+def _list_of(field, nonempty=True):
+    must, read = field
+
+    def reader(value):
+        if not isinstance(value, list) or (nonempty and not value):
+            raise TypeError(value)
+        return [read(item) for item in value]
+    return f"a {'non-empty ' * nonempty}list, each {must}", reader
+
+
+def _ints(least):
+    return f"an integer >= {least}", _checked(_integer, lambda x: x >= least)
+
+
+def _one_of(*options):
+    return f"one of {', '.join(options)}", _checked(str, lambda x: x in options)
+
+
+_NUMBER = "a number", _number
+_POSITIVE = "a positive number", _checked(_number, lambda x: x > 0)
+_NK = "[n, k] with n >= 3 and 1 <= k <= n", _nk
+_SWEEP = {"r_min": (_POSITIVE, 1e-4), "num_r": (_ints(1), 64), "num_dirs": (_ints(1), 8),
+          "background": (_one_of("sphere", "flat"), "sphere")}
+_SOLVE = {"steps": (_ints(1), 20), "tolerance": (_POSITIVE, 1e-10),
+          "dev_tolerance": (_POSITIVE, 1e-8),
+          "grid": (_one_of("uniform", "lobatto"), "uniform")}
+
+# defaults are immutable, since every campaign shares them; a None default
+# depends on another field and the runner fills it in.  A radial grid needs
+# an interior node for its three-point stencils
+_PARAMS = {
+    "cones mu-plus": {"dims": (_list_of(_ints(3)), (3, 4, 5, 6, 7, 8, 9, 10)),
+                      "tolerance": (_POSITIVE, 1e-9)},
+    "verify bubble": {"dims": (_list_of(_ints(3)), (3, 4, 5)), "samples": (_ints(1), 20),
+                      "points": (_ints(1), 10),
+                      "modes": (_list_of(_one_of("analytic", "fd")), ("analytic", "fd")),
+                      "tolerance_analytic": (_POSITIVE, 1e-8),
+                      "tolerance_fd": (_POSITIVE, 1e-6)},
+    "verify barrier-sub": {"pairs": (_list_of(_NK), None),
+                           "dims": (_list_of(_ints(3)), (3, 4, 5, 6)),
+                           "negative_controls": (_list_of(_NK, nonempty=False), ()),
+                           "deltas": (_list_of(_NUMBER), (0.01, 0.05, 0.1, 0.2)),
+                           "min_r1": (_POSITIVE, 1e-2), **_SWEEP},
+    "verify barrier-super": {"pairs": (_list_of(_NK), ((4, 1), (5, 1), (5, 2), (6, 2))),
+                             "deltas": (_list_of(_NUMBER), (0.25, 0.5)),
+                             "epsilons": (_list_of(_NUMBER), (1e-3, 0.1, 0.9)),
+                             "mus": (_list_of(_NUMBER), None), "mu_count": (_ints(1), 3),
+                             **_SWEEP},
+    "verify gershgorin": {"dims": (_list_of(_ints(1)), (2, 3, 4, 5, 6, 7, 8)),
+                          "trials": (_ints(1), 1000)},
+    "verify suph": {"dim": (_ints(3), 4), "K": (_NUMBER, 1.0), "delta": (_POSITIVE, 0.25),
+                    "background": (_one_of("flat", "sphere"), "flat")},
+    "compare hawking": {"rho": (_POSITIVE, 0.7), "samples": (_ints(1), 200)},
+    "compare bishop-gromov": {"dims": (_list_of(_ints(1)), (3, 4, 5)),
+                              "num_r": (_ints(1), 48)},
+    "solve radial": {"dim": (_ints(3), 3), "k": (_ints(1), None), "nodes": (_ints(3), 128),
+                     "perturbation": (_NUMBER, 0.2), **_SOLVE},
+    "solve homotopy": {"dim": (_ints(3), 4), "k": (_ints(1), 2), "nodes": (_ints(3), 96),
+                       **_SOLVE},
+}
+
+
+# the top level of a config file
+_MAPPING = "a non-empty mapping", _checked(lambda v: v, lambda v: isinstance(v, dict) and v)
+_CONFIG = {"seed": (_ints(0), 0), "campaigns": (_MAPPING, None)}
+
+
+def _read(where, spec, fields):
+    """``spec`` through ``fields``: each field read and checked if given, else
+    its default.  A field ``fields`` does not declare, or a value its reader
+    rejects, is a ``ConfigError`` naming the field."""
+    for name in spec:
+        if name not in fields:
+            raise ConfigError(f"{where}field '{name}' is not one of {', '.join(fields)}")
+    out = {}
+    for name, ((must, read), default) in fields.items():
+        try:
+            out[name] = read(spec[name]) if name in spec else default
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{where}field '{name}' must be {must}") from None
+    return out
+
+
+def _params(cid, spec):
+    """Every field of campaign ``cid`` but its kind, as ``_PARAMS`` reads them."""
+    where = f"campaign '{cid}': "
+    out = _read(where, {n: v for n, v in spec.items() if n != "kind"}, _PARAMS[spec["kind"]])
+    if out.get("k") is not None and out["k"] > out["dim"]:
+        raise ConfigError(f"{where}field 'k' must be an integer in 1..dim = {out['dim']}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # config handling and execution
 # ---------------------------------------------------------------------------
 
@@ -383,63 +453,16 @@ def load_config(path):
         raise ConfigError(f"config parse error: {exc}") from exc
     if not isinstance(cfg, dict) or "campaigns" not in cfg:
         raise ConfigError("config must be a mapping with a 'campaigns' table")
-    campaigns = cfg["campaigns"]
-    if not isinstance(campaigns, dict) or not campaigns:
-        raise ConfigError("field 'campaigns': expected a non-empty mapping")
-    for cid, spec in campaigns.items():
+    for cid, spec in _read("", cfg, _CONFIG)["campaigns"].items():
         if not isinstance(spec, dict):
             raise ConfigError(f"campaign '{cid}': expected a mapping")
-        kind = spec.get("kind")
-        if kind not in _RUNNERS:
+        kind = spec["kind"] if "kind" in spec else None
+        if kind not in tuple(_PARAMS):  # a tuple: a YAML list kind is unhashable
             raise ConfigError(
                 f"campaign '{cid}': field 'kind': unknown kind {kind!r}; "
-                f"expected one of {', '.join(_RUNNERS)}")
-        for field in ("tolerance", "tolerance_analytic", "tolerance_fd", "r_min"):
-            if field in spec and not _real(spec[field]) > 0:
-                raise ConfigError(f"campaign '{cid}': field '{field}' must be a positive number")
-        for field, least in _POSITIVE_COUNTS.get(kind, {}).items():
-            if field in spec and not _count(spec[field]) >= least:
-                raise ConfigError(
-                    f"campaign '{cid}': field '{field}' must be an integer >= {least}")
-        for pfield in ("pairs", "negative_controls"):
-            entries = spec.get(pfield, [])
-            if not isinstance(entries, list):
-                raise ConfigError(f"campaign '{cid}': field '{pfield}': expected a list of [n, k]")
-            for p in entries:
-                nk = _pair(p)
-                if nk is None:
-                    raise ConfigError(
-                        f"campaign '{cid}': field '{pfield}': expected [n, k], got {p!r}")
-                n, k = nk
-                if not (n >= 3 and 1 <= k <= n):
-                    raise ConfigError(
-                        f"campaign '{cid}': field '{pfield}': invalid (n, k) = ({n}, {k})")
+                f"expected one of {', '.join(_PARAMS)}")
+        _params(cid, spec)
     return cfg
-
-
-def _real(value):
-    """``value`` as the runners read it (``float``), or NaN if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
-
-
-def _pair(p):
-    """``p`` as the (n, k) the runners unpack, or None if it is not two integers."""
-    try:
-        n, k = p
-        return int(n), int(k)
-    except (TypeError, ValueError):
-        return None
-
-
-def _count(value):
-    """``value`` as the runners read it (``int``), or 0 if it is not a number."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return 0
 
 
 def _run_item(args):
@@ -447,7 +470,7 @@ def _run_item(args):
     rng = _rng_for(seed, cid)
     start = time.perf_counter()
     try:
-        summary, files = _RUNNERS[spec["kind"]](spec, rng)
+        summary, files = _RUNNERS[spec["kind"]](_params(cid, spec), rng)
     except Exception as exc:  # noqa: BLE001 - campaign isolation
         summary, files = {"passed": False, "error": f"{type(exc).__name__}: {exc}"}, []
     summary["id"] = cid
@@ -531,8 +554,8 @@ def main(argv=None):
         for cid, spec in cfg["campaigns"].items():
             print(f"{cid}\t{spec['kind']}")
         return 0
-    if args.jobs < 1:
-        print("usage error: --jobs must be >= 1", file=sys.stderr)
+    if args.jobs < 1 or (args.seed or 0) < 0:
+        print("usage error: --jobs must be >= 1 and --seed >= 0", file=sys.stderr)
         return 2
     summary = run_campaigns(cfg, args.out, jobs=args.jobs, seed=args.seed)
     for result in summary["results"]:

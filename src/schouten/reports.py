@@ -72,11 +72,14 @@ def merge_reports(paths):
     }
     for p in paths:
         summary = load_summary(p)
-        version = summary.get("schema_version")
+        version = summary.get("schema_version") if isinstance(summary, dict) else None
         if version != SCHEMA_VERSION:
             raise ValueError(
                 f"schema mismatch in {p}: {version} != {SCHEMA_VERSION}")
-        items = summary.get("results", [summary])
+        items = summary.get("results")
+        if not isinstance(items, list):
+            # a roll-up written by merge counts campaigns, it does not list them
+            raise ValueError(f"no 'results' list in {p}: not a 'schouten run' summary")
         for item in items:
             merged["campaigns"] += 1
             if item.get("passed"):

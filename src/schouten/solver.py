@@ -194,11 +194,16 @@ class RadialProfile:
         return self.integrate(np.ones(self.num_nodes))
 
     def laplacian(self, values=None):
-        """Laplace-Beltrami of the radial function: u'' + (n-1) cot(theta) u'."""
+        """Laplace-Beltrami of the radial function: u'' + (n-1) cot(theta) u'.
+
+        ``values`` may be an (m,) profile or an (m, m) stack of columns, so
+        ``laplacian(np.eye(m))`` is the operator's matrix.
+        """
         v = self.values if values is None else values
         up = self.d1(v)
         upp = self.d2(v)
-        out = upp + (self.n - 1.0) * self.cot_theta() * up
+        cot = self.cot_theta().reshape((-1,) + (1,) * (np.ndim(v) - 1))
+        out = upp + (self.n - 1.0) * cot * up
         out[0] = self.n * upp[0]
         out[-1] = self.n * upp[-1]
         return out
@@ -658,14 +663,8 @@ def linearized_H0_spectrum(profile, m, return_vectors=False):
     The unique nonpositive eigenvalue is -2 with constant eigenfunction; the
     rest of the spectrum is the radial Laplacian spectrum on mean-zero fields.
     """
-    n = profile.n
     nn = profile.num_nodes
-    d1 = profile.d1_matrix()
-    d2 = profile.d2_matrix()
-    coef = (n - 1.0) * profile.cot_theta()
-    lap = d2 + coef[:, None] * d1
-    lap[0, :] = n * d2[0, :]
-    lap[-1, :] = n * d2[-1, :]
+    lap = profile.laplacian(np.eye(nn))
     w = profile.quad_weights()
     a = -lap - (2.0 / profile.volume()) * np.tile(w, (nn, 1))
     vals, vecs = sla.eig(a)

@@ -1,9 +1,13 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 import yaml
 
 from schouten import barriers, cli, reports
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, campaigns, seed=0):
@@ -73,6 +77,32 @@ def test_malformed_config_exit_two(tmp_path, capsys):
                      "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("top, field", [
+    ({"seed": "abc"}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"sed": 4}, "sed"),
+    ({"campaigns": []}, "campaigns"),
+])
+def test_malformed_top_level_exit_two(tmp_path, capsys, top, field):
+    # a seed the generator cannot take, or a misspelt top-level field, is a
+    # config error, not a traceback or a run at the default seed
+    path = tmp_path / "cfg.yaml"
+    cfg = {"seed": 0, "campaigns": {"mu": {"kind": "cones mu-plus", "dims": [3]}}}
+    path.write_text(yaml.safe_dump(dict(cfg, **top)))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_flag_exit_two(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CAMPAIGNS)
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind, field", [
     ("verify gershgorin", "trials"),
     ("verify bubble", "samples"),
@@ -119,6 +149,30 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     ({"kind": "verify barrier-sub", "pairs": [["four", 2]]}, "pairs"),
     ({"kind": "verify barrier-sub", "pairs": 4}, "pairs"),
     ({"kind": "verify barrier-sub", "negative_controls": [[4]]}, "negative_controls"),
+    # a field the kind does not declare (a typo) is not silently ignored
+    ({"kind": "verify barrier-sub", "num_dir": 2}, "num_dir"),
+    ({"kind": "verify barrier-sub", "backgroud": "flat"}, "backgroud"),
+    ({"kind": "cones mu-plus", "trials": 10}, "trials"),
+    # a boolean is not a number
+    ({"kind": "cones mu-plus", "tolerance": True}, "tolerance"),
+    ({"kind": "verify gershgorin", "trials": True}, "trials"),
+    # a value outside the field's choices
+    ({"kind": "verify suph", "background": "flta"}, "background"),
+    ({"kind": "verify barrier-super", "background": "round"}, "background"),
+    ({"kind": "solve radial", "grid": "cheb"}, "grid"),
+    ({"kind": "verify bubble", "modes": ["fdd"]}, "modes"),
+    ({"kind": "verify bubble", "modes": []}, "modes"),
+    # dimensions below the least the kind can use
+    ({"kind": "cones mu-plus", "dims": [2]}, "dims"),
+    ({"kind": "verify bubble", "dims": [3, 2]}, "dims"),
+    ({"kind": "verify gershgorin", "dims": [0]}, "dims"),
+    ({"kind": "verify suph", "dim": 2}, "dim"),
+    ({"kind": "solve homotopy", "dim": 2}, "dim"),
+    # k outside 1..dim
+    ({"kind": "solve radial", "dim": 4, "k": 9}, "k"),
+    ({"kind": "solve radial", "k": 4}, "k"),
+    ({"kind": "solve homotopy", "dim": 3, "k": 4}, "k"),
+    ({"kind": "solve homotopy", "k": 0}, "k"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,
@@ -269,6 +323,46 @@ def test_merge_reports(tmp_path, capsys):
     assert rc == 0
     merged = json.loads(capsys.readouterr().out)
     assert merged["campaigns"] == 0 and merged["passed_all"]
+
+
+def test_merge_rejects_a_roll_up(tmp_path, capsys):
+    # a roll-up holds counts, not campaigns: merging it again must not read
+    # it as one campaign that passed
+    good = write_cfg(tmp_path, {"mu": {"kind": "cones mu-plus", "dims": [3]}})
+    cli.main(["run", "--config", good, "--out", str(tmp_path / "good")])
+    bad = write_cfg(tmp_path, {
+        "bad-sub": {"kind": "verify barrier-sub", "pairs": [[4, 1]],
+                    "deltas": [0.1], "num_r": 16, "background": "flat"}})
+    cli.main(["run", "--config", bad, "--out", str(tmp_path / "bad")])
+    rollup = tmp_path / "rollup.json"
+    assert cli.main(["merge", str(tmp_path / "good" / "summary.json"),
+                     str(tmp_path / "bad" / "summary.json"),
+                     "--out", str(rollup)]) == 1
+    capsys.readouterr()
+    assert cli.main(["merge", str(rollup)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(rollup) in captured.err
+    assert "results" in captured.err
+    # JSON that is not a mapping is the same error, not a traceback
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert cli.main(["merge", str(listed)]) == 2
+    assert str(listed) in capsys.readouterr().err
+
+
+def test_demo_config_loads_and_scaled_fields_are_declared():
+    cfg = cli.load_config(ROOT / "configs" / "demo.yaml")
+    # the benchmark runs the demo campaigns with some fields replaced
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    scale = workloads.DemoCampaign.SCALE
+    assert set(scale) <= set(cfg["campaigns"])
+    for cid, fields in scale.items():
+        campaign = cfg["campaigns"][cid]
+        assert set(fields) <= set(cli._PARAMS[campaign["kind"]])
+        cli._params(cid, dict(campaign, **fields))
 
 
 def test_merge_schema_mismatch(tmp_path, capsys):

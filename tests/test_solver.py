@@ -227,6 +227,22 @@ def test_linearized_spectrum_facts():
         assert np.sum(np.asarray(vals) <= 1e-8) == 1
 
 
+@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_laplacian_matrix_matches_hand_built_stencil(n, grid):
+    # oracle: D2 + (n-1) cot(theta) D1 from the derivative matrices, with the
+    # pole rows n D2 (the limit of cot(theta) u' at a pole is u'')
+    prof = sv.RadialProfile.make(n, 24, grid=grid)
+    d1, d2 = prof.d1_matrix(), prof.d2_matrix()
+    lap = d2 + ((n - 1.0) * prof.cot_theta())[:, None] * d1
+    lap[0, :] = n * d2[0, :]
+    lap[-1, :] = n * d2[-1, :]
+    assert np.array_equal(prof.laplacian(np.eye(prof.num_nodes)), lap)
+    # a single profile still maps to one column of the matrix
+    u = 1.0 + 0.1 * np.cos(prof.theta)
+    assert np.allclose(prof.laplacian(u), lap @ u, rtol=0, atol=1e-9)
+
+
 def test_mean_zero_modes_have_laplacian_spectrum():
     n = 4
     prof = sv.RadialProfile.make(n, 128)
