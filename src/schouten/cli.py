@@ -367,6 +367,10 @@ def _one_of(*options):
 
 _NUMBER = "a number", _number
 _POSITIVE = "a positive number", _checked(_number, lambda x: x > 0)
+# the barrier parameter ranges (the sweeps check them again as a library guard)
+_SUB_DELTA = "a number in (0, 1/4)", _checked(_number, lambda x: 0 < x < 0.25)
+_SUPER_DELTA = "a number in (0, 1)", _checked(_number, lambda x: 0 < x < 1)
+_EPSILON = "a number in [0, 1)", _checked(_number, lambda x: 0 <= x < 1)
 _NK = "[n, k] with n >= 3 and 1 <= k <= n", _nk
 _SWEEP = {"r_min": (_POSITIVE, 1e-4), "num_r": (_ints(1), 64), "num_dirs": (_ints(1), 8),
           "background": (_one_of("sphere", "flat"), "sphere")}
@@ -388,11 +392,11 @@ _PARAMS = {
     "verify barrier-sub": {"pairs": (_list_of(_NK), None),
                            "dims": (_list_of(_ints(3)), (3, 4, 5, 6)),
                            "negative_controls": (_list_of(_NK, nonempty=False), ()),
-                           "deltas": (_list_of(_NUMBER), (0.01, 0.05, 0.1, 0.2)),
+                           "deltas": (_list_of(_SUB_DELTA), (0.01, 0.05, 0.1, 0.2)),
                            "min_r1": (_POSITIVE, 1e-2), **_SWEEP},
     "verify barrier-super": {"pairs": (_list_of(_NK), ((4, 1), (5, 1), (5, 2), (6, 2))),
-                             "deltas": (_list_of(_NUMBER), (0.25, 0.5)),
-                             "epsilons": (_list_of(_NUMBER), (1e-3, 0.1, 0.9)),
+                             "deltas": (_list_of(_SUPER_DELTA), (0.25, 0.5)),
+                             "epsilons": (_list_of(_EPSILON), (1e-3, 0.1, 0.9)),
                              "mus": (_list_of(_NUMBER), None), "mu_count": (_ints(1), 3),
                              **_SWEEP},
     "verify gershgorin": {"dims": (_list_of(_ints(1)), (2, 3, 4, 5, 6, 7, 8)),

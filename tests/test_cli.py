@@ -173,6 +173,12 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     ({"kind": "solve radial", "k": 4}, "k"),
     ({"kind": "solve homotopy", "dim": 3, "k": 4}, "k"),
     ({"kind": "solve homotopy", "k": 0}, "k"),
+    # barrier parameters outside the ranges the sweeps accept
+    ({"kind": "verify barrier-sub", "deltas": [0.3]}, "deltas"),
+    ({"kind": "verify barrier-sub", "deltas": [0.1, 0.0]}, "deltas"),
+    ({"kind": "verify barrier-super", "deltas": [1.0]}, "deltas"),
+    ({"kind": "verify barrier-super", "epsilons": [1.5]}, "epsilons"),
+    ({"kind": "verify barrier-super", "epsilons": [-0.1]}, "epsilons"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,
@@ -182,6 +188,15 @@ def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     msg = capsys.readouterr().err
     assert "campaign 'x'" in msg and f"field '{field}'" in msg
     assert not (tmp_path / "o").exists()
+
+
+def test_barrier_range_end_points():
+    # the closed end of each range reads; the open ends are rejected above
+    sub = cli._params("x", {"kind": "verify barrier-sub", "deltas": [1e-9, 0.2499]})
+    sup = cli._params("x", {"kind": "verify barrier-super", "deltas": [1e-9, 0.999],
+                            "epsilons": [0, 0.999]})
+    assert sub["deltas"] == [1e-9, 0.2499]
+    assert sup["deltas"] == [1e-9, 0.999] and sup["epsilons"] == [0.0, 0.999]
 
 
 def test_jobs_validation(tmp_path, capsys):

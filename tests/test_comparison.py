@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from schouten import comparison as cp
 from schouten.errors import DomainError
@@ -84,6 +89,45 @@ def test_sphere_ball_volume_total():
         assert total == pytest.approx(expect, rel=1e-10)
 
 
+def _quad(f, r):
+    return quad(f, 0.0, r, epsabs=1e-13, epsrel=1e-12)[0]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ball_volumes_match_quad_oracle(n):
+    # the panelled Gauss-Legendre rule against adaptive quadrature
+    for r in np.linspace(0.0, math.pi, 41)[1:]:
+        expect = cp.unit_sphere_area(n) * _quad(lambda t: math.sin(t) ** (n - 1), r)
+        assert cp.sphere_ball_volume(n, r) == pytest.approx(expect, rel=1e-12, abs=0)
+    for alpha in (0.1, 1.0, 5.0):
+        for r in np.linspace(0.0, 60.0, 41)[1:] / alpha:
+            expect = n * cp.unit_ball_volume(n) * _quad(
+                lambda t: (math.sinh(alpha * t) / alpha) ** (n - 1), r)
+            got = cp.model_ball_volume(cp.ModelSpace(n=n, alpha=alpha), r)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n, alpha, r", [(3, 1.0, 400.0), (12, 5.0, 20.0),
+                                         (3, 1.0, 1e12), (4, 1e-3, 1e6)])
+def test_model_volume_overflow_is_domain_error(n, alpha, r):
+    with pytest.raises(DomainError, match=f"n={n}, alpha={alpha}, r={r}"):
+        cp.model_ball_volume(cp.ModelSpace(n=n, alpha=alpha), r)
+
+
+def test_cli_import_loads_only_scipy_linalg():
+    # scipy.integrate (and with it special, optimize, sparse, ...) stays off
+    # the import path; run in a fresh interpreter, since this one has quad
+    code = ("import pkgutil, sys, scipy, schouten.cli\n"
+            "subs = {m.name for m in pkgutil.iter_modules(scipy.__path__) if m.ispkg\n"
+            "        and not m.name.startswith('_')}\n"
+            "print(' '.join(sorted(subs & {m.split('.')[1] for m in sys.modules\n"
+            "                               if m.startswith('scipy.')})))")
+    src = str(Path(cp.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.stdout.split() == ["linalg"]
+
+
 def test_bg_ratio_flat_is_one():
     n = 4
     model = cp.ModelSpace(n=n, alpha=0.0)
@@ -154,5 +198,7 @@ def test_thin_annulus_ratio_degenerates():
 def test_model_space_validation():
     with pytest.raises(ValueError):
         cp.ModelSpace(n=3, alpha=-1.0)
-    with pytest.raises(DomainError):
-        cp.model_ball_volume(cp.ModelSpace(n=3, alpha=0.0), -1.0)
+    for r in (-1.0, math.nan, math.inf):
+        for alpha in (0.0, 1.0):
+            with pytest.raises(DomainError, match="radius"):
+                cp.model_ball_volume(cp.ModelSpace(n=3, alpha=alpha), r)
