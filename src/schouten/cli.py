@@ -440,6 +440,13 @@ def _params(cid, spec):
     out = _read(where, {n: v for n, v in spec.items() if n != "kind"}, _PARAMS[spec["kind"]])
     if out.get("k") is not None and out["k"] > out["dim"]:
         raise ConfigError(f"{where}field 'k' must be an integer in 1..dim = {out['dim']}")
+    if out.get("mus"):
+        # the range the super-solution sweep checks, with its mu_plus
+        for n, k in out["pairs"]:
+            top = min(ConeSpec.gamma(n, k).mu_plus(), 2.0)
+            if not all(1.0 < mu < top for mu in out["mus"]):
+                raise ConfigError(f"{where}field 'mus' must be numbers in (1, min(mu_plus, 2))"
+                                  f" = (1, {top:.6g}) for the pair [{n}, {k}]")
     return out
 
 

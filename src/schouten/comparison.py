@@ -94,16 +94,21 @@ def model_ball_volume(model, r):
         raise DomainError("radius must be positive and finite")
     n, alpha = model.n, model.alpha
     cn = unit_ball_volume(n)
+    vol = math.inf
     if alpha == 0.0:
-        return cn * r ** n
+        # a float power that overflows raises rather than returning inf
+        try:
+            vol = cn * r ** n
+        except OverflowError:
+            pass
     # beyond _SINH_ARG_MAX the integrand at r is inf; checking first also bounds the
     # panel count
-    if alpha * r <= _SINH_ARG_MAX:
+    elif alpha * r <= _SINH_ARG_MAX:
         with np.errstate(over="ignore"):
             vol = n * cn * _panel_quadrature(
                 lambda t: (np.sinh(alpha * t) / alpha) ** (n - 1), r, alpha * (n - 1))
-        if math.isfinite(vol):
-            return vol
+    if math.isfinite(vol):
+        return vol
     raise DomainError(f"model ball volume overflows a double at n={n}, alpha={alpha}, r={r}")
 
 

@@ -23,10 +23,17 @@ semilinear family H_t used by the degree checkpoints.
 On the uniform grid the residual at node i reads only u[i-1..i+1], so its
 Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
 the columns j = c mod 3 are perturbed together and one central pair of
-residual calls fills a whole colour, six calls per Jacobian instead of 2m.
-Every entry equals the one-column-at-a-time difference bit for bit.  The
-spectral Lobatto grid and the H_t family (whose mean(u^2) term couples all
-nodes) keep the dense one-column-per-colour Jacobian.
+probes fills a whole colour.  The residual takes a (B, m) stack of profiles
+(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows), so all six
+probes go through one residual call per Jacobian instead of 2m: one
+eigenvalue pass and one value pass over 6m rows, and one m-row cone
+membership pass per probe.
+A colour with a probe outside the cone, or a stack with a probe outside the
+positive set, falls back to one central pair per colour and, at the cone
+boundary, to single columns.  Every entry equals the one-column-at-a-time
+difference bit for bit.  The spectral Lobatto grid and the H_t family (whose
+mean(u^2) term couples all nodes) keep the dense one-column-per-colour
+Jacobian; there D @ V is not D @ v bit for bit.
 """
 
 from __future__ import annotations
@@ -217,18 +224,23 @@ def _eig_pair(profile, values=None):
     v = profile.values if values is None else values
     if np.any(v <= 0):
         raise DomainError("conformal factor must stay positive")
-    up = profile.d1(v)
-    upp = profile.d2(v)
+    # the derivative operators act on columns; a (B, m) stack is m x B columns
+    up = profile.d1(v.T).T
+    upp = profile.d2(v.T).T
     return _kernels.radial_sphere_eigs(v, up, upp, profile.cot_theta(),
                                        profile.pole_mask(), profile.n)
 
 
 def schouten_eig_matrix(profile, values=None):
-    """(num_nodes, n) eigenvalue rows [radial, tangential x (n-1)], unsorted."""
+    """Eigenvalue rows [radial, tangential x (n-1)], unsorted.
+
+    (num_nodes, n) for one profile; ``values`` may also be a (B, num_nodes)
+    stack of profiles, giving (B, num_nodes, n).
+    """
     rad, tan = _eig_pair(profile, values)
-    out = np.empty((profile.num_nodes, profile.n))
-    out[:, 0] = rad
-    out[:, 1:] = tan[:, None]
+    out = np.empty(rad.shape + (profile.n,))
+    out[..., 0] = rad
+    out[..., 1:] = tan[..., None]
     return out
 
 
@@ -248,9 +260,20 @@ def _psi_values(psi, profile):
 def _cone_residual(f, lam, rhs):
     """f(lam) - rhs row by row, with a single cone-membership pass.
 
-    Raises ``ConeExitError`` naming the first node outside the cone; the
-    coloured Jacobian uses that node to find the column that caused the exit.
+    For one profile (``lam`` (m, n)) raises ``ConeExitError`` naming the
+    first node outside the cone; the coloured Jacobian uses that node to find
+    the column that caused the exit.  A stack of B profiles (``lam``
+    (B, m, n), ``rhs`` (B, m)) raises nothing and returns ``(res, inside)``:
+    inside[b] says whether profile b lies in the cone at every node.  Each
+    profile has its own m-row membership pass, as one profile does; the
+    profiles inside share one value pass, and the rows of the others are NaN.
     """
+    if lam.ndim == 3:
+        inside = np.array([f.cone.contains_batch(rows).all() for rows in lam])
+        res = np.full(rhs.shape, np.nan)
+        vals = f._value_rows(lam[inside].reshape(-1, lam.shape[-1]))
+        res[inside] = vals.reshape(-1, rhs.shape[1]) - rhs[inside]
+        return res, inside
     inside = f.cone.contains_batch(lam)
     if not inside.all():
         node = int(np.argmin(inside))
@@ -259,7 +282,12 @@ def _cone_residual(f, lam, rhs):
 
 
 def residual_Fs(profile, f, s, psi=1.0, values=None):
-    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
+    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit.
+
+    ``values`` may be a (B, m) stack of profiles: then the result is the
+    ``(res, inside)`` pair of ``_cone_residual`` and only a nonpositive value
+    raises.
+    """
     v = profile.values if values is None else values
     lam = schouten_eig_matrix(profile, v)
     return _cone_residual(f, lam, _psi_values(psi, profile) * v ** (-s))
@@ -351,7 +379,36 @@ def _fd_column(res_fn, u, r0, j, jac):
         f"cannot difference the residual at node {j}: cone boundary")
 
 
-def _fd_jacobian(res_fn, u, r0, bandwidth=None):
+def _stacked_colours(res_fn, u, colours, bandwidth, jac):
+    """Fill the colours of ``jac`` that one stacked residual call resolves.
+
+    Row c of the (2W, m) probe stack raises the columns of colour c by their
+    steps and row W + c lowers them, exactly as the colour's own central pair
+    would.  A colour whose two probes both stay inside the cone fills its
+    band, one vectorised scatter per diagonal offset; the colours with a probe
+    outside are returned for the peel/per-column loop, all of them when a
+    probe leaves the positive set.
+    """
+    m, width = len(u), len(colours)
+    steps = 1e-8 * (1.0 + np.abs(u))
+    colour = np.arange(m) % width
+    shift = np.where(colour == np.arange(width)[:, None], steps, 0.0)
+    try:
+        res, inside = res_fn(np.concatenate([u + shift, u - shift]))
+    except DomainError:
+        return colours
+    ok = inside[:width] & inside[width:]
+    diff = res[:width] - res[width:]
+    filled = np.flatnonzero(ok[colour])
+    for d in range(-bandwidth, bandwidth + 1):
+        rows = filled + d
+        keep = (rows >= 0) & (rows < m)
+        r, c = rows[keep], filled[keep]
+        jac[r, c] = diff[colour[c], r] / (2.0 * steps[c])
+    return [cols for cols, good in zip(colours, ok) if not good]
+
+
+def _fd_jacobian(res_fn, u, r0, bandwidth=None, stacked=False):
     """Central-difference Jacobian with step 1e-8 (1 + |u_j|).
 
     The residual depends on u through 1/h^2-scale stencils, so its second
@@ -365,11 +422,15 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     form colour c: no row reads two of them, so one central pair with each
     column at its own step fills the band rows j-b..j+b of all of them, and
     every other entry is exactly zero, as the one-column difference is.
-    When a colour probe leaves the cone at node i, the one column whose band
-    holds i is peeled off and the rest is probed again; a failure without a
-    node sends the whole colour to the per-column routine, which falls back
-    to shrinking steps and one-sided probes when a side leaves the
-    admissible set.
+    ``stacked=True`` says that ``res_fn`` also maps a (B, m) stack of
+    profiles to ``(res, inside)`` (see ``_cone_residual``); then all 2(2b+1)
+    colour probes go through one stacked call, and only the colours it
+    leaves open take the loop below.  In the loop, when a colour probe
+    leaves the cone at node i, the one column whose band holds i is peeled
+    off and the rest is probed again; a failure without a node sends the
+    whole colour to the per-column routine, which falls back to shrinking
+    steps and one-sided probes when a side leaves the admissible set.
+    Both paths give the same Jacobian bit for bit.
     """
     m = len(u)
     if bandwidth is None:
@@ -379,6 +440,8 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
         jac = np.zeros((m, m))
         width = 2 * bandwidth + 1
         colours = [list(range(c, m, width)) for c in range(width)]
+        if stacked:
+            colours = _stacked_colours(res_fn, u, colours, bandwidth, jac)
     for cols in colours:
         while len(cols) > 1:
             idx = np.array(cols)
@@ -418,8 +481,10 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     invariant under the ill-conditioning of the stencil operator; trial
     points violating positivity or the cone are skipped by halving a.
     Convergence is declared in the discrete max norm.
-    ``bandwidth`` is passed to the Jacobian; ``r0``, when given, is the
-    residual already evaluated at u0.  Returns (u, iterations, residual_norm).
+    ``bandwidth`` is passed to the Jacobian, whose colour probes then go
+    through one stacked call, so a banded ``res_fn`` must also take a (B, m)
+    stack (see ``_fd_jacobian``); ``r0``, when given, is the residual already
+    evaluated at u0.  Returns (u, iterations, residual_norm).
     """
     u = np.asarray(u0, dtype=np.float64).copy()
     r = res_fn(u) if r0 is None else r0
@@ -427,7 +492,7 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     for it in range(max_iter):
         if rn <= tol:
             return u, it, rn
-        jac = _fd_jacobian(res_fn, u, r, bandwidth)
+        jac = _fd_jacobian(res_fn, u, r, bandwidth, stacked=bandwidth is not None)
         try:
             lu = sla.lu_factor(jac)
         except ValueError as exc:

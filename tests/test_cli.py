@@ -179,6 +179,10 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     ({"kind": "verify barrier-super", "deltas": [1.0]}, "deltas"),
     ({"kind": "verify barrier-super", "epsilons": [1.5]}, "epsilons"),
     ({"kind": "verify barrier-super", "epsilons": [-0.1]}, "epsilons"),
+    # mu must lie in (1, min(mu_plus(n, k), 2)) for every pair; mu_plus(5, 2) = 1.5
+    ({"kind": "verify barrier-super", "pairs": [[5, 2]], "mus": [1.9]}, "mus"),
+    ({"kind": "verify barrier-super", "pairs": [[4, 1]], "mus": [1.5, 1.0]}, "mus"),
+    ({"kind": "verify barrier-super", "mus": [1.9]}, "mus"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,
@@ -197,6 +201,9 @@ def test_barrier_range_end_points():
                             "epsilons": [0, 0.999]})
     assert sub["deltas"] == [1e-9, 0.2499]
     assert sup["deltas"] == [1e-9, 0.999] and sup["epsilons"] == [0.0, 0.999]
+    mus = cli._params("x", {"kind": "verify barrier-super", "pairs": [[5, 2], [4, 1]],
+                            "mus": [1.0001, 1.4999]})
+    assert mus["mus"] == [1.0001, 1.4999]
 
 
 def test_jobs_validation(tmp_path, capsys):

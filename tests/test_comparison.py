@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,10 +109,20 @@ def test_ball_volumes_match_quad_oracle(n):
 
 
 @pytest.mark.parametrize("n, alpha, r", [(3, 1.0, 400.0), (12, 5.0, 20.0),
-                                         (3, 1.0, 1e12), (4, 1e-3, 1e6)])
+                                         (3, 1.0, 1e12), (4, 1e-3, 1e6),
+                                         # flat: r ** n overflows, or c_n r ** n does
+                                         (4, 0.0, 1e100), (2, 0.0, 1e154)])
 def test_model_volume_overflow_is_domain_error(n, alpha, r):
-    with pytest.raises(DomainError, match=f"n={n}, alpha={alpha}, r={r}"):
+    with pytest.raises(DomainError, match=re.escape(f"n={n}, alpha={alpha}, r={r}")):
         cp.model_ball_volume(cp.ModelSpace(n=n, alpha=alpha), r)
+
+
+def test_flat_model_volume_is_the_closed_form():
+    # finite flat volumes are c_n r^n, computed as before, bit for bit
+    for n in (2, 3, 4, 12):
+        for r in (1e-3, 0.7, 1.0, 3.5, 1e20, 1e300 ** (1.0 / n)):
+            want = cp.unit_ball_volume(n) * r ** n
+            assert cp.model_ball_volume(cp.ModelSpace(n=n), r) == want
 
 
 def test_cli_import_loads_only_scipy_linalg():

@@ -628,9 +628,9 @@ def test_only_uniform_newton_uses_the_coloured_jacobian(monkeypatch):
     seen = []
     real = sv._fd_jacobian
 
-    def spy(res_fn, u, r0, bandwidth=None):
+    def spy(res_fn, u, r0, bandwidth=None, stacked=False):
         seen.append(bandwidth)
-        return real(res_fn, u, r0, bandwidth)
+        return real(res_fn, u, r0, bandwidth, stacked)
 
     monkeypatch.setattr(sv, "_fd_jacobian", spy)
     for grid, expect in (("uniform", 1), ("lobatto", None)):
@@ -681,3 +681,184 @@ def test_residual_checks_cone_membership_once(monkeypatch):
     calls.clear()
     sv.make_state(prof, f, 0.5, 1.0)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# stacked colour probes against the sequential coloured Jacobian
+# ---------------------------------------------------------------------------
+
+def test_stacked_eigs_and_residual_match_each_profile():
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    f = CurvatureFunction.sigma_root(4, 2)
+    for grid in ("uniform", "lobatto"):
+        prof = sv.RadialProfile.make(4, 24, grid=grid)
+        stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.0, 0.1, 0.2, 0.9)])
+        lam = sv.schouten_eig_matrix(prof, stack)
+        res, inside = sv.residual_Fs(prof, f, 0.5, psi, values=stack)
+        assert lam.shape == (4, 24, 4) and res.shape == (4, 24)
+        assert inside.tolist() == [True, True, True, False]
+        # on the Lobatto grid D @ V is not D @ v bit for bit
+        tol = 0.0 if grid == "uniform" else 1e-9
+        for b, v in enumerate(stack):
+            assert np.allclose(lam[b], sv.schouten_eig_matrix(prof, v), rtol=0.0, atol=tol)
+            if inside[b]:
+                want = sv.residual_Fs(prof, f, 0.5, psi, values=v)
+                assert np.allclose(res[b], want, rtol=0.0, atol=tol)
+            else:
+                with pytest.raises(ConeExitError):
+                    sv.residual_Fs(prof, f, 0.5, psi, values=v)
+    with pytest.raises(DomainError):
+        sv.schouten_eig_matrix(prof, np.stack([prof.values, -prof.values]))
+
+
+def test_stacked_residual_checks_each_profile_once(monkeypatch):
+    # one m-row membership call per profile, as for a single profile, and the
+    # rows of a profile outside the cone are NaN rather than values
+    prof = sv.RadialProfile.make(4, 32)
+    f = CurvatureFunction.sigma_root(4, 2)
+    stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.1, 0.9, 0.2)])
+    rows = []
+    real = ConeSpec.contains_batch
+
+    def counted(self, lams):
+        rows.append(len(lams))
+        return real(self, lams)
+
+    monkeypatch.setattr(ConeSpec, "contains_batch", counted)
+    res, inside = sv.residual_Fs(prof, f, 0.5, values=stack)
+    assert rows == [32, 32, 32]
+    assert inside.tolist() == [True, False, True]
+    assert np.isnan(res[1]).all() and np.isfinite(res[[0, 2]]).all()
+
+
+def _checked_jacobians(monkeypatch):
+    # every stacked Jacobian the solver forms is compared with the
+    # sequential coloured one at the same point; returns the sizes seen
+    real = sv._fd_jacobian
+    seen = []
+
+    def check(res_fn, u, r0, bandwidth=None, stacked=False):
+        jac = real(res_fn, u, r0, bandwidth, stacked)
+        if stacked:
+            assert np.array_equal(jac, real(res_fn, u, r0, bandwidth))
+            seen.append(len(u))
+        return jac
+
+    monkeypatch.setattr(sv, "_fd_jacobian", check)
+    return seen
+
+
+def test_stacked_jacobian_bitwise_along_the_psi_branch(monkeypatch):
+    # the psi-branch benchmark workload: s = 1 ... 0.035 on 64 nodes
+    seen = _checked_jacobians(monkeypatch)
+    prof = sv.RadialProfile.make(4, 64)
+    f = CurvatureFunction.sigma_root(4, 2)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    cur = sv.newton_solve(prof, f, 1.0, psi=psi)
+    for s in (0.5, 0.25, 0.12):
+        cur = sv.newton_solve(cur.profile, f, s, psi=psi)
+    schedule = [(s, 1.0) for s in np.linspace(0.12, 0.0, 25)[1:]]
+    with pytest.raises(ContinuationError) as err:
+        sv.newton_continuation(cur, schedule, f, psi=psi, max_steps=17)
+    assert err.value.last_state.s == pytest.approx(0.035)
+    assert len(seen) == 89  # every Jacobian of the branch
+
+
+@pytest.mark.parametrize("m, t", [(64, 0.4), (96, 1.0), (96, 0.4), (128, 1.0)])
+def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
+    prof = sv.RadialProfile.make(4, m)
+    ft = CurvatureFunction.sigma_root(4, 2).deform(t)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    u = 1.0 + 0.1 * np.cos(prof.theta) + 0.02 * np.cos(2.0 * prof.theta)
+    calls = []
+
+    def res_fn(v):
+        calls.append(np.ndim(v))
+        return sv.residual_Fs(prof, ft, 0.5, psi, values=v)
+
+    r0 = res_fn(u)
+    dense = sv._fd_jacobian(res_fn, u, r0)
+    coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+    calls.clear()
+    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
+    assert calls == [2]  # the interior path: one stacked residual call
+    assert np.array_equal(stacked, coloured)
+    assert np.array_equal(stacked, dense)
+
+
+def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
+    seen = _checked_jacobians(monkeypatch)
+    f = CurvatureFunction.sigma_root(4, 2)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    state = sv.newton_solve(sv.RadialProfile.make(4, 64), f, 1.0, psi=psi)
+    u, iters = sv._rhs_homotopy_solve(state.profile, f, 0.5, psi, 1e-10, 60)
+    assert len(seen) >= iters > 0  # failed legs form Jacobians too
+    assert float(np.abs(sv.residual_Fs(state.profile, f, 0.5, psi, values=u)).max()) <= 1e-10
+
+
+def test_stacked_jacobian_colour_leaving_the_cone_falls_back():
+    # u = 1 + a cos(theta) with a just inside the cone: one side of a pole
+    # probe leaves the cone, so its colour takes the peel loop
+    prof = sv.RadialProfile.make(4, 32)
+    f = CurvatureFunction.sigma_root(4, 2)
+
+    def margin(a):
+        lam = sv.schouten_eig_matrix(prof, 1.0 + a * np.cos(prof.theta))
+        return float(f.cone.margin_batch(lam).min())
+
+    lo, hi = 0.0, 0.9
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if margin(mid) > 0 else (lo, mid)
+    u = 1.0 + lo * np.cos(prof.theta)
+    calls = []
+
+    def res_fn(v):
+        calls.append(np.ndim(v))
+        return sv.residual_Fs(prof, f, 1.0, values=v)
+
+    r0 = res_fn(u)
+    dense = sv._fd_jacobian(res_fn, u, r0)
+    coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+    calls.clear()
+    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
+    assert calls[0] == 2 and len(calls) > 1 and set(calls[1:]) == {1}
+    assert np.array_equal(stacked, coloured)
+    assert np.array_equal(stacked, dense)
+
+
+def _walled_stack_residual(u, wall, exc):
+    # a tridiagonal residual that also takes a (B, m) stack; raising u[wall]
+    # leaves the admissible set: a cone exit marks that stack row outside,
+    # a domain error is raised for the whole stack as for one profile
+    calls = []
+
+    def res_fn(v):
+        calls.append(np.ndim(v))
+        blocked = v[..., wall] > u[wall]
+        if np.any(blocked) and (np.ndim(v) == 1 or not isinstance(exc, ConeExitError)):
+            raise exc
+        out = v ** 3 - 2.0 * v
+        out[..., 1:] += 0.3 * v[..., :-1] ** 2
+        out[..., :-1] += 0.5 * v[..., 1:] ** 2
+        return (out, ~blocked) if np.ndim(v) == 2 else out
+
+    return res_fn, calls
+
+
+@pytest.mark.parametrize("exc, calls_after_stack", [
+    # colour 1 alone takes the loop: one failed pair, column 7 peeled, the rest
+    (ConeExitError("left the cone at node 8", node=8), 1 + 2 + 2),
+    # a domain error leaves every colour to the loop, as without the stack
+    (DomainError("outside the domain"), 4 + 1 + 7 * 2),
+])
+def test_stacked_jacobian_fallback_matches_dense(exc, calls_after_stack):
+    u = np.linspace(0.8, 1.4, 20)
+    res_fn, calls = _walled_stack_residual(u, 7, exc)
+    r0 = res_fn(u)
+    dense = sv._fd_jacobian(res_fn, u, r0)
+    calls.clear()
+    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
+    assert calls == [2] + [1] * calls_after_stack
+    assert np.array_equal(stacked, dense)
+    _assert_tridiagonal(stacked)

@@ -1,0 +1,146 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the repository benchmark, in one command.
+
+    python3 tools/bench_pairs.py --label NAME [--parent REV] [--change REV]
+        [--claim WORKLOAD:METRIC]
+
+Both sides are fresh copies made the same way: ``git archive`` of a
+revision, extracted into a temporary directory.  Without ``--change`` the
+change side is the index (``git write-tree``), so stage the change first;
+the report then records that tree's hash, which ``git archive`` accepts.
+``perfbench/run.py`` runs as a black box in each copy, for every workload of
+``BENCHMARK.json``: pair i uses seed SEED + i, and the side that runs first
+alternates from pair to pair, so a drift of the host hits both sides alike.
+The end-to-end metrics of the last JSON line of every run are summarised per
+workload: median and quartiles (linear interpolation, inclusive) for each
+side, the pairs the change wins, the median gap (positive when the change
+is better) and the parent's interquartile range.  Everything goes to
+``BENCH_<label>.json`` at the repository root.
+"""
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS, SECONDS, SEED = 10, 30.0, 11
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def checkout(rev, into):
+    """Committed files of ``rev`` extracted into the directory ``into``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def run_once(tree, workload, seed):
+    """One ``perfbench/run.py`` run in ``tree``; its final JSON object."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(SECONDS)],
+                          cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
+                         f"{proc.stderr}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 5), "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def summarise(runs, metrics):
+    """Per-metric comparison of the paired parent and change runs of one workload."""
+    pairs = sorted({r["pair"] for r in runs})
+    side = {(r["label"], r["pair"]): r for r in runs}
+    out = {"pairs": len(pairs), "all_correct": all(r["correct"] for r in runs)}
+    for name, better in metrics.items():
+        sign = 1.0 if better == "lower" else -1.0
+        parent = [side["parent", p]["metrics"][name] for p in pairs]
+        change = [side["change", p]["metrics"][name] for p in pairs]
+        wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+        p, c = spread(parent), spread(change)
+        out[name] = {"parent": p, "change": c, "change_wins": f"{wins}/{len(pairs)}",
+                     "median_gap": round(sign * (p["median"] - c["median"]), 5),
+                     "parent_iqr": round(p["q3"] - p["q1"], 5)}
+    return out
+
+
+def environment():
+    import numpy
+    import scipy
+    import yaml
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "pyyaml": yaml.__version__,
+            "nproc": os.cpu_count(), "affinity_cpus": len(os.sched_getaffinity(0)),
+            "machine": platform.machine(),
+            "threads": "OPENBLAS/OMP/MKL_NUM_THREADS=1 (set by perfbench/run.py)"}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--change", default=None, help="a revision; default the index")
+    parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    change = args.change or git("write-tree")
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": checkout(args.parent, Path(tmp) / "parent"),
+                 "change": checkout(change, Path(tmp) / "change")}
+        for workload in workloads:
+            for pair in range(PAIRS):
+                seed = SEED + pair
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for label in order:
+                    out = run_once(trees[label], workload, seed)
+                    runs.append({"label": label, "workload": workload, "pair": pair,
+                                 "seed": seed, "first": order[0],
+                                 "metrics": {k: round(v["value"], 5)
+                                             for k, v in out["metrics"].items()},
+                                 "correct": out["correct"], "failed": out["failed"]})
+                    print(f"{workload} pair {pair} {label}: {runs[-1]['metrics']}",
+                          file=sys.stderr)
+    report = {
+        "description": (
+            f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
+            f"--seed S --seconds {SECONDS:g}` (S = {SEED} + pair index; the first side "
+            f"alternates pair by pair), each side in its own `git archive` copy; medians "
+            f"and quartiles (linear interpolation, inclusive) over the pairs."),
+        "parent_revision": git("rev-parse", "--short", args.parent),
+        "change_revision": (git("rev-parse", "--short", args.change) if args.change
+                            else f"index tree {change}"),
+        "environment": environment(),
+        "claim": args.claim,
+        "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
+                    for w in workloads},
+        "runs": runs,
+    }
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(report, indent=1) + "\n")
+    print(f"wrote {path.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
