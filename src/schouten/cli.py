@@ -440,6 +440,13 @@ def _params(cid, spec):
     out = _read(where, {n: v for n, v in spec.items() if n != "kind"}, _PARAMS[spec["kind"]])
     if out.get("k") is not None and out["k"] > out["dim"]:
         raise ConfigError(f"{where}field 'k' must be an integer in 1..dim = {out['dim']}")
+    if "mus" in out:
+        # the super-solution sweep needs mu_plus(n, k) = (n - k)/k > 1
+        for n, k in out["pairs"]:
+            if n <= 2 * k:
+                raise ConfigError(f"{where}field 'pairs' must hold pairs with n > 2k, where"
+                                  f" mu_plus(n, k) = (n - k)/k > 1; the pair [{n}, {k}] has"
+                                  f" mu_plus = {(n - k) / k:.6g}")
     if out.get("mus"):
         # the range the super-solution sweep checks, with its mu_plus
         for n, k in out["pairs"]:

@@ -30,15 +30,24 @@ vectorised over the batch.
 
 Background geometry depends only on the metric and the points, not on the
 factor u.  ``chart_geometry`` evaluates it once per point batch into a
-``ChartGeometry`` value: metric, first derivatives and inverse once,
-Christoffel symbols and A_g from that one pass.  The conformal operations
-assemble from it, and ``conformal_schouten_eigs(..., geometry=...)`` lets a
-caller that owns its point grid (the barrier sweeps) build it once and reuse
-it for every factor.  There is no cache: the geometry is passed explicitly.
+``ChartGeometry`` value: metric and first derivatives once, one Cholesky
+factorisation g = L L^T giving L^-1 and g^-1 = L^-T L^-1, Christoffel
+symbols and A_g from that one pass.  The conformal operations assemble from
+it, and ``conformal_schouten_eigs(..., geometry=...)`` lets a caller that
+owns its point grid (the barrier sweeps) build it once and reuse it for
+every factor.  There is no cache: the geometry is passed explicitly.  As
+g_u = phi g with phi = u^(4/(n-2)), eigenvalues relative to g_u are
+eigvalsh(L^-1 A L^-T) / phi (Cholesky reduction of the symmetric-definite
+eigenproblem), so a factor needs no factorisation of its own.
+
+Every tensor contraction is a reshape and a stacked ``matmul`` (traces by
+``np.trace``); the per-element ``einsum`` forms are kept in the tests as the
+oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -89,35 +98,44 @@ def _unbatch(arr, single):
 # finite differences on batched callables
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _d1_offsets(n):
+    """Unit stencil of the central first difference: +e_k, -e_k for each k."""
+    eye = np.eye(n)
+    return np.stack([eye, -eye], axis=1).reshape(2 * n, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _d2_offsets(n):
+    """Unit stencil of the second difference: the centre, +-e_k for each k,
+    then e_k, e_l with signs ++, +-, -+, -- for each pair k < l."""
+    eye = np.eye(n)
+    ku, lu = np.triu_indices(n, 1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    mixed = (signs[None, :, 0, None] * eye[ku][:, None]
+             + signs[None, :, 1, None] * eye[lu][:, None])
+    return np.concatenate([np.zeros((1, n)), _d1_offsets(n), mixed.reshape(-1, n)])
+
+
 def _fd_d1(fn, x, h):
-    # fn: (B,n) -> (B, ...); returns (B, n, ...)
+    # fn: (B,n) -> (B, ...); returns (B, n, ...).  One call of fn on the 2n
+    # stencil point sets x + h e_k, x - h e_k.
     B, n = x.shape
-    shifts = np.zeros((2 * n, B, n))
-    for k in range(n):
-        shifts[2 * k] = x
-        shifts[2 * k][:, k] += h
-        shifts[2 * k + 1] = x
-        shifts[2 * k + 1][:, k] -= h
-    vals = fn(shifts.reshape(2 * n * B, n))
-    vals = vals.reshape((2 * n, B) + vals.shape[1:])
-    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2 * h) for k in range(n)], axis=1)
+    pts = x + h * _d1_offsets(n)[:, None, :]
+    vals = fn(pts.reshape(2 * n * B, n))
+    vals = vals.reshape((n, 2, B) + vals.shape[1:])
+    return np.moveaxis((vals[:, 0] - vals[:, 1]) / (2 * h), 0, 1)
 
 
 def _fd_d2(fn, x, h):
     # returns (B, n, n, ...), symmetric second derivatives.  One call of fn on
-    # the stacked 1 + 2n^2 stencil point sets: the centre, x +- h e_k, then
-    # x + (+-h e_k) + (+-h e_l) for k < l in the order ++, +-, -+, --.
+    # the stacked 1 + 2n^2 stencil point sets of ``_d2_offsets``.
     B, n = x.shape
     idx = np.arange(n)
     ku, lu = np.triu_indices(n, 1)
     diag = 1 + 2 * idx
     mixed = 1 + 2 * n + 4 * np.arange(len(ku))
-    pts = np.broadcast_to(x, (1 + 2 * n ** 2, B, n)).copy()
-    pts[diag, :, idx] += h
-    pts[diag + 1, :, idx] -= h
-    for j, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
-        pts[mixed + j, :, ku] += sk
-        pts[mixed + j, :, lu] += sl
+    pts = x + h * _d2_offsets(n)[:, None, :]
     vals = fn(pts.reshape(-1, n))
     vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
     f0 = vals[0]
@@ -259,7 +277,7 @@ class MetricField:
             # d_l d_k core_ij = 2 d_kl d_ij - d_ik d_jl - d_il d_jk
             ddcore = (2.0 * eye[:, :, None, None] * eye[None, None, :, :]
                       - eye[:, None, :, None] * eye[None, :, None, :]
-                      - np.einsum("il,kj->klij", eye, eye))
+                      - eye[:, None, None, :] * eye[None, :, :, None])
             out += q[:, None, None, None, None] * ddcore[None]
             return out
 
@@ -437,14 +455,16 @@ class ConformalFactor:
 class ChartGeometry:
     """Background geometry of one point batch, evaluated once.
 
-    ``points`` (B, n); ``gmat`` g_ij and ``ginv`` g^ij (B, n, n); ``d1``
-    d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma``
-    Gamma^m_ij (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or
-    None on a first-order pass.  Built by ``chart_geometry``.
+    ``points`` (B, n); ``gmat`` g_ij, ``linv`` the inverse L^-1 of its
+    Cholesky factor g = L L^T and ``ginv`` g^ij = L^-T L^-1 (B, n, n); ``d1``
+    d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma`` Gamma^m_ij
+    (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or None on a
+    first-order pass.  Built by ``chart_geometry``.
     """
 
     points: np.ndarray
     gmat: np.ndarray
+    linv: np.ndarray
     ginv: np.ndarray
     d1: np.ndarray
     sym: np.ndarray
@@ -454,18 +474,22 @@ class ChartGeometry:
 
 def _geometry(g, xb):
     """First-order chart geometry on the point batch ``xb``: one evaluation of
-    the metric, its first derivatives and its inverse."""
+    the metric and its first derivatives, and one Cholesky factorisation
+    g = L L^T, from which L^-1 and g^-1 = L^-T L^-1."""
     gmat = g.components(xb)
     d1 = g.d1(xb)
     try:
-        ginv = np.linalg.inv(gmat)
+        linv = np.linalg.inv(np.linalg.cholesky(gmat))
     except np.linalg.LinAlgError as exc:
-        raise DomainError("metric is singular at a queried point") from exc
+        raise DomainError("metric is singular or not positive definite at a queried point") \
+            from exc
+    ginv = np.swapaxes(linv, 1, 2) @ linv
+    B, n = xb.shape
     # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
-    # Gamma^m_ij = 1/2 g^{ml} sym_ijl
-    gamma = 0.5 * np.einsum("bml,bijl->bmij", ginv, sym)
-    return ChartGeometry(xb, gmat, ginv, d1, sym, gamma)
+    # Gamma^m_ij = 1/2 g^{ml} sym_ijl, one (n, n) @ (n, n^2) product per point
+    gamma = 0.5 * (ginv @ sym.reshape(B, n * n, n).transpose(0, 2, 1)).reshape(B, n, n, n)
+    return ChartGeometry(xb, gmat, linv, ginv, d1, sym, gamma)
 
 
 def chart_geometry(g, x):
@@ -473,13 +497,18 @@ def chart_geometry(g, x):
     pass, with A_g from ``schouten_background`` on that pass."""
     xb, _ = _batchify(x, g.n)
     geom = _geometry(g, xb)
-    return replace(geom, a_bg=schouten_background(g, xb, geometry=geom))
+    return ChartGeometry(**{**vars(geom), "a_bg": schouten_background(g, xb, geometry=geom)})
 
 
 def _checked(geometry, xb):
     if geometry.points is not xb and not np.array_equal(geometry.points, xb):
         raise ValueError("geometry was built for a different point batch")
     return geometry
+
+
+def _g_trace(ginv, a):
+    """tr_g a = g^ij a_ji at each point of the batch."""
+    return np.trace(ginv @ a, axis1=1, axis2=2)
 
 
 def christoffel(g, x):
@@ -496,22 +525,29 @@ def _ricci_batch(g, geom):
     # 1/2 g^{ml} (d_m d_k g_jl + d_j d_l g_mk - d_m d_l g_jk - d_j d_k g_ml),
     # whose first two terms are transposes of each other; their first-derivative
     # parts to 1/2 v_l sym_jkl - 1/2 d_j g^{ml} sym_mkl with v_l = d_m g^{ml}
-    # and d_a g^{-1} = -g^{-1} (d_a g) g^{-1}.
+    # and d_a g^{-1} = -g^{-1} (d_a g) g^{-1}.  Every contraction is a stacked
+    # product over reshaped views; d2 is never copied.
     ginv, gamma, sym = geom.ginv, geom.gamma, geom.sym
     B, n = ginv.shape[:2]
     d2 = g.d2(geom.points)
-    cross = np.einsum("bml,bmkjl->bjk", ginv, d2)
+    d2_sq = d2.reshape(B, n * n, n * n)
+    gvec = ginv.reshape(B, n * n, 1)
+    # cross[b, k, j] = sum_{m,l} g^{ml} d_m d_k g_jl, one (n^2, n) block per m;
+    # then g^{ml} d_m d_l g_jk and g^{ml} d_j d_k g_ml over the flat (m, l) pair
+    cross = (d2.reshape(B, n, n * n, n) @ ginv[:, :, :, None]).sum(axis=1).reshape(B, n, n)
     second = (cross + cross.transpose(0, 2, 1)
-              - np.einsum("bml,bmljk->bjk", ginv, d2)
-              - np.einsum("bml,bjkml->bjk", ginv, d2))
+              - (gvec.transpose(0, 2, 1) @ d2_sq).reshape(B, n, n)
+              - (d2_sq @ gvec).reshape(B, n, n))
     dginv = -(ginv[:, None] @ geom.d1 @ ginv[:, None])
-    v = np.einsum("bmml->bl", dginv)
+    v = np.trace(dginv, axis1=1, axis2=2)
     # sum_{m,l} d_j g^{ml} sym_mkl as one (n, n^2) @ (n^2, n) product per point
-    first = (np.einsum("bl,bjkl->bjk", v, sym)
+    first = ((sym.reshape(B, n * n, n) @ v[:, :, None]).reshape(B, n, n)
              - dginv.reshape(B, n, n * n) @ sym.transpose(0, 1, 3, 2).reshape(B, n * n, n))
-    trace_gamma = np.einsum("bmmp->bp", gamma)
-    term3 = np.einsum("bp,bpjk->bjk", trace_gamma, gamma)
-    term4 = np.einsum("bmjp,bpmk->bjk", gamma, gamma)
+    trace_gamma = np.trace(gamma, axis1=1, axis2=2)
+    term3 = (trace_gamma[:, None, :] @ gamma.reshape(B, n, n * n)).reshape(B, n, n)
+    # gt[b, j, (m, p)] = Gamma^m_jp; read as [b, (m, p), k] it is Gamma^p_mk
+    gt = gamma.transpose(0, 2, 1, 3).reshape(B, n, n * n)
+    term4 = gt @ gt.reshape(B, n * n, n)
     return 0.5 * (second + first) + term3 - term4
 
 
@@ -523,8 +559,7 @@ def ricci_background(g, x):
 def scalar_curvature(g, x):
     xb, single = _batchify(x, g.n)
     geom = _geometry(g, xb)
-    ric = _ricci_batch(g, geom)
-    return _unbatch(np.einsum("bjk,bjk->b", geom.ginv, ric), single)
+    return _unbatch(_g_trace(geom.ginv, _ricci_batch(g, geom)), single)
 
 
 def schouten_background(g, x, *, geometry=None):
@@ -540,14 +575,15 @@ def schouten_background(g, x, *, geometry=None):
     geom = _geometry(g, xb) if geometry is None else _checked(geometry, xb)
     ric = _ricci_batch(g, geom)
     n = g.n
-    scal = np.einsum("bjk,bjk->b", geom.ginv, ric)
+    scal = _g_trace(geom.ginv, ric)
     a = (ric - scal[:, None, None] * geom.gmat / (2.0 * (n - 1.0))) / (n - 2.0)
     return _unbatch(a, single)
 
 
 def _covariant_hessian(geom, du, d2u):
     """Hess_g u = d^2 u - Gamma^m d_m u from the chart derivatives of u."""
-    return d2u - np.einsum("bmij,bm->bij", geom.gamma, du)
+    B, n = du.shape
+    return d2u - (du[:, None, :] @ geom.gamma.reshape(B, n, n * n)).reshape(B, n, n)
 
 
 def covariant_hessian(g, u, x):
@@ -562,11 +598,11 @@ def laplace_beltrami(g, u, x):
     xb, single = _batchify(x, g.n)
     geom = _geometry(g, xb)
     hess = _covariant_hessian(geom, u.grad(xb), u.hess(xb))
-    return _unbatch(np.einsum("bij,bij->b", geom.ginv, hess), single)
+    return _unbatch(_g_trace(geom.ginv, hess), single)
 
 
 def _schouten_conformal_batch(geom, u):
-    """A_{g_u} and the conformal metric g_u = u^(4/(n-2)) g on the batch of
+    """A_{g_u} and the scale phi = u^(4/(n-2)) of g_u = phi g on the batch of
     ``geom``."""
     xb = geom.points
     n = xb.shape[1]
@@ -575,7 +611,7 @@ def _schouten_conformal_batch(geom, u):
         raise DomainError("conformal factor is nonpositive at a queried point")
     du = u.grad(xb)
     hess = _covariant_hessian(geom, du, u.hess(xb))
-    grad_sq = np.einsum("bij,bi,bj->b", geom.ginv, du, du)
+    grad_sq = (du[:, None, :] @ geom.ginv @ du[:, :, None])[:, 0, 0]
     c1 = 2.0 / (n - 2.0)
     c2 = 2.0 * n / (n - 2.0) ** 2
     c3 = 2.0 / (n - 2.0) ** 2
@@ -583,8 +619,7 @@ def _schouten_conformal_batch(geom, u):
            + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
            - c3 * grad_sq[:, None, None] * geom.gmat / uval[:, None, None] ** 2
            + geom.a_bg)
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * geom.gmat
-    return a_u, gu
+    return a_u, uval ** (4.0 / (n - 2.0))
 
 
 def schouten_conformal(g, u, x):
@@ -683,6 +718,14 @@ def eigen_rel(a, gmat):
     return np.linalg.eigvalsh(reduced)
 
 
+def _eigs_rel_scaled(geom, a, phi):
+    """Eigenvalues of the forms ``a`` relative to phi g on the batch of
+    ``geom``, ascending: eigvalsh(L^-1 a L^-T) / phi with the geometry's factor
+    g = L L^T, since phi g = (sqrt(phi) L) (sqrt(phi) L)^T."""
+    linv = geom.linv
+    return np.linalg.eigvalsh(linv @ a @ np.swapaxes(linv, 1, 2)) / phi[:, None]
+
+
 def conformal_schouten_eigs(g, u, x, *, geometry=None):
     """lambda(A_{g_u}) relative to g_u, ascending.
 
@@ -691,15 +734,18 @@ def conformal_schouten_eigs(g, u, x, *, geometry=None):
     """
     xb, single = _batchify(x, g.n)
     geom = chart_geometry(g, xb) if geometry is None else _checked(geometry, xb)
-    a_u, gu = _schouten_conformal_batch(geom, u)
-    return _unbatch(eigen_rel(a_u, gu), single)
+    a_u, phi = _schouten_conformal_batch(geom, u)
+    return _unbatch(_eigs_rel_scaled(geom, a_u, phi), single)
 
 
 def _ricci_conformal_batch(geom, u):
-    """Ric_{g_u} = (n-2) A + tr_{g_u}(A) g_u, and g_u, on the batch of ``geom``."""
-    a_u, gu = _schouten_conformal_batch(geom, u)
-    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
-    return (geom.points.shape[1] - 2.0) * a_u + tr[:, None, None] * gu, gu
+    """Ric_{g_u} = (n-2) A + tr_{g_u}(A) g_u, and phi, on the batch of ``geom``.
+
+    With g_u = phi g, tr_{g_u}(A) = tr_g(A) / phi."""
+    a_u, phi = _schouten_conformal_batch(geom, u)
+    tr = _g_trace(geom.ginv, a_u) / phi
+    gu = phi[:, None, None] * geom.gmat
+    return (geom.points.shape[1] - 2.0) * a_u + tr[:, None, None] * gu, phi
 
 
 def ricci_conformal(g, u, x):
@@ -713,7 +759,8 @@ def ricci_lower_margin(g, u, alpha, points):
     """min over points of the smallest eigenvalue of Ric_{g_u} + (n-1) alpha^2 g_u
     relative to g_u; nonnegative return certifies the Ricci lower bound there."""
     xb, _ = _batchify(points, g.n)
-    ric, gu = _ricci_conformal_batch(chart_geometry(g, xb), u)
-    shifted = ric + (g.n - 1.0) * alpha ** 2 * gu
-    eigs = eigen_rel(shifted, gu)
+    geom = chart_geometry(g, xb)
+    ric, phi = _ricci_conformal_batch(geom, u)
+    shifted = ric + (g.n - 1.0) * alpha ** 2 * (phi[:, None, None] * geom.gmat)
+    eigs = _eigs_rel_scaled(geom, shifted, phi)
     return float(eigs[:, 0].min())

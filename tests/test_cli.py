@@ -183,6 +183,10 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     ({"kind": "verify barrier-super", "pairs": [[5, 2]], "mus": [1.9]}, "mus"),
     ({"kind": "verify barrier-super", "pairs": [[4, 1]], "mus": [1.5, 1.0]}, "mus"),
     ({"kind": "verify barrier-super", "mus": [1.9]}, "mus"),
+    # the super-solution sweep needs mu_plus(n, k) = (n - k)/k > 1, i.e. n > 2k
+    ({"kind": "verify barrier-super", "pairs": [[5, 3]]}, "pairs"),
+    ({"kind": "verify barrier-super", "pairs": [[5, 2], [6, 3]]}, "pairs"),
+    ({"kind": "verify barrier-super", "pairs": [[4, 2]], "mus": [1.2]}, "pairs"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,

@@ -225,29 +225,6 @@ def test_domain_guard():
 
 # -- shared chart geometry against the per-call assembly ----------------------
 
-def _fresh_conformal(g, u, x):
-    """A_{g_u}, g_u and Ric_{g_u} assembled from the public per-call
-    operations, each evaluating the background geometry on its own."""
-    n = g.n
-    uval = u.value(x)
-    du = u.grad(x)
-    gmat = g.components(x)
-    ginv = np.linalg.inv(gmat)
-    hess = cf.covariant_hessian(g, u, x)
-    a_bg = cf.schouten_background(g, x)
-    grad_sq = np.einsum("bij,bi,bj->b", ginv, du, du)
-    c1 = 2.0 / (n - 2.0)
-    c2 = 2.0 * n / (n - 2.0) ** 2
-    c3 = 2.0 / (n - 2.0) ** 2
-    a_u = (-c1 * hess / uval[:, None, None]
-           + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
-           - c3 * grad_sq[:, None, None] * gmat / uval[:, None, None] ** 2
-           + a_bg)
-    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
-    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
-    return a_u, gu, (n - 2.0) * a_u + tr[:, None, None] * gu
-
-
 def _exp_factor(a):
     a = np.asarray(a)
     return cf.ConformalFactor.from_callable(
@@ -272,12 +249,14 @@ def test_shared_geometry_matches_per_call_assembly(chart, rng):
     assert np.array_equal(geom.gamma, cf.christoffel(g, pts))
     for a in ([0.3, -0.2, 0.1, 0.4], [-0.5, 0.0, 0.2, 0.1]):
         u = _exp_factor(a)
-        a_u, gu, ric = _fresh_conformal(g, u, pts)
-        eigs = cf.eigen_rel(a_u, gu)
-        assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts, geometry=geom), eigs)
+        eigs = cf.conformal_schouten_eigs(g, u, pts, geometry=geom)
         assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts), eigs)
-        assert np.array_equal(cf.schouten_conformal(g, u, pts), a_u)
-        assert np.array_equal(cf.ricci_conformal(g, u, pts), ric)
+        assert np.array_equal(cf.covariant_hessian(g, u, pts),
+                              cf._covariant_hessian(geom, u.grad(pts), u.hess(pts)))
+        assert np.array_equal(cf.schouten_conformal(g, u, pts),
+                              cf._schouten_conformal_batch(geom, u)[0])
+        assert np.array_equal(cf.ricci_conformal(g, u, pts),
+                              cf._ricci_conformal_batch(geom, u)[0])
         # single points go through the same batch path
         assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts[2]), eigs[2])
 
@@ -286,9 +265,106 @@ def test_laplace_beltrami_is_trace_of_covariant_hessian(rng):
     g = cf.MetricField.sphere_normal(4)
     u = _exp_factor([0.3, -0.2, 0.1, 0.4])
     pts = rng.uniform(-0.8, 0.8, (5, 4))
-    ginv = np.linalg.inv(g.components(pts))
-    expect = np.einsum("bij,bij->b", ginv, cf.covariant_hessian(g, u, pts))
+    ginv = cf.chart_geometry(g, pts).ginv
+    expect = np.trace(ginv @ cf.covariant_hessian(g, u, pts), axis1=1, axis2=2)
     assert np.array_equal(cf.laplace_beltrami(g, u, pts), expect)
+
+
+# -- stacked products against the per-element einsum assembly -----------------
+
+def _einsum_assembly(g, u, x):
+    """Gamma, A_g, lambda(A_{g_u}), Ric_{g_u} and Delta_g u by per-element
+    einsum contractions, with g^-1 = inv(g), g_u^-1 = inv(g_u) and the
+    spectrum from ``eigen_rel``: the assembly the stacked products replace,
+    kept as the oracle.  Also the sum of |g^ij Hess_ij u|, the scale of the
+    cancellation in Delta_g u."""
+    n = g.n
+    gmat, d1, d2 = g.components(x), g.d1(x), g.d2(x)
+    ginv = np.linalg.inv(gmat)
+    sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("bml,bijl->bmij", ginv, sym)
+    cross = np.einsum("bml,bmkjl->bjk", ginv, d2)
+    second = (cross + cross.transpose(0, 2, 1)
+              - np.einsum("bml,bmljk->bjk", ginv, d2)
+              - np.einsum("bml,bjkml->bjk", ginv, d2))
+    dginv = -np.einsum("bmp,bapq,bql->baml", ginv, d1, ginv)
+    first = (np.einsum("bmml,bjkl->bjk", dginv, sym)
+             - np.einsum("bjml,bmkl->bjk", dginv, sym))
+    ric = (0.5 * (second + first) + np.einsum("bmmp,bpjk->bjk", gamma, gamma)
+           - np.einsum("bmjp,bpmk->bjk", gamma, gamma))
+    scal = np.einsum("bjk,bjk->b", ginv, ric)
+    a_bg = (ric - scal[:, None, None] * gmat / (2.0 * (n - 1.0))) / (n - 2.0)
+    uval, du = u.value(x), u.grad(x)
+    hess = u.hess(x) - np.einsum("bmij,bm->bij", gamma, du)
+    grad_sq = np.einsum("bij,bi,bj->b", ginv, du, du)
+    c1 = 2.0 / (n - 2.0)
+    c2 = 2.0 * n / (n - 2.0) ** 2
+    c3 = 2.0 / (n - 2.0) ** 2
+    a_u = (-c1 * hess / uval[:, None, None]
+           + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
+           - c3 * grad_sq[:, None, None] * gmat / uval[:, None, None] ** 2
+           + a_bg)
+    gu = uval[:, None, None] ** (4.0 / (n - 2.0)) * gmat
+    tr = np.einsum("bij,bij->b", np.linalg.inv(gu), a_u)
+    ric_u = (n - 2.0) * a_u + tr[:, None, None] * gu
+    lap = np.einsum("bij,bij->b", ginv, hess)
+    lap_terms = np.einsum("bij,bij->b", np.abs(ginv), np.abs(hess))
+    return gamma, a_bg, cf.eigen_rel(a_u, gu), ric_u, (lap, lap_terms)
+
+
+def _row_close(got, expect, rel=1e-13):
+    """|got - expect| <= rel * max|expect| row by row (per point)."""
+    B = len(expect)
+    err = np.abs(got - expect).reshape(B, -1).max(axis=1)
+    return bool(np.all(err <= rel * np.abs(expect).reshape(B, -1).max(axis=1)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_assembly_matches_einsum_oracle(n, rng):
+    inner = rng.uniform(-0.8, 0.8, (6, n)) / np.sqrt(n)
+    normal = cf.MetricField.sphere_normal(n)
+    charts = [(cf.MetricField.flat(n), inner), (normal, inner), (normal.with_fd(), inner),
+              (cf.MetricField.sphere_polar(n), rng.uniform(0.6, 2.4, (6, n)))]
+    exp_u = _exp_factor(rng.uniform(-0.4, 0.4, n))
+    for g, pts in charts:
+        geom = cf.chart_geometry(g, pts)
+        for u in (exp_u, exp_u.with_fd()):
+            gamma, a_bg, eigs, ric_u, (lap, lap_terms) = _einsum_assembly(g, u, pts)
+            assert _row_close(geom.gamma, gamma), (g.name, g.mode)
+            assert _row_close(geom.a_bg, a_bg), (g.name, g.mode)
+            assert _row_close(cf.conformal_schouten_eigs(g, u, pts, geometry=geom), eigs), \
+                (g.name, g.mode, u.mode)
+            assert _row_close(cf.ricci_conformal(g, u, pts), ric_u), (g.name, g.mode, u.mode)
+            assert np.all(np.abs(cf.laplace_beltrami(g, u, pts) - lap) <= 1e-13 * lap_terms), \
+                (g.name, g.mode, u.mode)
+
+
+def test_reused_geometry_factorises_nothing(monkeypatch, rng):
+    g = cf.MetricField.sphere_normal(4)
+    pts = rng.uniform(-0.8, 0.8, (6, 4))
+    u = _exp_factor([0.3, -0.2, 0.1, 0.4])
+    geom = cf.chart_geometry(g, pts)
+    expect = cf.conformal_schouten_eigs(g, u, pts, geometry=geom)
+    calls = []
+    for name in ("cholesky", "inv"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts, geometry=geom), expect)
+    assert calls == []
+    # a fresh chart batch factorises its metric once, for every factor after
+    assert np.array_equal(cf.conformal_schouten_eigs(g, u, pts), expect)
+    assert calls == ["cholesky", "inv"]
+
+
+def test_indefinite_metric_is_domain_error():
+    def lorentzian(x):
+        return np.broadcast_to(np.diag([1.0, -1.0, 1.0]), (x.shape[0], 3, 3)).copy()
+
+    g = cf.MetricField(n=3, value_fn=lorentzian)
+    with pytest.raises(DomainError, match="not positive definite"):
+        cf.chart_geometry(g, np.array([[0.1, 0.2, 0.3]]))
 
 
 def test_shared_geometry_keeps_domain_checks():
