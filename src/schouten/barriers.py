@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from . import conformal as cf
-from .cones import ConeSpec
+from .cones import ConeSpec, gamma_mu_plus
 from .errors import DomainError
 
 __all__ = [
@@ -365,12 +365,8 @@ def barrier_sweep_sub(cfg):
     the largest grid ceiling r1 for which this holds is found by dyadic
     descent from 0.5 and reported.
     """
-    cone = ConeSpec.gamma(cfg.n, cfg.k)
-    if cone.mu_plus() > 1.0 + 1e-9:
-        # still runnable (negative control); record the precondition breach
-        precondition_ok = False
-    else:
-        precondition_ok = True
+    # mu_plus > 1 is still runnable (negative control); the breach is recorded
+    precondition_ok = gamma_mu_plus(cfg.n, cfg.k) <= 1.0
     for d in cfg.deltas:
         if not 0 < d < 0.25:
             raise ValueError("sub-solution sweep needs deltas in (0, 1/4)")
@@ -390,9 +386,8 @@ def barrier_sweep_super(cfg):
     Also checks the coefficient inequality chi2 - (mu+1) chi1 < 0 pointwise
     and records the remainder magnitudes relative to the error-term scale.
     """
-    cone = ConeSpec.gamma(cfg.n, cfg.k)
-    mu_plus = cone.mu_plus()
-    if mu_plus <= 1.0 + 1e-12:
+    mu_plus = gamma_mu_plus(cfg.n, cfg.k)
+    if mu_plus <= 1.0:
         raise ValueError("super-solution sweep needs a cone with mu_plus > 1")
     if not cfg.mus:
         raise ValueError("super-solution sweep needs a mu grid")

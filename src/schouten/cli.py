@@ -33,7 +33,7 @@ import numpy as np
 import yaml
 
 from . import barriers, bubbles, comparison, conformal, reports, solver
-from .cones import ConeSpec, CurvatureFunction
+from .cones import ConeSpec, CurvatureFunction, gamma_mu_plus
 
 # the columns of both barrier sweep CSVs: (n, k) + SweepReport row
 _BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
@@ -108,7 +108,7 @@ def _sweep_config(par, n, k, rng, **grids):
 def _run_barrier_sub(par, rng):
     # by default every (n, k) of the dims with mu+ = (n - k)/k <= 1
     pairs = par["pairs"] or [(n, k) for n in par["dims"] for k in range(1, n + 1)
-                             if (n - k) / k <= 1.0 + 1e-12]
+                             if gamma_mu_plus(n, k) <= 1.0]
     controls = par["negative_controls"]
     rows = []
     passed = True
@@ -132,7 +132,7 @@ def _run_barrier_sub(par, rng):
 
 
 def _mu_grid(n, k, count):
-    top = min((n - k) / k, 2.0)
+    top = min(gamma_mu_plus(n, k), 2.0)
     fracs = np.linspace(0.0, 1.0, count + 2)[1:-1]
     return tuple(1.0 + f * (top - 1.0) for f in fracs)
 
@@ -443,14 +443,14 @@ def _params(cid, spec):
     if "mus" in out:
         # the super-solution sweep needs mu_plus(n, k) = (n - k)/k > 1
         for n, k in out["pairs"]:
-            if n <= 2 * k:
+            if gamma_mu_plus(n, k) <= 1.0:
                 raise ConfigError(f"{where}field 'pairs' must hold pairs with n > 2k, where"
                                   f" mu_plus(n, k) = (n - k)/k > 1; the pair [{n}, {k}] has"
-                                  f" mu_plus = {(n - k) / k:.6g}")
+                                  f" mu_plus = {gamma_mu_plus(n, k):.6g}")
     if out.get("mus"):
         # the range the super-solution sweep checks, with its mu_plus
         for n, k in out["pairs"]:
-            top = min(ConeSpec.gamma(n, k).mu_plus(), 2.0)
+            top = min(gamma_mu_plus(n, k), 2.0)
             if not all(1.0 < mu < top for mu in out["mus"]):
                 raise ConfigError(f"{where}field 'mus' must be numbers in (1, min(mu_plus, 2))"
                                   f" = (1, {top:.6g}) for the pair [{n}, {k}]")

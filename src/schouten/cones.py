@@ -31,6 +31,7 @@ __all__ = [
     "gamma_k_member",
     "cone_margin",
     "mu_plus",
+    "gamma_mu_plus",
     "f_eval",
     "homotopy_ft",
 ]
@@ -244,6 +245,18 @@ def cone_margin(lam, cone):
 
 def mu_plus(cone, tol=1e-10):
     return cone.mu_plus(tol=tol)
+
+
+def gamma_mu_plus(n, k):
+    """mu_plus of Gamma_k in R^n in closed form, (n - k)/k.
+
+    ``ConeSpec.gamma(n, k).mu_plus()`` bisects to the same value within its
+    tolerance, which the ``cones mu-plus`` campaign certifies.  Guards and
+    ranges read this value: at n = 2k the bisected one lies above 1.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}, got {k}")
+    return (n - k) / k
 
 
 def f_eval(f, lam):

@@ -24,20 +24,24 @@ On the uniform grid the residual at node i reads only u[i-1..i+1], so its
 Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
 the columns j = c mod 3 are perturbed together and one central pair of
 probes fills a whole colour.  The residual takes a (B, m) stack of profiles
-(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows), so all six
-probes go through one residual call per Jacobian instead of 2m: one
-eigenvalue pass and one value pass over 6m rows, and one m-row cone
-membership pass per probe.
-A colour with a probe outside the cone, or a stack with a probe outside the
-positive set, falls back to one central pair per colour and, at the cone
-boundary, to single columns.  Every entry equals the one-column-at-a-time
-difference bit for bit.  The spectral Lobatto grid and the H_t family (whose
-mean(u^2) term couples all nodes) keep the dense one-column-per-colour
-Jacobian; there D @ V is not D @ v bit for bit.
+(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows) and returns
+``(res, node)`` for it: node[b] is -1 for a profile inside the cone and
+otherwise its first node outside.  The Jacobian is one loop over pending
+column sets, the colours to begin with.  Each round sends the central pair
+of every pending set through one stacked residual call: one eigenvalue pass
+and one value pass over the rows, and one m-row cone membership pass per
+probe.  A set whose probes stay inside fills its band; a set that leaves the
+cone at node i hands the one column whose band holds i to the single-column
+difference and stays pending with the rest.  Every entry equals the
+one-column-at-a-time difference bit for bit.  The spectral Lobatto grid and
+the H_t family (whose mean(u^2) term couples all nodes) keep that dense
+one-column Jacobian, which is also the oracle; there D @ V is not D @ v bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -85,6 +89,20 @@ def _cheb_matrix(m):
     return d, x
 
 
+@functools.lru_cache(maxsize=None)
+def _lobatto_matrices(num_nodes):
+    """Read-only first and second derivative matrices in theta on the Lobatto
+    grid: d2 squares the full first-derivative matrix, then the pole rows of
+    d1 are zeroed (Neumann compatibility)."""
+    dc, _ = _cheb_matrix(num_nodes - 1)
+    d1 = -(2.0 / math.pi) * dc
+    d2 = d1 @ d1
+    d1[0, :] = 0.0
+    d1[-1, :] = 0.0
+    d1.flags.writeable = d2.flags.writeable = False
+    return d1, d2
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Positive radial profile u(theta_j) on [0, pi] with pole-aware calculus.
@@ -104,6 +122,12 @@ class RadialProfile:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", values)
+        if self.n < 3:
+            raise DomainError(f"radial profile needs dimension n >= 3, got {self.n}")
+        if len(theta) < 3:
+            raise ValueError(f"radial profile needs at least 3 nodes, got {len(theta)}")
+        if len(values) != len(theta):
+            raise ValueError(f"theta has {len(theta)} nodes but values has {len(values)}")
         if np.any(values <= 0):
             raise DomainError("radial profile must be strictly positive")
         if self.grid not in ("uniform", "lobatto"):
@@ -134,22 +158,16 @@ class RadialProfile:
     # -- derivative operators -------------------------------------------------
 
     def d1_matrix(self):
-        m = self.num_nodes
+        """(m, m) first-derivative matrix; shared and read-only on the Lobatto grid."""
         if self.grid == "uniform":
-            return self.d1(np.eye(m))
-        dc, _ = _cheb_matrix(m - 1)
-        d = -(2.0 / math.pi) * dc
-        d[0, :] = 0.0
-        d[-1, :] = 0.0
-        return d
+            return self.d1(np.eye(self.num_nodes))
+        return _lobatto_matrices(self.num_nodes)[0]
 
     def d2_matrix(self):
-        m = self.num_nodes
+        """(m, m) second-derivative matrix; shared and read-only on the Lobatto grid."""
         if self.grid == "uniform":
-            return self.d2(np.eye(m))
-        dc, _ = _cheb_matrix(m - 1)
-        d1 = -(2.0 / math.pi) * dc
-        return d1 @ d1
+            return self.d2(np.eye(self.num_nodes))
+        return _lobatto_matrices(self.num_nodes)[1]
 
     def d1(self, values=None):
         v = self.values if values is None else values
@@ -261,19 +279,21 @@ def _cone_residual(f, lam, rhs):
     """f(lam) - rhs row by row, with a single cone-membership pass.
 
     For one profile (``lam`` (m, n)) raises ``ConeExitError`` naming the
-    first node outside the cone; the coloured Jacobian uses that node to find
-    the column that caused the exit.  A stack of B profiles (``lam``
-    (B, m, n), ``rhs`` (B, m)) raises nothing and returns ``(res, inside)``:
-    inside[b] says whether profile b lies in the cone at every node.  Each
-    profile has its own m-row membership pass, as one profile does; the
-    profiles inside share one value pass, and the rows of the others are NaN.
+    first node outside the cone.  A stack of B profiles (``lam`` (B, m, n),
+    ``rhs`` (B, m)) raises nothing and returns ``(res, node)``: node[b] is -1
+    when profile b lies in the cone at every node and otherwise its first
+    node outside, the node its own ``ConeExitError`` would name.  Each profile
+    has its own m-row membership pass, as one profile does; the profiles
+    inside share one value pass, and the rows of the others are NaN.
     """
     if lam.ndim == 3:
-        inside = np.array([f.cone.contains_batch(rows).all() for rows in lam])
+        inside = np.array([f.cone.contains_batch(rows) for rows in lam])
+        node = np.where(inside.all(axis=1), -1, inside.argmin(axis=1))
+        ok = node < 0
         res = np.full(rhs.shape, np.nan)
-        vals = f._value_rows(lam[inside].reshape(-1, lam.shape[-1]))
-        res[inside] = vals.reshape(-1, rhs.shape[1]) - rhs[inside]
-        return res, inside
+        vals = f._value_rows(lam[ok].reshape(-1, lam.shape[-1]))
+        res[ok] = vals.reshape(-1, rhs.shape[1]) - rhs[ok]
+        return res, node
     inside = f.cone.contains_batch(lam)
     if not inside.all():
         node = int(np.argmin(inside))
@@ -285,8 +305,8 @@ def residual_Fs(profile, f, s, psi=1.0, values=None):
     """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit.
 
     ``values`` may be a (B, m) stack of profiles: then the result is the
-    ``(res, inside)`` pair of ``_cone_residual`` and only a nonpositive value
-    raises.
+    ``(res, node)`` pair of ``_cone_residual`` (node[b] = -1 inside the cone,
+    else the first node outside) and only a nonpositive value raises.
     """
     v = profile.values if values is None else values
     lam = schouten_eig_matrix(profile, v)
@@ -379,36 +399,7 @@ def _fd_column(res_fn, u, r0, j, jac):
         f"cannot difference the residual at node {j}: cone boundary")
 
 
-def _stacked_colours(res_fn, u, colours, bandwidth, jac):
-    """Fill the colours of ``jac`` that one stacked residual call resolves.
-
-    Row c of the (2W, m) probe stack raises the columns of colour c by their
-    steps and row W + c lowers them, exactly as the colour's own central pair
-    would.  A colour whose two probes both stay inside the cone fills its
-    band, one vectorised scatter per diagonal offset; the colours with a probe
-    outside are returned for the peel/per-column loop, all of them when a
-    probe leaves the positive set.
-    """
-    m, width = len(u), len(colours)
-    steps = 1e-8 * (1.0 + np.abs(u))
-    colour = np.arange(m) % width
-    shift = np.where(colour == np.arange(width)[:, None], steps, 0.0)
-    try:
-        res, inside = res_fn(np.concatenate([u + shift, u - shift]))
-    except DomainError:
-        return colours
-    ok = inside[:width] & inside[width:]
-    diff = res[:width] - res[width:]
-    filled = np.flatnonzero(ok[colour])
-    for d in range(-bandwidth, bandwidth + 1):
-        rows = filled + d
-        keep = (rows >= 0) & (rows < m)
-        r, c = rows[keep], filled[keep]
-        jac[r, c] = diff[colour[c], r] / (2.0 * steps[c])
-    return [cols for cols, good in zip(colours, ok) if not good]
-
-
-def _fd_jacobian(res_fn, u, r0, bandwidth=None, stacked=False):
+def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     """Central-difference Jacobian with step 1e-8 (1 + |u_j|).
 
     The residual depends on u through 1/h^2-scale stencils, so its second
@@ -417,58 +408,67 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None, stacked=False):
     Jacobian under truncation error and wrecks the Newton direction.
     Central differencing at a smaller step keeps every mode accurate.
 
-    ``bandwidth=None`` differences one column per residual pair.  With a
-    bandwidth b (node i reads only u[i-b..i+b]) the columns j = c mod 2b+1
-    form colour c: no row reads two of them, so one central pair with each
-    column at its own step fills the band rows j-b..j+b of all of them, and
-    every other entry is exactly zero, as the one-column difference is.
-    ``stacked=True`` says that ``res_fn`` also maps a (B, m) stack of
-    profiles to ``(res, inside)`` (see ``_cone_residual``); then all 2(2b+1)
-    colour probes go through one stacked call, and only the colours it
-    leaves open take the loop below.  In the loop, when a colour probe
-    leaves the cone at node i, the one column whose band holds i is peeled
-    off and the rest is probed again; a failure without a node sends the
-    whole colour to the per-column routine, which falls back to shrinking
-    steps and one-sided probes when a side leaves the admissible set.
-    Both paths give the same Jacobian bit for bit.
+    ``bandwidth=None`` differences one column at a time (``_fd_column``);
+    this dense Jacobian is the oracle of the banded one.  With a bandwidth b
+    (node i reads only u[i-b..i+b]) the columns j = c mod 2b+1 form colour c:
+    no row reads two of them, so one central pair with each column at its own
+    step fills the band rows j-b..j+b of all of them, and every other entry
+    is exactly zero, as the one-column difference is.  ``res_fn`` must then
+    also map a (B, m) stack of profiles to ``(res, node)`` (see
+    ``_cone_residual``).  The column sets still pending, the colours to begin
+    with, are probed in rounds: row q of a round's (2w, m) stack raises the
+    columns of set q by their steps and row w + q lowers them.  A set whose
+    two probes stay inside the cone fills its band.  A set that leaves it at
+    node i (the + probe's node first) hands the one column whose band holds i
+    to ``_fd_column`` and stays pending with the rest; a set with no such
+    column, a single column, or a round in which a probe leaves the positive
+    set is differenced column by column, with the shrinking steps and
+    one-sided probes of ``_fd_column``.  Either way the Jacobian equals the
+    dense one bit for bit.
     """
     m = len(u)
+    jac = np.zeros((m, m))
     if bandwidth is None:
-        jac = np.empty((m, m))
-        colours = [[j] for j in range(m)]
-    else:
-        jac = np.zeros((m, m))
-        width = 2 * bandwidth + 1
-        colours = [list(range(c, m, width)) for c in range(width)]
-        if stacked:
-            colours = _stacked_colours(res_fn, u, colours, bandwidth, jac)
-    for cols in colours:
-        while len(cols) > 1:
-            idx = np.array(cols)
-            steps = 1e-8 * (1.0 + np.abs(u[idx]))
-            up = u.copy()
-            um = u.copy()
-            up[idx] += steps
-            um[idx] -= steps
+        for j in range(m):
+            _fd_column(res_fn, u, r0, j, jac)
+        return jac
+    steps = 1e-8 * (1.0 + np.abs(u))
+    width = 2 * bandwidth + 1
+    pending = [np.arange(c, m, width) for c in range(width)]
+    while pending:
+        alone = [cols[0] for cols in pending if len(cols) == 1]
+        sets = [cols for cols in pending if len(cols) > 1]
+        pending = []
+        w = len(sets)
+        nodes = [None] * w  # None: no node names a column
+        if sets:
+            owner = np.full(m, -1)
+            for q, cols in enumerate(sets):
+                owner[cols] = q
+            shift = np.where(owner == np.arange(w)[:, None], steps, 0.0)
             try:
-                rp = res_fn(up)
-                rm = res_fn(um)
-            except ConeExitError as exc:
-                near = [j for j in cols if exc.node is not None
-                        and abs(j - exc.node) <= bandwidth]
-                if not near:
-                    break
-                _fd_column(res_fn, u, r0, near[0], jac)
-                cols.remove(near[0])
-                continue
+                res, node = res_fn(np.concatenate([u + shift, u - shift]))
             except DomainError:
-                break
-            for d in range(-bandwidth, bandwidth + 1):
-                rows = idx + d
-                ok = (rows >= 0) & (rows < m)
-                jac[rows[ok], idx[ok]] = (rp[rows[ok]] - rm[rows[ok]]) / (2.0 * steps[ok])
-            cols = []
-        for j in cols:
+                pass  # a probe left the positive set
+            else:
+                nodes = np.where(node[:w] >= 0, node[:w], node[w:])
+                filled = np.flatnonzero((owner >= 0) & (nodes[owner] < 0))
+                diff = res[:w] - res[w:]
+                for d in range(-bandwidth, bandwidth + 1):
+                    rows = filled + d
+                    keep = (rows >= 0) & (rows < m)
+                    r, c = rows[keep], filled[keep]
+                    jac[r, c] = diff[owner[c], r] / (2.0 * steps[c])
+        for cols, i in zip(sets, nodes):
+            if i == -1:
+                continue
+            near = [] if i is None else cols[np.abs(cols - i) <= bandwidth]
+            if len(near):
+                alone.append(near[0])
+                pending.append(cols[cols != near[0]])
+            else:
+                alone.extend(cols)
+        for j in alone:
             _fd_column(res_fn, u, r0, j, jac)
     return jac
 
@@ -481,10 +481,10 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     invariant under the ill-conditioning of the stencil operator; trial
     points violating positivity or the cone are skipped by halving a.
     Convergence is declared in the discrete max norm.
-    ``bandwidth`` is passed to the Jacobian, whose colour probes then go
-    through one stacked call, so a banded ``res_fn`` must also take a (B, m)
-    stack (see ``_fd_jacobian``); ``r0``, when given, is the residual already
-    evaluated at u0.  Returns (u, iterations, residual_norm).
+    ``bandwidth`` is passed to the Jacobian, which then sends its probes
+    through stacked calls, so a banded ``res_fn`` must also map a (B, m)
+    stack to ``(res, node)`` (see ``_fd_jacobian``); ``r0``, when given, is
+    the residual already evaluated at u0.  Returns (u, iterations, residual_norm).
     """
     u = np.asarray(u0, dtype=np.float64).copy()
     r = res_fn(u) if r0 is None else r0
@@ -492,7 +492,7 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     for it in range(max_iter):
         if rn <= tol:
             return u, it, rn
-        jac = _fd_jacobian(res_fn, u, r, bandwidth, stacked=bandwidth is not None)
+        jac = _fd_jacobian(res_fn, u, r, bandwidth)
         try:
             lu = sla.lu_factor(jac)
         except ValueError as exc:

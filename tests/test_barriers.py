@@ -309,6 +309,17 @@ def test_super_sweep_precondition_violations():
         br.barrier_sweep_super(br.BarrierSweepConfig(n=4, k=1))
 
 
+def test_super_guard_reads_the_closed_form_mu_plus():
+    # mu_plus(Gamma_3, n = 6) = 1 exactly, but bisection reads
+    # 1.0000000000218279: the guard let this mu through to a nonpositive
+    # conformal factor inside the sweep
+    with pytest.raises(ValueError, match="mu_plus > 1"):
+        br.barrier_sweep_super(br.BarrierSweepConfig(n=6, k=3, mus=(1.00000000001,)))
+    # and the mu range ends at (n - k)/k = 4/3, below the bisected 1.33333333336
+    with pytest.raises(ValueError, match="outside"):
+        br.barrier_sweep_super(br.BarrierSweepConfig(n=7, k=3, mus=(4.0 / 3.0,)))
+
+
 def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
     # the sweep loop as it was before it kept one report per ceiling: state
     # for the current ceiling, copied into the result at its end

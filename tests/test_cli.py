@@ -187,6 +187,9 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     ({"kind": "verify barrier-super", "pairs": [[5, 3]]}, "pairs"),
     ({"kind": "verify barrier-super", "pairs": [[5, 2], [6, 3]]}, "pairs"),
     ({"kind": "verify barrier-super", "pairs": [[4, 2]], "mus": [1.2]}, "pairs"),
+    # mus up to the closed form (n - k)/k = 4/3 for [7, 3]; bisection puts
+    # mu_plus above it
+    ({"kind": "verify barrier-super", "pairs": [[7, 3]], "mus": [4.0 / 3.0]}, "mus"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,
@@ -208,6 +211,10 @@ def test_barrier_range_end_points():
     mus = cli._params("x", {"kind": "verify barrier-super", "pairs": [[5, 2], [4, 1]],
                             "mus": [1.0001, 1.4999]})
     assert mus["mus"] == [1.0001, 1.4999]
+    # up to mu_plus(5, 2) = 1.5 itself, which bisection puts below 1.5 - 1e-11
+    mus = cli._params("x", {"kind": "verify barrier-super", "pairs": [[5, 2]],
+                            "mus": [1.49999999999]})
+    assert mus["mus"] == [1.49999999999]
 
 
 def test_jobs_validation(tmp_path, capsys):

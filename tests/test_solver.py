@@ -37,6 +37,22 @@ def test_profile_validation():
         sv.RadialProfile.make(4, 32, grid="nope")
 
 
+@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+def test_profile_rejects_bad_dimension_grid_and_lengths(grid):
+    # each used to get through and fail later: n = 2 with a bare
+    # ZeroDivisionError in the eigenvalues, one node with an IndexError and
+    # unequal lengths with a broadcast error
+    with pytest.raises(DomainError, match="n >= 3"):
+        sv.RadialProfile.make(2, 16, grid=grid)
+    for nodes in (1, 2):
+        with pytest.raises(ValueError, match="at least 3 nodes"):
+            sv.RadialProfile.make(4, nodes, grid=grid)
+    theta = sv.RadialProfile.make(4, 16, grid=grid).theta
+    with pytest.raises(ValueError, match="16 nodes but values has 15"):
+        sv.RadialProfile(4, theta, np.ones(15), grid=grid)
+    sv.RadialProfile.make(3, 3, grid=grid)  # the least accepted
+
+
 def test_radial_eigs_constant_profiles():
     prof = sv.RadialProfile.make(4, 64)
     assert np.allclose(sv.radial_schouten_eigs(prof, 10), 0.5)
@@ -512,6 +528,38 @@ def test_uniform_stencil_matrices_are_the_three_point_stencils():
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _fresh_lobatto_matrices(num_nodes):
+    # the per-call build: d2 squares the full first-derivative matrix, whose
+    # pole rows are then zeroed for d1
+    dc, _ = sv._cheb_matrix(num_nodes - 1)
+    d = -(2.0 / math.pi) * dc
+    d1 = d.copy()
+    d1[0, :] = 0.0
+    d1[-1, :] = 0.0
+    return d1, d @ d
+
+
+def test_lobatto_matrices_built_once_per_node_count(monkeypatch):
+    f = CurvatureFunction.sigma_root(4, 2)
+    prof = sv.RadialProfile.make(4, 40, values=lambda th: 1.0 + 0.05 * np.cos(th),
+                                 grid="lobatto")
+    builds = []
+    real = sv._cheb_matrix
+    monkeypatch.setattr(sv, "_cheb_matrix", lambda m: builds.append(m) or real(m))
+    sv._lobatto_matrices.cache_clear()
+    cached = sv.newton_solve(prof, f, 1.0)
+    assert cached.newton_iterations > 0 and builds == [39]
+    d1, d2 = prof.d1_matrix(), prof.d2_matrix()
+    assert not d1.flags.writeable and not d2.flags.writeable
+    fresh = _fresh_lobatto_matrices(40)
+    assert np.array_equal(d1, fresh[0]) and np.array_equal(d2, fresh[1])
+    # the same solve with both matrices built afresh at every call
+    monkeypatch.setattr(sv, "_lobatto_matrices", _fresh_lobatto_matrices)
+    rebuilt = sv.newton_solve(prof, f, 1.0)
+    assert np.array_equal(cached.profile.values, rebuilt.profile.values)
+    assert cached.newton_iterations == rebuilt.newton_iterations
+
+
 # ---------------------------------------------------------------------------
 # coloured Jacobian against the dense one-column-at-a-time oracle
 # ---------------------------------------------------------------------------
@@ -553,53 +601,119 @@ def test_coloured_jacobian_bitwise_on_deformed_cone():
     assert np.array_equal(dense, coloured)
 
 
-def _walled_residual(u, wall, exc):
-    # a tridiagonal residual whose admissible set ends at u[wall]: raising
-    # that node value raises ``exc``, so its column is one-sided
+def _walled_residual(u, walls, domain=False, reach=1):
+    # a tridiagonal residual that also takes a (B, m) stack.  Raising u[w]
+    # for a wall w leaves the admissible set: by default through the cone at
+    # node w + reach (a stack row reports the first such node, one profile
+    # raises ConeExitError naming it), with ``domain`` by a DomainError for
+    # the whole call; ``calls`` records the shape of every call
     calls = []
+    walls = np.asarray(walls)
 
     def res_fn(v):
-        calls.append(1)
-        if v[wall] > u[wall]:
-            raise exc
+        calls.append(np.shape(v))
+        blocked = v[..., walls] > u[walls]
+        node = np.where(blocked.any(axis=-1), walls[blocked.argmax(axis=-1)] + reach, -1)
+        if np.any(blocked) and domain:
+            raise DomainError("outside the domain")
+        if np.any(blocked) and np.ndim(v) == 1:
+            raise ConeExitError(f"left the cone at node {node}", node=int(node))
         out = v ** 3 - 2.0 * v
-        out[1:] += np.sin(v[:-1])
-        out[:-1] += 0.5 * v[1:] ** 2
-        return out
+        out[..., 1:] += np.sin(v[..., :-1])
+        out[..., :-1] += 0.5 * v[..., 1:] ** 2
+        return (out, node) if np.ndim(v) == 2 else out
 
     return res_fn, calls
 
 
-@pytest.mark.parametrize("exc, coloured_calls", [
-    # colours 0 and 2 take a pair each; colour 1 hits the wall once, then
+STACK, ONE = (6, 20), (20,)
+
+
+# the ids of the first and last cases are those of the earlier single-wall
+# cases (an exception and its call count), kept so each case keeps its name
+@pytest.mark.parametrize("walls, domain, reach, expect", [
+    # colours 0 and 2 fill in the first round; colour 1 leaves at node 8, so
     # column 7 alone is peeled off (2 calls) and the rest probed again
-    (ConeExitError("left the cone at node 8", node=8), 4 + 1 + 2 + 2),
-    # no node: every column of colour 1 is differenced alone
-    (DomainError("outside the domain"), 4 + 1 + 7 * 2),
+    pytest.param([7], False, 1, [STACK, ONE, ONE, (2, 20)], id="exc0-9"),
+    # two colours leave in one round: both peel a column, both are probed again
+    pytest.param([7, 11], False, 1, [STACK] + [ONE] * 4 + [(4, 20)], id="two-colours"),
+    # a wall reported at node 0: column 1, whose band holds node 0, is peeled
+    # off; then no column of the rest holds it, and its 6 go one by one
+    pytest.param([7], False, -7, [STACK, ONE, ONE, (2, 20)] + [ONE] * 12, id="node-off-band"),
+    # two walls in one colour: two rounds peel one column each
+    pytest.param([7, 10], False, 1, [STACK, ONE, ONE, (2, 20), ONE, ONE, (2, 20)],
+                 id="two-walls-one-colour"),
+    # no node names a column: every column is differenced alone
+    pytest.param([7], True, 1, [STACK] + [ONE] * 40, id="exc1-19"),
 ])
-def test_coloured_jacobian_fallback_matches_dense(exc, coloured_calls):
+def test_coloured_jacobian_fallback_matches_dense(walls, domain, reach, expect):
     u = np.linspace(0.8, 1.4, 20)
-    wall = 7
-    res_fn, calls = _walled_residual(u, wall, exc)
+    res_fn, calls = _walled_residual(u, walls, domain, reach)
     r0 = res_fn(u)
     dense = sv._fd_jacobian(res_fn, u, r0)
     calls.clear()
     coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
-    assert len(calls) == coloured_calls
+    assert calls == expect
     assert np.array_equal(dense, coloured)
     _assert_tridiagonal(coloured)
-    # column `wall` is the backward difference, the rest are central
-    step = 1e-8 * (1.0 + u[wall])
-    um = u.copy()
-    um[wall] -= step
-    assert np.array_equal(coloured[:, wall], (r0 - res_fn(um)) / step)
+    # a wall column is the backward difference, the rest are central
+    for wall in walls:
+        step = 1e-8 * (1.0 + u[wall])
+        um = u.copy()
+        um[wall] -= step
+        assert np.array_equal(coloured[:, wall], (r0 - res_fn(um)) / step)
+
+
+def _walled_stack_residual(u, wall, exc):
+    # a tridiagonal residual with a quadratic coupling that also takes a
+    # (B, m) stack; raising u[wall] leaves the admissible set: one profile
+    # raises ``exc``, a stack reports exc.node for its rows outside the cone,
+    # or raises a DomainError for the whole stack as for one profile
+    calls = []
+
+    def res_fn(v):
+        calls.append(np.shape(v))
+        blocked = v[..., wall] > u[wall]
+        if np.any(blocked) and (np.ndim(v) == 1 or not isinstance(exc, ConeExitError)):
+            raise exc
+        out = v ** 3 - 2.0 * v
+        out[..., 1:] += 0.3 * v[..., :-1] ** 2
+        out[..., :-1] += 0.5 * v[..., 1:] ** 2
+        return (out, np.where(blocked, getattr(exc, "node", -1), -1)) if np.ndim(v) == 2 else out
+
+    return res_fn, calls
+
+
+@pytest.mark.parametrize("exc, after_stack", [
+    # colour 1 leaves at node 8: column 7 is peeled off (2 calls), the rest
+    # of colour 1 is probed again as one stack of its pair
+    pytest.param(ConeExitError("left the cone at node 8", node=8), [ONE, ONE, (2, 20)],
+                 id="exc0-5"),
+    # a domain error names no node: every column is differenced alone
+    pytest.param(DomainError("outside the domain"), [ONE] * 40, id="exc1-19"),
+])
+def test_stacked_jacobian_fallback_matches_dense(exc, after_stack):
+    # the ids are those of the earlier parametrisation (an exception and its
+    # call count), kept so each case keeps its name
+    u = np.linspace(0.8, 1.4, 20)
+    res_fn, calls = _walled_stack_residual(u, 7, exc)
+    r0 = res_fn(u)
+    dense = sv._fd_jacobian(res_fn, u, r0)
+    calls.clear()
+    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
+    assert calls == [STACK] + after_stack
+    assert np.array_equal(stacked, dense)
+    _assert_tridiagonal(stacked)
 
 
 def test_coloured_jacobian_both_sides_blocked_raises():
     u = np.linspace(0.8, 1.4, 20)
 
     def res_fn(v):
-        if v[5] != u[5]:
+        moved = v[..., 5] != u[5]
+        if np.ndim(v) == 2:
+            return v ** 2, np.where(moved, 5, -1)
+        if moved:
             raise ConeExitError("pinned at node 5", node=5)
         return v ** 2
 
@@ -614,13 +728,13 @@ def test_coloured_jacobian_makes_six_residual_calls():
     calls = []
 
     def res_fn(v):
-        calls.append(1)
+        calls.append(len(np.atleast_2d(v)))
         return sv.residual_Fs(prof, f, 1.0, values=v)
 
     r0 = res_fn(u)
     calls.clear()
     sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
-    assert len(calls) == 6
+    assert calls == [6]  # the six colour probes, in one stacked call
 
 
 def test_only_uniform_newton_uses_the_coloured_jacobian(monkeypatch):
@@ -628,9 +742,9 @@ def test_only_uniform_newton_uses_the_coloured_jacobian(monkeypatch):
     seen = []
     real = sv._fd_jacobian
 
-    def spy(res_fn, u, r0, bandwidth=None, stacked=False):
+    def spy(res_fn, u, r0, bandwidth=None):
         seen.append(bandwidth)
-        return real(res_fn, u, r0, bandwidth, stacked)
+        return real(res_fn, u, r0, bandwidth)
 
     monkeypatch.setattr(sv, "_fd_jacobian", spy)
     for grid, expect in (("uniform", 1), ("lobatto", None)):
@@ -684,7 +798,7 @@ def test_residual_checks_cone_membership_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# stacked colour probes against the sequential coloured Jacobian
+# stacked residuals and the coloured Jacobian along the solver's paths
 # ---------------------------------------------------------------------------
 
 def test_stacked_eigs_and_residual_match_each_profile():
@@ -692,21 +806,24 @@ def test_stacked_eigs_and_residual_match_each_profile():
     f = CurvatureFunction.sigma_root(4, 2)
     for grid in ("uniform", "lobatto"):
         prof = sv.RadialProfile.make(4, 24, grid=grid)
-        stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.0, 0.1, 0.2, 0.9)])
+        stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.0, 0.1, 0.2, 0.9)]
+                         + [1.0 + 0.6 * np.cos(2.0 * prof.theta)])
         lam = sv.schouten_eig_matrix(prof, stack)
-        res, inside = sv.residual_Fs(prof, f, 0.5, psi, values=stack)
-        assert lam.shape == (4, 24, 4) and res.shape == (4, 24)
-        assert inside.tolist() == [True, True, True, False]
+        res, node = sv.residual_Fs(prof, f, 0.5, psi, values=stack)
+        assert lam.shape == (5, 24, 4) and res.shape == (5, 24)
+        assert (node < 0).tolist() == [True, True, True, False, False]
         # on the Lobatto grid D @ V is not D @ v bit for bit
         tol = 0.0 if grid == "uniform" else 1e-9
         for b, v in enumerate(stack):
             assert np.allclose(lam[b], sv.schouten_eig_matrix(prof, v), rtol=0.0, atol=tol)
-            if inside[b]:
+            if node[b] < 0:
                 want = sv.residual_Fs(prof, f, 0.5, psi, values=v)
                 assert np.allclose(res[b], want, rtol=0.0, atol=tol)
             else:
-                with pytest.raises(ConeExitError):
+                # the node a stack row reports is the profile's own exit node
+                with pytest.raises(ConeExitError) as err:
                     sv.residual_Fs(prof, f, 0.5, psi, values=v)
+                assert node[b] == err.value.node
     with pytest.raises(DomainError):
         sv.schouten_eig_matrix(prof, np.stack([prof.values, -prof.values]))
 
@@ -725,22 +842,22 @@ def test_stacked_residual_checks_each_profile_once(monkeypatch):
         return real(self, lams)
 
     monkeypatch.setattr(ConeSpec, "contains_batch", counted)
-    res, inside = sv.residual_Fs(prof, f, 0.5, values=stack)
+    res, node = sv.residual_Fs(prof, f, 0.5, values=stack)
     assert rows == [32, 32, 32]
-    assert inside.tolist() == [True, False, True]
+    assert (node >= 0).tolist() == [False, True, False]
     assert np.isnan(res[1]).all() and np.isfinite(res[[0, 2]]).all()
 
 
 def _checked_jacobians(monkeypatch):
-    # every stacked Jacobian the solver forms is compared with the
-    # sequential coloured one at the same point; returns the sizes seen
+    # every banded Jacobian the solver forms is compared with the dense
+    # one-column oracle at the same point; returns the sizes seen
     real = sv._fd_jacobian
     seen = []
 
-    def check(res_fn, u, r0, bandwidth=None, stacked=False):
-        jac = real(res_fn, u, r0, bandwidth, stacked)
-        if stacked:
-            assert np.array_equal(jac, real(res_fn, u, r0, bandwidth))
+    def check(res_fn, u, r0, bandwidth=None):
+        jac = real(res_fn, u, r0, bandwidth)
+        if bandwidth is not None:
+            assert np.array_equal(jac, real(res_fn, u, r0))
             seen.append(len(u))
         return jac
 
@@ -778,12 +895,10 @@ def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
 
     r0 = res_fn(u)
     dense = sv._fd_jacobian(res_fn, u, r0)
-    coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
     calls.clear()
-    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
+    coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
     assert calls == [2]  # the interior path: one stacked residual call
-    assert np.array_equal(stacked, coloured)
-    assert np.array_equal(stacked, dense)
+    assert np.array_equal(coloured, dense)
 
 
 def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
@@ -797,8 +912,10 @@ def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
 
 
 def test_stacked_jacobian_colour_leaving_the_cone_falls_back():
-    # u = 1 + a cos(theta) with a just inside the cone: one side of a pole
-    # probe leaves the cone, so its colour takes the peel loop
+    # u = 1 + a cos(theta) with a just inside the cone: two colours leave it
+    # in one Jacobian, colour 0 raised and colour 1 lowered, both at the pole
+    # node 31; each peels off the column whose band holds it (30, 31), and
+    # the rest of both is probed again in one call
     prof = sv.RadialProfile.make(4, 32)
     f = CurvatureFunction.sigma_root(4, 2)
 
@@ -814,51 +931,12 @@ def test_stacked_jacobian_colour_leaving_the_cone_falls_back():
     calls = []
 
     def res_fn(v):
-        calls.append(np.ndim(v))
+        calls.append(np.shape(v))
         return sv.residual_Fs(prof, f, 1.0, values=v)
 
     r0 = res_fn(u)
     dense = sv._fd_jacobian(res_fn, u, r0)
+    calls.clear()
     coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
-    calls.clear()
-    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
-    assert calls[0] == 2 and len(calls) > 1 and set(calls[1:]) == {1}
-    assert np.array_equal(stacked, coloured)
-    assert np.array_equal(stacked, dense)
-
-
-def _walled_stack_residual(u, wall, exc):
-    # a tridiagonal residual that also takes a (B, m) stack; raising u[wall]
-    # leaves the admissible set: a cone exit marks that stack row outside,
-    # a domain error is raised for the whole stack as for one profile
-    calls = []
-
-    def res_fn(v):
-        calls.append(np.ndim(v))
-        blocked = v[..., wall] > u[wall]
-        if np.any(blocked) and (np.ndim(v) == 1 or not isinstance(exc, ConeExitError)):
-            raise exc
-        out = v ** 3 - 2.0 * v
-        out[..., 1:] += 0.3 * v[..., :-1] ** 2
-        out[..., :-1] += 0.5 * v[..., 1:] ** 2
-        return (out, ~blocked) if np.ndim(v) == 2 else out
-
-    return res_fn, calls
-
-
-@pytest.mark.parametrize("exc, calls_after_stack", [
-    # colour 1 alone takes the loop: one failed pair, column 7 peeled, the rest
-    (ConeExitError("left the cone at node 8", node=8), 1 + 2 + 2),
-    # a domain error leaves every colour to the loop, as without the stack
-    (DomainError("outside the domain"), 4 + 1 + 7 * 2),
-])
-def test_stacked_jacobian_fallback_matches_dense(exc, calls_after_stack):
-    u = np.linspace(0.8, 1.4, 20)
-    res_fn, calls = _walled_stack_residual(u, 7, exc)
-    r0 = res_fn(u)
-    dense = sv._fd_jacobian(res_fn, u, r0)
-    calls.clear()
-    stacked = sv._fd_jacobian(res_fn, u, r0, bandwidth=1, stacked=True)
-    assert calls == [2] + [1] * calls_after_stack
-    assert np.array_equal(stacked, dense)
-    _assert_tridiagonal(stacked)
+    assert calls == [(6, 32)] + [(32,)] * 4 + [(4, 32)]
+    assert np.array_equal(coloured, dense)
