@@ -21,7 +21,13 @@ the tests.
 Ricci is assembled from the two traces of the Christoffel derivatives it
 needs, sum_m d_m Gamma^m_jk and sum_m d_j Gamma^m_mk, contracted directly
 from the metric's second derivatives and from d_a g^-1 = -g^-1 (d_a g) g^-1:
-O(B n^4) work per batch, never the full d Gamma tensor.  A finite-difference
+O(B n^4) work per batch, never the full d Gamma tensor.  On a space form of
+sectional curvature K, Ric = (n-1) K g exactly; a metric that declares its
+``sectional_curvature`` (the builtin ``flat``, K = 0, and ``sphere_normal`` and
+``sphere_polar``, K = 1) reads Ricci in that closed form and evaluates no
+second derivatives, so ``ricci_background``, ``scalar_curvature`` and
+``schouten_background`` (A_g = K g / 2) read it too.  The trace assembly
+stays for every other metric and as the oracle.  A finite-difference
 Hessian evaluates its 1 + 2n^2 stencil point sets in one call of the field,
 as a finite-difference gradient does with its 2n.
 
@@ -172,6 +178,10 @@ class MetricField:
     the mode is analytic; otherwise derivatives fall back to central finite
     differences with step ``h`` (Richardson-refined when ``richardson``).
     Index conventions: d1[b, k, i, j] = d_k g_ij, d2[b, k, l, i, j] = d_k d_l g_ij.
+    ``sectional_curvature``: the constant K of a space form, or None.  When
+    set, Ricci is read as (n-1) K g and the curvature assembly never calls
+    ``d2_fn``; the builtin charts set it, custom metrics and
+    ``conformal_metric`` results do not.
     """
 
     n: int
@@ -183,6 +193,7 @@ class MetricField:
     domain_lo: Optional[np.ndarray] = None
     domain_hi: Optional[np.ndarray] = None
     name: str = "custom"
+    sectional_curvature: Optional[float] = None
 
     @property
     def mode(self):
@@ -209,8 +220,11 @@ class MetricField:
         return _unbatch(_derivative(self, self.d2_fn, _fd_d2, xb), single)
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
-        """Same components, derivatives forced to finite differences."""
-        return replace(self, d1_fn=None, d2_fn=None, h=h, richardson=richardson)
+        """Same components, derivatives forced to finite differences, and no
+        ``sectional_curvature``: Ricci comes from the finite-difference second
+        derivatives, not from the closed form."""
+        return replace(self, d1_fn=None, d2_fn=None, h=h, richardson=richardson,
+                       sectional_curvature=None)
 
     # -- builtin charts -------------------------------------------------------
 
@@ -227,7 +241,8 @@ class MetricField:
         def d2(x):
             return np.zeros((x.shape[0], n, n, n, n))
 
-        return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2, name="flat")
+        return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2, name="flat",
+                   sectional_curvature=0.0)
 
     @classmethod
     def sphere_normal(cls, n, chart_radius=3.0):
@@ -283,7 +298,8 @@ class MetricField:
 
         lo = -chart_radius * np.ones(n)
         return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2,
-                   domain_lo=lo, domain_hi=-lo, name="sphere-normal")
+                   domain_lo=lo, domain_hi=-lo, name="sphere-normal",
+                   sectional_curvature=1.0)
 
     @classmethod
     def sphere_polar(cls, n, pad=0.25):
@@ -333,7 +349,8 @@ class MetricField:
         lo = pad * np.ones(n)
         hi = (math.pi - pad) * np.ones(n)
         return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2,
-                   domain_lo=lo, domain_hi=hi, name="sphere-polar")
+                   domain_lo=lo, domain_hi=hi, name="sphere-polar",
+                   sectional_curvature=1.0)
 
 
 # coefficients of q(s) = sum_j t_{j+2} s^j with t_m = (-1)^(m+1) 2^(2m-1) / (2m)!
@@ -518,6 +535,9 @@ def christoffel(g, x):
 
 
 def _ricci_batch(g, geom):
+    if g.sectional_curvature is not None:
+        # a space form: Ric = (n-1) K g
+        return (g.n - 1.0) * g.sectional_curvature * geom.gmat
     # Ric_jk = d_m Gamma^m_jk - d_j Gamma^m_mk + Gamma^m_mp Gamma^p_jk
     #          - Gamma^m_jp Gamma^p_mk
     # needs only two traces of d_a Gamma^m_ij = 1/2 d_a g^{ml} sym_ijl
@@ -552,11 +572,13 @@ def _ricci_batch(g, geom):
 
 
 def ricci_background(g, x):
+    """Ric_g; (n-1) K g when ``g`` declares its sectional curvature K."""
     xb, single = _batchify(x, g.n)
     return _unbatch(_ricci_batch(g, _geometry(g, xb)), single)
 
 
 def scalar_curvature(g, x):
+    """R_g = tr_g Ric_g; n (n-1) K up to rounding on a declared space form."""
     xb, single = _batchify(x, g.n)
     geom = _geometry(g, xb)
     return _unbatch(_g_trace(geom.ginv, _ricci_batch(g, geom)), single)
@@ -564,6 +586,9 @@ def scalar_curvature(g, x):
 
 def schouten_background(g, x, *, geometry=None):
     """Schouten tensor A_g = (Ric - R g / (2(n-1))) / (n-2).
+
+    From the closed-form Ricci (n-1) K g, so K g / 2, when ``g`` declares its
+    sectional curvature K; from the trace assembly otherwise.
 
     ``geometry``: a first-order ``ChartGeometry`` of the points ``x`` to
     assemble from; evaluated here when omitted.  Raises ``DomainError`` for

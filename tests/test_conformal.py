@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,7 +429,12 @@ def _oracle_charts(n, rng):
     angles = rng.uniform(0.6, 2.4, (6, n))
     scaled = cf.conformal_metric(normal, _exp_factor(rng.uniform(-0.4, 0.4, n)))
     assert scaled.mode == "analytic"
+    # the builtin charts read Ricci in closed form; without their sectional
+    # curvature they go through the trace assembly of their analytic d2
     return [(normal, inner), (polar, angles), (flat, inner),
+            (replace(normal, sectional_curvature=None), inner),
+            (replace(polar, sectional_curvature=None), angles),
+            (replace(flat, sectional_curvature=None), inner),
             (normal.with_fd(), inner), (polar.with_fd(), angles),
             (flat.with_fd(), inner), (scaled, inner)]
 
@@ -442,6 +448,66 @@ def test_ricci_trace_assembly_matches_full_dgamma_oracle(n, rng):
         scale = np.abs(expect).max()
         assert np.abs(got - expect).max() <= 1e-13 * scale, (g.name, g.mode)
         assert np.array_equal(cf.ricci_background(g, pts), got)
+
+
+# -- closed-form space-form Ricci against the trace assembly -----------------
+
+def _space_forms(n, rng):
+    inner = rng.uniform(-0.8, 0.8, (6, n)) / np.sqrt(n)
+    return [(cf.MetricField.flat(n), inner), (cf.MetricField.sphere_normal(n), inner),
+            (cf.MetricField.sphere_polar(n), rng.uniform(0.6, 2.4, (6, n)))]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_space_form_ricci_matches_assembly(n, rng):
+    for g, pts in _space_forms(n, rng):
+        K = g.sectional_curvature
+        assert K == (0.0 if g.name == "flat" else 1.0)
+        ric = cf.ricci_background(g, pts)
+        assembled = cf.ricci_background(replace(g, sectional_curvature=None), pts)
+        assert np.abs(ric - assembled).max() <= 1e-13 * np.abs(ric).max(), g.name
+        gmat = g.components(pts)
+        assert np.array_equal(ric, (n - 1.0) * K * gmat)
+        a = cf.schouten_background(g, pts)
+        assert np.abs(a - K * gmat / 2.0).max() <= 1e-13 * max(K, 1.0) * np.abs(gmat).max()
+        assert np.allclose(cf.scalar_curvature(g, pts), n * (n - 1.0) * K, rtol=1e-13,
+                           atol=0.0)
+
+
+def _count_d2(g):
+    calls = []
+
+    def d2(x):
+        calls.append(x.shape)
+        return g.d2_fn(x)
+
+    return d2, calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_chart_geometry_skips_d2_on_space_forms(n, rng):
+    for g, pts in _space_forms(n, rng):
+        d2, calls = _count_d2(g)
+        counted = replace(g, d2_fn=d2)
+        geom = cf.chart_geometry(counted, pts)
+        cf.chart_geometry(counted, pts[:3])
+        assert calls == [], g.name
+        assert np.array_equal(geom.a_bg, cf.schouten_background(g, pts))
+        # without the curvature the trace assembly reads d2 once per batch
+        cf.chart_geometry(replace(counted, sectional_curvature=None), pts)
+        cf.chart_geometry(replace(counted, sectional_curvature=None), pts[:3])
+        assert calls == [pts.shape, (3, n)], g.name
+
+
+def test_derived_metrics_carry_no_sectional_curvature():
+    normal = cf.MetricField.sphere_normal(4)
+    u = _exp_factor([0.3, -0.2, 0.1, 0.4])
+    assert cf.conformal_metric(normal, u).sectional_curvature is None
+    assert cf.conformal_metric(normal, u.with_fd()).sectional_curvature is None
+    assert cf.MetricField(n=3, value_fn=lambda x: None).sectional_curvature is None
+    # the FD form exercises the finite-difference Ricci it exists for
+    assert normal.with_fd().sectional_curvature is None
+    assert cf.MetricField.flat(3).with_fd(richardson=True).sectional_curvature is None
 
 
 # -- one-call finite-difference Hessian against the per-stencil loop ----------

@@ -1,9 +1,11 @@
-"""``tools/compare_outputs.compare`` on two output trees written by hand.
+"""The comparison tools on inputs written by hand, without git or a run.
 
-The comparison is how demo output identity is shown across revisions, so its
-three rules are pinned here without git or a demo run: a number that moves is
+``tools/compare_outputs.compare`` is how demo output identity is shown across
+revisions, so its three rules are pinned here: a number that moves is
 reported with its size, a verdict that changes is non-numeric, and a file on
-one side only is non-numeric.
+one side only is non-numeric.  ``tools/bench_pairs`` turns paired benchmark
+runs into a verdict; its claim rule and regression bounds are pinned on
+synthetic runs.
 """
 
 import importlib
@@ -20,6 +22,12 @@ def compare(monkeypatch):
     # the script imports its sibling ``bench_pairs`` from its own directory
     monkeypatch.syspath_prepend(str(TOOLS))
     return importlib.import_module("compare_outputs").compare
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module("bench_pairs")
 
 
 def _tree(root, stamp="2026-01-01", margin="4.0", ok="1", r1=0.125, runtime=1.0,
@@ -63,3 +71,62 @@ def test_missing_file_is_non_numeric(tmp_path, compare):
     lines, bad = compare(_tree(tmp_path / "parent"), _tree(tmp_path / "change", profile=False))
     assert bad == 1
     assert "solve/profile.txt: only on the parent side" in lines
+
+
+SPEC = {"workloads": [{"name": "demo"}, {"name": "psi"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.2},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}
+
+
+def _runs(parent_wall, change_wall, parent_rss=60.0, change_rss=60.0):
+    """Paired runs of one workload; run i of each side is pair i."""
+    runs = []
+    for pair, (pw, cw) in enumerate(zip(parent_wall, change_wall)):
+        for label, wall, rss in (("parent", pw, parent_rss), ("change", cw, change_rss)):
+            runs.append({"label": label, "pair": pair, "correct": True, "attempted": 40,
+                         "metrics": {"wall_s": wall, "peak_rss_mb": rss}})
+    return runs
+
+
+def _summary(bench_pairs, **workloads):
+    metrics = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    return {w: bench_pairs.summarise(runs, metrics) for w, runs in workloads.items()}
+
+
+def test_claim_must_name_a_benchmark_workload_and_metric(bench_pairs):
+    assert bench_pairs.parse_claim("psi:wall_s", SPEC) == ("psi", "wall_s")
+    for claim in ("psi", "psi:wall", "other:wall_s", "psi:cones.margin.s", "wall_s:psi"):
+        with pytest.raises(ValueError, match="is not WORKLOAD:METRIC"):
+            bench_pairs.parse_claim(claim, SPEC)
+
+
+def test_claim_met_needs_nine_wins_and_a_gap_beyond_the_parent_iqr(bench_pairs):
+    parent = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]
+    faster = [w - 0.1 for w in parent]
+    one_loss = faster[:9] + [1.2]
+    two_losses = faster[:8] + [1.2, 1.2]
+    within_iqr = [w - 0.005 for w in parent]
+    for change, met in ((faster, True), (one_loss, True), (two_losses, False),
+                        (within_iqr, False)):
+        summary = _summary(bench_pairs, demo=_runs(parent, change), psi=_runs(parent, parent))
+        out = bench_pairs.verdict(summary, ("demo", "wall_s"), SPEC)
+        assert out["claim"]["met"] is met, change
+        assert out["claim"]["wins_needed"] == 9
+    assert out["claim"]["change_wins"] == "10/10"
+    assert out["claim"]["median_gap"] <= out["claim"]["parent_iqr"]
+    assert bench_pairs.verdict(summary, None, SPEC)["claim"] is None
+
+
+def test_regressions_are_metrics_worse_than_their_bound(bench_pairs):
+    parent = [1.0] * 10
+    summary = _summary(bench_pairs,
+                       demo=_runs(parent, [1.19] * 10, change_rss=62.9),   # inside both
+                       psi=_runs(parent, [1.25] * 10, change_rss=63.1))    # beyond both
+    out = bench_pairs.verdict(summary, None, SPEC)
+    assert [(r["workload"], r["metric"]) for r in out["regressions"]] == \
+        [("psi", "wall_s"), ("psi", "peak_rss_mb")]
+    assert out["regressions"][0]["worse_by"] == pytest.approx(0.25)
+    assert out["regressions"][1] == {"workload": "psi", "metric": "peak_rss_mb",
+                                     "parent": 60.0, "change": 63.1,
+                                     "worse_by": pytest.approx(0.05167, abs=1e-5),
+                                     "bound": 0.05}

@@ -14,13 +14,23 @@ alternates from pair to pair, so a drift of the host hits both sides alike.
 The end-to-end metrics of the last JSON line of every run are summarised per
 workload: median and quartiles (linear interpolation, inclusive) for each
 side, the pairs the change wins, the median gap (positive when the change
-is better) and the parent's interquartile range.  Everything goes to
-``BENCH_<label>.json`` at the repository root.
+is better) and the parent's interquartile range.  Each run keeps its
+``attempted`` count of correctness checks, which grows with the passes the
+run made (and so does ``peak_rss_mb``).
+
+The ``verdict`` block applies the rule: the ``--claim`` (a workload and an
+end-to-end metric of ``BENCHMARK.json``, checked before anything runs) is met
+when the change wins at least 9 in 10 of the pairs and its median gap exceeds
+the parent's interquartile range; ``regressions`` lists every (workload,
+metric) whose change median is worse than the parent's by more than the
+metric's relative ``bound``.  Everything goes to ``BENCH_<label>.json`` at
+the repository root.
 """
 
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -32,6 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS, SECONDS, SEED = 10, 30.0, 11
+WIN_SHARE = 0.9
 
 
 def git(*args):
@@ -81,6 +92,46 @@ def summarise(runs, metrics):
     return out
 
 
+def parse_claim(claim, spec):
+    """``(workload, metric)`` of a ``WORKLOAD:METRIC`` claim; ``ValueError``
+    unless both are in the benchmark spec (the metric an end-to-end one)."""
+    workload, sep, metric = claim.partition(":")
+    workloads = [w["name"] for w in spec["workloads"]]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    if not sep or workload not in workloads or metric not in metrics:
+        raise ValueError(f"claim {claim!r} is not WORKLOAD:METRIC with a workload of "
+                         f"{workloads} and an end-to-end metric of {metrics}")
+    return workload, metric
+
+
+def verdict(summary, claim, spec):
+    """The claim's outcome and the metrics that regress beyond their bound.
+
+    ``summary``: per-workload ``summarise`` output; ``claim``: a
+    ``(workload, metric)`` pair or None."""
+    out = {"claim": None, "regressions": []}
+    if claim is not None:
+        workload, metric = claim
+        s = summary[workload][metric]
+        wins, pairs = map(int, s["change_wins"].split("/"))
+        needed = math.ceil(WIN_SHARE * pairs)
+        out["claim"] = {"workload": workload, "metric": metric,
+                        "change_wins": s["change_wins"], "wins_needed": needed,
+                        "median_gap": s["median_gap"], "parent_iqr": s["parent_iqr"],
+                        "met": wins >= needed and s["median_gap"] > s["parent_iqr"]}
+    for workload, per_metric in summary.items():
+        for m in spec["end_to_end"]:
+            s = per_metric[m["name"]]
+            parent = s["parent"]["median"]
+            worse = -s["median_gap"] / abs(parent)
+            if worse > m["bound"]:
+                out["regressions"].append({
+                    "workload": workload, "metric": m["name"], "parent": parent,
+                    "change": s["change"]["median"], "worse_by": round(worse, 5),
+                    "bound": m["bound"]})
+    return out
+
+
 def environment():
     import numpy
     import scipy
@@ -101,6 +152,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        claim = parse_claim(args.claim, spec) if args.claim else None
+    except ValueError as exc:
+        parser.error(str(exc))
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     change = args.change or git("write-tree")
@@ -118,9 +173,12 @@ def main(argv=None):
                                  "seed": seed, "first": order[0],
                                  "metrics": {k: round(v["value"], 5)
                                              for k, v in out["metrics"].items()},
-                                 "correct": out["correct"], "failed": out["failed"]})
+                                 "correct": out["correct"], "attempted": out["attempted"],
+                                 "failed": out["failed"]})
                     print(f"{workload} pair {pair} {label}: {runs[-1]['metrics']}",
                           file=sys.stderr)
+    summary = {w: summarise([r for r in runs if r["workload"] == w], metrics)
+               for w in workloads}
     report = {
         "description": (
             f"Alternating parent/change pairs of `python3 perfbench/run.py --workload W "
@@ -132,8 +190,8 @@ def main(argv=None):
                             else f"index tree {change}"),
         "environment": environment(),
         "claim": args.claim,
-        "summary": {w: summarise([r for r in runs if r["workload"] == w], metrics)
-                    for w in workloads},
+        "verdict": verdict(summary, claim, spec),
+        "summary": summary,
         "runs": runs,
     }
     path = ROOT / f"BENCH_{args.label}.json"
