@@ -15,10 +15,12 @@ The solver walks the two-parameter residual family
 
     residual(u; s, t) = f_t(lambda(A_{g_u})) - psi * u^(-s)
 
-with damped Newton steps and finite-difference Jacobians.  One bisecting
-walker drives both the (s, t) continuation and the right-hand-side sweep
-for starts pinned against the cone boundary.  The module also hosts the
-semilinear family H_t used by the degree checkpoints.
+with damped Newton steps and finite-difference Jacobians.  The (s, t)
+continuation is the one bisecting walk: a failed leg is halved toward its
+target.  A start pinned against the cone boundary falls back to the
+right-hand-side sweep, a fixed five-leg schedule that stops at its first
+failed leg.  The module also hosts the semilinear family H_t used by the
+degree checkpoints.
 
 On the uniform grid the residual at node i reads only u[i-1..i+1], so its
 Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
@@ -526,38 +528,6 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")
 
 
-def _walk(leg, where, start, schedule, min_step, max_steps):
-    """Walk from ``start`` through the parameter tuples of ``schedule``.
-
-    ``leg(state, target)`` returns the state at the target or raises, and
-    ``where(state)`` is a state's parameter tuple.  A failed leg is bisected:
-    its midpoint is walked first.  Raises ``ContinuationError`` with the last
-    accepted state once a failing leg is shorter than ``min_step`` (max norm)
-    or the attempts exceed ``max_steps``.  Returns the accepted states.
-    """
-    states = [start]
-    pending = list(schedule)
-    attempts = 0
-    while pending:
-        attempts += 1
-        if attempts > max_steps:
-            raise ContinuationError("continuation exceeded the step budget",
-                                    last_state=states[-1])
-        target = pending[0]
-        try:
-            state = leg(states[-1], target)
-        except (ContinuationError, DomainError):
-            here = where(states[-1])
-            if max(abs(b - a) for a, b in zip(here, target)) < min_step:
-                raise ContinuationError("continuation step underflow",
-                                        last_state=states[-1])
-            pending.insert(0, tuple(0.5 * (a + b) for a, b in zip(here, target)))
-            continue
-        states.append(state)
-        pending.pop(0)
-    return states
-
-
 def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
     """Sweep the right-hand side from the start profile's own curvature values.
 
@@ -568,32 +538,28 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
 
     makes the start an exact solution at tau = 0 and walks it into the
     interior along tau = 0.125, 0.375, 0.625, 0.875, 1, warm-starting Newton
-    at each leg; failed legs are bisected down to 2e-4.  Returns (u, iterations).
+    at each leg.  The first leg that fails ends the sweep with a
+    ``ContinuationError`` naming its tau and carrying no ``last_state``.
+    Returns (u, iterations).
     """
     lam0 = schouten_eig_matrix(profile)
     f0 = np.maximum(ft.power_value_batch(lam0), 0.0) ** (1.0 / ft.cone.k)
     psi_arr = _psi_values(psi, profile)
     bandwidth = _jacobian_bandwidth(profile)
-
-    def leg(cur, target):
-        (tau,) = target
+    u, total = profile.values, 0
+    for tau in (0.125, 0.375, 0.625, 0.875, 1.0):
 
         def res_fn(v):
             return _cone_residual(ft, schouten_eig_matrix(profile, v),
                                   tau * psi_arr * v ** (-s) + (1.0 - tau) * f0)
 
         leg_tol = tol if tau >= 1.0 else max(tol, 1e-8)
-        u, iters, _ = _damped_newton(res_fn, cur[1], leg_tol, max_iter,
-                                     bandwidth=bandwidth)
-        return target, u, cur[2] + iters
-
-    try:
-        walked = _walk(leg, lambda st: st[0], ((0.0,), profile.values, 0),
-                       [(0.125,), (0.375,), (0.625,), (0.875,), (1.0,)], 2e-4, math.inf)
-    except ContinuationError as exc:
-        # the sweep's (tau, u, iterations) states are not continuation states
-        raise ContinuationError(f"right-hand-side sweep: {exc}") from exc
-    _, u, total = walked[-1]
+        try:
+            u, iters, _ = _damped_newton(res_fn, u, leg_tol, max_iter,
+                                         bandwidth=bandwidth)
+        except (ContinuationError, DomainError) as exc:
+            raise ContinuationError(f"right-hand-side sweep at tau = {tau:g}: {exc}") from exc
+        total += iters
     return u, total
 
 
@@ -602,9 +568,9 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10, max_iter=60):
 
     Tries the affine-covariant Newton iteration on the residual directly;
     if that stalls (typically a start pinned against the cone boundary) it
-    falls back to the right-hand-side sweep.  The returned state is
-    certified at ``tol`` in the max norm; a failure raises
-    ``ContinuationError`` without a ``last_state``.
+    falls back to the right-hand-side sweep, which does not bisect.  The
+    returned state is certified at ``tol`` in the max norm; a
+    failure raises ``ContinuationError`` without a ``last_state``.
     """
     ft = f.deform(t) if t != 1.0 else f
 
@@ -628,20 +594,35 @@ def newton_continuation(start, schedule, f, psi=1.0, tol=1e-10, max_steps=400,
     """Walk the (s, t) schedule from an already-converged start state.
 
     Each accepted state satisfies residual <= tol, u > 0 and a strictly
-    positive cone margin; failed legs are bisected in parameter space, and
-    the walk aborts with the last good state once the leg length underflows
-    ``min_step`` or the attempts exceed ``max_steps``.
+    positive cone margin; a failed leg is bisected in parameter space (its
+    midpoint is walked first), and the walk aborts with the last good state
+    once a failing leg is shorter than ``min_step`` (max norm) or the
+    attempts exceed ``max_steps``.  Returns the accepted states.
     """
     if start.residual_norm > tol:
         raise ValueError("continuation start state does not satisfy the tolerance")
-
-    def leg(cur, target):
-        state = newton_solve(cur.profile, f, *target, psi, tol)
-        if state.min_cone_margin <= 0:
-            raise ContinuationError("cone margin lost at accepted state")
-        return state
-
-    return _walk(leg, lambda st: (st.s, st.t), start, schedule, min_step, max_steps)
+    states = [start]
+    pending = list(schedule)
+    attempts = 0
+    while pending:
+        cur, (s, t) = states[-1], pending[0]
+        attempts += 1
+        if attempts > max_steps:
+            raise ContinuationError("continuation exceeded the step budget",
+                                    last_state=cur)
+        try:
+            state = newton_solve(cur.profile, f, s, t, psi, tol)
+            if state.min_cone_margin <= 0:
+                raise ContinuationError("cone margin lost at accepted state")
+        except (ContinuationError, DomainError):
+            if max(abs(s - cur.s), abs(t - cur.t)) < min_step:
+                raise ContinuationError("continuation step underflow",
+                                        last_state=cur)
+            pending.insert(0, (0.5 * (cur.s + s), 0.5 * (cur.t + t)))
+            continue
+        states.append(state)
+        pending.pop(0)
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -459,40 +459,47 @@ def test_continuation_walk_matches_pending_list_loop(monkeypatch, schedule,
     assert len(outcomes[0][0]) > 2 * len(schedule)  # the legs were bisected
 
 
-def _tau_recording_newton(visits, fail):
+def _tau_recording_newton(visits, fail, error=ContinuationError):
     # Stands in for _damped_newton in the right-hand-side sweep and reads
     # tau off the start residual: at u = 1 with psi = 2 the blended residual
-    # f(e/2) - tau * 2 - (1 - tau) * f(e/2) is -tau up to rounding.  Fails
-    # the first visit of each tau in ``fail`` and keeps u.
+    # f(e/2) - tau * 2 - (1 - tau) * f(e/2) is -tau up to rounding.  Raises
+    # ``error`` on the first visit of each tau in ``fail`` and keeps u.
     def newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
         tau = -float(res_fn(u0)[0])
         visits.append(tau)
         for bad in fail:
             if abs(tau - bad) < 1e-12:
                 fail.remove(bad)
-                raise ContinuationError("synthetic stall")
+                raise error("synthetic stall")
         return u0.copy(), 1, 0.0
     return newton
 
 
-def test_rhs_sweep_visits_schedule_and_bisects_toward_pending_target(monkeypatch):
+def test_rhs_sweep_visits_schedule_in_order_and_stops_at_first_failed_leg(monkeypatch):
     prof = sv.RadialProfile.make(4, 16)
     f = CurvatureFunction.sigma_root(4, 2)
     visits = []
-    monkeypatch.setattr(sv, "_damped_newton",
-                        _tau_recording_newton(visits, [0.375, 1.0]))
+    monkeypatch.setattr(sv, "_damped_newton", _tau_recording_newton(visits, []))
     u, iters = sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10, 60)
-    expect = [0.125, 0.375, 0.25, 0.375, 0.625, 0.875, 1.0, 0.9375, 1.0]
-    assert visits == pytest.approx(expect, abs=1e-12)
-    assert iters == 7  # one per accepted leg
+    assert visits == pytest.approx([0.125, 0.375, 0.625, 0.875, 1.0], abs=1e-12)
+    assert iters == 5  # one per leg
     assert np.array_equal(u, prof.values)
-    # no leg is tried twice: each retry starts from a newer accepted tau
-    accepted = [0.0, 0.125, 0.125, 0.25, 0.375, 0.625, 0.875, 0.875, 0.9375]
-    legs = list(zip(accepted, np.round(visits, 12)))
-    assert len(set(legs)) == len(legs)
+    # a stalled leg, or one leaving the domain, ends the sweep: no bisection
+    for error, bad in ((ContinuationError, 0.375), (DomainError, 0.625)):
+        visits.clear()
+        monkeypatch.setattr(sv, "_damped_newton",
+                            _tau_recording_newton(visits, [bad], error))
+        with pytest.raises(ContinuationError,
+                           match=f"right-hand-side sweep at tau = {bad}: synthetic stall"
+                           ) as err:
+            sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10, 60)
+        assert type(err.value.__cause__) is error
+        assert err.value.last_state is None
+        expect = [tau for tau in (0.125, 0.375, 0.625) if tau <= bad]
+        assert visits == pytest.approx(expect, abs=1e-12)
 
 
-def test_rhs_sweep_underflow_raises_without_state(monkeypatch):
+def test_rhs_sweep_failure_raises_without_state(monkeypatch):
     prof = sv.RadialProfile.make(4, 16)
     f = CurvatureFunction.sigma_root(4, 2)
     visits = []
@@ -503,13 +510,31 @@ def test_rhs_sweep_underflow_raises_without_state(monkeypatch):
         raise ContinuationError("synthetic stall")
 
     monkeypatch.setattr(sv, "_damped_newton", never)
-    with pytest.raises(ContinuationError, match="right-hand-side sweep") as err:
+    with pytest.raises(ContinuationError, match="right-hand-side sweep at tau = 0.125") as err:
         sv.newton_solve(prof, f, 1.0, psi=2.0)
     assert err.value.last_state is None
-    # the direct attempt at tau = 1, then the leg from 0 halved from 0.125
-    # until a failing leg is shorter than 2e-4
-    assert visits == pytest.approx([1.0] + [0.125 / 2 ** i for i in range(11)],
-                                   abs=1e-12)
+    # the direct attempt at tau = 1, then the first leg only
+    assert visits == pytest.approx([1.0, 0.125], abs=1e-12)
+
+
+def test_failed_lobatto_solve_runs_each_sweep_leg_at_most_once(monkeypatch):
+    # the 64-node Lobatto solve that neither direct Newton nor the sweep can
+    # certify: it fails after the direct attempt and at most one Newton run
+    # per blend weight
+    prof = sv.RadialProfile.make(4, 64, grid="lobatto")
+    f = CurvatureFunction.sigma_root(4, 2)
+    runs = []
+    real = sv._damped_newton
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sv, "_damped_newton", counting)
+    with pytest.raises(ContinuationError, match=r"right-hand-side sweep at tau = ") as err:
+        sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th))
+    assert err.value.last_state is None
+    assert 2 <= len(runs) <= 6
 
 
 def test_uniform_stencil_matrices_are_the_three_point_stencils():

@@ -4,8 +4,8 @@
 revisions, so its three rules are pinned here: a number that moves is
 reported with its size, a verdict that changes is non-numeric, and a file on
 one side only is non-numeric.  ``tools/bench_pairs`` turns paired benchmark
-runs into a verdict; its claim rule and regression bounds are pinned on
-synthetic runs.
+runs into a verdict; its claim rule, regression bounds and unresolved
+spreads are pinned on synthetic runs.
 """
 
 import importlib
@@ -130,3 +130,22 @@ def test_regressions_are_metrics_worse_than_their_bound(bench_pairs):
                                      "parent": 60.0, "change": 63.1,
                                      "worse_by": pytest.approx(0.05167, abs=1e-5),
                                      "bound": 0.05}
+
+
+def test_unresolved_are_spreads_wider_than_their_bound_unless_runs_separate(bench_pairs):
+    # parent wall_s: median 1.0, IQR 0.3 (> 0.2 bound); peak_rss_mb constant
+    wide = [0.8, 0.85, 1.0, 1.15, 1.2]
+    summary = _summary(bench_pairs,
+                       demo=_runs(wide, wide),                  # overlapping: unresolved
+                       psi=_runs(wide, [w - 0.6 for w in wide]))  # every run better
+    assert summary["demo"]["wall_s"]["parent_iqr"] == pytest.approx(0.3)
+    assert not summary["demo"]["wall_s"]["separated"]
+    assert summary["psi"]["wall_s"]["separated"]
+    out = bench_pairs.verdict(summary, None, SPEC)
+    assert out["unresolved"] == [{"workload": "demo", "metric": "wall_s",
+                                  "parent_iqr_rel": pytest.approx(0.3), "bound": 0.2}]
+    assert out["regressions"] == []
+    # the same overlap inside the bound is resolved
+    narrow = [1.0 + 0.1 * (w - 1.0) for w in wide]
+    summary = _summary(bench_pairs, demo=_runs(narrow, narrow), psi=_runs(narrow, narrow))
+    assert bench_pairs.verdict(summary, None, SPEC)["unresolved"] == []

@@ -14,7 +14,8 @@ alternates from pair to pair, so a drift of the host hits both sides alike.
 The end-to-end metrics of the last JSON line of every run are summarised per
 workload: median and quartiles (linear interpolation, inclusive) for each
 side, the pairs the change wins, the median gap (positive when the change
-is better) and the parent's interquartile range.  Each run keeps its
+is better), the parent's interquartile range and whether the runs separate
+(every change run better than every parent run).  Each run keeps its
 ``attempted`` count of correctness checks, which grows with the passes the
 run made (and so does ``peak_rss_mb``).
 
@@ -23,8 +24,11 @@ end-to-end metric of ``BENCHMARK.json``, checked before anything runs) is met
 when the change wins at least 9 in 10 of the pairs and its median gap exceeds
 the parent's interquartile range; ``regressions`` lists every (workload,
 metric) whose change median is worse than the parent's by more than the
-metric's relative ``bound``.  Everything goes to ``BENCH_<label>.json`` at
-the repository root.
+metric's relative ``bound``; ``unresolved`` lists every (workload, metric)
+whose parent interquartile range, relative to the parent median, is wider
+than that bound while the runs do not separate: such a metric cannot be
+read as unchanged.  Everything goes to ``BENCH_<label>.json`` at the
+repository root.
 """
 
 import argparse
@@ -88,7 +92,8 @@ def summarise(runs, metrics):
         p, c = spread(parent), spread(change)
         out[name] = {"parent": p, "change": c, "change_wins": f"{wins}/{len(pairs)}",
                      "median_gap": round(sign * (p["median"] - c["median"]), 5),
-                     "parent_iqr": round(p["q3"] - p["q1"], 5)}
+                     "parent_iqr": round(p["q3"] - p["q1"], 5),
+                     "separated": all(sign * (a - b) > 0 for a in parent for b in change)}
     return out
 
 
@@ -105,11 +110,13 @@ def parse_claim(claim, spec):
 
 
 def verdict(summary, claim, spec):
-    """The claim's outcome and the metrics that regress beyond their bound.
+    """The claim's outcome, the metrics that regress beyond their bound and
+    the unresolved metrics (parent spread wider than the bound, runs not
+    separated).
 
     ``summary``: per-workload ``summarise`` output; ``claim``: a
     ``(workload, metric)`` pair or None."""
-    out = {"claim": None, "regressions": []}
+    out = {"claim": None, "regressions": [], "unresolved": []}
     if claim is not None:
         workload, metric = claim
         s = summary[workload][metric]
@@ -129,6 +136,11 @@ def verdict(summary, claim, spec):
                     "workload": workload, "metric": m["name"], "parent": parent,
                     "change": s["change"]["median"], "worse_by": round(worse, 5),
                     "bound": m["bound"]})
+            spread_rel = s["parent_iqr"] / abs(parent)
+            if spread_rel > m["bound"] and not s["separated"]:
+                out["unresolved"].append({
+                    "workload": workload, "metric": m["name"],
+                    "parent_iqr_rel": round(spread_rel, 5), "bound": m["bound"]})
     return out
 
 
