@@ -370,11 +370,7 @@ def barrier_sweep_sub(cfg):
     for d in cfg.deltas:
         if not 0 < d < 0.25:
             raise ValueError("sub-solution sweep needs deltas in (0, 1/4)")
-    # chi coefficients are defined for r < n - 2 - 2 delta; keep the dyadic
-    # ceiling below that (binds only for n = 3 with delta near 1/4)
-    r_cap = min(0.5, 0.9 * (cfg.n - 2.0 - 2.0 * max(cfg.deltas)))
-    report = _run_sweep(cfg, kind="sub",
-                        combos=[{"delta": d} for d in cfg.deltas], r_start=r_cap)
+    report = _run_sweep(cfg, kind="sub", combos=[{"delta": d} for d in cfg.deltas])
     if not precondition_ok:
         report.failures.append(("precondition", "mu_plus > 1; sweep run as negative control"))
     return report
@@ -426,8 +422,19 @@ def barrier_sweep_super(cfg):
     return report
 
 
-def _run_sweep(cfg, kind, combos, r_start=0.5):
-    """Try the dyadic ceilings r1 = r_start / 2^i above 2 r_min in turn.
+def _first_ceiling(kind, n, deltas):
+    """The first dyadic ceiling r1 a sweep tries: 0.5, except that the
+    sub-solution's chi coefficients are defined only for r < n - 2 - 2 delta,
+    so its ceiling stays below that (binds only for n = 3 with delta near 1/4).
+    A sweep tries no ceiling at all unless this exceeds 2 r_min."""
+    if kind == "sub":
+        return min(0.5, 0.9 * (n - 2.0 - 2.0 * max(deltas)))
+    return 0.5
+
+
+def _run_sweep(cfg, kind, combos):
+    """Try the dyadic ceilings r1 = r_start / 2^i above 2 r_min in turn,
+    from r_start = ``_first_ceiling``.
 
     Each ceiling gets a fresh report filled from every combination.  Returns
     the first report whose samples all have the sign the barrier needs
@@ -445,6 +452,7 @@ def _run_sweep(cfg, kind, combos, r_start=0.5):
                            max_remainder=0.0)
 
     report = fresh(math.inf if sub else -math.inf)  # no ceiling tried
+    r_start = _first_ceiling(kind, cfg.n, cfg.deltas)
     for r1 in (r_start / 2 ** i for i in range(8)):
         if r1 <= cfg.r_min * 2:
             break

@@ -37,6 +37,8 @@ from .cones import ConeSpec, CurvatureFunction, gamma_mu_plus
 
 # the columns of both barrier sweep CSVs: (n, k) + SweepReport row
 _BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
+# the columns of both continuation transcripts: one row per accepted state
+_TRANSCRIPT_COLUMNS = ("step", "s", "t", "residual", "min_u", "max_u", "cone_margin")
 
 
 class ConfigError(Exception):
@@ -254,6 +256,11 @@ def _run_bishop_gromov(par, rng):
     return summary, files
 
 
+def _transcript_rows(states):
+    return [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u, st.min_cone_margin)
+            for i, st in enumerate(states)]
+
+
 def _run_solve_radial(par, rng):
     n, tol = par["dim"], par["tolerance"]
     k = par["k"] or max(1, (n + 1) // 2)
@@ -264,8 +271,6 @@ def _run_solve_radial(par, rng):
         prof.with_values(1.0 + par["perturbation"] * np.cos(prof.theta)), f, s0, tol=tol)
     schedule = [(s, 1.0) for s in np.linspace(s0, 0.0, par["steps"] + 1)[1:]]
     states = solver.newton_continuation(start, schedule, f, tol=tol)
-    rows = [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u,
-             st.min_cone_margin) for i, st in enumerate(states)]
     dev = max(abs(st.max_u - 1.0) for st in states)
     dev = max(dev, max(abs(st.min_u - 1.0) for st in states))
     margins_ok = all(st.min_cone_margin > 0 for st in states)
@@ -276,8 +281,7 @@ def _run_solve_radial(par, rng):
                "worst_margin": min(st.min_cone_margin for st in states),
                "newton_iterations": start.newton_iterations}
     return summary, [
-        ("solve_radial.csv",
-         ("step", "s", "t", "residual", "min_u", "max_u", "cone_margin"), rows),
+        ("solve_radial.csv", _TRANSCRIPT_COLUMNS, _transcript_rows(states)),
         ("profile.txt", ("theta", "u"), profile_rows),
     ]
 
@@ -291,16 +295,12 @@ def _run_solve_homotopy(par, rng):
     start = solver.make_state(prof.with_values(c0 * np.ones(nodes)), f, s0, 0.0)
     schedule = [(s0, t) for t in np.linspace(0.0, 1.0, par["steps"] + 1)[1:]]
     states = solver.newton_continuation(start, schedule, f, tol=par["tolerance"])
-    rows = [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u,
-             st.min_cone_margin) for i, st in enumerate(states)]
     end_dev = float(np.abs(states[-1].profile.values - 1.0).max())
     summary = {"passed": bool(end_dev <= par["dev_tolerance"]
                               and all(st.min_cone_margin > 0 for st in states)),
                "end_dev_from_one": end_dev,
                "worst_margin": min(st.min_cone_margin for st in states)}
-    return summary, [("solve_homotopy.csv",
-                      ("step", "s", "t", "residual", "min_u", "max_u",
-                       "cone_margin"), rows)]
+    return summary, [("solve_homotopy.csv", _TRANSCRIPT_COLUMNS, _transcript_rows(states))]
 
 
 _RUNNERS = {
@@ -454,6 +454,18 @@ def _params(cid, spec):
             if not all(1.0 < mu < top for mu in out["mus"]):
                 raise ConfigError(f"{where}field 'mus' must be numbers in (1, min(mu_plus, 2))"
                                   f" = (1, {top:.6g}) for the pair [{n}, {k}]")
+    if "r_min" in out:
+        # a sweep tries only the dyadic ceilings r1 > 2 r_min
+        sub = spec["kind"] == "verify barrier-sub"
+        pairs = out["pairs"]
+        if sub:
+            pairs = [*(pairs or [(n, None) for n in out["dims"]]), *out["negative_controls"]]
+        for n, _ in pairs:
+            first = barriers._first_ceiling("sub" if sub else "super", n, out["deltas"])
+            if first <= 2.0 * out["r_min"]:
+                raise ConfigError(f"{where}field 'r_min' must be below half the first"
+                                  f" dyadic ceiling r1 = {first:.6g} (n = {n}), or the"
+                                  f" sweep tries no ceiling")
     return out
 
 

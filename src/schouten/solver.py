@@ -26,19 +26,17 @@ On the uniform grid the residual at node i reads only u[i-1..i+1], so its
 Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
 the columns j = c mod 3 are perturbed together and one central pair of
 probes fills a whole colour.  The residual takes a (B, m) stack of profiles
-(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows) and returns
-``(res, node)`` for it: node[b] is -1 for a profile inside the cone and
-otherwise its first node outside.  The Jacobian is one loop over pending
-column sets, the colours to begin with.  Each round sends the central pair
-of every pending set through one stacked residual call: one eigenvalue pass
-and one value pass over the rows, and one m-row cone membership pass per
-probe.  A set whose probes stay inside fills its band; a set that leaves the
-cone at node i hands the one column whose band holds i to the single-column
-difference and stays pending with the rest.  Every entry equals the
-one-column-at-a-time difference bit for bit.  The spectral Lobatto grid and
-the H_t family (whose mean(u^2) term couples all nodes) keep that dense
-one-column Jacobian, which is also the oracle; there D @ V is not D @ v bit
-for bit.
+(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows) and returns their
+(B, m) residual rows, NaN at each node outside the cone.  The Jacobian sends
+the central pairs of all colours through one stacked residual call: one
+eigenvalue pass and one value pass over the rows, and one m-row cone
+membership pass per probe.  A column whose band rows are finite in both of
+its probes is filled from them; a NaN row i names the one column of its
+colour whose band holds i, and that column goes to the single-column
+difference.  Every entry equals the one-column-at-a-time difference bit for
+bit.  The spectral Lobatto grid and the H_t family (whose mean(u^2) term
+couples all nodes) keep that dense one-column Jacobian, which is also the
+oracle; there D @ V is not D @ v bit for bit.
 """
 
 from __future__ import annotations
@@ -282,20 +280,16 @@ def _cone_residual(f, lam, rhs):
 
     For one profile (``lam`` (m, n)) raises ``ConeExitError`` naming the
     first node outside the cone.  A stack of B profiles (``lam`` (B, m, n),
-    ``rhs`` (B, m)) raises nothing and returns ``(res, node)``: node[b] is -1
-    when profile b lies in the cone at every node and otherwise its first
-    node outside, the node its own ``ConeExitError`` would name.  Each profile
-    has its own m-row membership pass, as one profile does; the profiles
-    inside share one value pass, and the rows of the others are NaN.
+    ``rhs`` (B, m)) raises nothing and returns the (B, m) residual rows, NaN
+    in exactly the rows whose node lies outside the cone.  Each profile has
+    its own m-row membership pass, as one profile does; the rows inside
+    share one value pass.
     """
     if lam.ndim == 3:
         inside = np.array([f.cone.contains_batch(rows) for rows in lam])
-        node = np.where(inside.all(axis=1), -1, inside.argmin(axis=1))
-        ok = node < 0
         res = np.full(rhs.shape, np.nan)
-        vals = f._value_rows(lam[ok].reshape(-1, lam.shape[-1]))
-        res[ok] = vals.reshape(-1, rhs.shape[1]) - rhs[ok]
-        return res, node
+        res[inside] = f._value_rows(lam[inside]) - rhs[inside]
+        return res
     inside = f.cone.contains_batch(lam)
     if not inside.all():
         node = int(np.argmin(inside))
@@ -306,9 +300,9 @@ def _cone_residual(f, lam, rhs):
 def residual_Fs(profile, f, s, psi=1.0, values=None):
     """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit.
 
-    ``values`` may be a (B, m) stack of profiles: then the result is the
-    ``(res, node)`` pair of ``_cone_residual`` (node[b] = -1 inside the cone,
-    else the first node outside) and only a nonpositive value raises.
+    ``values`` may be a (B, m) stack of profiles: then the result is (B, m),
+    NaN at each node outside the cone (see ``_cone_residual``), and only a
+    nonpositive value raises.
     """
     v = profile.values if values is None else values
     lam = schouten_eig_matrix(profile, v)
@@ -416,17 +410,16 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     no row reads two of them, so one central pair with each column at its own
     step fills the band rows j-b..j+b of all of them, and every other entry
     is exactly zero, as the one-column difference is.  ``res_fn`` must then
-    also map a (B, m) stack of profiles to ``(res, node)`` (see
-    ``_cone_residual``).  The column sets still pending, the colours to begin
-    with, are probed in rounds: row q of a round's (2w, m) stack raises the
-    columns of set q by their steps and row w + q lowers them.  A set whose
-    two probes stay inside the cone fills its band.  A set that leaves it at
-    node i (the + probe's node first) hands the one column whose band holds i
-    to ``_fd_column`` and stays pending with the rest; a set with no such
-    column, a single column, or a round in which a probe leaves the positive
-    set is differenced column by column, with the shrinking steps and
-    one-sided probes of ``_fd_column``.  Either way the Jacobian equals the
-    dense one bit for bit.
+    also map a (B, m) stack of profiles to (B, m) rows, NaN at each node
+    outside the cone (see ``_cone_residual``).  All colours go through one
+    stacked call: row c of the (2(2b+1), m) stack raises the columns of
+    colour c by their steps and row 2b+1+c lowers them.  A column whose band
+    rows are finite in both its probes is filled from them.  The rest, or
+    every column when a probe leaves the positive set, go to ``_fd_column``,
+    with its shrinking steps and one-sided probes.  A NaN row i of colour c
+    can only come from the one column of that colour within b of i, and
+    that column's own probe leaves the cone at i too, so the Jacobian equals
+    the dense one bit for bit.
     """
     m = len(u)
     jac = np.zeros((m, m))
@@ -436,42 +429,24 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
         return jac
     steps = 1e-8 * (1.0 + np.abs(u))
     width = 2 * bandwidth + 1
-    pending = [np.arange(c, m, width) for c in range(width)]
-    while pending:
-        alone = [cols[0] for cols in pending if len(cols) == 1]
-        sets = [cols for cols in pending if len(cols) > 1]
-        pending = []
-        w = len(sets)
-        nodes = [None] * w  # None: no node names a column
-        if sets:
-            owner = np.full(m, -1)
-            for q, cols in enumerate(sets):
-                owner[cols] = q
-            shift = np.where(owner == np.arange(w)[:, None], steps, 0.0)
-            try:
-                res, node = res_fn(np.concatenate([u + shift, u - shift]))
-            except DomainError:
-                pass  # a probe left the positive set
-            else:
-                nodes = np.where(node[:w] >= 0, node[:w], node[w:])
-                filled = np.flatnonzero((owner >= 0) & (nodes[owner] < 0))
-                diff = res[:w] - res[w:]
-                for d in range(-bandwidth, bandwidth + 1):
-                    rows = filled + d
-                    keep = (rows >= 0) & (rows < m)
-                    r, c = rows[keep], filled[keep]
-                    jac[r, c] = diff[owner[c], r] / (2.0 * steps[c])
-        for cols, i in zip(sets, nodes):
-            if i == -1:
-                continue
-            near = [] if i is None else cols[np.abs(cols - i) <= bandwidth]
-            if len(near):
-                alone.append(near[0])
-                pending.append(cols[cols != near[0]])
-            else:
-                alone.extend(cols)
-        for j in alone:
-            _fd_column(res_fn, u, r0, j, jac)
+    cols = np.arange(m)
+    shift = np.where(cols % width == np.arange(width)[:, None], steps, 0.0)
+    try:
+        res = res_fn(np.concatenate([u + shift, u - shift]))
+    except DomainError:
+        alone = cols  # a probe left the positive set
+    else:
+        diff = res[:width] - res[width:]
+        for d in range(-bandwidth, bandwidth + 1):
+            rows = cols + d
+            keep = (rows >= 0) & (rows < m)
+            r, c = rows[keep], cols[keep]
+            jac[r, c] = diff[c % width, r] / (2.0 * steps[c])
+        # a column whose band meets a NaN row goes alone; _fd_column
+        # writes its whole column
+        alone = np.flatnonzero(~np.isfinite(jac).all(axis=0))
+    for j in alone:
+        _fd_column(res_fn, u, r0, j, jac)
     return jac
 
 
@@ -484,8 +459,9 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     points violating positivity or the cone are skipped by halving a.
     Convergence is declared in the discrete max norm.
     ``bandwidth`` is passed to the Jacobian, which then sends its probes
-    through stacked calls, so a banded ``res_fn`` must also map a (B, m)
-    stack to ``(res, node)`` (see ``_fd_jacobian``); ``r0``, when given, is
+    through one stacked call, so a banded ``res_fn`` must also map a (B, m)
+    stack to (B, m) rows, NaN outside the cone (see ``_fd_jacobian``);
+    ``r0``, when given, is
     the residual already evaluated at u0.  Returns (u, iterations, residual_norm).
     """
     u = np.asarray(u0, dtype=np.float64).copy()

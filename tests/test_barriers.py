@@ -389,8 +389,8 @@ def test_sweep_report_matches_copied_out_oracle(monkeypatch, kind, params):
     cfg = br.BarrierSweepConfig(num_r=12, num_dirs=3, **params)
     sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
     got = sweep(cfg)
-    monkeypatch.setattr(br, "_run_sweep", lambda cfg, kind, combos, r_start=0.5:
-                        _copied_out_sweep(cfg, kind, combos, kind == "sub", r_start))
+    monkeypatch.setattr(br, "_run_sweep", lambda cfg, kind, combos: _copied_out_sweep(
+        cfg, kind, combos, kind == "sub", br._first_ceiling(kind, cfg.n, cfg.deltas)))
     want = sweep(cfg)
     for f in dataclasses.fields(br.SweepReport):
         assert getattr(got, f.name) == getattr(want, f.name), f.name

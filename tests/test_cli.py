@@ -201,6 +201,26 @@ def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("spec, ceiling", [
+    pytest.param({"kind": "verify barrier-sub", "pairs": [[4, 2]], "r_min": 0.3},
+                 "r1 = 0.5 (n = 4)", id="sub"),
+    pytest.param({"kind": "verify barrier-super", "r_min": 0.25}, "r1 = 0.5 (n = 4)",
+                 id="super"),
+    # n = 3 keeps the sub-solution ceiling below n - 2 - 2 delta; n = 4 would
+    # still try 0.5 > 2 r_min
+    pytest.param({"kind": "verify barrier-sub", "dims": [4, 3], "deltas": [0.24],
+                  "r_min": 0.24}, "r1 = 0.468 (n = 3)", id="sub-n3"),
+])
+def test_r_min_above_every_ceiling_exit_two(tmp_path, capsys, spec, ceiling):
+    # a sweep that tries no dyadic ceiling certifies nothing, and its report's
+    # worst margin is infinite, which summary.json cannot hold as JSON
+    cfg = write_cfg(tmp_path, {"x": spec})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    msg = capsys.readouterr().err
+    assert "campaign 'x'" in msg and "field 'r_min'" in msg and ceiling in msg
+    assert not (tmp_path / "o").exists()
+
+
 def test_barrier_range_end_points():
     # the closed end of each range reads; the open ends are rejected above
     sub = cli._params("x", {"kind": "verify barrier-sub", "deltas": [1e-9, 0.2499]})

@@ -626,27 +626,30 @@ def test_coloured_jacobian_bitwise_on_deformed_cone():
     assert np.array_equal(dense, coloured)
 
 
-def _walled_residual(u, walls, domain=False, reach=1):
+def _walled_residual(u, walls, domain=False):
     # a tridiagonal residual that also takes a (B, m) stack.  Raising u[w]
     # for a wall w leaves the admissible set: by default through the cone at
-    # node w + reach (a stack row reports the first such node, one profile
-    # raises ConeExitError naming it), with ``domain`` by a DomainError for
-    # the whole call; ``calls`` records the shape of every call
+    # node w + 1 (a stack has NaN there, one profile raises ConeExitError
+    # naming its first such node), with ``domain`` by a DomainError for the
+    # whole call; ``calls`` records the shape of every call
     calls = []
     walls = np.asarray(walls)
 
     def res_fn(v):
         calls.append(np.shape(v))
         blocked = v[..., walls] > u[walls]
-        node = np.where(blocked.any(axis=-1), walls[blocked.argmax(axis=-1)] + reach, -1)
         if np.any(blocked) and domain:
             raise DomainError("outside the domain")
         if np.any(blocked) and np.ndim(v) == 1:
-            raise ConeExitError(f"left the cone at node {node}", node=int(node))
+            node = int(walls[blocked][0]) + 1
+            raise ConeExitError(f"left the cone at node {node}", node=node)
         out = v ** 3 - 2.0 * v
         out[..., 1:] += np.sin(v[..., :-1])
         out[..., :-1] += 0.5 * v[..., 1:] ** 2
-        return (out, node) if np.ndim(v) == 2 else out
+        if np.ndim(v) == 2:
+            for w in walls:
+                out[v[:, w] > u[w], w + 1] = np.nan
+        return out
 
     return res_fn, calls
 
@@ -656,24 +659,20 @@ STACK, ONE = (6, 20), (20,)
 
 # the ids of the first and last cases are those of the earlier single-wall
 # cases (an exception and its call count), kept so each case keeps its name
-@pytest.mark.parametrize("walls, domain, reach, expect", [
-    # colours 0 and 2 fill in the first round; colour 1 leaves at node 8, so
-    # column 7 alone is peeled off (2 calls) and the rest probed again
-    pytest.param([7], False, 1, [STACK, ONE, ONE, (2, 20)], id="exc0-9"),
-    # two colours leave in one round: both peel a column, both are probed again
-    pytest.param([7, 11], False, 1, [STACK] + [ONE] * 4 + [(4, 20)], id="two-colours"),
-    # a wall reported at node 0: column 1, whose band holds node 0, is peeled
-    # off; then no column of the rest holds it, and its 6 go one by one
-    pytest.param([7], False, -7, [STACK, ONE, ONE, (2, 20)] + [ONE] * 12, id="node-off-band"),
-    # two walls in one colour: two rounds peel one column each
-    pytest.param([7, 10], False, 1, [STACK, ONE, ONE, (2, 20), ONE, ONE, (2, 20)],
-                 id="two-walls-one-colour"),
-    # no node names a column: every column is differenced alone
-    pytest.param([7], True, 1, [STACK] + [ONE] * 40, id="exc1-19"),
+@pytest.mark.parametrize("walls, domain, expect", [
+    # colour 1's raised probe has NaN at node 8: column 7, whose band holds
+    # it, is differenced alone (2 calls); the other 19 fill from the stack
+    pytest.param([7], False, [STACK, ONE, ONE], id="exc0-9"),
+    # NaN in two colours: each hands one column to the single-column path
+    pytest.param([7, 11], False, [STACK] + [ONE] * 4, id="two-colours"),
+    # two walls in one colour: two NaN rows in one probe, two columns alone
+    pytest.param([7, 10], False, [STACK] + [ONE] * 4, id="two-walls-one-colour"),
+    # a probe leaves the positive set: every column is differenced alone
+    pytest.param([7], True, [STACK] + [ONE] * 40, id="exc1-19"),
 ])
-def test_coloured_jacobian_fallback_matches_dense(walls, domain, reach, expect):
+def test_coloured_jacobian_fallback_matches_dense(walls, domain, expect):
     u = np.linspace(0.8, 1.4, 20)
-    res_fn, calls = _walled_residual(u, walls, domain, reach)
+    res_fn, calls = _walled_residual(u, walls, domain)
     r0 = res_fn(u)
     dense = sv._fd_jacobian(res_fn, u, r0)
     calls.clear()
@@ -692,8 +691,8 @@ def test_coloured_jacobian_fallback_matches_dense(walls, domain, reach, expect):
 def _walled_stack_residual(u, wall, exc):
     # a tridiagonal residual with a quadratic coupling that also takes a
     # (B, m) stack; raising u[wall] leaves the admissible set: one profile
-    # raises ``exc``, a stack reports exc.node for its rows outside the cone,
-    # or raises a DomainError for the whole stack as for one profile
+    # raises ``exc``, a stack has NaN at exc.node in its rows outside the
+    # cone, or raises a DomainError for the whole stack as for one profile
     calls = []
 
     def res_fn(v):
@@ -704,17 +703,19 @@ def _walled_stack_residual(u, wall, exc):
         out = v ** 3 - 2.0 * v
         out[..., 1:] += 0.3 * v[..., :-1] ** 2
         out[..., :-1] += 0.5 * v[..., 1:] ** 2
-        return (out, np.where(blocked, getattr(exc, "node", -1), -1)) if np.ndim(v) == 2 else out
+        if np.any(blocked):
+            out[blocked, exc.node] = np.nan
+        return out
 
     return res_fn, calls
 
 
 @pytest.mark.parametrize("exc, after_stack", [
-    # colour 1 leaves at node 8: column 7 is peeled off (2 calls), the rest
-    # of colour 1 is probed again as one stack of its pair
-    pytest.param(ConeExitError("left the cone at node 8", node=8), [ONE, ONE, (2, 20)],
+    # colour 1's raised probe has NaN at node 8: column 7, whose band holds
+    # it, is differenced alone (2 calls); the rest fill from the stack
+    pytest.param(ConeExitError("left the cone at node 8", node=8), [ONE, ONE],
                  id="exc0-5"),
-    # a domain error names no node: every column is differenced alone
+    # a probe leaves the positive set: every column is differenced alone
     pytest.param(DomainError("outside the domain"), [ONE] * 40, id="exc1-19"),
 ])
 def test_stacked_jacobian_fallback_matches_dense(exc, after_stack):
@@ -736,11 +737,11 @@ def test_coloured_jacobian_both_sides_blocked_raises():
 
     def res_fn(v):
         moved = v[..., 5] != u[5]
-        if np.ndim(v) == 2:
-            return v ** 2, np.where(moved, 5, -1)
-        if moved:
+        if np.ndim(v) == 1 and moved:
             raise ConeExitError("pinned at node 5", node=5)
-        return v ** 2
+        out = v ** 2
+        out[moved, 5] = np.nan
+        return out
 
     with pytest.raises(ContinuationError, match="node 5"):
         sv._fd_jacobian(res_fn, u, res_fn(u), bandwidth=1)
@@ -834,28 +835,35 @@ def test_stacked_eigs_and_residual_match_each_profile():
         stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.0, 0.1, 0.2, 0.9)]
                          + [1.0 + 0.6 * np.cos(2.0 * prof.theta)])
         lam = sv.schouten_eig_matrix(prof, stack)
-        res, node = sv.residual_Fs(prof, f, 0.5, psi, values=stack)
+        res = sv.residual_Fs(prof, f, 0.5, psi, values=stack)
         assert lam.shape == (5, 24, 4) and res.shape == (5, 24)
-        assert (node < 0).tolist() == [True, True, True, False, False]
+        inside = np.array([f.cone.contains_batch(rows) for rows in lam])
+        # NaN in exactly the rows each profile's own membership pass rejects
+        assert np.array_equal(np.isnan(res), ~inside)
+        assert inside.all(axis=1).tolist() == [True, True, True, False, False]
         # on the Lobatto grid D @ V is not D @ v bit for bit
         tol = 0.0 if grid == "uniform" else 1e-9
+        rhs = sv._psi_values(psi, prof) * stack ** -0.5
         for b, v in enumerate(stack):
             assert np.allclose(lam[b], sv.schouten_eig_matrix(prof, v), rtol=0.0, atol=tol)
-            if node[b] < 0:
+            if inside[b].all():
                 want = sv.residual_Fs(prof, f, 0.5, psi, values=v)
                 assert np.allclose(res[b], want, rtol=0.0, atol=tol)
             else:
-                # the node a stack row reports is the profile's own exit node
+                # the profile alone names its first NaN row; its rows inside
+                # the cone keep their values
                 with pytest.raises(ConeExitError) as err:
                     sv.residual_Fs(prof, f, 0.5, psi, values=v)
-                assert node[b] == err.value.node
+                assert np.argmin(inside[b]) == err.value.node
+                ok = inside[b]
+                assert np.array_equal(res[b][ok], f.value_batch(lam[b][ok]) - rhs[b][ok])
     with pytest.raises(DomainError):
         sv.schouten_eig_matrix(prof, np.stack([prof.values, -prof.values]))
 
 
 def test_stacked_residual_checks_each_profile_once(monkeypatch):
     # one m-row membership call per profile, as for a single profile, and the
-    # rows of a profile outside the cone are NaN rather than values
+    # rows outside the cone are NaN rather than values
     prof = sv.RadialProfile.make(4, 32)
     f = CurvatureFunction.sigma_root(4, 2)
     stack = np.stack([1.0 + a * np.cos(prof.theta) for a in (0.1, 0.9, 0.2)])
@@ -867,10 +875,12 @@ def test_stacked_residual_checks_each_profile_once(monkeypatch):
         return real(self, lams)
 
     monkeypatch.setattr(ConeSpec, "contains_batch", counted)
-    res, node = sv.residual_Fs(prof, f, 0.5, values=stack)
+    res = sv.residual_Fs(prof, f, 0.5, values=stack)
     assert rows == [32, 32, 32]
-    assert (node >= 0).tolist() == [False, True, False]
-    assert np.isnan(res[1]).all() and np.isfinite(res[[0, 2]]).all()
+    inside = np.array([real(f.cone, lam) for lam in sv.schouten_eig_matrix(prof, stack)])
+    assert np.array_equal(np.isnan(res), ~inside)
+    assert inside.all(axis=1).tolist() == [True, False, True]
+    assert inside[1].any()  # the outside profile keeps its rows inside
 
 
 def _checked_jacobians(monkeypatch):
@@ -939,8 +949,8 @@ def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
 def test_stacked_jacobian_colour_leaving_the_cone_falls_back():
     # u = 1 + a cos(theta) with a just inside the cone: two colours leave it
     # in one Jacobian, colour 0 raised and colour 1 lowered, both at the pole
-    # node 31; each peels off the column whose band holds it (30, 31), and
-    # the rest of both is probed again in one call
+    # node 31; each hands the column whose band holds it (30, 31) to the
+    # single-column difference, and the other 30 fill from the stacked call
     prof = sv.RadialProfile.make(4, 32)
     f = CurvatureFunction.sigma_root(4, 2)
 
@@ -963,5 +973,44 @@ def test_stacked_jacobian_colour_leaving_the_cone_falls_back():
     dense = sv._fd_jacobian(res_fn, u, r0)
     calls.clear()
     coloured = sv._fd_jacobian(res_fn, u, r0, bandwidth=1)
-    assert calls == [(6, 32)] + [(32,)] * 4 + [(4, 32)]
+    assert calls == [(6, 32)] + [(32,)] * 4
     assert np.array_equal(coloured, dense)
+
+
+class _EnoughJacobians(Exception):
+    pass
+
+
+def test_stacked_jacobian_bitwise_where_probes_leave_the_cone(monkeypatch):
+    # the obstructed psi-branch walked toward s = 0 past s = 0.035, where
+    # colour probes first leave the cone: the first ten banded Jacobians that
+    # hand columns to _fd_column equal the dense oracle bit for bit
+    real_jac, real_col = sv._fd_jacobian, sv._fd_column
+    alone, checked = [], []
+
+    def column(res_fn, u, r0, j, jac):
+        alone.append(j)
+        return real_col(res_fn, u, r0, j, jac)
+
+    def check(res_fn, u, r0, bandwidth=None):
+        alone.clear()
+        jac = real_jac(res_fn, u, r0, bandwidth)
+        if bandwidth is not None and alone:
+            checked.append(len(alone))
+            assert np.array_equal(jac, real_jac(res_fn, u, r0))
+            if len(checked) == 10:
+                raise _EnoughJacobians
+        return jac
+
+    monkeypatch.setattr(sv, "_fd_column", column)
+    monkeypatch.setattr(sv, "_fd_jacobian", check)
+    prof = sv.RadialProfile.make(4, 64)
+    f = CurvatureFunction.sigma_root(4, 2)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    cur = sv.newton_solve(prof, f, 1.0, psi=psi)
+    for s in (0.5, 0.25, 0.12):
+        cur = sv.newton_solve(cur.profile, f, s, psi=psi)
+    schedule = [(s, 1.0) for s in np.linspace(0.12, 0.0, 25)[1:]]
+    with pytest.raises(_EnoughJacobians):
+        sv.newton_continuation(cur, schedule, f, psi=psi, max_steps=120)
+    assert len(checked) == 10 and max(checked) < 64  # not the all-columns path

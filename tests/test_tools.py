@@ -5,7 +5,8 @@ revisions, so its three rules are pinned here: a number that moves is
 reported with its size, a verdict that changes is non-numeric, and a file on
 one side only is non-numeric.  ``tools/bench_pairs`` turns paired benchmark
 runs into a verdict; its claim rule, regression bounds and unresolved
-spreads are pinned on synthetic runs.
+spreads are pinned on synthetic runs, and its reading of a run's stdout on a
+captured one.
 """
 
 import importlib
@@ -149,3 +150,32 @@ def test_unresolved_are_spreads_wider_than_their_bound_unless_runs_separate(benc
     narrow = [1.0 + 0.1 * (w - 1.0) for w in wide]
     summary = _summary(bench_pairs, demo=_runs(narrow, narrow), psi=_runs(narrow, narrow))
     assert bench_pairs.verdict(summary, None, SPEC)["unresolved"] == []
+
+
+# the stdout of one ``perfbench/run.py --workload bubble-batches`` run
+RUN_STDOUT = """\
+workload       bubble-batches seed=0 seconds=1 trace=0; closed loop, 1 caller, fresh single-threaded process
+environment    {"affinity_cpus": 2, "config_sha256": "21377d41", "git_revision": "unavailable", \
+"kernels_backend": "numpy", "nproc": 2, "numpy": "2.4.6", "python": "3.11.7", "scipy": "1.17.1", \
+"threads": {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}}
+setup_s                                        0.511733 s      median of 5 fresh processes
+wall_s                                         0.120391 s      median of 6 passes of 1 units
+raw call latency                         p50 0.5002 ms, p99 1.103 ms over 1440 calls
+failed_frac                                           0 ratio  0 of 1440 checks failed
+{"correct": true, "attempted": 1440, "failed": 0, "metrics": \
+{"wall_s": {"value": 0.12039105718004134, "unit": "s"}}}
+"""
+
+
+def test_run_stdout_gives_its_environment_line_and_final_json(bench_pairs):
+    env, result = bench_pairs.parse_run(RUN_STDOUT)
+    assert env == {"affinity_cpus": 2, "config_sha256": "21377d41",
+                   "git_revision": "unavailable", "kernels_backend": "numpy", "nproc": 2,
+                   "numpy": "2.4.6", "python": "3.11.7", "scipy": "1.17.1",
+                   "threads": {"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                               "OPENBLAS_NUM_THREADS": "1"}}
+    assert result == {"correct": True, "attempted": 1440, "failed": 0,
+                      "metrics": {"wall_s": {"value": 0.12039105718004134, "unit": "s"}}}
+    # a run that prints no environment line is an error, not an empty record
+    with pytest.raises(ValueError, match="no environment line"):
+        bench_pairs.parse_run(RUN_STDOUT.replace("environment ", "env "))

@@ -17,7 +17,9 @@ side, the pairs the change wins, the median gap (positive when the change
 is better), the parent's interquartile range and whether the runs separate
 (every change run better than every parent run).  Each run keeps its
 ``attempted`` count of correctness checks, which grows with the passes the
-run made (and so does ``peak_rss_mb``).
+run made (and so does ``peak_rss_mb``).  Each side keeps the ``environment``
+line ``perfbench/run.py`` prints for its first run: worker versions, kernel
+backend, the thread variables in force and the config's sha256.
 
 The ``verdict`` block applies the rule: the ``--claim`` (a workload and an
 end-to-end metric of ``BENCHMARK.json``, checked before anything runs) is met
@@ -35,8 +37,6 @@ import argparse
 import io
 import json
 import math
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -63,15 +63,25 @@ def checkout(rev, into):
     return into
 
 
+def parse_run(stdout):
+    """``(environment, result)`` of one ``perfbench/run.py`` run's stdout: the
+    JSON object its ``environment`` line prints and its final JSON line."""
+    lines = stdout.strip().splitlines()
+    env = [line[len("environment"):] for line in lines if line.startswith("environment ")]
+    if not env:
+        raise ValueError("the run printed no environment line")
+    return json.loads(env[0]), json.loads(lines[-1])
+
+
 def run_once(tree, workload, seed):
-    """One ``perfbench/run.py`` run in ``tree``; its final JSON object."""
+    """One ``perfbench/run.py`` run in ``tree``; ``parse_run`` of its stdout."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(SECONDS)],
                           cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {workload} seed {seed} exited {proc.returncode}:\n"
                          f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return parse_run(proc.stdout)
 
 
 def spread(values):
@@ -144,17 +154,6 @@ def verdict(summary, claim, spec):
     return out
 
 
-def environment():
-    import numpy
-    import scipy
-    import yaml
-    return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "pyyaml": yaml.__version__,
-            "nproc": os.cpu_count(), "affinity_cpus": len(os.sched_getaffinity(0)),
-            "machine": platform.machine(),
-            "threads": "OPENBLAS/OMP/MKL_NUM_THREADS=1 (set by perfbench/run.py)"}
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -171,7 +170,7 @@ def main(argv=None):
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
     workloads = [w["name"] for w in spec["workloads"]]
     change = args.change or git("write-tree")
-    runs = []
+    runs, environment = [], {}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": checkout(args.parent, Path(tmp) / "parent"),
                  "change": checkout(change, Path(tmp) / "change")}
@@ -180,7 +179,8 @@ def main(argv=None):
                 seed = SEED + pair
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for label in order:
-                    out = run_once(trees[label], workload, seed)
+                    env, out = run_once(trees[label], workload, seed)
+                    environment.setdefault(label, env)
                     runs.append({"label": label, "workload": workload, "pair": pair,
                                  "seed": seed, "first": order[0],
                                  "metrics": {k: round(v["value"], 5)
@@ -200,7 +200,7 @@ def main(argv=None):
         "parent_revision": git("rev-parse", "--short", args.parent),
         "change_revision": (git("rev-parse", "--short", args.change) if args.change
                             else f"index tree {change}"),
-        "environment": environment(),
+        "environment": environment,
         "claim": args.claim,
         "verdict": verdict(summary, claim, spec),
         "summary": summary,
