@@ -44,6 +44,7 @@ from .cones import ConeSpec, gamma_mu_plus
 from .errors import DomainError
 
 __all__ = [
+    "BACKGROUNDS",
     "BarrierSweepConfig",
     "GershgorinResult",
     "gershgorin_pairing",
@@ -54,6 +55,9 @@ __all__ = [
     "chi_coefficients_super",
     "barrier_sweep_sub",
     "barrier_sweep_super",
+    "sweep_fault",
+    "sub_pairs",
+    "mu_grid",
     "suph_barrier_check",
     "SweepReport",
     "SupHReport",
@@ -239,6 +243,10 @@ def chi_coefficients_super(mu, delta, eps, r):
 # sweeps
 # ---------------------------------------------------------------------------
 
+# the background charts a sweep or the superharmonic check runs on
+BACKGROUNDS = {"sphere": cf.MetricField.sphere_normal, "flat": cf.MetricField.flat}
+
+
 @dataclass
 class BarrierSweepConfig:
     n: int
@@ -249,21 +257,19 @@ class BarrierSweepConfig:
     r_min: float = 1e-4
     num_r: int = 64
     num_dirs: int = 8
-    background: str = "sphere"  # "sphere" (normal coordinates) or "flat"
+    background: str = "sphere"  # a key of BACKGROUNDS (normal coordinates on the sphere)
     seed: int = 0
 
     def __post_init__(self):
         if self.r_min <= 0:
             raise ValueError("r grid must be strictly positive")
-        if self.background not in ("sphere", "flat"):
-            raise ValueError("background must be 'sphere' or 'flat'")
+        if self.background not in BACKGROUNDS:
+            raise ValueError(f"background must be one of {', '.join(BACKGROUNDS)}")
         if self.num_r < 1 or self.num_dirs < 1:
             raise ValueError("num_r and num_dirs must be at least 1")
 
     def metric(self):
-        if self.background == "flat":
-            return cf.MetricField.flat(self.n)
-        return cf.MetricField.sphere_normal(self.n)
+        return BACKGROUNDS[self.background](self.n)
 
     def directions(self):
         rng = np.random.default_rng(self.seed)
@@ -358,6 +364,38 @@ def _sweep_once(combo, kind, g, geometry, rr, cone):
     return margins, remainders
 
 
+def sub_pairs(dims):
+    """The pairs (n, k), n in ``dims``, of the sub-solution regime mu_plus <= 1."""
+    return [(n, k) for n in dims for k in range(1, n + 1) if gamma_mu_plus(n, k) <= 1.0]
+
+
+def mu_grid(n, k, count):
+    """``count`` evenly spaced mu strictly inside (1, min(mu_plus(n, k), 2))."""
+    top = min(gamma_mu_plus(n, k), 2.0)
+    fracs = np.linspace(0.0, 1.0, count + 2)[1:-1]
+    return tuple(1.0 + f * (top - 1.0) for f in fracs)
+
+
+def sweep_fault(kind, n, k, deltas=(), epsilons=(), mus=()):
+    """The barrier rules: the first parameter the ``kind`` ("sub" or "super")
+    sweep rejects at the pair (n, k), as (field, what it must be), or None."""
+    mu_plus = gamma_mu_plus(n, k)
+    if kind == "super" and mu_plus <= 1.0:
+        return "pairs", (f"pairs with mu_plus > 1 (mu_plus = (n - k)/k, so n > 2k), but"
+                         f" [{n}, {k}] has mu_plus = {mu_plus:.6g}")
+    top = min(mu_plus, 2.0)
+    rules = [("deltas", deltas, "(0, 1/4)", lambda x: 0.0 < x < 0.25)] if kind == "sub" else [
+        ("mus", mus, f"(1, min(mu_plus, 2)) = (1, {top:.6g}) for the pair [{n}, {k}]",
+         lambda x: 1.0 < x < top),
+        ("deltas", deltas, "(0, 1)", lambda x: 0.0 < x < 1.0),
+        ("epsilons", epsilons, "[0, 1)", lambda x: 0.0 <= x < 1.0)]
+    for name, values, interval, inside in rules:
+        bad = [x for x in values if not inside(x)]
+        if bad:
+            return name, f"numbers in {interval}; {float(bad[0])!r} is outside"
+    return None
+
+
 def barrier_sweep_sub(cfg):
     """Certify that the sub-solution eigenvalues exit the closed cone.
 
@@ -365,13 +403,8 @@ def barrier_sweep_sub(cfg):
     the largest grid ceiling r1 for which this holds is found by dyadic
     descent from 0.5 and reported.
     """
-    # mu_plus > 1 is still runnable (negative control); the breach is recorded
-    precondition_ok = gamma_mu_plus(cfg.n, cfg.k) <= 1.0
-    for d in cfg.deltas:
-        if not 0 < d < 0.25:
-            raise ValueError("sub-solution sweep needs deltas in (0, 1/4)")
     report = _run_sweep(cfg, kind="sub", combos=[{"delta": d} for d in cfg.deltas])
-    if not precondition_ok:
+    if (cfg.n, cfg.k) not in sub_pairs([cfg.n]):
         report.failures.append(("precondition", "mu_plus > 1; sweep run as negative control"))
     return report
 
@@ -382,18 +415,8 @@ def barrier_sweep_super(cfg):
     Also checks the coefficient inequality chi2 - (mu+1) chi1 < 0 pointwise
     and records the remainder magnitudes relative to the error-term scale.
     """
-    mu_plus = gamma_mu_plus(cfg.n, cfg.k)
-    if mu_plus <= 1.0:
-        raise ValueError("super-solution sweep needs a cone with mu_plus > 1")
     if not cfg.mus:
         raise ValueError("super-solution sweep needs a mu grid")
-    top = min(mu_plus, 2.0)
-    for mu in cfg.mus:
-        if not 1.0 < mu < top:
-            raise ValueError(f"mu = {mu} outside (1, min(mu_plus, 2)) = (1, {top})")
-    for d in cfg.deltas:
-        if not 0 < d < 1:
-            raise ValueError("super-solution sweep needs deltas in (0, 1)")
     eps_grid = cfg.epsilons or (1e-3, 0.1, 0.9)
     combos = [{"mu": mu, "delta": d, "eps": e}
               for mu in cfg.mus for d in cfg.deltas for e in eps_grid]
@@ -440,6 +463,9 @@ def _run_sweep(cfg, kind, combos):
     the first report whose samples all have the sign the barrier needs
     (sub: margin < 0, super: margin > 0), otherwise the last one tried.
     """
+    fault = sweep_fault(kind, cfg.n, cfg.k, cfg.deltas, cfg.epsilons, cfg.mus)
+    if fault is not None:
+        raise ValueError(f"{kind}-solution sweep: {fault[0]} must be {fault[1]}")
     g = cfg.metric()
     dirs = cfg.directions()
     cone = ConeSpec.gamma(cfg.n, cfg.k)
@@ -499,10 +525,10 @@ class SupHReport:
     limit_values: dict
 
 
-def suph_barrier_check(g, K, delta, num_r=64):
+def suph_barrier_check(g, K, delta):
     """Diagnostics for G(r) = r^(2-n) - K r^(5/2-n), normalised to vanish at delta.
 
-    Evaluates L_g G = Delta_g G - c(n) R_g G on an annulus grid and reports the
+    Evaluates L_g G = Delta_g G - c(n) R_g G on a 64-point annulus grid and reports the
     minimum; on the flat background the sign is also certified through the
     exact identity Delta r^alpha = alpha (alpha + n - 2) r^(alpha-2).  The
     ratio G^-1 w is checked for monotone increase for the superharmonic
@@ -522,7 +548,7 @@ def suph_barrier_check(g, K, delta, num_r=64):
         return ((2.0 - n) * (1.0 - n) * r ** (-n)
                 - K * (2.5 - n) * (1.5 - n) * r ** (0.5 - n))
 
-    radii = np.geomspace(delta / 100.0, delta * 0.999, num_r)
+    radii = np.geomspace(delta / 100.0, delta * 0.999, 64)
     direction = np.ones(n) / math.sqrt(n)
     pts = radii[:, None] * direction[None, :]
     u = cf.ConformalFactor.radial(n, G, G1, G2)

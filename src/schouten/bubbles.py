@@ -123,7 +123,7 @@ class BubbleReport:
     passed: bool
 
 
-def bubble_verify(f, bubble, points, mode="analytic", h=1e-4, tol=None):
+def bubble_verify(f, bubble, points, mode="analytic", tol=None):
     """Check lambda(A_{g_U}) = (1/2,...,1/2) and f(lambda) = 1 at the sample points.
 
     Tolerance defaults to 1e-8 for analytic derivatives and 1e-6 for the
@@ -134,7 +134,7 @@ def bubble_verify(f, bubble, points, mode="analytic", h=1e-4, tol=None):
     if tol is None:
         tol = 1e-8 if mode == "analytic" else 1e-6
     g = cf.MetricField.flat(bubble.n)
-    u = bubble.factor(mode=mode, h=h)
+    u = bubble.factor(mode=mode)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     eigs = cf.conformal_schouten_eigs(g, u, pts)
     lam_dev = float(np.abs(eigs - 0.5).max())

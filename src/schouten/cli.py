@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import barriers, bubbles, comparison, conformal, reports, solver
-from .cones import ConeSpec, CurvatureFunction, gamma_mu_plus
+from . import barriers, bubbles, comparison, reports, solver
+from .cones import ConeSpec, CurvatureFunction
 
 # the columns of both barrier sweep CSVs: (n, k) + SweepReport row
 _BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
@@ -108,15 +108,12 @@ def _sweep_config(par, n, k, rng, **grids):
 
 
 def _run_barrier_sub(par, rng):
-    # by default every (n, k) of the dims with mu+ = (n - k)/k <= 1
-    pairs = par["pairs"] or [(n, k) for n in par["dims"] for k in range(1, n + 1)
-                             if gamma_mu_plus(n, k) <= 1.0]
     controls = par["negative_controls"]
     rows = []
     passed = True
     worst_margin = -math.inf
     certified = {}
-    for (n, k) in [*pairs, *controls]:
+    for (n, k) in [*(par["pairs"] or barriers.sub_pairs(par["dims"])), *controls]:
         rep = barriers.barrier_sweep_sub(_sweep_config(par, n, k, rng))
         expect_fail = (n, k) in controls
         ok = (not rep.passed) if expect_fail else (
@@ -133,19 +130,13 @@ def _run_barrier_sub(par, rng):
     return summary, [("barrier_sub.csv", _BARRIER_COLUMNS, rows)]
 
 
-def _mu_grid(n, k, count):
-    top = min(gamma_mu_plus(n, k), 2.0)
-    fracs = np.linspace(0.0, 1.0, count + 2)[1:-1]
-    return tuple(1.0 + f * (top - 1.0) for f in fracs)
-
-
 def _run_barrier_super(par, rng):
     rows = []
     passed = True
     worst_margin = math.inf
     certified = {}
     for (n, k) in par["pairs"]:
-        mus = tuple(par["mus"] or _mu_grid(n, k, par["mu_count"]))
+        mus = tuple(par["mus"] or barriers.mu_grid(n, k, par["mu_count"]))
         rep = barriers.barrier_sweep_super(_sweep_config(
             par, n, k, rng, mus=mus, epsilons=tuple(par["epsilons"])))
         passed = passed and rep.passed and bool(rep.chi_inequality_ok)
@@ -191,9 +182,7 @@ def _run_gershgorin(par, rng):
 
 def _run_suph(par, rng):
     n, K, delta, background = par["dim"], par["K"], par["delta"], par["background"]
-    g = (conformal.MetricField.flat(n) if background == "flat"
-         else conformal.MetricField.sphere_normal(n))
-    rep = barriers.suph_barrier_check(g, K, delta)
+    rep = barriers.suph_barrier_check(barriers.BACKGROUNDS[background](n), K, delta)
     monotone_ok = all(rep.ratio_monotone.values())
     checks = [rep.min_G >= -1e-12, monotone_ok]
     if background == "flat":
@@ -367,13 +356,9 @@ def _one_of(*options):
 
 _NUMBER = "a number", _number
 _POSITIVE = "a positive number", _checked(_number, lambda x: x > 0)
-# the barrier parameter ranges (the sweeps check them again as a library guard)
-_SUB_DELTA = "a number in (0, 1/4)", _checked(_number, lambda x: 0 < x < 0.25)
-_SUPER_DELTA = "a number in (0, 1)", _checked(_number, lambda x: 0 < x < 1)
-_EPSILON = "a number in [0, 1)", _checked(_number, lambda x: 0 <= x < 1)
 _NK = "[n, k] with n >= 3 and 1 <= k <= n", _nk
 _SWEEP = {"r_min": (_POSITIVE, 1e-4), "num_r": (_ints(1), 64), "num_dirs": (_ints(1), 8),
-          "background": (_one_of("sphere", "flat"), "sphere")}
+          "background": (_one_of(*barriers.BACKGROUNDS), "sphere")}
 _SOLVE = {"steps": (_ints(1), 20), "tolerance": (_POSITIVE, 1e-10),
           "dev_tolerance": (_POSITIVE, 1e-8),
           "grid": (_one_of("uniform", "lobatto"), "uniform")}
@@ -392,17 +377,17 @@ _PARAMS = {
     "verify barrier-sub": {"pairs": (_list_of(_NK), None),
                            "dims": (_list_of(_ints(3)), (3, 4, 5, 6)),
                            "negative_controls": (_list_of(_NK, nonempty=False), ()),
-                           "deltas": (_list_of(_SUB_DELTA), (0.01, 0.05, 0.1, 0.2)),
+                           "deltas": (_list_of(_NUMBER), (0.01, 0.05, 0.1, 0.2)),
                            "min_r1": (_POSITIVE, 1e-2), **_SWEEP},
     "verify barrier-super": {"pairs": (_list_of(_NK), ((4, 1), (5, 1), (5, 2), (6, 2))),
-                             "deltas": (_list_of(_SUPER_DELTA), (0.25, 0.5)),
-                             "epsilons": (_list_of(_EPSILON), (1e-3, 0.1, 0.9)),
+                             "deltas": (_list_of(_NUMBER), (0.25, 0.5)),
+                             "epsilons": (_list_of(_NUMBER), (1e-3, 0.1, 0.9)),
                              "mus": (_list_of(_NUMBER), None), "mu_count": (_ints(1), 3),
                              **_SWEEP},
     "verify gershgorin": {"dims": (_list_of(_ints(1)), (2, 3, 4, 5, 6, 7, 8)),
                           "trials": (_ints(1), 1000)},
     "verify suph": {"dim": (_ints(3), 4), "K": (_NUMBER, 1.0), "delta": (_POSITIVE, 0.25),
-                    "background": (_one_of("flat", "sphere"), "flat")},
+                    "background": (_one_of(*barriers.BACKGROUNDS), "flat")},
     "compare hawking": {"rho": (_POSITIVE, 0.7), "samples": (_ints(1), 200)},
     "compare bishop-gromov": {"dims": (_list_of(_ints(1)), (3, 4, 5)),
                               "num_r": (_ints(1), 48)},
@@ -440,28 +425,17 @@ def _params(cid, spec):
     out = _read(where, {n: v for n, v in spec.items() if n != "kind"}, _PARAMS[spec["kind"]])
     if out.get("k") is not None and out["k"] > out["dim"]:
         raise ConfigError(f"{where}field 'k' must be an integer in 1..dim = {out['dim']}")
-    if "mus" in out:
-        # the super-solution sweep needs mu_plus(n, k) = (n - k)/k > 1
-        for n, k in out["pairs"]:
-            if gamma_mu_plus(n, k) <= 1.0:
-                raise ConfigError(f"{where}field 'pairs' must hold pairs with n > 2k, where"
-                                  f" mu_plus(n, k) = (n - k)/k > 1; the pair [{n}, {k}] has"
-                                  f" mu_plus = {gamma_mu_plus(n, k):.6g}")
-    if out.get("mus"):
-        # the range the super-solution sweep checks, with its mu_plus
-        for n, k in out["pairs"]:
-            top = min(gamma_mu_plus(n, k), 2.0)
-            if not all(1.0 < mu < top for mu in out["mus"]):
-                raise ConfigError(f"{where}field 'mus' must be numbers in (1, min(mu_plus, 2))"
-                                  f" = (1, {top:.6g}) for the pair [{n}, {k}]")
-    if "r_min" in out:
-        # a sweep tries only the dyadic ceilings r1 > 2 r_min
-        sub = spec["kind"] == "verify barrier-sub"
-        pairs = out["pairs"]
-        if sub:
-            pairs = [*(pairs or [(n, None) for n in out["dims"]]), *out["negative_controls"]]
-        for n, _ in pairs:
-            first = barriers._first_ceiling("sub" if sub else "super", n, out["deltas"])
+    if "deltas" in out:
+        # the sweep's rules at each pair (a default mu grid lies in range),
+        # and a sweep tries only the dyadic ceilings r1 > 2 r_min
+        kind = "super" if "mus" in out else "sub"
+        for n, k in [*(out["pairs"] or barriers.sub_pairs(out["dims"])),
+                     *out.get("negative_controls", ())]:
+            fault = barriers.sweep_fault(kind, n, k, out["deltas"], out.get("epsilons", ()),
+                                         out.get("mus") or ())
+            if fault is not None:
+                raise ConfigError(f"{where}field '{fault[0]}' must be {fault[1]}")
+            first = barriers._first_ceiling(kind, n, out["deltas"])
             if first <= 2.0 * out["r_min"]:
                 raise ConfigError(f"{where}field 'r_min' must be below half the first"
                                   f" dyadic ceiling r1 = {first:.6g} (n = {n}), or the"

@@ -130,19 +130,16 @@ class BGRatioResult:
     max_increase: float
 
 
-def bg_ratio(volumes, model, radii, tol=1e-8):
+def bg_ratio(volumes, model, radii):
     """Ratio r -> Vol(B_r) / Vol_model(B_r) and its monotonicity verdict.
 
-    ``volumes`` is a callable or an array aligned with ``radii``; successive
-    ratio increases up to ``tol`` (relative) are treated as round-off.
+    ``volumes`` is the callable r -> Vol(B_r); successive ratio increases up
+    to 1e-8 (relative) are treated as round-off.
     """
     radii = np.asarray(radii, dtype=np.float64)
     if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
         raise ValueError("radii must be positive and increasing")
-    if callable(volumes):
-        vol = np.array([float(volumes(r)) for r in radii])
-    else:
-        vol = np.asarray(volumes, dtype=np.float64)
+    vol = np.array([float(volumes(r)) for r in radii])
     if np.any(vol <= 0) or np.any(np.diff(vol) < 0):
         raise ValueError("volumes must be positive and nondecreasing")
     mvol = np.array([model_ball_volume(model, r) for r in radii])
@@ -150,7 +147,7 @@ def bg_ratio(volumes, model, radii, tol=1e-8):
     increases = np.diff(ratios) / np.abs(ratios[:-1])
     max_inc = float(increases.max()) if len(increases) else 0.0
     return BGRatioResult(radii=radii, volumes=vol, model_volumes=mvol,
-                         ratios=ratios, nonincreasing=bool(max_inc <= tol),
+                         ratios=ratios, nonincreasing=bool(max_inc <= 1e-8),
                          max_increase=max_inc)
 
 

@@ -302,12 +302,12 @@ class MetricField:
                    sectional_curvature=1.0)
 
     @classmethod
-    def sphere_polar(cls, n, pad=0.25):
+    def sphere_polar(cls, n):
         """Unit round sphere in nested polar angles (theta_1, ..., theta_n).
 
         Diagonal warped-product metric: g_11 = 1 and
         g_ii = prod_{j<i} sin^2(theta_j) for i >= 2.
-        The chart box keeps every angle in [pad, pi - pad].
+        The chart box keeps every angle in [0.25, pi - 0.25].
         """
 
         def _diag(x):
@@ -346,8 +346,8 @@ class MetricField:
                             out[:, k, l, i, i] = 4.0 * cot[:, k] * cot[:, l] * d[:, i]
             return out
 
-        lo = pad * np.ones(n)
-        hi = (math.pi - pad) * np.ones(n)
+        lo = 0.25 * np.ones(n)
+        hi = (math.pi - 0.25) * np.ones(n)
         return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2,
                    domain_lo=lo, domain_hi=hi, name="sphere-polar",
                    sectional_curvature=1.0)
@@ -436,26 +436,22 @@ class ConformalFactor:
                    richardson=richardson)
 
     @classmethod
-    def radial(cls, n, v, v1, v2, center=None):
-        """Factor v(|x - c|) from radial profile callables v, v', v''.
+    def radial(cls, n, v, v1, v2):
+        """Factor v(|x|) from radial profile callables v, v', v''.
 
-        Euclidean-chart derivative formulas; not evaluable at the center.
+        Euclidean-chart derivative formulas; not evaluable at the origin.
         """
-        c = np.zeros(n) if center is None else np.asarray(center, dtype=np.float64)
 
         def value(x):
-            r = np.linalg.norm(x - c, axis=1)
-            return v(r)
+            return v(np.linalg.norm(x, axis=1))
 
         def grad(x):
-            d = x - c
-            r = np.linalg.norm(d, axis=1)
-            return v1(r)[:, None] * d / r[:, None]
+            r = np.linalg.norm(x, axis=1)
+            return v1(r)[:, None] * x / r[:, None]
 
         def hess(x):
-            d = x - c
-            r = np.linalg.norm(d, axis=1)
-            xhat = d / r[:, None]
+            r = np.linalg.norm(x, axis=1)
+            xhat = x / r[:, None]
             proj = xhat[:, :, None] * xhat[:, None, :]
             eye = np.eye(n)
             return (v2(r)[:, None, None] * proj

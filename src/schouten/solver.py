@@ -450,7 +450,7 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     return jac
 
 
-def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
+def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
     Steps are accepted when the simplified Newton correction contracts,
@@ -460,12 +460,12 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None, r0=None):
     Convergence is declared in the discrete max norm.
     ``bandwidth`` is passed to the Jacobian, which then sends its probes
     through one stacked call, so a banded ``res_fn`` must also map a (B, m)
-    stack to (B, m) rows, NaN outside the cone (see ``_fd_jacobian``);
-    ``r0``, when given, is
-    the residual already evaluated at u0.  Returns (u, iterations, residual_norm).
+    stack to (B, m) rows, NaN outside the cone (see ``_fd_jacobian``).
+    Returns (u, iterations, residual_norm); a start that meets ``tol`` is
+    returned after 0 iterations.
     """
     u = np.asarray(u0, dtype=np.float64).copy()
-    r = res_fn(u) if r0 is None else r0
+    r = res_fn(u)
     rn = float(np.abs(r).max())
     for it in range(max_iter):
         if rn <= tol:
@@ -553,13 +553,9 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10, max_iter=60):
     def res_fn(u):
         return residual_Fs(profile, ft, s, psi, values=u)
 
-    r0 = res_fn(profile.values)
-    if float(np.abs(r0).max()) <= tol:
-        return make_state(profile.with_values(profile.values.copy()), f, s, t,
-                          psi, iterations=0)
     try:
         u, iters, _ = _damped_newton(res_fn, profile.values, tol, max_iter,
-                                     bandwidth=_jacobian_bandwidth(profile), r0=r0)
+                                     bandwidth=_jacobian_bandwidth(profile))
     except ContinuationError:
         u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)
@@ -689,7 +685,7 @@ def linearized_H0_spectrum(profile, m, return_vectors=False):
     lap = profile.laplacian(np.eye(nn))
     w = profile.quad_weights()
     a = -lap - (2.0 / profile.volume()) * np.tile(w, (nn, 1))
-    vals, vecs = sla.eig(a)
+    vals, vecs = np.linalg.eig(a)
     order = np.argsort(vals.real)
     vals = vals.real[order][:m]
     if return_vectors:

@@ -320,6 +320,33 @@ def test_super_guard_reads_the_closed_form_mu_plus():
         br.barrier_sweep_super(br.BarrierSweepConfig(n=7, k=3, mus=(4.0 / 3.0,)))
 
 
+@pytest.mark.parametrize("kind, params, field", [
+    # the barrier cases of test_cli.py::test_malformed_number_or_pair_exit_two,
+    # each at the pair it fails on
+    ("sub", dict(n=4, k=2, deltas=(0.3,)), "deltas"),
+    ("sub", dict(n=4, k=2, deltas=(0.1, 0.0)), "deltas"),
+    ("super", dict(n=4, k=1, mus=(1.5,), deltas=(1.0,)), "deltas"),
+    ("super", dict(n=4, k=1, mus=(1.5,), epsilons=(1.5,)), "epsilons"),
+    ("super", dict(n=4, k=1, mus=(1.5,), epsilons=(-0.1,)), "epsilons"),
+    ("super", dict(n=5, k=2, mus=(1.9,)), "mus"),
+    ("super", dict(n=4, k=1, mus=(1.5, 1.0)), "mus"),
+    ("super", dict(n=7, k=3, mus=(4.0 / 3.0,)), "mus"),
+    ("super", dict(n=5, k=3, mus=(1.2,)), "pairs"),
+    ("super", dict(n=6, k=3, mus=(1.2,)), "pairs"),
+    ("super", dict(n=4, k=2, mus=(1.2,)), "pairs"),
+])
+def test_sweep_rejects_the_field_the_config_rejects(monkeypatch, kind, params, field):
+    # one statement of the barrier rules serves the config and the library:
+    # the sweep names the same field, before it builds any chart geometry
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("chart geometry built before the parameter check")
+
+    monkeypatch.setattr(cf, "chart_geometry", no_geometry)
+    sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
+    with pytest.raises(ValueError, match=rf"-solution sweep: {field} must be "):
+        sweep(br.BarrierSweepConfig(**params))
+
+
 def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
     # the sweep loop as it was before it kept one report per ceiling: state
     # for the current ceiling, copied into the result at its end
