@@ -21,7 +21,9 @@ holds by dyadic descent, and record how far the eigenvalues drift from the
 1 + |r v'/v| + (r v'/v)^2.  Each ceiling r1 tried gets its own report (rows,
 failures, worst margin, largest remainder, per-combination verdicts); a sweep
 returns the report of the first ceiling it certifies, otherwise that of the
-last ceiling tried.
+last ceiling.  A ceiling that is not the last stops at its first failing
+combination, as its report is discarded; the report a sweep returns is
+complete, filled from every combination.
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
 prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
@@ -383,6 +385,8 @@ def sweep_fault(kind, n, k, deltas=(), epsilons=(), mus=()):
     if kind == "super" and mu_plus <= 1.0:
         return "pairs", (f"pairs with mu_plus > 1 (mu_plus = (n - k)/k, so n > 2k), but"
                          f" [{n}, {k}] has mu_plus = {mu_plus:.6g}")
+    if not deltas:
+        return "deltas", "a non-empty grid of numbers"
     top = min(mu_plus, 2.0)
     rules = [("deltas", deltas, "(0, 1/4)", lambda x: 0.0 < x < 0.25)] if kind == "sub" else [
         ("mus", mus, f"(1, min(mu_plus, 2)) = (1, {top:.6g}) for the pair [{n}, {k}]",
@@ -459,9 +463,12 @@ def _run_sweep(cfg, kind, combos):
     """Try the dyadic ceilings r1 = r_start / 2^i above 2 r_min in turn,
     from r_start = ``_first_ceiling``.
 
-    Each ceiling gets a fresh report filled from every combination.  Returns
-    the first report whose samples all have the sign the barrier needs
-    (sub: margin < 0, super: margin > 0), otherwise the last one tried.
+    Each ceiling gets a fresh report.  Returns the first report whose
+    samples all have the sign the barrier needs (sub: margin < 0, super:
+    margin > 0), otherwise that of the last ceiling.  A ceiling that is not
+    the last stops at its first failing combination, since its report is
+    discarded; the last ceiling, and one that certifies, run every
+    combination, so the returned report is always complete.
     """
     fault = sweep_fault(kind, cfg.n, cfg.k, cfg.deltas, cfg.epsilons, cfg.mus)
     if fault is not None:
@@ -479,9 +486,9 @@ def _run_sweep(cfg, kind, combos):
 
     report = fresh(math.inf if sub else -math.inf)  # no ceiling tried
     r_start = _first_ceiling(kind, cfg.n, cfg.deltas)
-    for r1 in (r_start / 2 ** i for i in range(8)):
-        if r1 <= cfg.r_min * 2:
-            break
+    ceilings = [r1 for r1 in (r_start / 2 ** i for i in range(8)) if r1 > cfg.r_min * 2]
+    for r1 in ceilings:
+        last = r1 == ceilings[-1]
         report = fresh(-math.inf if sub else math.inf)
         # one point grid and one chart geometry per ceiling, shared by every
         # parameter combination
@@ -503,6 +510,8 @@ def _run_sweep(cfg, kind, combos):
                 report.failures.append((combo, float(rr[bad]), float(margins[bad])))
             report.rows.extend((delta, mu, eps) + row for row in
                                zip(rr.tolist(), margins.tolist(), ok.tolist()))
+            if not (combo_ok or last):
+                break  # this ceiling is discarded, whatever the rest give
         if not report.failures:
             report.passed, report.r1_certified = True, r1
             break

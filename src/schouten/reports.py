@@ -24,14 +24,32 @@ def _fmt(x):
     return str(x)
 
 
+# the cell formats of ``_fmt`` for a column whose cells all have one exact type
+_COLUMN_FMT = {float: "{:.17g}".format, bool: lambda x: "1" if x else "0", int: str}
+
+
+def _fmt_column(cells):
+    """``_fmt`` of every cell, with one formatter for the whole column when
+    all its cells share a type of ``_COLUMN_FMT`` (subclasses such as
+    ``np.float64`` and mixed columns go through ``_fmt`` cell by cell)."""
+    kinds = set(map(type, cells))
+    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(fmt or _fmt, cells))
+
+
 def write_csv(path, columns, rows):
+    rows = list(rows)
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ValueError(f"row {i} has {len(row)} cells for {len(columns)} columns")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     lines = [f"# schouten-report v{SCHEMA_VERSION} generated={stamp}"]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    # formatted column by column, then joined row by row
+    cells = zip(*map(_fmt_column, zip(*rows))) if columns else [()] * len(rows)
+    lines.extend(map(",".join, cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -296,7 +296,9 @@ def test_super_sweep_builds_chart_geometry_once_per_ceiling(monkeypatch):
     assert rep.passed and rep.r1_certified == 0.125
     tried = [0.5, 0.25, 0.125]
     assert background_r1 == pytest.approx(tried, rel=1e-12)
-    assert eigs_r1 == pytest.approx(np.repeat(tried, 4), rel=1e-12)
+    # the discarded ceilings 0.5 and 0.25 stop at their first (failing)
+    # combination; the certified ceiling 0.125 runs all four
+    assert eigs_r1 == pytest.approx([0.5, 0.25, 0.125, 0.125, 0.125, 0.125], rel=1e-12)
 
 
 def test_super_sweep_precondition_violations():
@@ -334,6 +336,10 @@ def test_super_guard_reads_the_closed_form_mu_plus():
     ("super", dict(n=5, k=3, mus=(1.2,)), "pairs"),
     ("super", dict(n=6, k=3, mus=(1.2,)), "pairs"),
     ("super", dict(n=4, k=2, mus=(1.2,)), "pairs"),
+    # an empty delta grid, which the config rejects as an empty list, would
+    # certify nothing
+    ("sub", dict(n=4, k=2, deltas=()), "deltas"),
+    ("super", dict(n=4, k=1, mus=(1.5,), deltas=()), "deltas"),
 ])
 def test_sweep_rejects_the_field_the_config_rejects(monkeypatch, kind, params, field):
     # one statement of the barrier rules serves the config and the library:
@@ -345,6 +351,65 @@ def test_sweep_rejects_the_field_the_config_rejects(monkeypatch, kind, params, f
     sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
     with pytest.raises(ValueError, match=rf"-solution sweep: {field} must be "):
         sweep(br.BarrierSweepConfig(**params))
+
+
+def _full_ceiling(cfg, kind, combos, r1):
+    # every combination evaluated at the ceiling r1, none skipped
+    g = cfg.metric()
+    radii = cfg.radii(r1)
+    pts = (radii[:, None, None] * cfg.directions()[None, :, :]).reshape(-1, cfg.n)
+    rr = np.repeat(radii, cfg.num_dirs)
+    geometry = cf.chart_geometry(g, pts)
+    cone = ConeSpec.gamma(cfg.n, cfg.k)
+    rows, failures, verdicts = [], [], {}
+    worst, max_rem = (-math.inf, 0.0) if kind == "sub" else (math.inf, 0.0)
+    for combo in combos:
+        margins, rems = br._sweep_once(combo, kind, g, geometry, rr, cone)
+        ok = margins < 0 if kind == "sub" else margins > 0
+        worst = (max(worst, float(margins.max())) if kind == "sub"
+                 else min(worst, float(margins.min())))
+        max_rem = max(max_rem, float(rems.max()))
+        mu, delta, eps = combo.get("mu"), combo["delta"], combo.get("eps")
+        verdicts[(mu, delta, eps)] = bool(ok.all())
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            failures.append((combo, float(rr[bad]), float(margins[bad])))
+        rows.extend((delta, mu, eps) + row
+                    for row in zip(rr.tolist(), margins.tolist(), ok.tolist()))
+    return dict(rows=rows, failures=failures, worst_margin=worst,
+                max_remainder=max_rem, epsilon_verdicts=verdicts)
+
+
+@pytest.mark.parametrize("kind, params, calls", [
+    # ceilings 0.5 and 0.25 fail at their first combination, 0.125 certifies
+    ("super", dict(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3,), epsilons=(0.1, 0.9)),
+     1 + 1 + 4),
+    # the negative control: every delta fails at each of the 8 ceilings
+    ("sub", dict(n=4, k=1, deltas=(0.05, 0.2)), 7 * 1 + 2),
+])
+def test_early_stop_returns_the_fully_evaluated_report(monkeypatch, kind, params, calls):
+    cfg = br.BarrierSweepConfig(num_r=8, num_dirs=2, **params)
+    combos = ([{"delta": d} for d in cfg.deltas] if kind == "sub" else
+              [{"mu": mu, "delta": d, "eps": e}
+               for mu in cfg.mus for d in cfg.deltas for e in cfg.epsilons])
+    sweep_once, evaluated = br._sweep_once, []
+
+    def counted(combo, *args):
+        evaluated.append(combo)
+        return sweep_once(combo, *args)
+
+    monkeypatch.setattr(br, "_sweep_once", counted)
+    report = br._run_sweep(cfg, kind, combos)
+    monkeypatch.undo()
+    assert len(evaluated) == calls  # the discarded ceilings stopped early
+    last = br._first_ceiling(kind, cfg.n, cfg.deltas) / 2 ** 7  # r_min = 1e-4 keeps all 8
+    want = _full_ceiling(cfg, kind, combos, report.r1_certified or last)
+    for name, value in want.items():
+        assert getattr(report, name) == value, name
+    if report.r1_certified is None:
+        # the last ceiling, returned when none certifies, is complete
+        assert len(report.rows) == len(cfg.deltas) * cfg.num_r * cfg.num_dirs
+        assert [f[0]["delta"] for f in report.failures] == list(cfg.deltas)
 
 
 def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):

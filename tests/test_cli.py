@@ -2,6 +2,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -261,6 +262,25 @@ def test_deterministic_csv_bodies(tmp_path):
               "--seed", "8"])
     assert reports.csv_body(tmp_path / "a" / "bubble/bubble.csv") \
         != reports.csv_body(tmp_path / "c" / "bubble/bubble.csv")
+
+
+def test_write_csv_matches_the_per_cell_format(tmp_path):
+    # one formatter per column of one exact type, else _fmt per cell: the
+    # body must be the per-cell join either way
+    nan, inf = float("nan"), float("inf")
+    columns = ("mixed", "flag", "count", "value", "np", "text")
+    rows = [(None, True, 3, -0.0, np.float64(0.1), "a"),
+            (2.5, False, -4, nan, np.float64(-0.0), None),
+            (7, True, 0, inf, np.float64(nan), 2.0),
+            (False, False, 10 ** 20, -inf, np.float64(-inf), 1),
+            (0.1, True, 1, 1e-300, np.float64(1e300), "b")]
+    reports.write_csv(tmp_path / "mixed.csv", columns, rows)
+    want = [",".join(columns)] + [",".join(reports._fmt(v) for v in row) for row in rows]
+    assert reports.csv_body(tmp_path / "mixed.csv") == "\n".join(want)
+    assert want[1:3] == [",1,3,-0,0.10000000000000001,a",
+                         "2.5,0,-4,nan,-0,"]
+    with pytest.raises(ValueError, match="row 1 has 5 cells for 6 columns"):
+        reports.write_csv(tmp_path / "short.csv", columns, [rows[0], rows[1][:5]])
 
 
 def _gershgorin_per_pair(rng, dims, trials):
