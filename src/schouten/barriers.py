@@ -23,7 +23,8 @@ failures, worst margin, largest remainder, per-combination verdicts); a sweep
 returns the report of the first ceiling it certifies, otherwise that of the
 last ceiling.  A ceiling that is not the last stops at its first failing
 combination, as its report is discarded; the report a sweep returns is
-complete, filled from every combination.
+complete, filled from every combination.  Defaults live in
+``BarrierSweepConfig``, ceilings in ``_ceilings``, rules in ``sweep_fault``.
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
 prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
@@ -255,7 +256,7 @@ class BarrierSweepConfig:
     k: int
     deltas: tuple = (0.01, 0.05, 0.1, 0.2)
     mus: tuple = ()
-    epsilons: tuple = ()
+    epsilons: tuple = (1e-3, 0.1, 0.9)
     r_min: float = 1e-4
     num_r: int = 64
     num_dirs: int = 8
@@ -378,15 +379,14 @@ def mu_grid(n, k, count):
     return tuple(1.0 + f * (top - 1.0) for f in fracs)
 
 
-def sweep_fault(kind, n, k, deltas=(), epsilons=(), mus=()):
+def sweep_fault(kind, n, k, deltas, epsilons, mus, r_min):
     """The barrier rules: the first parameter the ``kind`` ("sub" or "super")
-    sweep rejects at the pair (n, k), as (field, what it must be), or None."""
+    sweep rejects at the pair (n, k), as (field, what it must be), or None.
+    Its grids must be non-empty, and a dyadic ceiling must lie above 2 r_min."""
     mu_plus = gamma_mu_plus(n, k)
     if kind == "super" and mu_plus <= 1.0:
         return "pairs", (f"pairs with mu_plus > 1 (mu_plus = (n - k)/k, so n > 2k), but"
                          f" [{n}, {k}] has mu_plus = {mu_plus:.6g}")
-    if not deltas:
-        return "deltas", "a non-empty grid of numbers"
     top = min(mu_plus, 2.0)
     rules = [("deltas", deltas, "(0, 1/4)", lambda x: 0.0 < x < 0.25)] if kind == "sub" else [
         ("mus", mus, f"(1, min(mu_plus, 2)) = (1, {top:.6g}) for the pair [{n}, {k}]",
@@ -394,10 +394,24 @@ def sweep_fault(kind, n, k, deltas=(), epsilons=(), mus=()):
         ("deltas", deltas, "(0, 1)", lambda x: 0.0 < x < 1.0),
         ("epsilons", epsilons, "[0, 1)", lambda x: 0.0 <= x < 1.0)]
     for name, values, interval, inside in rules:
+        if not values:
+            return name, "a non-empty grid of numbers"
         bad = [x for x in values if not inside(x)]
         if bad:
             return name, f"numbers in {interval}; {float(bad[0])!r} is outside"
+    if not _ceilings(kind, n, deltas, r_min):
+        return "r_min", (f"below half the first dyadic ceiling"
+                         f" r1 = {_ceilings(kind, n, deltas)[0]:.6g} (n = {n}), or the"
+                         f" sweep tries no ceiling")
     return None
+
+
+def _ceilings(kind, n, deltas, r_min=0.0):
+    """The dyadic ceilings r1 = r_start / 2^i, i < 8, above 2 ``r_min``.  r_start
+    is 0.5, but the sub-solution's chi coefficients need r < n - 2 - 2 delta,
+    so its ceilings stay below that (binds only for n = 3, delta near 1/4)."""
+    r_start = min(0.5, 0.9 * (n - 2.0 - 2.0 * max(deltas))) if kind == "sub" else 0.5
+    return [r1 for r1 in (r_start / 2 ** i for i in range(8)) if r1 > 2.0 * r_min]
 
 
 def barrier_sweep_sub(cfg):
@@ -419,16 +433,14 @@ def barrier_sweep_super(cfg):
     Also checks the coefficient inequality chi2 - (mu+1) chi1 < 0 pointwise
     and records the remainder magnitudes relative to the error-term scale.
     """
-    if not cfg.mus:
-        raise ValueError("super-solution sweep needs a mu grid")
-    eps_grid = cfg.epsilons or (1e-3, 0.1, 0.9)
     combos = [{"mu": mu, "delta": d, "eps": e}
-              for mu in cfg.mus for d in cfg.deltas for e in eps_grid]
+              for mu in cfg.mus for d in cfg.deltas for e in cfg.epsilons]
     report = _run_sweep(cfg, kind="super", combos=combos)
 
-    # chi inequality on a dense radius grid, per (mu, delta, eps)
+    # chi inequality on a dense radius grid up to r1, per (mu, delta, eps)
     ok = True
-    rr = np.geomspace(cfg.r_min, report.r1_certified or 0.5, 256)
+    r1 = report.r1_certified or _ceilings("super", cfg.n, cfg.deltas)[0]
+    rr = np.geomspace(cfg.r_min, r1, 256)
     for combo in combos:
         chi1, chi2 = chi_coefficients_super(combo["mu"], combo["delta"], combo["eps"], rr)
         if not np.all(chi2 - (combo["mu"] + 1.0) * chi1 < 0):
@@ -449,47 +461,31 @@ def barrier_sweep_super(cfg):
     return report
 
 
-def _first_ceiling(kind, n, deltas):
-    """The first dyadic ceiling r1 a sweep tries: 0.5, except that the
-    sub-solution's chi coefficients are defined only for r < n - 2 - 2 delta,
-    so its ceiling stays below that (binds only for n = 3 with delta near 1/4).
-    A sweep tries no ceiling at all unless this exceeds 2 r_min."""
-    if kind == "sub":
-        return min(0.5, 0.9 * (n - 2.0 - 2.0 * max(deltas)))
-    return 0.5
-
-
 def _run_sweep(cfg, kind, combos):
-    """Try the dyadic ceilings r1 = r_start / 2^i above 2 r_min in turn,
-    from r_start = ``_first_ceiling``.
+    """Try the dyadic ceilings of ``_ceilings`` in turn, largest first.
 
     Each ceiling gets a fresh report.  Returns the first report whose
     samples all have the sign the barrier needs (sub: margin < 0, super:
     margin > 0), otherwise that of the last ceiling.  A ceiling that is not
     the last stops at its first failing combination, since its report is
     discarded; the last ceiling, and one that certifies, run every
-    combination, so the returned report is always complete.
+    combination, so the returned report is always complete.  A config that
+    ``sweep_fault`` rejects, such as one with no ceiling above 2 r_min,
+    raises ``ValueError`` before any chart geometry is built.
     """
-    fault = sweep_fault(kind, cfg.n, cfg.k, cfg.deltas, cfg.epsilons, cfg.mus)
+    fault = sweep_fault(kind, cfg.n, cfg.k, cfg.deltas, cfg.epsilons, cfg.mus, cfg.r_min)
     if fault is not None:
         raise ValueError(f"{kind}-solution sweep: {fault[0]} must be {fault[1]}")
     g = cfg.metric()
     dirs = cfg.directions()
     cone = ConeSpec.gamma(cfg.n, cfg.k)
     sub = kind == "sub"
-
-    def fresh(worst_margin):
-        return SweepReport(kind=f"barrier-{kind}", n=cfg.n, k=cfg.k,
-                           background=cfg.background, passed=False,
-                           r1_certified=None, worst_margin=worst_margin,
-                           max_remainder=0.0)
-
-    report = fresh(math.inf if sub else -math.inf)  # no ceiling tried
-    r_start = _first_ceiling(kind, cfg.n, cfg.deltas)
-    ceilings = [r1 for r1 in (r_start / 2 ** i for i in range(8)) if r1 > cfg.r_min * 2]
+    ceilings = _ceilings(kind, cfg.n, cfg.deltas, cfg.r_min)
     for r1 in ceilings:
         last = r1 == ceilings[-1]
-        report = fresh(-math.inf if sub else math.inf)
+        report = SweepReport(kind=f"barrier-{kind}", n=cfg.n, k=cfg.k,
+                             background=cfg.background, passed=False, r1_certified=None,
+                             worst_margin=-math.inf if sub else math.inf, max_remainder=0.0)
         # one point grid and one chart geometry per ceiling, shared by every
         # parameter combination
         radii = cfg.radii(r1)

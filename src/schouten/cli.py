@@ -21,6 +21,7 @@ printed to stderr on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -100,11 +101,13 @@ def _run_bubble(par, rng):
                       rows)]
 
 
-def _sweep_config(par, n, k, rng, **grids):
+def _sweep_config(par, n, k, seed=0):
+    """The config the sweep campaign ``par`` runs at the pair (n, k)."""
+    grids = {"mus": tuple(par["mus"] or barriers.mu_grid(n, k, par["mu_count"])),
+             "epsilons": tuple(par["epsilons"])} if "mus" in par else {}
     return barriers.BarrierSweepConfig(
-        n=n, k=k, deltas=tuple(par["deltas"]), r_min=par["r_min"],
-        num_r=par["num_r"], num_dirs=par["num_dirs"], background=par["background"],
-        seed=int(rng.integers(2 ** 31)), **grids)
+        n=n, k=k, deltas=tuple(par["deltas"]), r_min=par["r_min"], num_r=par["num_r"],
+        num_dirs=par["num_dirs"], background=par["background"], seed=seed, **grids)
 
 
 def _run_barrier_sub(par, rng):
@@ -114,7 +117,7 @@ def _run_barrier_sub(par, rng):
     worst_margin = -math.inf
     certified = {}
     for (n, k) in [*(par["pairs"] or barriers.sub_pairs(par["dims"])), *controls]:
-        rep = barriers.barrier_sweep_sub(_sweep_config(par, n, k, rng))
+        rep = barriers.barrier_sweep_sub(_sweep_config(par, n, k, int(rng.integers(2 ** 31))))
         expect_fail = (n, k) in controls
         ok = (not rep.passed) if expect_fail else (
             rep.passed and rep.r1_certified is not None
@@ -136,9 +139,7 @@ def _run_barrier_super(par, rng):
     worst_margin = math.inf
     certified = {}
     for (n, k) in par["pairs"]:
-        mus = tuple(par["mus"] or barriers.mu_grid(n, k, par["mu_count"]))
-        rep = barriers.barrier_sweep_super(_sweep_config(
-            par, n, k, rng, mus=mus, epsilons=tuple(par["epsilons"])))
+        rep = barriers.barrier_sweep_super(_sweep_config(par, n, k, int(rng.integers(2 ** 31))))
         passed = passed and rep.passed and bool(rep.chi_inequality_ok)
         worst_margin = min(worst_margin, rep.worst_margin)
         certified[f"{n},{k}"] = rep.r1_certified
@@ -357,8 +358,11 @@ def _one_of(*options):
 _NUMBER = "a number", _number
 _POSITIVE = "a positive number", _checked(_number, lambda x: x > 0)
 _NK = "[n, k] with n >= 3 and 1 <= k <= n", _nk
-_SWEEP = {"r_min": (_POSITIVE, 1e-4), "num_r": (_ints(1), 64), "num_dirs": (_ints(1), 8),
-          "background": (_one_of(*barriers.BACKGROUNDS), "sphere")}
+# the sweep fields take BarrierSweepConfig's defaults
+_SWEEP_DEFAULT = {f.name: f.default for f in dataclasses.fields(barriers.BarrierSweepConfig)}
+_SWEEP = {name: (field, _SWEEP_DEFAULT[name]) for name, field in [
+    ("r_min", _POSITIVE), ("num_r", _ints(1)), ("num_dirs", _ints(1)),
+    ("background", _one_of(*barriers.BACKGROUNDS))]}
 _SOLVE = {"steps": (_ints(1), 20), "tolerance": (_POSITIVE, 1e-10),
           "dev_tolerance": (_POSITIVE, 1e-8),
           "grid": (_one_of("uniform", "lobatto"), "uniform")}
@@ -377,11 +381,11 @@ _PARAMS = {
     "verify barrier-sub": {"pairs": (_list_of(_NK), None),
                            "dims": (_list_of(_ints(3)), (3, 4, 5, 6)),
                            "negative_controls": (_list_of(_NK, nonempty=False), ()),
-                           "deltas": (_list_of(_NUMBER), (0.01, 0.05, 0.1, 0.2)),
+                           "deltas": (_list_of(_NUMBER), _SWEEP_DEFAULT["deltas"]),
                            "min_r1": (_POSITIVE, 1e-2), **_SWEEP},
     "verify barrier-super": {"pairs": (_list_of(_NK), ((4, 1), (5, 1), (5, 2), (6, 2))),
                              "deltas": (_list_of(_NUMBER), (0.25, 0.5)),
-                             "epsilons": (_list_of(_NUMBER), (1e-3, 0.1, 0.9)),
+                             "epsilons": (_list_of(_NUMBER), _SWEEP_DEFAULT["epsilons"]),
                              "mus": (_list_of(_NUMBER), None), "mu_count": (_ints(1), 3),
                              **_SWEEP},
     "verify gershgorin": {"dims": (_list_of(_ints(1)), (2, 3, 4, 5, 6, 7, 8)),
@@ -426,20 +430,15 @@ def _params(cid, spec):
     if out.get("k") is not None and out["k"] > out["dim"]:
         raise ConfigError(f"{where}field 'k' must be an integer in 1..dim = {out['dim']}")
     if "deltas" in out:
-        # the sweep's rules at each pair (a default mu grid lies in range),
-        # and a sweep tries only the dyadic ceilings r1 > 2 r_min
+        # the sweep's rules at each pair, on the config the runner will pass
         kind = "super" if "mus" in out else "sub"
         for n, k in [*(out["pairs"] or barriers.sub_pairs(out["dims"])),
                      *out.get("negative_controls", ())]:
-            fault = barriers.sweep_fault(kind, n, k, out["deltas"], out.get("epsilons", ()),
-                                         out.get("mus") or ())
+            cfg = _sweep_config(out, n, k)
+            fault = barriers.sweep_fault(kind, n, k, cfg.deltas, cfg.epsilons, cfg.mus,
+                                         cfg.r_min)
             if fault is not None:
                 raise ConfigError(f"{where}field '{fault[0]}' must be {fault[1]}")
-            first = barriers._first_ceiling(kind, n, out["deltas"])
-            if first <= 2.0 * out["r_min"]:
-                raise ConfigError(f"{where}field 'r_min' must be below half the first"
-                                  f" dyadic ceiling r1 = {first:.6g} (n = {n}), or the"
-                                  f" sweep tries no ceiling")
     return out
 
 

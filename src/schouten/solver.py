@@ -450,6 +450,9 @@ def _fd_jacobian(res_fn, u, r0, bandwidth=None):
     return jac
 
 
+_NEWTON_MAX_ITER, _HT_MAX_ITER, _HT_TOL = 60, 40, 1e-10
+
+
 def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
@@ -504,7 +507,7 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
     raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")
 
 
-def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
+def _rhs_homotopy_solve(profile, ft, s, psi, tol):
     """Sweep the right-hand side from the start profile's own curvature values.
 
     A start hugging the cone boundary (where sigma_k^(1/k) has a root-type
@@ -531,7 +534,7 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
 
         leg_tol = tol if tau >= 1.0 else max(tol, 1e-8)
         try:
-            u, iters, _ = _damped_newton(res_fn, u, leg_tol, max_iter,
+            u, iters, _ = _damped_newton(res_fn, u, leg_tol, _NEWTON_MAX_ITER,
                                          bandwidth=bandwidth)
         except (ContinuationError, DomainError) as exc:
             raise ContinuationError(f"right-hand-side sweep at tau = {tau:g}: {exc}") from exc
@@ -539,7 +542,7 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter):
     return u, total
 
 
-def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10, max_iter=60):
+def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10):
     """Damped Newton solve of residual(u; s, t) = 0 from the given profile.
 
     Tries the affine-covariant Newton iteration on the residual directly;
@@ -554,10 +557,10 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10, max_iter=60):
         return residual_Fs(profile, ft, s, psi, values=u)
 
     try:
-        u, iters, _ = _damped_newton(res_fn, profile.values, tol, max_iter,
+        u, iters, _ = _damped_newton(res_fn, profile.values, tol, _NEWTON_MAX_ITER,
                                      bandwidth=_jacobian_bandwidth(profile))
     except ContinuationError:
-        u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol, max_iter)
+        u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)
 
 
@@ -659,7 +662,7 @@ def _ht_band(profile, t):
     return float(vals.min()), float(vals.max())
 
 
-def ht_continuation(profile, t_schedule, tol=1e-10, max_iter=40):
+def ht_continuation(profile, t_schedule):
     """Newton walk of the semilinear family along the t schedule."""
     states = []
     cur = profile
@@ -667,7 +670,7 @@ def ht_continuation(profile, t_schedule, tol=1e-10, max_iter=40):
         def res_fn(u, t=t):
             return ht_residual(cur, t, values=u)
 
-        u, iters, rn = _damped_newton(res_fn, cur.values, tol, max_iter)
+        u, iters, rn = _damped_newton(res_fn, cur.values, _HT_TOL, _HT_MAX_ITER)
         cur = cur.with_values(u)
         lo, hi = _ht_band(cur, t)
         states.append(HtState(t=t, profile=cur, residual_norm=rn,

@@ -340,6 +340,11 @@ def test_super_guard_reads_the_closed_form_mu_plus():
     # certify nothing
     ("sub", dict(n=4, k=2, deltas=()), "deltas"),
     ("super", dict(n=4, k=1, mus=(1.5,), deltas=()), "deltas"),
+    # r_min above half the first dyadic ceiling leaves no ceiling to try,
+    # and an empty mu or epsilon grid certifies nothing
+    ("sub", dict(n=4, k=2, deltas=(0.1,), r_min=0.3), "r_min"),
+    ("super", dict(n=4, k=1, mus=()), "mus"),
+    ("super", dict(n=4, k=1, mus=(1.5,), epsilons=()), "epsilons"),
 ])
 def test_sweep_rejects_the_field_the_config_rejects(monkeypatch, kind, params, field):
     # one statement of the barrier rules serves the config and the library:
@@ -402,7 +407,7 @@ def test_early_stop_returns_the_fully_evaluated_report(monkeypatch, kind, params
     report = br._run_sweep(cfg, kind, combos)
     monkeypatch.undo()
     assert len(evaluated) == calls  # the discarded ceilings stopped early
-    last = br._first_ceiling(kind, cfg.n, cfg.deltas) / 2 ** 7  # r_min = 1e-4 keeps all 8
+    last = br._ceilings(kind, cfg.n, cfg.deltas, cfg.r_min)[-1]
     want = _full_ceiling(cfg, kind, combos, report.r1_certified or last)
     for name, value in want.items():
         assert getattr(report, name) == value, name
@@ -472,7 +477,7 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
     ("sub", dict(n=4, k=2, deltas=(0.05, 0.2))),
     ("sub", dict(n=4, k=1, deltas=(0.05, 0.2))),  # negative control
     ("sub", dict(n=4, k=2, deltas=(0.1,), background="flat")),
-    ("sub", dict(n=4, k=2, deltas=(0.1,), r_min=0.3)),  # no ceiling tried
+    ("sub", dict(n=4, k=1, deltas=(0.1,), r_min=0.1)),  # r_min ends the descent
     ("super", dict(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3, 1.6),
                    epsilons=(0.1, 0.9))),
     ("super", dict(n=6, k=2, deltas=(0.25, 0.5), mus=(1.5,))),
@@ -482,7 +487,7 @@ def test_sweep_report_matches_copied_out_oracle(monkeypatch, kind, params):
     sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
     got = sweep(cfg)
     monkeypatch.setattr(br, "_run_sweep", lambda cfg, kind, combos: _copied_out_sweep(
-        cfg, kind, combos, kind == "sub", br._first_ceiling(kind, cfg.n, cfg.deltas)))
+        cfg, kind, combos, kind == "sub", br._ceilings(kind, cfg.n, cfg.deltas)[0]))
     want = sweep(cfg)
     for f in dataclasses.fields(br.SweepReport):
         assert getattr(got, f.name) == getattr(want, f.name), f.name

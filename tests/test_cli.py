@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -213,8 +214,8 @@ def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
                   "r_min": 0.24}, "r1 = 0.468 (n = 3)", id="sub-n3"),
 ])
 def test_r_min_above_every_ceiling_exit_two(tmp_path, capsys, spec, ceiling):
-    # a sweep that tries no dyadic ceiling certifies nothing, and its report's
-    # worst margin is infinite, which summary.json cannot hold as JSON
+    # a sweep that tries no dyadic ceiling certifies nothing: the library
+    # sweep raises, and the config names the field first
     cfg = write_cfg(tmp_path, {"x": spec})
     assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     msg = capsys.readouterr().err
@@ -236,6 +237,19 @@ def test_barrier_range_end_points():
     mus = cli._params("x", {"kind": "verify barrier-super", "pairs": [[5, 2]],
                             "mus": [1.49999999999]})
     assert mus["mus"] == [1.49999999999]
+
+
+@pytest.mark.parametrize("kind, n, k", [("verify barrier-sub", 4, 2),
+                                        ("verify barrier-super", 4, 1)])
+def test_sweep_campaign_defaults_are_the_library_defaults(kind, n, k):
+    # a campaign that sets no sweep field runs the BarrierSweepConfig
+    # defaults, so the CLI and the library cannot drift apart; only the
+    # super-solution deltas and mu grid are the campaign's own
+    cfg = cli._sweep_config(cli._params("x", {"kind": kind}), n, k)
+    want = barriers.BarrierSweepConfig(n=n, k=k)
+    if kind == "verify barrier-super":
+        want = dataclasses.replace(want, deltas=(0.25, 0.5), mus=barriers.mu_grid(n, k, 3))
+    assert cfg == want
 
 
 def test_jobs_validation(tmp_path, capsys):

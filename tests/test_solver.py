@@ -480,7 +480,7 @@ def test_rhs_sweep_visits_schedule_in_order_and_stops_at_first_failed_leg(monkey
     f = CurvatureFunction.sigma_root(4, 2)
     visits = []
     monkeypatch.setattr(sv, "_damped_newton", _tau_recording_newton(visits, []))
-    u, iters = sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10, 60)
+    u, iters = sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10)
     assert visits == pytest.approx([0.125, 0.375, 0.625, 0.875, 1.0], abs=1e-12)
     assert iters == 5  # one per leg
     assert np.array_equal(u, prof.values)
@@ -492,7 +492,7 @@ def test_rhs_sweep_visits_schedule_in_order_and_stops_at_first_failed_leg(monkey
         with pytest.raises(ContinuationError,
                            match=f"right-hand-side sweep at tau = {bad}: synthetic stall"
                            ) as err:
-            sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10, 60)
+            sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10)
         assert type(err.value.__cause__) is error
         assert err.value.last_state is None
         expect = [tau for tau in (0.125, 0.375, 0.625) if tau <= bad]
@@ -782,7 +782,7 @@ def test_only_uniform_newton_uses_the_coloured_jacobian(monkeypatch):
         assert seen and set(seen) == {expect}
     seen.clear()
     prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.05 * np.cos(th))
-    sv._rhs_homotopy_solve(prof, f, 1.0, 1.0, 1e-10, 60)
+    sv._rhs_homotopy_solve(prof, f, 1.0, 1.0, 1e-10)
     assert seen and set(seen) == {1}
     seen.clear()
     sv.ht_continuation(sv.RadialProfile.make(4, 24), [0.5])
@@ -941,7 +941,7 @@ def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
     f = CurvatureFunction.sigma_root(4, 2)
     psi = lambda th: 1.0 + 0.1 * np.cos(th)
     state = sv.newton_solve(sv.RadialProfile.make(4, 64), f, 1.0, psi=psi)
-    u, iters = sv._rhs_homotopy_solve(state.profile, f, 0.5, psi, 1e-10, 60)
+    u, iters = sv._rhs_homotopy_solve(state.profile, f, 0.5, psi, 1e-10)
     assert len(seen) >= iters > 0  # failed legs form Jacobians too
     assert float(np.abs(sv.residual_Fs(state.profile, f, 0.5, psi, values=u)).max()) <= 1e-10
 

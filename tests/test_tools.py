@@ -3,10 +3,11 @@
 ``tools/compare_outputs.compare`` is how demo output identity is shown across
 revisions, so its three rules are pinned here: a number that moves is
 reported with its size, a verdict that changes is non-numeric, and a file on
-one side only is non-numeric.  ``tools/bench_pairs`` turns paired benchmark
-runs into a verdict; its claim rule, regression bounds and unresolved
-spreads are pinned on synthetic runs, and its reading of a run's stdout on a
-captured one.
+one side only is non-numeric; with the demo run stubbed, its ``main`` runs
+every seed and exits 1 if any seed shows such a change.
+``tools/bench_pairs`` turns paired benchmark runs into a verdict; its claim
+rule, regression bounds and unresolved spreads are pinned on synthetic runs,
+and its reading of a run's stdout on a captured one.
 """
 
 import importlib
@@ -72,6 +73,35 @@ def test_missing_file_is_non_numeric(tmp_path, compare):
     lines, bad = compare(_tree(tmp_path / "parent"), _tree(tmp_path / "change", profile=False))
     assert bad == 1
     assert "solve/profile.txt: only on the parent side" in lines
+
+
+@pytest.mark.parametrize("changed, status, exit_code", [
+    ({}, {}, 0),
+    ({0: {"ok": "0"}}, {}, 1),                 # a verdict changes at seed 0 only
+    ({0: {"margin": "4.5"}}, {}, 0),           # a number moves at seed 0
+    ({}, {("change", 1): 1}, 1),               # the exit status differs at seed 1
+])
+def test_main_runs_every_seed_and_fails_if_any_does(tmp_path, monkeypatch, capsys,
+                                                    changed, status, exit_code):
+    # the demo run and the git copies are stubbed: each side's "run" writes a
+    # hand-made output tree for its seed
+    monkeypatch.syspath_prepend(str(TOOLS))
+    mod = importlib.import_module("compare_outputs")
+    monkeypatch.setattr(mod, "checkout", lambda rev, into: Path(rev))
+    seeds = []
+
+    def run_demo(tree, out, seed):
+        seeds.append((tree.name, seed))
+        _tree(out, **(changed.get(seed, {}) if tree.name == "change" else {}))
+        return status.get((tree.name, seed), 0)
+
+    monkeypatch.setattr(mod, "run_demo", run_demo)
+    assert mod.main(["--parent", "parent", "--change", "change"]) == exit_code
+    assert seeds == [("parent", 0), ("change", 0), ("parent", 1), ("change", 1)]
+    out = capsys.readouterr().out
+    assert out.count("demo seed 0: ") == 1 and out.count("demo seed 1: ") == 1
+    mod.main(["--parent", "parent", "--change", "change", "--seed", "7"])
+    assert seeds[-2:] == [("parent", 7), ("change", 7)]
 
 
 SPEC = {"workloads": [{"name": "demo"}, {"name": "psi"}],

@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Compare the demo outputs of two revisions, column by column.
 
-    python3 tools/compare_outputs.py --parent REV [--change REV] [--seed N]
+    python3 tools/compare_outputs.py --parent REV [--change REV] [--seed N ...]
 
 Both sides are ``git archive`` copies in a temporary directory, made as
 ``tools/bench_pairs.py`` makes them (without ``--change`` the change side is
-the index, so stage the change first).  Each runs
-``schouten run --config configs/demo.yaml --seed N`` from its copy's
-``src``.  Every output file is read as a table: a CSV by its header (the
-timestamped ``#`` line skipped), any other text file as whitespace-separated
-columns ``col0``, ``col1``, ...; ``summary.json`` as one column per leaf,
-``runtime_s`` skipped.  For every column that changed, the largest absolute
+the index, so stage the change first).  For each seed N (default 0 and 1)
+each side runs ``schouten run --config configs/demo.yaml --seed N`` from its
+copy's ``src``, and one block of lines is printed per seed.  Every output
+file is read as a table: a CSV by its header (the timestamped ``#`` line
+skipped), any other text file as whitespace-separated columns ``col0``,
+``col1``, ...; ``summary.json`` as one column per leaf, ``runtime_s``
+skipped.  For every column that changed, the largest absolute
 change and that change over the column's largest |value| (on the parent
 side) are printed.
 
 A change that is not a number moving is a *non-numeric* change: a cell that
 does not parse as a number on either side, a different file, column or row
 set, a different exit status, or any change in a verdict (``pass``,
-``passed``, ``passed_all``, ``r1_certified``).  The script exits 1 if there
-is one, else 0.
+``passed``, ``passed_all``, ``r1_certified``).  The script exits 1 if any
+seed shows one, else 0.
 """
 
 import argparse
@@ -142,23 +143,26 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", default=None, help="a revision; default the index")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0, 1])
     args = parser.parse_args(argv)
     change = args.change or git("write-tree")
+    failed = False
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         tmp = Path(tmp)
-        status = {}
-        for label, rev in (("parent", args.parent), ("change", change)):
-            tree = checkout(rev, tmp / label)
-            status[label] = run_demo(tree, tmp / f"{label}-out", args.seed)
-        lines, bad = compare(tmp / "parent-out", tmp / "change-out")
-    if status["parent"] != status["change"]:
-        lines.append(f"exit status differs: {status['parent']} -> {status['change']}")
-        bad += 1
-    print(f"demo seed {args.seed}: parent {args.parent}, change "
-          f"{args.change or f'index tree {change}'}")
-    print("\n".join(lines))
-    return 1 if bad else 0
+        trees = {label: checkout(rev, tmp / label)
+                 for label, rev in (("parent", args.parent), ("change", change))}
+        for seed in args.seed:
+            out = {label: tmp / f"{label}-out-{seed}" for label in trees}
+            status = {label: run_demo(tree, out[label], seed) for label, tree in trees.items()}
+            lines, bad = compare(out["parent"], out["change"])
+            if status["parent"] != status["change"]:
+                lines.append(f"exit status differs: {status['parent']} -> {status['change']}")
+                bad += 1
+            print(f"demo seed {seed}: parent {args.parent}, change "
+                  f"{args.change or f'index tree {change}'}")
+            print("\n".join(lines))
+            failed = failed or bad > 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
