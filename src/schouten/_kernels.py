@@ -14,6 +14,7 @@ Kernels:
                            iteration for the smallest root of sigma_k(lam - t*e),
                            certified by two membership passes, bisection fallback
   radial_sphere_eigs    -- Schouten eigenvalues of a radial conformal factor on the round sphere
+  radial_sphere_eig_partials -- the same eigenvalues with their partials in (u, u', u'')
 
 The margin sup{t : lam - t*e in Gamma_k}, e = (1, ..., 1), is the smallest
 root of p(t) = sigma_k(lam - t*e): sigma_k is hyperbolic in the direction e
@@ -34,6 +35,7 @@ __all__ = [
     "gamma_member",
     "gamma_margin",
     "radial_sphere_eigs",
+    "radial_sphere_eig_partials",
 ]
 
 BACKEND = "numpy"
@@ -153,6 +155,29 @@ def _radial_sphere_eigs_np(u, up, upp, cot_theta, pole, n):
     return lam_rad * s, lam_tan * s
 
 
+def _radial_sphere_eig_partials_np(u, up, upp, cot_theta, pole, n):
+    """(lam_rad, lam_tan) and their nodewise partials in (u, u', u'').
+
+    Returns rad, tan, drad, dtan; drad and dtan are (3, m): the partials in
+    u, u' and u''.  With q = 2/(n-2), w = u'/u and lam = bracket * u^(-2q),
+    d lam/du = (d bracket/du) u^(-2q) - 2q lam/u.  At a pole the tangential
+    branch reads u'' in place of cot(theta) u'.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    q = 2.0 / (n - 2.0)
+    w = up / u
+    tan_hess = np.where(pole, upp, cot_theta * up)
+    rad, tan = _radial_sphere_eigs_np(u, up, upp, cot_theta, pole, n)
+    su = u ** (-2.0 * q) / u
+    drad = np.stack([(q * upp / u - (n - 1.0) * q * q * w * w) * su - 2.0 * q * rad / u,
+                     (n - 1.0) * q * q * w * su,
+                     -q * su])
+    dtan = np.stack([(q * tan_hess / u + q * q * w * w) * su - 2.0 * q * tan / u,
+                     -(q * np.where(pole, 0.0, cot_theta) + q * q * w) * su,
+                     np.where(pole, -q * su, 0.0)])
+    return rad, tan, drad, dtan
+
+
 # The membership and margin kernels call ``_elementary_symmetric_np`` by its
 # private name; keep the public names aliases, not wrappers, so each e_k pass
 # is one call of one function.
@@ -160,3 +185,4 @@ elementary_symmetric = _elementary_symmetric_np
 gamma_member = _gamma_member_np
 gamma_margin = _gamma_margin_np
 radial_sphere_eigs = _radial_sphere_eigs_np
+radial_sphere_eig_partials = _radial_sphere_eig_partials_np

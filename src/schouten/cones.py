@@ -217,6 +217,28 @@ class CurvatureFunction:
     def value(self, lam):
         return float(self.value_batch(np.asarray(lam, dtype=np.float64)))
 
+    def pair_gradient(self, b, a):
+        """(df/db, df/da) at the two-valued rows (b; a, ..., a), a n - 1 times.
+
+        T_t maps such a row to (B; A, ..., A) with B = b + (1-t)(n-1) a and
+        A = (1-t) b + (t + (1-t)(n-1)) a, where
+        sigma_k = C(n-1, k-1) A^(k-1) B + C(n-1, k) A^k; df/da moves all n - 1
+        entries a together.  The rows must lie inside the cone.
+        """
+        n, k, t = self.cone.n, self.cone.k, self.cone.t
+        big_b = b + (1.0 - t) * (n - 1.0) * a
+        big_a = (1.0 - t) * b + (t + (1.0 - t) * (n - 1.0)) * a
+        c_b, c_a = math.comb(n - 1, k - 1), math.comb(n - 1, k)
+        ds_db = c_b * big_a ** (k - 1)
+        sigma = ds_db * big_b + c_a * big_a ** k
+        ds_da = k * c_a * big_a ** (k - 1)
+        if k > 1:
+            ds_da = ds_da + (k - 1) * c_b * big_a ** (k - 2) * big_b
+        scale = (self.kappa / k) * sigma ** (1.0 / k - 1.0)
+        f_b, f_a = scale * ds_db, scale * ds_da
+        return (f_b + (1.0 - t) * f_a,
+                (1.0 - t) * (n - 1.0) * f_b + (t + (1.0 - t) * (n - 1.0)) * f_a)
+
     def power_value_batch(self, lams):
         """kappa^k * sigma_k(T_t lam), the k-th power of the function value.
 

@@ -15,28 +15,30 @@ The solver walks the two-parameter residual family
 
     residual(u; s, t) = f_t(lambda(A_{g_u})) - psi * u^(-s)
 
-with damped Newton steps and finite-difference Jacobians.  The (s, t)
-continuation is the one bisecting walk: a failed leg is halved toward its
-target.  A start pinned against the cone boundary falls back to the
-right-hand-side sweep, a fixed five-leg schedule that stops at its first
-failed leg.  The module also hosts the semilinear family H_t used by the
-degree checkpoints.
+with damped Newton steps and exact Jacobians.  The (s, t) continuation is
+the one bisecting walk: a failed leg is halved toward its target.  A start
+pinned against the cone boundary falls back to the right-hand-side sweep, a
+fixed five-leg schedule that stops at its first failed leg.  The module also
+hosts the semilinear family H_t used by the degree checkpoints.
 
-On the uniform grid the residual at node i reads only u[i-1..i+1], so its
-Jacobian is tridiagonal and is differenced by colours (Curtis-Powell-Reid):
-the columns j = c mod 3 are perturbed together and one central pair of
-probes fills a whole colour.  The residual takes a (B, m) stack of profiles
-(``schouten_eig_matrix`` gives (B, m, n) eigenvalue rows) and returns their
-(B, m) residual rows, NaN at each node outside the cone.  The Jacobian sends
-the central pairs of all colours through one stacked residual call: one
-eigenvalue pass and one value pass over the rows, and one m-row cone
-membership pass per probe.  A column whose band rows are finite in both of
-its probes is filled from them; a NaN row i names the one column of its
-colour whose band holds i, and that column goes to the single-column
-difference.  Every entry equals the one-column-at-a-time difference bit for
-bit.  The spectral Lobatto grid and the H_t family (whose mean(u^2) term
-couples all nodes) keep that dense one-column Jacobian, which is also the
-oracle; there D @ V is not D @ v bit for bit.
+The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
+is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
+uniform grid.  The partials chain the closed-form partials of the two
+eigenvalue branches (``_kernels.radial_sphere_eig_partials``) through the
+gradient of f_t on two-valued rows (``CurvatureFunction.pair_gradient``).
+H_t has its own exact Jacobian, -L + diag(...) plus the rank-one term of
+mean(u^2).  No Newton run differences the residual; the dense
+one-column difference is the tests' oracle.
+
+Every Newton run stops at the resolution of its residual, rho =
+eps * || |J| |u| ||_inf (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 7): the first-order change of the residual when u moves by
+one rounding unit relative.  A run stops once its residual falls to
+max(tol, rho); if rho > tol its residual cannot be told from rounding at
+tol, and it raises ``ContinuationError`` naming rho and the tolerance.  The
+spectral second-derivative matrix grows like the fourth power of the node
+count, and on the Lobatto grid with 40 nodes or more rho exceeds the
+default tolerance 1e-10: those solves raise.
 """
 
 from __future__ import annotations
@@ -103,6 +105,33 @@ def _lobatto_matrices(num_nodes):
     return d1, d2
 
 
+def _stencil_d1(v, h):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def _stencil_d2(v, h):
+    out = np.empty_like(v)
+    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+    out[0] = 2.0 * (v[1] - v[0]) / h ** 2
+    out[-1] = 2.0 * (v[-2] - v[-1]) / h ** 2
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _uniform_matrices(num_nodes, h):
+    """Read-only three-point-stencil matrices of the uniform grid with spacing h:
+    the first and second difference of the identity (even reflection at the
+    poles)."""
+    eye = np.eye(num_nodes)
+    d1, d2 = _stencil_d1(eye, h), _stencil_d2(eye, h)
+    d1.flags.writeable = d2.flags.writeable = False
+    return d1, d2
+
+
 @dataclass(frozen=True)
 class RadialProfile:
     """Positive radial profile u(theta_j) on [0, pi] with pole-aware calculus.
@@ -157,38 +186,29 @@ class RadialProfile:
 
     # -- derivative operators -------------------------------------------------
 
-    def d1_matrix(self):
-        """(m, m) first-derivative matrix; shared and read-only on the Lobatto grid."""
+    def _matrices(self):
         if self.grid == "uniform":
-            return self.d1(np.eye(self.num_nodes))
-        return _lobatto_matrices(self.num_nodes)[0]
+            return _uniform_matrices(self.num_nodes, float(self.theta[1] - self.theta[0]))
+        return _lobatto_matrices(self.num_nodes)
+
+    def d1_matrix(self):
+        """(m, m) first-derivative matrix, built once per grid and shared read-only."""
+        return self._matrices()[0]
 
     def d2_matrix(self):
-        """(m, m) second-derivative matrix; shared and read-only on the Lobatto grid."""
-        if self.grid == "uniform":
-            return self.d2(np.eye(self.num_nodes))
-        return _lobatto_matrices(self.num_nodes)[1]
+        """(m, m) second-derivative matrix, built once per grid and shared read-only."""
+        return self._matrices()[1]
 
     def d1(self, values=None):
         v = self.values if values is None else values
         if self.grid == "uniform":
-            h = self.theta[1] - self.theta[0]
-            out = np.empty_like(v)
-            out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-            out[0] = 0.0
-            out[-1] = 0.0
-            return out
+            return _stencil_d1(v, self.theta[1] - self.theta[0])
         return self.d1_matrix() @ v
 
     def d2(self, values=None):
         v = self.values if values is None else values
         if self.grid == "uniform":
-            h = self.theta[1] - self.theta[0]
-            out = np.empty_like(v)
-            out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-            out[0] = 2.0 * (v[1] - v[0]) / h ** 2
-            out[-1] = 2.0 * (v[-2] - v[-1]) / h ** 2
-            return out
+            return _stencil_d2(v, self.theta[1] - self.theta[0])
         return self.d2_matrix() @ v
 
     def pole_mask(self):
@@ -242,23 +262,16 @@ def _eig_pair(profile, values=None):
     v = profile.values if values is None else values
     if np.any(v <= 0):
         raise DomainError("conformal factor must stay positive")
-    # the derivative operators act on columns; a (B, m) stack is m x B columns
-    up = profile.d1(v.T).T
-    upp = profile.d2(v.T).T
-    return _kernels.radial_sphere_eigs(v, up, upp, profile.cot_theta(),
+    return _kernels.radial_sphere_eigs(v, profile.d1(v), profile.d2(v), profile.cot_theta(),
                                        profile.pole_mask(), profile.n)
 
 
 def schouten_eig_matrix(profile, values=None):
-    """Eigenvalue rows [radial, tangential x (n-1)], unsorted.
-
-    (num_nodes, n) for one profile; ``values`` may also be a (B, num_nodes)
-    stack of profiles, giving (B, num_nodes, n).
-    """
+    """(num_nodes, n) eigenvalue rows [radial, tangential x (n-1)], unsorted."""
     rad, tan = _eig_pair(profile, values)
-    out = np.empty(rad.shape + (profile.n,))
-    out[..., 0] = rad
-    out[..., 1:] = tan[..., None]
+    out = np.empty((len(rad), profile.n))
+    out[:, 0] = rad
+    out[:, 1:] = tan[:, None]
     return out
 
 
@@ -278,18 +291,8 @@ def _psi_values(psi, profile):
 def _cone_residual(f, lam, rhs):
     """f(lam) - rhs row by row, with a single cone-membership pass.
 
-    For one profile (``lam`` (m, n)) raises ``ConeExitError`` naming the
-    first node outside the cone.  A stack of B profiles (``lam`` (B, m, n),
-    ``rhs`` (B, m)) raises nothing and returns the (B, m) residual rows, NaN
-    in exactly the rows whose node lies outside the cone.  Each profile has
-    its own m-row membership pass, as one profile does; the rows inside
-    share one value pass.
+    Raises ``ConeExitError`` naming the first node outside the cone.
     """
-    if lam.ndim == 3:
-        inside = np.array([f.cone.contains_batch(rows) for rows in lam])
-        res = np.full(rhs.shape, np.nan)
-        res[inside] = f._value_rows(lam[inside]) - rhs[inside]
-        return res
     inside = f.cone.contains_batch(lam)
     if not inside.all():
         node = int(np.argmin(inside))
@@ -298,12 +301,7 @@ def _cone_residual(f, lam, rhs):
 
 
 def residual_Fs(profile, f, s, psi=1.0, values=None):
-    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit.
-
-    ``values`` may be a (B, m) stack of profiles: then the result is (B, m),
-    NaN at each node outside the cone (see ``_cone_residual``), and only a
-    nonpositive value raises.
-    """
+    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
     v = profile.values if values is None else values
     lam = schouten_eig_matrix(profile, v)
     return _cone_residual(f, lam, _psi_values(psi, profile) * v ** (-s))
@@ -359,121 +357,66 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     return state
 
 
-def _jacobian_bandwidth(profile):
-    # the uniform grid's three-point stencils make node i read u[i-1..i+1];
-    # spectral (Lobatto) differentiation couples every node
-    return 1 if profile.grid == "uniform" else None
+def _residual_jacobian(profile, ft, u, s, weight):
+    """Exact Jacobian of u -> f_t(lambda(A_{g_u})) - weight * u^(-s) - const.
 
-
-def _fd_column(res_fn, u, r0, j, jac):
-    """Difference column j alone: shrinking central steps, then one-sided probes."""
-    base = 1e-8 * (1.0 + abs(u[j]))
-    for shrink in range(6):
-        step = base / 8.0 ** shrink
-        up = u.copy()
-        um = u.copy()
-        up[j] += step
-        um[j] -= step
-        try:
-            rp = res_fn(up)
-        except (DomainError, ConeExitError):
-            rp = None
-        try:
-            rm = res_fn(um)
-        except (DomainError, ConeExitError):
-            rm = None
-        if rp is not None and rm is not None:
-            jac[:, j] = (rp - rm) / (2.0 * step)
-            return
-        if rp is not None:
-            jac[:, j] = (rp - r0) / step
-            return
-        if rm is not None:
-            jac[:, j] = (r0 - rm) / step
-            return
-    raise ContinuationError(
-        f"cannot difference the residual at node {j}: cone boundary")
-
-
-def _fd_jacobian(res_fn, u, r0, bandwidth=None):
-    """Central-difference Jacobian with step 1e-8 (1 + |u_j|).
-
-    The residual depends on u through 1/h^2-scale stencils, so its second
-    derivative in a single node value is of order h^-4; a forward difference
-    with an O(1e-7) step buries the soft (near-constant) modes of the
-    Jacobian under truncation error and wrecks the Newton direction.
-    Central differencing at a smaller step keeps every mode accurate.
-
-    ``bandwidth=None`` differences one column at a time (``_fd_column``);
-    this dense Jacobian is the oracle of the banded one.  With a bandwidth b
-    (node i reads only u[i-b..i+b]) the columns j = c mod 2b+1 form colour c:
-    no row reads two of them, so one central pair with each column at its own
-    step fills the band rows j-b..j+b of all of them, and every other entry
-    is exactly zero, as the one-column difference is.  ``res_fn`` must then
-    also map a (B, m) stack of profiles to (B, m) rows, NaN at each node
-    outside the cone (see ``_cone_residual``).  All colours go through one
-    stacked call: row c of the (2(2b+1), m) stack raises the columns of
-    colour c by their steps and row 2b+1+c lowers them.  A column whose band
-    rows are finite in both its probes is filled from them.  The rest, or
-    every column when a probe leaves the positive set, go to ``_fd_column``,
-    with its shrinking steps and one-sided probes.  A NaN row i of colour c
-    can only come from the one column of that colour within b of i, and
-    that column's own probe leaves the cone at i too, so the Jacobian equals
-    the dense one bit for bit.
+    The residual at node i is F(u_i, u'_i, u''_i), so
+    J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
+    uniform grid.  The partials chain the eigenvalue partials
+    (``_kernels.radial_sphere_eig_partials``) through the two-valued-row
+    gradient of f_t (``CurvatureFunction.pair_gradient``).  ``u`` must lie
+    inside the cone at every node.
     """
-    m = len(u)
-    jac = np.zeros((m, m))
-    if bandwidth is None:
-        for j in range(m):
-            _fd_column(res_fn, u, r0, j, jac)
-        return jac
-    steps = 1e-8 * (1.0 + np.abs(u))
-    width = 2 * bandwidth + 1
-    cols = np.arange(m)
-    shift = np.where(cols % width == np.arange(width)[:, None], steps, 0.0)
-    try:
-        res = res_fn(np.concatenate([u + shift, u - shift]))
-    except DomainError:
-        alone = cols  # a probe left the positive set
-    else:
-        diff = res[:width] - res[width:]
-        for d in range(-bandwidth, bandwidth + 1):
-            rows = cols + d
-            keep = (rows >= 0) & (rows < m)
-            r, c = rows[keep], cols[keep]
-            jac[r, c] = diff[c % width, r] / (2.0 * steps[c])
-        # a column whose band meets a NaN row goes alone; _fd_column
-        # writes its whole column
-        alone = np.flatnonzero(~np.isfinite(jac).all(axis=0))
-    for j in alone:
-        _fd_column(res_fn, u, r0, j, jac)
+    rad, tan, drad, dtan = _kernels.radial_sphere_eig_partials(
+        u, profile.d1(u), profile.d2(u), profile.cot_theta(), profile.pole_mask(), profile.n)
+    f_b, f_a = ft.pair_gradient(rad, tan)
+    f_u, f_up, f_upp = f_b * drad + f_a * dtan
+    jac = f_up[:, None] * profile.d1_matrix() + f_upp[:, None] * profile.d2_matrix()
+    jac[np.diag_indices_from(jac)] += f_u + s * weight * u ** (-s - 1.0)
     return jac
 
 
 _NEWTON_MAX_ITER, _HT_MAX_ITER, _HT_TOL = 60, 40, 1e-10
 
 
-def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
+def _resolution(jac, u):
+    """rho = eps * || |J| |u| ||_inf: the first-order change of the residual
+    when every u_j moves by one rounding unit relative."""
+    return float(np.finfo(np.float64).eps * (np.abs(jac) @ np.abs(u)).max())
+
+
+def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
     Steps are accepted when the simplified Newton correction contracts,
     ||J^-1 R(u + a*step)|| <= (1 - a/2) ||J^-1 R(u)||, a test that is
     invariant under the ill-conditioning of the stencil operator; trial
     points violating positivity or the cone are skipped by halving a.
-    Convergence is declared in the discrete max norm.
-    ``bandwidth`` is passed to the Jacobian, which then sends its probes
-    through one stacked call, so a banded ``res_fn`` must also map a (B, m)
-    stack to (B, m) rows, NaN outside the cone (see ``_fd_jacobian``).
-    Returns (u, iterations, residual_norm); a start that meets ``tol`` is
-    returned after 0 iterations.
+    ``jac_fn(u)`` is the exact Jacobian at u.  Convergence is declared in
+    the discrete max norm, and only above the residual's resolution at u:
+    rho = eps * || |J| |u| ||_inf is the first-order change of the residual
+    under a relative perturbation of u by one rounding unit (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 7).  A run whose
+    residual falls to max(tol, rho) stops; if rho > tol it raises
+    ``ContinuationError`` naming both, since its residual cannot be told
+    from rounding at ``tol``.  Returns (u, iterations, residual_norm); a
+    start that meets ``tol`` is returned after 0 iterations.
     """
     u = np.asarray(u0, dtype=np.float64).copy()
     r = res_fn(u)
     rn = float(np.abs(r).max())
-    for it in range(max_iter):
-        if rn <= tol:
+    it = 0
+    while True:
+        jac = jac_fn(u)
+        rho = _resolution(jac, u)
+        if rn <= max(tol, rho):
+            if rho > tol:
+                raise ContinuationError(
+                    f"tolerance {tol:g} lies below the resolution rho = {rho:.3g} "
+                    f"of the residual (residual {rn:g})")
             return u, it, rn
-        jac = _fd_jacobian(res_fn, u, r, bandwidth)
+        if it == max_iter:
+            raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")
         try:
             lu = sla.lu_factor(jac)
         except ValueError as exc:
@@ -483,8 +426,9 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
         if not math.isfinite(norm_delta):
             raise ContinuationError("singular Jacobian in Newton step")
         alpha = 1.0
-        accepted = False
-        while alpha > 1e-14:
+        while True:
+            if alpha <= 1e-14:
+                raise ContinuationError(f"Newton damping stalled at residual {rn:g}")
             trial = u + alpha * delta
             if np.all(trial > 0):
                 try:
@@ -497,14 +441,9 @@ def _damped_newton(res_fn, u0, tol, max_iter, bandwidth=None):
                     if nbar <= (1.0 - 0.5 * alpha) * norm_delta or nbar < 1e-13:
                         u, r = trial, rt
                         rn = float(np.abs(r).max())
-                        accepted = True
                         break
             alpha *= 0.5
-        if not accepted:
-            raise ContinuationError(f"Newton damping stalled at residual {rn:g}")
-    if rn <= tol:
-        return u, max_iter, rn
-    raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")
+        it += 1
 
 
 def _rhs_homotopy_solve(profile, ft, s, psi, tol):
@@ -524,7 +463,6 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol):
     lam0 = schouten_eig_matrix(profile)
     f0 = np.maximum(ft.power_value_batch(lam0), 0.0) ** (1.0 / ft.cone.k)
     psi_arr = _psi_values(psi, profile)
-    bandwidth = _jacobian_bandwidth(profile)
     u, total = profile.values, 0
     for tau in (0.125, 0.375, 0.625, 0.875, 1.0):
 
@@ -532,10 +470,12 @@ def _rhs_homotopy_solve(profile, ft, s, psi, tol):
             return _cone_residual(ft, schouten_eig_matrix(profile, v),
                                   tau * psi_arr * v ** (-s) + (1.0 - tau) * f0)
 
+        def jac_fn(v):
+            return _residual_jacobian(profile, ft, v, s, tau * psi_arr)
+
         leg_tol = tol if tau >= 1.0 else max(tol, 1e-8)
         try:
-            u, iters, _ = _damped_newton(res_fn, u, leg_tol, _NEWTON_MAX_ITER,
-                                         bandwidth=bandwidth)
+            u, iters, _ = _damped_newton(res_fn, jac_fn, u, leg_tol, _NEWTON_MAX_ITER)
         except (ContinuationError, DomainError) as exc:
             raise ContinuationError(f"right-hand-side sweep at tau = {tau:g}: {exc}") from exc
         total += iters
@@ -548,17 +488,21 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10):
     Tries the affine-covariant Newton iteration on the residual directly;
     if that stalls (typically a start pinned against the cone boundary) it
     falls back to the right-hand-side sweep, which does not bisect.  The
-    returned state is certified at ``tol`` in the max norm; a
-    failure raises ``ContinuationError`` without a ``last_state``.
+    returned state is certified at ``tol`` in the max norm, above the
+    residual's resolution (see ``_damped_newton``); a failure raises
+    ``ContinuationError`` without a ``last_state``.
     """
     ft = f.deform(t) if t != 1.0 else f
+    psi_arr = _psi_values(psi, profile)
 
     def res_fn(u):
         return residual_Fs(profile, ft, s, psi, values=u)
 
+    def jac_fn(u):
+        return _residual_jacobian(profile, ft, u, s, psi_arr)
+
     try:
-        u, iters, _ = _damped_newton(res_fn, profile.values, tol, _NEWTON_MAX_ITER,
-                                     bandwidth=_jacobian_bandwidth(profile))
+        u, iters, _ = _damped_newton(res_fn, jac_fn, profile.values, tol, _NEWTON_MAX_ITER)
     except ContinuationError:
         u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)
@@ -608,22 +552,38 @@ def _cn(n):
     return (n - 2.0) / (4.0 * (n - 1.0))
 
 
+def _ht_terms(profile, t, v):
+    # (p_t, the linear coefficient, the source factor) of H_t at v
+    n = profile.n
+    p = n / (n - 2.0)
+    pt = (1.0 - t) + t * p
+    scal = n * (n - 1.0)
+    mean_u2 = profile.integrate(v ** 2) / profile.volume()
+    coef = (1.0 - t) + t * _cn(n) * scal
+    source = (1.0 - t) * mean_u2 + t
+    return pt, coef, source
+
+
 def ht_residual(profile, t, values=None):
     """H_t[u] = -Lap u + [(1-t) + t c(n) R] u - [(1-t) mean(u^2) + t] u^(p_t).
 
     On the unit round sphere R = n(n-1), p = n/(n-2), p_t = (1-t) + t p and
     mean(u^2) is the volume-normalised integral of u^2.
     """
-    n = profile.n
     v = profile.values if values is None else values
-    p = n / (n - 2.0)
-    pt = (1.0 - t) + t * p
-    scal = n * (n - 1.0)
-    lap = profile.laplacian(v)
-    mean_u2 = profile.integrate(v ** 2) / profile.volume()
-    coef = (1.0 - t) + t * _cn(n) * scal
-    source = (1.0 - t) * mean_u2 + t
-    return -lap + coef * v - source * v ** pt
+    pt, coef, source = _ht_terms(profile, t, v)
+    return -profile.laplacian(v) + coef * v - source * v ** pt
+
+
+def _ht_jacobian(profile, t, v):
+    """Exact Jacobian of ``ht_residual``: -L + diag(coef - source p_t u^(p_t-1))
+    less the rank-one term (1-t) u^(p_t) (2 w u / Vol)^T of mean(u^2), with w
+    the quadrature weights."""
+    pt, coef, source = _ht_terms(profile, t, v)
+    jac = -profile.laplacian(np.eye(profile.num_nodes))
+    jac[np.diag_indices_from(jac)] += coef - source * pt * v ** (pt - 1.0)
+    jac -= np.outer((1.0 - t) * v ** pt, 2.0 * profile.quad_weights() * v / profile.volume())
+    return jac
 
 
 def g0_residual(profile, values=None):
@@ -670,7 +630,10 @@ def ht_continuation(profile, t_schedule):
         def res_fn(u, t=t):
             return ht_residual(cur, t, values=u)
 
-        u, iters, rn = _damped_newton(res_fn, cur.values, _HT_TOL, _HT_MAX_ITER)
+        def jac_fn(u, t=t):
+            return _ht_jacobian(cur, t, u)
+
+        u, iters, rn = _damped_newton(res_fn, jac_fn, cur.values, _HT_TOL, _HT_MAX_ITER)
         cur = cur.with_values(u)
         lo, hi = _ht_band(cur, t)
         states.append(HtState(t=t, profile=cur, residual_norm=rn,
