@@ -53,8 +53,15 @@ def _panel_quadrature(f, r, rate):
 
 
 def unit_ball_volume(n):
-    """Lebesgue volume of the unit ball in R^n."""
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    """Lebesgue volume of the unit ball in R^n.
+
+    From n = 342 on Gamma(n/2 + 1) overflows a double, and a ``DomainError``
+    naming n is raised.
+    """
+    try:
+        return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    except OverflowError:
+        raise DomainError(f"unit ball volume overflows a double at n={n}") from None
 
 
 def unit_sphere_area(n):

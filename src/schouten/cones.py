@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import BrokenConeError, DomainError
+from .errors import BrokenConeError, ConeExitError
 
 __all__ = [
     "ConeSpec",
@@ -200,19 +200,18 @@ class CurvatureFunction:
         return CurvatureFunction(cone=self.cone.deform(t), kappa=self.kappa)
 
     def value_batch(self, lams):
+        """Values at (rows, n) eigenvalue vectors, with one cone-membership pass.
+
+        Raises ``ConeExitError`` whose ``node`` is the first row outside the cone.
+        """
         lams, single = _as_batch(lams)
         ok = self.cone.contains_batch(lams)
         if not ok.all():
-            bad = int(np.argmin(ok))
-            raise DomainError(f"eigenvalue vector outside cone (row {bad})")
-        vals = self._value_rows(lams)
+            node = int(np.argmin(ok))
+            raise ConeExitError(f"eigenvalues left the cone at node {node}", node=node)
+        e = _kernels.elementary_symmetric(self.cone._map(lams), self.cone.k)
+        vals = self.kappa * e[:, self.cone.k] ** (1.0 / self.cone.k)
         return vals[0] if single else vals
-
-    def _value_rows(self, lams):
-        """``value_batch`` of (rows, n) vectors the caller has already found inside the cone."""
-        mapped = self.cone._map(lams)
-        e = _kernels.elementary_symmetric(mapped, self.cone.k)
-        return self.kappa * e[:, self.cone.k] ** (1.0 / self.cone.k)
 
     def value(self, lam):
         return float(self.value_batch(np.asarray(lam, dtype=np.float64)))

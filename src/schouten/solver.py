@@ -15,11 +15,10 @@ The solver walks the two-parameter residual family
 
     residual(u; s, t) = f_t(lambda(A_{g_u})) - psi * u^(-s)
 
-with damped Newton steps and exact Jacobians.  The (s, t) continuation is
-the one bisecting walk: a failed leg is halved toward its target.  A start
-pinned against the cone boundary falls back to the right-hand-side sweep, a
-fixed five-leg schedule that stops at its first failed leg.  The module also
-hosts the semilinear family H_t used by the degree checkpoints.
+with damped Newton steps and exact Jacobians.  A solve is one Newton run;
+the (s, t) continuation is the one homotopy, a bisecting walk in which a
+failed leg is halved toward its target.  The module also hosts the
+semilinear family H_t used by the degree checkpoints.
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
@@ -53,7 +52,7 @@ from scipy import linalg as sla
 
 from . import _kernels
 from .comparison import unit_sphere_area
-from .errors import ConeExitError, ContinuationError, DomainError
+from .errors import ContinuationError, DomainError
 
 __all__ = [
     "RadialProfile",
@@ -288,23 +287,11 @@ def _psi_values(psi, profile):
                            (profile.num_nodes,)).astype(np.float64)
 
 
-def _cone_residual(f, lam, rhs):
-    """f(lam) - rhs row by row, with a single cone-membership pass.
-
-    Raises ``ConeExitError`` naming the first node outside the cone.
-    """
-    inside = f.cone.contains_batch(lam)
-    if not inside.all():
-        node = int(np.argmin(inside))
-        raise ConeExitError(f"eigenvalues left the cone at node {node}", node=node)
-    return f._value_rows(lam) - rhs
-
-
 def residual_Fs(profile, f, s, psi=1.0, values=None):
     """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
     v = profile.values if values is None else values
     lam = schouten_eig_matrix(profile, v)
-    return _cone_residual(f, lam, _psi_values(psi, profile) * v ** (-s))
+    return f.value_batch(lam) - _psi_values(psi, profile) * v ** (-s)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +326,7 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     ft = f.deform(t) if t != 1.0 else f
     v = profile.values
     lam = schouten_eig_matrix(profile, v)
-    res = _cone_residual(ft, lam, _psi_values(psi, profile) * v ** (-s))
+    res = ft.value_batch(lam) - _psi_values(psi, profile) * v ** (-s)
     margin = float(ft.cone.margin_batch(lam).min())
     logu = np.log(profile.values)
     state = ContinuationState(
@@ -433,7 +420,7 @@ def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
             if np.all(trial > 0):
                 try:
                     rt = res_fn(trial)
-                except (DomainError, ConeExitError):
+                except DomainError:
                     rt = None
                 if rt is not None:
                     dbar = sla.lu_solve(lu, -rt)
@@ -446,51 +433,17 @@ def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
         it += 1
 
 
-def _rhs_homotopy_solve(profile, ft, s, psi, tol):
-    """Sweep the right-hand side from the start profile's own curvature values.
-
-    A start hugging the cone boundary (where sigma_k^(1/k) has a root-type
-    wall) defeats direct Newton; blending the right-hand side
-
-        rhs_tau = tau * psi u^-s + (1 - tau) * f(lambda(A_{g_u0}))
-
-    makes the start an exact solution at tau = 0 and walks it into the
-    interior along tau = 0.125, 0.375, 0.625, 0.875, 1, warm-starting Newton
-    at each leg.  The first leg that fails ends the sweep with a
-    ``ContinuationError`` naming its tau and carrying no ``last_state``.
-    Returns (u, iterations).
-    """
-    lam0 = schouten_eig_matrix(profile)
-    f0 = np.maximum(ft.power_value_batch(lam0), 0.0) ** (1.0 / ft.cone.k)
-    psi_arr = _psi_values(psi, profile)
-    u, total = profile.values, 0
-    for tau in (0.125, 0.375, 0.625, 0.875, 1.0):
-
-        def res_fn(v):
-            return _cone_residual(ft, schouten_eig_matrix(profile, v),
-                                  tau * psi_arr * v ** (-s) + (1.0 - tau) * f0)
-
-        def jac_fn(v):
-            return _residual_jacobian(profile, ft, v, s, tau * psi_arr)
-
-        leg_tol = tol if tau >= 1.0 else max(tol, 1e-8)
-        try:
-            u, iters, _ = _damped_newton(res_fn, jac_fn, u, leg_tol, _NEWTON_MAX_ITER)
-        except (ContinuationError, DomainError) as exc:
-            raise ContinuationError(f"right-hand-side sweep at tau = {tau:g}: {exc}") from exc
-        total += iters
-    return u, total
-
-
 def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10):
     """Damped Newton solve of residual(u; s, t) = 0 from the given profile.
 
-    Tries the affine-covariant Newton iteration on the residual directly;
-    if that stalls (typically a start pinned against the cone boundary) it
-    falls back to the right-hand-side sweep, which does not bisect.  The
-    returned state is certified at ``tol`` in the max norm, above the
-    residual's resolution (see ``_damped_newton``); a failure raises
-    ``ContinuationError`` without a ``last_state``.
+    One affine-covariant Newton run on the residual.  The returned state is
+    certified at ``tol`` in the max norm, above the residual's resolution
+    (see ``_damped_newton``); a run that stalls or meets the resolution
+    stop raises ``ContinuationError`` without a ``last_state`` (a start
+    outside the cone raises ``ConeExitError``), and ``newton_continuation``
+    bisects the leg.  A start Newton cannot take from cold (the round
+    sphere at s = 0, psi = 1, where the solutions form a noncompact
+    conformal family) is reached by walking s down from s > 0.
     """
     ft = f.deform(t) if t != 1.0 else f
     psi_arr = _psi_values(psi, profile)
@@ -501,10 +454,7 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10):
     def jac_fn(u):
         return _residual_jacobian(profile, ft, u, s, psi_arr)
 
-    try:
-        u, iters, _ = _damped_newton(res_fn, jac_fn, profile.values, tol, _NEWTON_MAX_ITER)
-    except ContinuationError:
-        u, iters = _rhs_homotopy_solve(profile, ft, s, psi, tol)
+    u, iters, _ = _damped_newton(res_fn, jac_fn, profile.values, tol, _NEWTON_MAX_ITER)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)
 
 

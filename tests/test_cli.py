@@ -60,6 +60,14 @@ def test_run_genuine_failure_exit_one(tmp_path, capsys):
     assert payload["failed"] == ["bad-sub"]
 
 
+def test_bishop_gromov_past_the_gamma_overflow_names_n(tmp_path):
+    cfg = write_cfg(tmp_path, {"bg": {"kind": "compare bishop-gromov", "dims": [400]}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    summary = reports.load_summary(tmp_path / "out" / "summary.json")
+    (item,) = summary["results"]
+    assert item["error"] == "DomainError: unit ball volume overflows a double at n=400"
+
+
 def test_malformed_config_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("campaigns: [not: {a mapping\n")

@@ -117,6 +117,16 @@ def test_model_volume_overflow_is_domain_error(n, alpha, r):
         cp.model_ball_volume(cp.ModelSpace(n=n, alpha=alpha), r)
 
 
+def test_unit_ball_volume_overflow_edge():
+    # Gamma(n/2 + 1) is finite up to n = 341; from 342 on it overflows
+    for n in (3, 100, 341):
+        assert cp.unit_ball_volume(n) == math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+    assert cp.unit_ball_volume(341) > 0.0
+    for n in (342, 400, 5000):
+        with pytest.raises(DomainError, match=f"n={n}$"):
+            cp.unit_ball_volume(n)
+
+
 def test_flat_model_volume_is_the_closed_form():
     # finite flat volumes are c_n r^n, computed as before, bit for bit
     for n in (2, 3, 4, 12):

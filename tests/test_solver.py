@@ -137,7 +137,9 @@ def test_residual_cone_exit_carries_node():
     bad = prof.with_values(1.0 + 0.6 * np.cos(prof.theta))
     with pytest.raises(ConeExitError) as err:
         sv.residual_Fs(bad, f, 2.0)
-    assert err.value.node is not None
+    # the first node outside the cone
+    inside = f.cone.contains_batch(sv.schouten_eig_matrix(bad))
+    assert not inside.all() and err.value.node == int(np.argmin(inside))
 
 
 def test_newton_zero_iterations_at_constant_solution():
@@ -464,82 +466,64 @@ def test_continuation_walk_matches_pending_list_loop(monkeypatch, schedule,
     assert len(outcomes[0][0]) > 2 * len(schedule)  # the legs were bisected
 
 
-def _tau_recording_newton(visits, fail, error=ContinuationError):
-    # Stands in for _damped_newton in the right-hand-side sweep and reads
-    # tau off the start residual: at u = 1 with psi = 2 the blended residual
-    # f(e/2) - tau * 2 - (1 - tau) * f(e/2) is -tau up to rounding.  Raises
-    # ``error`` on the first visit of each tau in ``fail`` and keeps u.
-    def newton(res_fn, jac_fn, u0, tol, max_iter):
-        tau = -float(res_fn(u0)[0])
-        visits.append(tau)
-        for bad in fail:
-            if abs(tau - bad) < 1e-12:
-                fail.remove(bad)
-                raise error("synthetic stall")
-        return u0.copy(), 1, 0.0
-    return newton
-
-
-def test_rhs_sweep_visits_schedule_in_order_and_stops_at_first_failed_leg(monkeypatch):
-    prof = sv.RadialProfile.make(4, 16)
-    f = CurvatureFunction.sigma_root(4, 2)
-    visits = []
-    monkeypatch.setattr(sv, "_damped_newton", _tau_recording_newton(visits, []))
-    u, iters = sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10)
-    assert visits == pytest.approx([0.125, 0.375, 0.625, 0.875, 1.0], abs=1e-12)
-    assert iters == 5  # one per leg
-    assert np.array_equal(u, prof.values)
-    # a stalled leg, or one leaving the domain, ends the sweep: no bisection
-    for error, bad in ((ContinuationError, 0.375), (DomainError, 0.625)):
-        visits.clear()
-        monkeypatch.setattr(sv, "_damped_newton",
-                            _tau_recording_newton(visits, [bad], error))
-        with pytest.raises(ContinuationError,
-                           match=f"right-hand-side sweep at tau = {bad}: synthetic stall"
-                           ) as err:
-            sv._rhs_homotopy_solve(prof, f, 1.0, 2.0, 1e-10)
-        assert type(err.value.__cause__) is error
-        assert err.value.last_state is None
-        expect = [tau for tau in (0.125, 0.375, 0.625) if tau <= bad]
-        assert visits == pytest.approx(expect, abs=1e-12)
-
-
-def test_rhs_sweep_failure_raises_without_state(monkeypatch):
-    prof = sv.RadialProfile.make(4, 16)
-    f = CurvatureFunction.sigma_root(4, 2)
-    visits = []
-    newton = _tau_recording_newton(visits, [])
-
-    def never(*args):
-        newton(*args)
-        raise ContinuationError("synthetic stall")
-
-    monkeypatch.setattr(sv, "_damped_newton", never)
-    with pytest.raises(ContinuationError, match="right-hand-side sweep at tau = 0.125") as err:
-        sv.newton_solve(prof, f, 1.0, psi=2.0)
-    assert err.value.last_state is None
-    # the direct attempt at tau = 1, then the first leg only
-    assert visits == pytest.approx([1.0, 0.125], abs=1e-12)
-
-
-def test_failed_lobatto_solve_runs_each_sweep_leg_at_most_once(monkeypatch):
-    # the 64-node Lobatto solve that neither direct Newton nor the sweep can
-    # certify: it fails after the direct attempt and at most one Newton run
-    # per blend weight
-    prof = sv.RadialProfile.make(4, 64, grid="lobatto")
-    f = CurvatureFunction.sigma_root(4, 2)
+def _counted_newton_runs(monkeypatch, fail=False):
+    """Count the _damped_newton runs; with ``fail`` each run raises a
+    synthetic stall instead."""
     runs = []
     real = sv._damped_newton
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         runs.append(1)
-        return real(*args, **kwargs)
+        if fail:
+            raise ContinuationError("synthetic stall")
+        return real(*args)
 
     monkeypatch.setattr(sv, "_damped_newton", counting)
-    with pytest.raises(ContinuationError, match=r"right-hand-side sweep at tau = ") as err:
-        sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th))
+    return runs
+
+
+def test_rhs_sweep_failure_raises_without_state(monkeypatch):
+    # a failing direct run is the whole solve: no fallback runs after it
+    prof = sv.RadialProfile.make(4, 16)
+    f = CurvatureFunction.sigma_root(4, 2)
+    runs = _counted_newton_runs(monkeypatch, fail=True)
+    with pytest.raises(ContinuationError, match="^synthetic stall$") as err:
+        sv.newton_solve(prof, f, 1.0, psi=2.0)
     assert err.value.last_state is None
-    assert 2 <= len(runs) <= 6
+    assert len(runs) == 1
+
+
+def test_resolution_error_names_the_direct_solve(monkeypatch):
+    # at the default tolerance the Lobatto solves from 40 nodes on meet the
+    # resolution stop in their one Newton run, and the error says so
+    f = CurvatureFunction.sigma_root(4, 2)
+    runs = _counted_newton_runs(monkeypatch)
+    for m in (40, 48, 64):
+        runs.clear()
+        prof = sv.RadialProfile.make(4, m, grid="lobatto")
+        with pytest.raises(ContinuationError) as err:
+            sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th), tol=1e-10)
+        assert str(err.value).startswith("tolerance 1e-10 lies below the resolution")
+        assert err.value.last_state is None
+        assert len(runs) == 1
+
+
+def test_cold_sphere_start_at_s0_raises_and_the_walk_reaches_it(monkeypatch):
+    # the round sphere at s = 0, psi = 1 (sigma_4 in n = 4): the solutions
+    # form a noncompact conformal family, and a cold start off u = 1 stalls
+    # in its one Newton run; walking s down from 1 reaches s = 0 at u = 1
+    prof = sv.RadialProfile.make(4, 24, grid="lobatto",
+                                 values=lambda th: 1.0 + 0.06 * np.cos(th))
+    f = CurvatureFunction.sigma_root(4, 4)
+    runs = _counted_newton_runs(monkeypatch)
+    with pytest.raises(ContinuationError) as err:
+        sv.newton_solve(prof, f, 0.0)
+    assert err.value.last_state is None
+    assert len(runs) == 1
+    start = sv.newton_solve(prof, f, 1.0)
+    end = sv.newton_continuation(start, [(0.0, 1.0)], f)[-1]
+    assert end.s == 0.0 and end.residual_norm <= 1e-10
+    assert np.abs(end.profile.values - 1.0).max() < 1e-12
 
 
 def test_uniform_stencil_matrices_are_the_three_point_stencils():
@@ -672,9 +656,9 @@ def _newton_runs(monkeypatch):
 @pytest.mark.parametrize("grid", ["uniform", "lobatto"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_exact_jacobian_matches_fd_oracle(monkeypatch, n, grid):
-    # every k and t in {1, 0.5, 0}: the direct solve's Jacobian and the
-    # right-hand-side sweep's at tau = 0.125 and 1, at a profile well inside
-    # the cone, where every probe of the oracle stays inside
+    # every k and t in {1, 0.5, 0}: the solve's Jacobian at s = 0.5 and at
+    # s = 0, at a profile well inside the cone, where every probe of the
+    # oracle stays inside
     runs = _newton_runs(monkeypatch)
     prof = sv.RadialProfile.make(n, 24, grid=grid, values=lambda th: (
         1.0 + 0.05 * np.cos(th) + 0.02 * np.cos(2.0 * th)))
@@ -683,12 +667,10 @@ def test_exact_jacobian_matches_fd_oracle(monkeypatch, n, grid):
         f = CurvatureFunction.sigma_root(n, k)
         for t in (1.0, 0.5, 0.0):
             runs.clear()
-            sv.newton_solve(prof, f, 0.5, t, psi)
-            ft = f.deform(t) if t != 1.0 else f
-            sv._rhs_homotopy_solve(prof, ft, 0.5, psi, 1e-10)
-            direct, sweep = runs[0], runs[1:]
-            assert len(sweep) == 5
-            for res_fn, jac_fn, u in (direct, sweep[0], sweep[-1]):
+            for s in (0.5, 0.0):
+                sv.newton_solve(prof, f, s, t, psi)
+            assert len(runs) == 2
+            for res_fn, jac_fn, u in runs:
                 exact = _assert_matches_oracle(res_fn, jac_fn, u)
                 if grid == "uniform":
                     _assert_tridiagonal(exact)
@@ -789,17 +771,6 @@ def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
                            lambda v: sv._residual_jacobian(prof, ft, v, 0.5, psi_arr), u)
 
 
-def test_stacked_jacobian_bitwise_on_the_rhs_sweep(monkeypatch):
-    # every Jacobian a real sweep forms equals the oracle at its point
-    f = CurvatureFunction.sigma_root(4, 2)
-    psi = lambda th: 1.0 + 0.1 * np.cos(th)
-    state = sv.newton_solve(sv.RadialProfile.make(4, 64), f, 1.0, psi=psi)
-    seen = _checked_jacobians(monkeypatch)
-    u, iters = sv._rhs_homotopy_solve(state.profile, f, 0.5, psi, 1e-10)
-    assert seen[0] > iters > 0  # one more per leg: the accepted point's
-    assert float(np.abs(sv.residual_Fs(state.profile, f, 0.5, psi, values=u)).max()) <= 1e-10
-
-
 def test_stacked_jacobian_bitwise_where_probes_leave_the_cone(monkeypatch):
     # the obstructed psi-branch walked past s = 0.035 to its end state, the
     # stretch where the coloured difference probes left the cone: the last
@@ -864,7 +835,7 @@ def test_newton_jacobians_take_no_residual_calls(monkeypatch):
     prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.1 * np.cos(th))
     calls = []
     for owner, name in ((sv, "schouten_eig_matrix"), (ConeSpec, "contains_batch"),
-                        (CurvatureFunction, "_value_rows")):
+                        (CurvatureFunction, "value_batch")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name: (
             calls.append(_name) or _real(*a)))
