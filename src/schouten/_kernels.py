@@ -14,7 +14,7 @@ Kernels:
                            iteration for the smallest root of sigma_k(lam - t*e),
                            certified by two membership passes, bisection fallback
   radial_sphere_eigs    -- Schouten eigenvalues of a radial conformal factor on the round sphere
-  radial_sphere_eig_partials -- the same eigenvalues with their partials in (u, u', u'')
+  radial_sphere_eig_partials -- the partials of those eigenvalues in (u, u', u'')
 
 The margin sup{t : lam - t*e in Gamma_k}, e = (1, ..., 1), is the smallest
 root of p(t) = sigma_k(lam - t*e): sigma_k is hyperbolic in the direction e
@@ -155,11 +155,12 @@ def _radial_sphere_eigs_np(u, up, upp, cot_theta, pole, n):
     return lam_rad * s, lam_tan * s
 
 
-def _radial_sphere_eig_partials_np(u, up, upp, cot_theta, pole, n):
-    """(lam_rad, lam_tan) and their nodewise partials in (u, u', u'').
+def _radial_sphere_eig_partials_np(u, up, upp, cot_theta, pole, n, rad, tan):
+    """Nodewise partials in (u, u', u'') of the eigenvalue pair (rad, tan).
 
-    Returns rad, tan, drad, dtan; drad and dtan are (3, m): the partials in
-    u, u' and u''.  With q = 2/(n-2), w = u'/u and lam = bracket * u^(-2q),
+    ``rad, tan`` are ``radial_sphere_eigs`` at the same arguments, which this
+    kernel does not recompute.  Returns drad, dtan, each (3, m): the partials
+    in u, u' and u''.  With q = 2/(n-2), w = u'/u and lam = bracket * u^(-2q),
     d lam/du = (d bracket/du) u^(-2q) - 2q lam/u.  At a pole the tangential
     branch reads u'' in place of cot(theta) u'.
     """
@@ -167,15 +168,15 @@ def _radial_sphere_eig_partials_np(u, up, upp, cot_theta, pole, n):
     q = 2.0 / (n - 2.0)
     w = up / u
     tan_hess = np.where(pole, upp, cot_theta * up)
-    rad, tan = _radial_sphere_eigs_np(u, up, upp, cot_theta, pole, n)
     su = u ** (-2.0 * q) / u
-    drad = np.stack([(q * upp / u - (n - 1.0) * q * q * w * w) * su - 2.0 * q * rad / u,
-                     (n - 1.0) * q * q * w * su,
-                     -q * su])
-    dtan = np.stack([(q * tan_hess / u + q * q * w * w) * su - 2.0 * q * tan / u,
-                     -(q * np.where(pole, 0.0, cot_theta) + q * q * w) * su,
-                     np.where(pole, -q * su, 0.0)])
-    return rad, tan, drad, dtan
+    drad, dtan = np.empty((2, 3, u.size))
+    drad[0] = (q * upp / u - (n - 1.0) * q * q * w * w) * su - 2.0 * q * rad / u
+    drad[1] = (n - 1.0) * q * q * w * su
+    drad[2] = -q * su
+    dtan[0] = (q * tan_hess / u + q * q * w * w) * su - 2.0 * q * tan / u
+    dtan[1] = -(q * np.where(pole, 0.0, cot_theta) + q * q * w) * su
+    dtan[2] = np.where(pole, -q * su, 0.0)
+    return drad, dtan
 
 
 # The membership and margin kernels call ``_elementary_symmetric_np`` by its

@@ -11,6 +11,12 @@ at t = 0.  Curvature functions are the normalised sigma_k^(1/k) family and
 their matching deformations f_t(lam) = f(t*lam + (1-t)*sigma_1(lam)*e).
 Other degree-one concave symmetric functions can be added by mimicking
 ``CurvatureFunction``; only this family is shipped.
+
+The radial solver's eigenvalue rows are two-valued, (b; a, ..., a) with a
+repeated n - 1 times, and T_t keeps that shape.  Two entry points take such
+rows as the pair (b, a) and work in closed form: ``CurvatureFunction.
+pair_gradient`` (the gradient of f_t) and ``ConeSpec.pair_margin`` (the
+diagonal-ray margin, equal to ``margin_batch`` of the full rows).
 """
 
 from __future__ import annotations
@@ -127,6 +133,28 @@ class ConeSpec:
 
     def margin(self, lam):
         return float(self.margin_batch(lam)[0])
+
+    def pair_margin(self, b, a):
+        """``margin_batch`` of the two-valued rows (b; a, ..., a), a n - 1 times, in closed form.
+
+        T_t maps such a row to (B; A, ..., A), and sigma_k(T_t lam - tau e) =
+        C(n-1, k-1) (A - tau)^(k-1) ((B - tau) + (n-k)/k (A - tau)): its roots
+        in tau are A (k - 1 times) and ((n-k) A + k B)/n, all real as
+        hyperbolicity in e demands (Garding 1959), and the margin is the
+        smallest of them.  Rows with a non-finite entry give -inf.
+        """
+        n, k, t = self.n, self.k, self.t
+        b = np.asarray(b, dtype=np.float64)
+        a = np.asarray(a, dtype=np.float64)
+        big_b, big_a = b, a
+        if t != 1.0:
+            s1 = b + (n - 1.0) * a
+            big_b, big_a = t * b + (1.0 - t) * s1, t * a + (1.0 - t) * s1
+        m = ((n - k) * big_a + k * big_b) / n
+        if k > 1:
+            m = np.minimum(big_a, m)
+        m = m / (t + (1.0 - t) * n)
+        return np.where(np.isfinite(b) & np.isfinite(a), m, -np.inf)
 
     def mu_plus(self, tol=1e-10):
         """Unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary."""

@@ -29,6 +29,13 @@ H_t has its own exact Jacobian, -L + diag(...) plus the rank-one term of
 mean(u^2).  No Newton run differences the residual; the dense
 one-column difference is the tests' oracle.
 
+A Newton run sees its problem as one callable, ``evaluate(u) ->
+(residual, jacobian)``: the residual costs u', u'', the eigenvalue pair and
+one ``value_batch`` pass, and the thunk ``jacobian()`` reuses them, so the
+Jacobian is built only at accepted iterates and never recomputes the
+eigenvalues.  An accepted state's cone margin is read in closed form from
+its two-valued rows (``ConeSpec.pair_margin``).
+
 Every Newton run stops at the resolution of its residual, rho =
 eps * || |J| |u| ||_inf (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 7): the first-order change of the residual when u moves by
@@ -257,21 +264,21 @@ class RadialProfile:
 # Schouten eigenvalues and the fully nonlinear residual
 # ---------------------------------------------------------------------------
 
-def _eig_pair(profile, values=None):
-    v = profile.values if values is None else values
-    if np.any(v <= 0):
-        raise DomainError("conformal factor must stay positive")
-    return _kernels.radial_sphere_eigs(v, profile.d1(v), profile.d2(v), profile.cot_theta(),
-                                       profile.pole_mask(), profile.n)
+def _eig_rows(rad, tan, n):
+    out = np.empty((len(rad), n))
+    out[:, 0] = rad
+    out[:, 1:] = tan[:, None]
+    return out
 
 
 def schouten_eig_matrix(profile, values=None):
     """(num_nodes, n) eigenvalue rows [radial, tangential x (n-1)], unsorted."""
-    rad, tan = _eig_pair(profile, values)
-    out = np.empty((len(rad), profile.n))
-    out[:, 0] = rad
-    out[:, 1:] = tan[:, None]
-    return out
+    v = profile.values if values is None else values
+    if np.any(v <= 0):
+        raise DomainError("conformal factor must stay positive")
+    rad, tan = _kernels.radial_sphere_eigs(v, profile.d1(v), profile.d2(v), profile.cot_theta(),
+                                           profile.pole_mask(), profile.n)
+    return _eig_rows(rad, tan, profile.n)
 
 
 def radial_schouten_eigs(profile, j):
@@ -287,11 +294,48 @@ def _psi_values(psi, profile):
                            (profile.num_nodes,)).astype(np.float64)
 
 
+def _residual_evaluator(profile, ft, s, weight):
+    """``evaluate(u) -> (residual, jacobian)`` for u -> f_t(lambda(A_{g_u})) - weight * u^(-s).
+
+    One evaluation takes u', u'', the eigenvalue pair and one
+    ``value_batch`` pass (which raises ``ConeExitError`` on cone exit); a
+    non-positive u raises ``DomainError``.  The thunk ``jacobian()`` builds
+    the exact Jacobian from that evaluation's own u', u'' and eigenvalues:
+    the residual at node i is F(u_i, u'_i, u''_i), so
+    J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
+    uniform grid, with the partials chained from
+    ``_kernels.radial_sphere_eig_partials`` through the two-valued-row
+    gradient of f_t (``CurvatureFunction.pair_gradient``).
+    """
+    n, cot, pole = profile.n, profile.cot_theta(), profile.pole_mask()
+
+    def evaluate(u):
+        if (u <= 0).any():
+            raise DomainError("conformal factor must stay positive")
+        up, upp = profile.d1(u), profile.d2(u)
+        rad, tan = _kernels.radial_sphere_eigs(u, up, upp, cot, pole, n)
+        res = ft.value_batch(_eig_rows(rad, tan, n)) - weight * u ** (-s)
+
+        def jacobian():
+            drad, dtan = _kernels.radial_sphere_eig_partials(u, up, upp, cot, pole, n, rad, tan)
+            f_b, f_a = ft.pair_gradient(rad, tan)
+            f_u, f_up, f_upp = f_b * drad + f_a * dtan
+            jac = f_up[:, None] * profile.d1_matrix() + f_upp[:, None] * profile.d2_matrix()
+            jac.flat[::len(u) + 1] += f_u + s * weight * u ** (-s - 1.0)  # the diagonal
+            return jac
+
+        return res, jacobian
+
+    return evaluate
+
+
 def residual_Fs(profile, f, s, psi=1.0, values=None):
-    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit."""
+    """Nodewise f_t(lambda(A_{g_u})) - psi * u^(-s); raises on cone exit.
+
+    The residual of one Newton evaluation (``_residual_evaluator``).
+    """
     v = profile.values if values is None else values
-    lam = schouten_eig_matrix(profile, v)
-    return f.value_batch(lam) - _psi_values(psi, profile) * v ** (-s)
+    return _residual_evaluator(profile, f, s, _psi_values(psi, profile))(v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +367,16 @@ def _ricci_margin_from_eigs(lam, n, alpha=0.0):
 
 
 def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
+    """The ``ContinuationState`` of a profile at (s, t).
+
+    The rows are two-valued, so the cone margin is read in closed form
+    (``ConeSpec.pair_margin``), not by the root finder of ``margin_batch``.
+    """
     ft = f.deform(t) if t != 1.0 else f
     v = profile.values
     lam = schouten_eig_matrix(profile, v)
     res = ft.value_batch(lam) - _psi_values(psi, profile) * v ** (-s)
-    margin = float(ft.cone.margin_batch(lam).min())
+    margin = float(ft.cone.pair_margin(lam[:, 0], lam[:, 1]).min())
     logu = np.log(profile.values)
     state = ContinuationState(
         s=s, t=t, alpha=alpha, profile=profile,
@@ -344,25 +393,6 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     return state
 
 
-def _residual_jacobian(profile, ft, u, s, weight):
-    """Exact Jacobian of u -> f_t(lambda(A_{g_u})) - weight * u^(-s) - const.
-
-    The residual at node i is F(u_i, u'_i, u''_i), so
-    J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
-    uniform grid.  The partials chain the eigenvalue partials
-    (``_kernels.radial_sphere_eig_partials``) through the two-valued-row
-    gradient of f_t (``CurvatureFunction.pair_gradient``).  ``u`` must lie
-    inside the cone at every node.
-    """
-    rad, tan, drad, dtan = _kernels.radial_sphere_eig_partials(
-        u, profile.d1(u), profile.d2(u), profile.cot_theta(), profile.pole_mask(), profile.n)
-    f_b, f_a = ft.pair_gradient(rad, tan)
-    f_u, f_up, f_upp = f_b * drad + f_a * dtan
-    jac = f_up[:, None] * profile.d1_matrix() + f_upp[:, None] * profile.d2_matrix()
-    jac[np.diag_indices_from(jac)] += f_u + s * weight * u ** (-s - 1.0)
-    return jac
-
-
 _NEWTON_MAX_ITER, _HT_MAX_ITER, _HT_TOL = 60, 40, 1e-10
 
 
@@ -372,15 +402,23 @@ def _resolution(jac, u):
     return float(np.finfo(np.float64).eps * (np.abs(jac) @ np.abs(u)).max())
 
 
-def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
+def _damped_newton(evaluate, u0, tol, max_iter):
     """Affine-covariant damped Newton (natural monotonicity line search).
 
-    Steps are accepted when the simplified Newton correction contracts,
+    ``evaluate(u)`` returns ``(residual, jacobian)``, where the thunk
+    ``jacobian()`` builds the exact Jacobian at u from that evaluation's own
+    intermediates; ``evaluate`` raises ``DomainError`` (or its subclass
+    ``ConeExitError``) where the residual is undefined.  The thunk is called
+    once per accepted iterate, so a damping trial costs one residual and a
+    rejected trial no Jacobian.  Steps are accepted when the simplified
+    Newton correction contracts,
     ||J^-1 R(u + a*step)|| <= (1 - a/2) ||J^-1 R(u)||, a test that is
     invariant under the ill-conditioning of the stencil operator; trial
     points violating positivity or the cone are skipped by halving a.
-    ``jac_fn(u)`` is the exact Jacobian at u.  Convergence is declared in
-    the discrete max norm, and only above the residual's resolution at u:
+    Finiteness is checked once per step, on rho below: a Jacobian with a
+    NaN or inf entry raises ``ContinuationError``, and the LU calls skip
+    scipy's own scans.  Convergence is declared in the discrete max norm,
+    and only above the residual's resolution at u:
     rho = eps * || |J| |u| ||_inf is the first-order change of the residual
     under a relative perturbation of u by one rounding unit (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 7).  A run whose
@@ -390,12 +428,14 @@ def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
     start that meets ``tol`` is returned after 0 iterations.
     """
     u = np.asarray(u0, dtype=np.float64).copy()
-    r = res_fn(u)
+    r, jacobian = evaluate(u)
     rn = float(np.abs(r).max())
     it = 0
     while True:
-        jac = jac_fn(u)
+        jac = jacobian()
         rho = _resolution(jac, u)
+        if not math.isfinite(rho):
+            raise ContinuationError("non-finite Jacobian in Newton step")
         if rn <= max(tol, rho):
             if rho > tol:
                 raise ContinuationError(
@@ -404,11 +444,8 @@ def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
             return u, it, rn
         if it == max_iter:
             raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")
-        try:
-            lu = sla.lu_factor(jac)
-        except ValueError as exc:
-            raise ContinuationError("non-finite Jacobian in Newton step") from exc
-        delta = sla.lu_solve(lu, -r)
+        lu = sla.lu_factor(jac, check_finite=False)
+        delta = sla.lu_solve(lu, -r, check_finite=False)
         norm_delta = float(np.linalg.norm(delta))
         if not math.isfinite(norm_delta):
             raise ContinuationError("singular Jacobian in Newton step")
@@ -419,14 +456,14 @@ def _damped_newton(res_fn, jac_fn, u0, tol, max_iter):
             trial = u + alpha * delta
             if np.all(trial > 0):
                 try:
-                    rt = res_fn(trial)
+                    rt, jacobian_t = evaluate(trial)
                 except DomainError:
                     rt = None
                 if rt is not None:
-                    dbar = sla.lu_solve(lu, -rt)
+                    dbar = sla.lu_solve(lu, -rt, check_finite=False)
                     nbar = float(np.linalg.norm(dbar))
                     if nbar <= (1.0 - 0.5 * alpha) * norm_delta or nbar < 1e-13:
-                        u, r = trial, rt
+                        u, r, jacobian = trial, rt, jacobian_t
                         rn = float(np.abs(r).max())
                         break
             alpha *= 0.5
@@ -446,15 +483,8 @@ def newton_solve(profile, f, s, t=1.0, psi=1.0, tol=1e-10):
     conformal family) is reached by walking s down from s > 0.
     """
     ft = f.deform(t) if t != 1.0 else f
-    psi_arr = _psi_values(psi, profile)
-
-    def res_fn(u):
-        return residual_Fs(profile, ft, s, psi, values=u)
-
-    def jac_fn(u):
-        return _residual_jacobian(profile, ft, u, s, psi_arr)
-
-    u, iters, _ = _damped_newton(res_fn, jac_fn, profile.values, tol, _NEWTON_MAX_ITER)
+    evaluate = _residual_evaluator(profile, ft, s, _psi_values(psi, profile))
+    u, iters, _ = _damped_newton(evaluate, profile.values, tol, _NEWTON_MAX_ITER)
     return make_state(profile.with_values(u), f, s, t, psi, iterations=iters)
 
 
@@ -577,13 +607,10 @@ def ht_continuation(profile, t_schedule):
     states = []
     cur = profile
     for t in t_schedule:
-        def res_fn(u, t=t):
-            return ht_residual(cur, t, values=u)
+        def evaluate(u, t=t, prof=cur):
+            return ht_residual(prof, t, values=u), lambda: _ht_jacobian(prof, t, u)
 
-        def jac_fn(u, t=t):
-            return _ht_jacobian(cur, t, u)
-
-        u, iters, rn = _damped_newton(res_fn, jac_fn, cur.values, _HT_TOL, _HT_MAX_ITER)
+        u, iters, rn = _damped_newton(evaluate, cur.values, _HT_TOL, _HT_MAX_ITER)
         cur = cur.with_values(u)
         lo, hi = _ht_band(cur, t)
         states.append(HtState(t=t, profile=cur, residual_norm=rn,

@@ -362,3 +362,59 @@ def test_margin_batch_matches_bisection_on_homotopy_cones(rng):
                 decided = np.abs(got) > tol
                 assert np.array_equal((got > 0)[decided], cone.contains_batch(lams)[decided])
 
+
+
+def _pair_rows(b, a, n):
+    return np.concatenate([b[:, None], np.repeat(a[:, None], n - 1, axis=1)], axis=1)
+
+
+def test_pair_margin_matches_margin_batch(rng):
+    # two-valued rows (b; a, ..., a): the closed form against the Laguerre
+    # margin, per row within 1e-12 of max|lambda|; off the boundary its sign
+    # is membership, and on the boundary it is zero within a few ulps
+    eps = np.finfo(np.float64).eps
+    rows = 0
+    for n in range(3, 11):
+        for k in range(1, n + 1):
+            for t in (1.0, 0.7, 0.2, 0.0):
+                cone = ConeSpec.homotopy(n, k, t)
+                # mu with (-mu, 1, ..., 1) on the boundary: k B + (n-k) A = 0
+                # for the mapped pair (B, A); gamma_mu_plus at t = 1
+                mu = (t * (n - k) + n * (1.0 - t) * (n - 1.0)) / (k * t + n * (1.0 - t))
+                a_edge = rng.uniform(0.1, 2.0, 50)
+                b_parts = [rng.uniform(-2.0, 2.0, 800), -mu * a_edge, [-mu]]
+                a_parts = [rng.uniform(-0.5, 1.5, 800), a_edge, [1.0]]
+                if k >= 2:
+                    # A = 0 with B > 0: (b; 0, ..., 0) with b > 0 at t = 1
+                    if t < 1.0:
+                        a_zero = -rng.uniform(0.1, 2.0, 50)
+                        b_zero = -(t + (1.0 - t) * (n - 1.0)) * a_zero / (1.0 - t)
+                    else:
+                        a_zero, b_zero = np.zeros(50), rng.uniform(0.1, 2.0, 50)
+                    b_parts.append(b_zero)
+                    a_parts.append(a_zero)
+                b0, a0 = np.concatenate(b_parts), np.concatenate(a_parts)
+                boundary = np.arange(b0.size) >= 800
+                for mag in (1.0, math.exp(5.0), math.exp(-5.0)):
+                    b, a = mag * b0, mag * a0
+                    lams = _pair_rows(b, a, n)
+                    scale = np.abs(lams).max(axis=1)
+                    got = cone.pair_margin(b, a)
+                    want = cone.margin_batch(lams)
+                    assert np.all(np.abs(got - want) <= 1e-12 * scale), (n, k, t, mag)
+                    assert np.all(np.abs(got[boundary]) <= 8.0 * eps * scale[boundary]), \
+                        (n, k, t, mag)
+                    decided = ~boundary & (np.abs(got) > 1e-12 * scale)
+                    assert decided.sum() >= 790
+                    assert np.array_equal((got > 0)[decided], cone.contains_batch(lams)[decided])
+                    rows += b.size
+    assert rows > 300_000
+
+
+def test_pair_margin_non_finite_rows():
+    cone = ConeSpec.homotopy(5, 3, 0.7)
+    b = np.array([np.nan, np.inf, 1.0, -np.inf, 1.0])
+    a = np.array([1.0, 1.0, np.inf, 1.0, 0.5])
+    got = cone.pair_margin(b, a)
+    assert np.array_equal(got, cone.margin_batch(_pair_rows(b, a, 5)))
+    assert np.all(got[:4] == -np.inf) and got[4] > 0

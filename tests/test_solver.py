@@ -627,6 +627,16 @@ def _fd_jacobian(res_fn, u, step=None):
     return jac, all(central)
 
 
+def _res_and_jac(evaluate):
+    """The residual and the Jacobian of a Newton ``evaluate`` as functions of u."""
+    return (lambda v: evaluate(v)[0]), (lambda v: evaluate(v)[1]())
+
+
+def _exact_jacobian(prof, ft, s, weight):
+    """u -> the exact residual Jacobian, from the Newton evaluation at u."""
+    return _res_and_jac(sv._residual_evaluator(prof, ft, s, weight))[1]
+
+
 def _assert_matches_oracle(res_fn, jac_fn, u, rtol=1e-6):
     exact = jac_fn(u)
     oracle, central = _fd_jacobian(res_fn, u)
@@ -642,11 +652,11 @@ def _assert_tridiagonal(jac):
 
 def _newton_runs(monkeypatch):
     """Replace _damped_newton by a stand-in that records each run's
-    (res_fn, jac_fn, u0) and returns u0 unchanged."""
+    (evaluate, u0) and returns u0 unchanged."""
     runs = []
 
-    def record(res_fn, jac_fn, u0, tol, max_iter):
-        runs.append((res_fn, jac_fn, np.array(u0)))
+    def record(evaluate, u0, tol, max_iter):
+        runs.append((evaluate, np.array(u0)))
         return np.array(u0), 0, 0.0
 
     monkeypatch.setattr(sv, "_damped_newton", record)
@@ -670,8 +680,8 @@ def test_exact_jacobian_matches_fd_oracle(monkeypatch, n, grid):
             for s in (0.5, 0.0):
                 sv.newton_solve(prof, f, s, t, psi)
             assert len(runs) == 2
-            for res_fn, jac_fn, u in runs:
-                exact = _assert_matches_oracle(res_fn, jac_fn, u)
+            for evaluate, u in runs:
+                exact = _assert_matches_oracle(*_res_and_jac(evaluate), u)
                 if grid == "uniform":
                     _assert_tridiagonal(exact)
 
@@ -681,8 +691,8 @@ def test_exact_ht_jacobian_matches_fd_oracle(monkeypatch):
     prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.1 * np.cos(th))
     sv.ht_continuation(prof, [0.0, 0.5, 1.0])
     assert len(runs) == 3
-    for res_fn, jac_fn, u in runs:
-        _assert_matches_oracle(res_fn, jac_fn, u)
+    for evaluate, u in runs:
+        _assert_matches_oracle(*_res_and_jac(evaluate), u)
 
 
 # The tests below are named for the coloured, stacked difference Jacobian
@@ -708,7 +718,7 @@ def test_coloured_jacobian_bitwise_at_psi_state():
     psi_arr = sv._psi_values(psi, prof)
     exact = _assert_matches_oracle(
         lambda v: sv.residual_Fs(prof, f, 1.0, psi, values=v),
-        lambda v: sv._residual_jacobian(prof, f, v, 1.0, psi_arr),
+        _exact_jacobian(prof, f, 1.0, psi_arr),
         state.profile.values)
     _assert_tridiagonal(exact)
 
@@ -719,27 +729,35 @@ def test_coloured_jacobian_bitwise_on_deformed_cone():
     u = 1.0 + 0.1 * np.cos(prof.theta) + 0.02 * np.cos(2.0 * prof.theta)
     exact = _assert_matches_oracle(
         lambda v: sv.residual_Fs(prof, ft, 0.5, values=v),
-        lambda v: sv._residual_jacobian(prof, ft, v, 0.5, np.ones(48)), u)
+        _exact_jacobian(prof, ft, 0.5, np.ones(48)), u)
     _assert_tridiagonal(exact)
 
 
 def _checked_jacobians(monkeypatch, keep=None):
-    """Wrap every Newton run's Jacobian: with ``keep=None`` each one is
-    compared with the oracle as it is formed, else only the last ``keep``
-    are recorded as (res_fn, jac_fn, u) for a later check.  Returns the
-    record, whose first entry counts the Jacobians formed."""
+    """Wrap every Newton run's Jacobian thunk: with ``keep=None`` each
+    Jacobian is compared with the oracle as it is formed, else only the last
+    ``keep`` are recorded as (res_fn, jac_fn, u) for a later check.  Returns
+    the record, whose first entry counts the Jacobians formed."""
     real = sv._damped_newton
     seen = [0]
 
-    def checked(res_fn, jac_fn, u0, tol, max_iter):
-        def jac_checked(v):
-            seen[0] += 1
-            if keep is None:
-                return _assert_matches_oracle(res_fn, jac_fn, v)
-            seen.append((res_fn, jac_fn, v.copy()))
-            del seen[1:-keep]
-            return jac_fn(v)
-        return real(res_fn, jac_checked, u0, tol, max_iter)
+    def checked(evaluate, u0, tol, max_iter):
+        res_fn, jac_fn = _res_and_jac(evaluate)
+
+        def evaluate_checked(v):
+            r, jacobian = evaluate(v)
+
+            def jacobian_checked():
+                seen[0] += 1
+                if keep is None:
+                    exact = _assert_matches_oracle(res_fn, jac_fn, v)
+                    assert np.array_equal(exact, jacobian())
+                    return exact
+                seen.append((res_fn, jac_fn, v.copy()))
+                del seen[1:-keep]
+                return jacobian()
+            return r, jacobian_checked
+        return real(evaluate_checked, u0, tol, max_iter)
 
     monkeypatch.setattr(sv, "_damped_newton", checked)
     return seen
@@ -768,7 +786,7 @@ def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
     psi_arr = sv._psi_values(psi, prof)
     u = 1.0 + 0.1 * np.cos(prof.theta) + 0.02 * np.cos(2.0 * prof.theta)
     _assert_matches_oracle(lambda v: sv.residual_Fs(prof, ft, 0.5, psi, values=v),
-                           lambda v: sv._residual_jacobian(prof, ft, v, 0.5, psi_arr), u)
+                           _exact_jacobian(prof, ft, 0.5, psi_arr), u)
 
 
 def test_stacked_jacobian_bitwise_where_probes_leave_the_cone(monkeypatch):
@@ -807,7 +825,7 @@ def test_fd_jacobian_near_the_wall_moves_toward_exact():
     def res_fn(v):
         return sv.residual_Fs(prof, f, state.s, psi, values=v)
 
-    exact = sv._residual_jacobian(prof, f, u, state.s, sv._psi_values(psi, prof))
+    exact = _exact_jacobian(prof, f, state.s, sv._psi_values(psi, prof))(u)
     oracle, central = _fd_jacobian(res_fn, u)
     assert central
     i, j = np.unravel_index(np.abs(exact - oracle).argmax(), exact.shape)
@@ -822,26 +840,77 @@ def test_lobatto_and_ht_jacobians_are_not_banded():
     lob = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th),
                                 grid="lobatto")
     uni = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th))
-    for jac in (sv._residual_jacobian(lob, f, lob.values, 1.0, np.ones(16)),
+    for jac in (_exact_jacobian(lob, f, 1.0, np.ones(16))(lob.values),
                 sv._ht_jacobian(uni, 0.5, uni.values)):
         rows, cols = np.nonzero(jac)
         assert np.abs(rows - cols).max() > 1
 
 
 def test_newton_jacobians_take_no_residual_calls(monkeypatch):
-    # the Jacobian reads the eigenvalue partials directly: no eigenvalue
-    # matrix, cone membership or value pass
-    f = CurvatureFunction.sigma_root(4, 2)
-    prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.1 * np.cos(th))
+    # one newton_solve: each residual evaluation takes u', u'' and the
+    # eigenvalue pair once; its Jacobian thunk reuses them (no derivative,
+    # eigenvalue matrix, membership or value pass) and runs only at accepted
+    # iterates, so the rejected damping trial of this cold start takes no
+    # partials
     calls = []
-    for owner, name in ((sv, "schouten_eig_matrix"), (ConeSpec, "contains_batch"),
+    for owner, name in ((sv.RadialProfile, "d1"), (sv.RadialProfile, "d2"),
+                        (_kernels, "radial_sphere_eigs"),
+                        (_kernels, "radial_sphere_eig_partials"),
+                        (sv, "schouten_eig_matrix"), (ConeSpec, "contains_batch"),
                         (CurvatureFunction, "value_batch")):
         real = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name: (
-            calls.append(_name) or _real(*a)))
-    sv._residual_jacobian(prof, f.deform(0.5), prof.values, 0.5, np.ones(32))
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw: (
+            calls.append(_name) or _real(*a, **kw)))
+    log = []
+    real_newton = sv._damped_newton
+
+    def traced(evaluate, u0, tol, max_iter):
+        def evaluate_traced(v):
+            calls.clear()
+            r, jacobian = evaluate(v)
+            log.append(("evaluate", sorted(calls)))
+
+            def jacobian_traced():
+                calls.clear()
+                jac = jacobian()
+                log.append(("jacobian", list(calls)))
+                return jac
+            return r, jacobian_traced
+        return real_newton(evaluate_traced, u0, tol, max_iter)
+
+    monkeypatch.setattr(sv, "_damped_newton", traced)
+    prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.3 * np.cos(th))
+    state = sv.newton_solve(prof, CurvatureFunction.sigma_root(4, 4), 0.5,
+                            psi=lambda th: 1.0 + 0.1 * np.cos(th))
+    evaluations = [c for kind, c in log if kind == "evaluate"]
+    jacobians = [c for kind, c in log if kind == "jacobian"]
+    assert all(c == ["contains_batch", "d1", "d2", "radial_sphere_eigs", "value_batch"]
+               for c in evaluations)
+    assert jacobians == [["radial_sphere_eig_partials"]] * len(jacobians)
+    # one Jacobian per accepted iterate, the start included; one trial rejected
+    assert len(jacobians) == state.newton_iterations + 1 == 7
+    assert len(evaluations) == 8
+    # the H_t Jacobian makes no residual call either
+    calls.clear()
     sv._ht_jacobian(prof, 0.5, prof.values)
-    assert calls == []
+    assert not {"schouten_eig_matrix", "contains_batch", "value_batch"} & set(calls)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_jacobian_raises(bad):
+    # the finiteness check is rho = eps || |J| |u| ||_inf, at the start and
+    # at an accepted iterate alike
+    def evaluate(u):
+        def jacobian():
+            jac = np.eye(4)
+            if u[0] < 1.5:
+                jac[2, 1] = bad
+            return jac
+        return u - 1.0, jacobian
+
+    for u0 in (np.full(4, 1.0), np.full(4, 2.0)):
+        with pytest.raises(ContinuationError, match="^non-finite Jacobian in Newton step$"):
+            sv._damped_newton(evaluate, u0, 1e-10, 10)
 
 
 def test_residual_checks_cone_membership_once(monkeypatch):
@@ -885,7 +954,7 @@ def test_resolution_matches_one_ulp_probes(grid, m):
         probes = max(float(np.abs(sv.residual_Fs(
             prof, f, 1.0, values=u * (1.0 + eps * rng.choice([-1.0, 1.0], m))) - r0).max())
             for _ in range(20))
-        rho = sv._resolution(sv._residual_jacobian(prof, f, u, 1.0, np.ones(m)), u)
+        rho = sv._resolution(_exact_jacobian(prof, f, 1.0, np.ones(m))(u), u)
         assert 0.5 <= rho / probes <= 2.0
 
 
