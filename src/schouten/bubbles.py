@@ -80,15 +80,13 @@ class Bubble:
         out = coef[:, None, None] * core
         return out[0] if single else out
 
-    def factor(self, mode="analytic", h=1e-4, richardson=False):
+    def factor(self, mode="analytic", h=1e-4):
         """The bubble as a ConformalFactor, analytic or finite-difference."""
         if mode == "analytic":
-            return cf.ConformalFactor.from_callable(
-                self.n, lambda x: self.value(x), grad=lambda x: self.grad(x),
-                hess=lambda x: self.hess(x))
+            return cf.ConformalFactor.from_callable(self.n, self.value, grad=self.grad,
+                                                    hess=self.hess)
         if mode == "fd":
-            return cf.ConformalFactor.from_callable(
-                self.n, lambda x: self.value(x), h=h, richardson=richardson)
+            return cf.ConformalFactor.from_callable(self.n, self.value, h=h)
         raise ValueError(f"unknown derivative mode {mode!r}")
 
 

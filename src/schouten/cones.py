@@ -113,6 +113,13 @@ class ConeSpec:
         s1 = lams.sum(axis=1, keepdims=True)
         return self.t * lams + (1.0 - self.t) * s1
 
+    def _pair_map(self, b, a):
+        # T_t on the two-valued rows (b; a, ..., a): the pair (B, A) of (B; A, ..., A)
+        if self.t == 1.0:
+            return b, a
+        s1 = b + (self.n - 1.0) * a
+        return self.t * b + (1.0 - self.t) * s1, self.t * a + (1.0 - self.t) * s1
+
     def contains_batch(self, lams):
         lams, _ = _as_batch(lams)
         if lams.shape[1] != self.n:
@@ -146,10 +153,7 @@ class ConeSpec:
         n, k, t = self.n, self.k, self.t
         b = np.asarray(b, dtype=np.float64)
         a = np.asarray(a, dtype=np.float64)
-        big_b, big_a = b, a
-        if t != 1.0:
-            s1 = b + (n - 1.0) * a
-            big_b, big_a = t * b + (1.0 - t) * s1, t * a + (1.0 - t) * s1
+        big_b, big_a = self._pair_map(b, a)
         m = ((n - k) * big_a + k * big_b) / n
         if k > 1:
             m = np.minimum(big_a, m)
@@ -247,14 +251,13 @@ class CurvatureFunction:
     def pair_gradient(self, b, a):
         """(df/db, df/da) at the two-valued rows (b; a, ..., a), a n - 1 times.
 
-        T_t maps such a row to (B; A, ..., A) with B = b + (1-t)(n-1) a and
-        A = (1-t) b + (t + (1-t)(n-1)) a, where
-        sigma_k = C(n-1, k-1) A^(k-1) B + C(n-1, k) A^k; df/da moves all n - 1
-        entries a together.  The rows must lie inside the cone.
+        T_t maps such a row to (B; A, ..., A) (``ConeSpec._pair_map``), with
+        dB/db = 1, dB/da = (1-t)(n-1), dA/db = 1-t and dA/da = t + (1-t)(n-1),
+        where sigma_k = C(n-1, k-1) A^(k-1) B + C(n-1, k) A^k; df/da moves all
+        n - 1 entries a together.  The rows must lie inside the cone.
         """
         n, k, t = self.cone.n, self.cone.k, self.cone.t
-        big_b = b + (1.0 - t) * (n - 1.0) * a
-        big_a = (1.0 - t) * b + (t + (1.0 - t) * (n - 1.0)) * a
+        big_b, big_a = self.cone._pair_map(b, a)
         c_b, c_a = math.comb(n - 1, k - 1), math.comb(n - 1, k)
         ds_db = c_b * big_a ** (k - 1)
         sigma = ds_db * big_b + c_a * big_a ** k

@@ -18,7 +18,14 @@ The solver walks the two-parameter residual family
 with damped Newton steps and exact Jacobians.  A solve is one Newton run;
 the (s, t) continuation is the one homotopy, a bisecting walk in which a
 failed leg is halved toward its target.  The module also hosts the
-semilinear family H_t used by the degree checkpoints.
+semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
+its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
+Jacobian at t = 0, u = 1 (uniform grid only).
+
+A radial grid is its kind and node count.  ``RadialProfile`` holds (n,
+values, grid); theta, D1, D2, cot(theta) and the pole mask come from one
+cached builder, ``_grid(grid, num_nodes)``, read-only and shared by every
+profile on that grid.
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
@@ -85,9 +92,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 def _cheb_matrix(m):
-    # Chebyshev-Lobatto differentiation matrix on x_j = cos(j pi / m)
-    if m == 0:
-        return np.zeros((1, 1)), np.ones(1)
+    # Chebyshev-Lobatto differentiation matrix on x_j = cos(j pi / m), m >= 1
     x = np.cos(np.pi * np.arange(m + 1) / m)
     c = np.hstack([2.0, np.ones(m - 1), 2.0]) * (-1.0) ** np.arange(m + 1)
     xm = np.tile(x, (m + 1, 1)).T
@@ -95,20 +100,6 @@ def _cheb_matrix(m):
     d = np.outer(c, 1.0 / c) / dx
     d -= np.diag(d.sum(axis=1))
     return d, x
-
-
-@functools.lru_cache(maxsize=None)
-def _lobatto_matrices(num_nodes):
-    """Read-only first and second derivative matrices in theta on the Lobatto
-    grid: d2 squares the full first-derivative matrix, then the pole rows of
-    d1 are zeroed (Neumann compatibility)."""
-    dc, _ = _cheb_matrix(num_nodes - 1)
-    d1 = -(2.0 / math.pi) * dc
-    d2 = d1 @ d1
-    d1[0, :] = 0.0
-    d1[-1, :] = 0.0
-    d1.flags.writeable = d2.flags.writeable = False
-    return d1, d2
 
 
 def _stencil_d1(v, h):
@@ -128,82 +119,99 @@ def _stencil_d2(v, h):
 
 
 @functools.lru_cache(maxsize=None)
-def _uniform_matrices(num_nodes, h):
-    """Read-only three-point-stencil matrices of the uniform grid with spacing h:
-    the first and second difference of the identity (even reflection at the
-    poles)."""
-    eye = np.eye(num_nodes)
-    d1, d2 = _stencil_d1(eye, h), _stencil_d2(eye, h)
-    d1.flags.writeable = d2.flags.writeable = False
-    return d1, d2
+def _grid(grid, num_nodes):
+    """Read-only (theta, D1, D2, cot(theta), pole mask) of a radial grid.
+
+    The uniform grid's matrices are the three-point stencils applied to the
+    identity (even reflection at the poles).  On the Lobatto grid D2 squares
+    the full spectral first-derivative matrix, then the pole rows of D1 are
+    zeroed (Neumann compatibility).  cot(theta) is 0 at the poles.
+    """
+    if grid not in ("uniform", "lobatto"):
+        raise ValueError(f"grid must be 'uniform' or 'lobatto', got {grid!r}")
+    if num_nodes < 3:
+        raise ValueError(f"radial profile needs at least 3 nodes, got {num_nodes}")
+    if grid == "uniform":
+        theta = np.linspace(0.0, math.pi, num_nodes)
+        eye, h = np.eye(num_nodes), theta[1] - theta[0]
+        d1, d2 = _stencil_d1(eye, h), _stencil_d2(eye, h)
+    else:
+        dc, x = _cheb_matrix(num_nodes - 1)
+        theta = (math.pi / 2.0) * (1.0 - x)
+        d1 = -(2.0 / math.pi) * dc
+        d2 = d1 @ d1
+        d1[0, :] = 0.0
+        d1[-1, :] = 0.0
+    cot = np.zeros(num_nodes)
+    cot[1:-1] = 1.0 / np.tan(theta[1:-1])
+    pole = np.zeros(num_nodes, dtype=bool)
+    pole[0] = pole[-1] = True
+    out = (theta, d1, d2, cot, pole)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class RadialProfile:
     """Positive radial profile u(theta_j) on [0, pi] with pole-aware calculus.
 
-    Both endpoints are grid nodes; the discretisation enforces the Neumann
-    compatibility u'(0) = u'(pi) = 0 (even reflection on the uniform grid,
-    zeroed pole rows of the spectral derivative on the Lobatto grid).
+    A grid is its kind and node count: theta and every grid operator are
+    derived from (``grid``, ``len(values)``), built once and shared
+    read-only.  Both endpoints are grid nodes; the discretisation enforces
+    the Neumann compatibility u'(0) = u'(pi) = 0 (even reflection on the
+    uniform grid, zeroed pole rows of the spectral derivative on the
+    Lobatto grid).
     """
 
     n: int
-    theta: np.ndarray
     values: np.ndarray
     grid: str = "uniform"
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "values", values)
         if self.n < 3:
             raise DomainError(f"radial profile needs dimension n >= 3, got {self.n}")
-        if len(theta) < 3:
-            raise ValueError(f"radial profile needs at least 3 nodes, got {len(theta)}")
-        if len(values) != len(theta):
-            raise ValueError(f"theta has {len(theta)} nodes but values has {len(values)}")
+        _grid(self.grid, len(values))
         if np.any(values <= 0):
             raise DomainError("radial profile must be strictly positive")
-        if self.grid not in ("uniform", "lobatto"):
-            raise ValueError("grid must be 'uniform' or 'lobatto'")
 
     @classmethod
     def make(cls, n, num_nodes, values=None, grid="uniform"):
-        m = num_nodes - 1
-        if grid == "uniform":
-            theta = np.linspace(0.0, math.pi, num_nodes)
-        else:
-            _, x = _cheb_matrix(m)
-            theta = (math.pi / 2.0) * (1.0 - x)
         if values is None:
             values = np.ones(num_nodes)
         elif callable(values):
-            values = values(theta)
-        return cls(n=n, theta=theta, values=np.asarray(values, dtype=np.float64),
-                   grid=grid)
+            values = values(_grid(grid, num_nodes)[0])
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != num_nodes:
+            raise ValueError(f"values has {len(values)} nodes but the grid has {num_nodes}")
+        return cls(n=n, values=values, grid=grid)
 
     @property
     def num_nodes(self):
-        return len(self.theta)
+        return len(self.values)
+
+    @property
+    def theta(self):
+        return _grid(self.grid, self.num_nodes)[0]
 
     def with_values(self, values):
-        return replace(self, values=np.asarray(values, dtype=np.float64))
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != self.num_nodes:
+            raise ValueError(f"with_values keeps the {self.num_nodes} nodes of the grid,"
+                             f" got {len(values)} values")
+        return replace(self, values=values)
 
     # -- derivative operators -------------------------------------------------
 
-    def _matrices(self):
-        if self.grid == "uniform":
-            return _uniform_matrices(self.num_nodes, float(self.theta[1] - self.theta[0]))
-        return _lobatto_matrices(self.num_nodes)
-
     def d1_matrix(self):
         """(m, m) first-derivative matrix, built once per grid and shared read-only."""
-        return self._matrices()[0]
+        return _grid(self.grid, self.num_nodes)[1]
 
     def d2_matrix(self):
         """(m, m) second-derivative matrix, built once per grid and shared read-only."""
-        return self._matrices()[1]
+        return _grid(self.grid, self.num_nodes)[2]
 
     def d1(self, values=None):
         v = self.values if values is None else values
@@ -218,14 +226,10 @@ class RadialProfile:
         return self.d2_matrix() @ v
 
     def pole_mask(self):
-        mask = np.zeros(self.num_nodes, dtype=bool)
-        mask[0] = mask[-1] = True
-        return mask
+        return _grid(self.grid, self.num_nodes)[4]
 
     def cot_theta(self):
-        out = np.zeros(self.num_nodes)
-        out[1:-1] = 1.0 / np.tan(self.theta[1:-1])
-        return out
+        return _grid(self.grid, self.num_nodes)[3]
 
     # -- quadrature over the sphere -------------------------------------------
 
@@ -528,20 +532,14 @@ def newton_continuation(start, schedule, f, psi=1.0, tol=1e-10, max_steps=400,
 # semilinear family H_t and its checkpoints
 # ---------------------------------------------------------------------------
 
-def _cn(n):
-    return (n - 2.0) / (4.0 * (n - 1.0))
-
-
 def _ht_terms(profile, t, v):
     # (p_t, the linear coefficient, the source factor) of H_t at v
     n = profile.n
-    p = n / (n - 2.0)
-    pt = (1.0 - t) + t * p
-    scal = n * (n - 1.0)
+    cn = (n - 2.0) / (4.0 * (n - 1.0))  # c(n); the scalar curvature is n(n-1)
+    pt = (1.0 - t) + t * (n / (n - 2.0))
+    coef = (1.0 - t) + t * cn * (n * (n - 1.0))
     mean_u2 = profile.integrate(v ** 2) / profile.volume()
-    coef = (1.0 - t) + t * _cn(n) * scal
-    source = (1.0 - t) * mean_u2 + t
-    return pt, coef, source
+    return pt, coef, (1.0 - t) * mean_u2 + t
 
 
 def ht_residual(profile, t, values=None):
@@ -567,11 +565,8 @@ def _ht_jacobian(profile, t, v):
 
 
 def g0_residual(profile, values=None):
-    """-Lap u + c(n) R u - u^(n/(n-2)), the t = 1 member written directly."""
-    n = profile.n
-    v = profile.values if values is None else values
-    lap = profile.laplacian(v)
-    return -lap + _cn(n) * n * (n - 1.0) * v - v ** (n / (n - 2.0))
+    """-Lap u + c(n) R u - u^(n/(n-2)): the t = 1 member of ``ht_residual``."""
+    return ht_residual(profile, 1.0, values)
 
 
 def g0_constant_solution(n):
@@ -590,15 +585,12 @@ class HtState:
 
 
 def _ht_band(profile, t):
-    # the normalised quantity s^(1/(p_t - 1)) * u; meaningful for t > 0
-    n = profile.n
-    p = n / (n - 2.0)
-    pt = (1.0 - t) + t * p
+    # the normalised quantity s^(1/(p_t - 1)) * u, s the source factor;
+    # meaningful for t > 0
+    pt, _, source = _ht_terms(profile, t, profile.values)
     if pt - 1.0 < 1e-8:
         return None, None
-    s = (1.0 - t) * profile.integrate(profile.values ** 2) / profile.volume() + t
-    factor = math.exp(math.log(s) / (pt - 1.0))
-    vals = factor * profile.values
+    vals = math.exp(math.log(source) / (pt - 1.0)) * profile.values
     return float(vals.min()), float(vals.max())
 
 
@@ -621,13 +613,17 @@ def ht_continuation(profile, t_schedule):
 def linearized_H0_spectrum(profile, m, return_vectors=False):
     """Lowest m eigenvalues of phi -> -Lap phi - (2/Vol) Int phi on radial fields.
 
+    The operator is the linearisation of H_0 at u = 1 (``_ht_jacobian``).
     The unique nonpositive eigenvalue is -2 with constant eigenfunction; the
     rest of the spectrum is the radial Laplacian spectrum on mean-zero fields.
+    Only the uniform grid is accepted: the Lobatto D2, the square of the full
+    first-derivative matrix, does not see the Neumann condition, and its
+    spectrum has spurious large negative eigenvalues.
     """
-    nn = profile.num_nodes
-    lap = profile.laplacian(np.eye(nn))
-    w = profile.quad_weights()
-    a = -lap - (2.0 / profile.volume()) * np.tile(w, (nn, 1))
+    if profile.grid != "uniform":
+        raise ValueError(f"linearized_H0_spectrum needs the uniform grid, got {profile.grid!r}:"
+                         " the Lobatto D2 ignores the Neumann condition")
+    a = _ht_jacobian(profile, 0.0, np.ones(profile.num_nodes))
     vals, vecs = np.linalg.eig(a)
     order = np.argsort(vals.real)
     vals = vals.real[order][:m]

@@ -48,10 +48,35 @@ def test_profile_rejects_bad_dimension_grid_and_lengths(grid):
     for nodes in (1, 2):
         with pytest.raises(ValueError, match="at least 3 nodes"):
             sv.RadialProfile.make(4, nodes, grid=grid)
-    theta = sv.RadialProfile.make(4, 16, grid=grid).theta
-    with pytest.raises(ValueError, match="16 nodes but values has 15"):
-        sv.RadialProfile(4, theta, np.ones(15), grid=grid)
+    with pytest.raises(ValueError, match="values has 15 nodes but the grid has 16"):
+        sv.RadialProfile.make(4, 16, values=np.ones(15), grid=grid)
     sv.RadialProfile.make(3, 3, grid=grid)  # the least accepted
+
+
+@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+def test_with_values_keeps_the_node_count(grid):
+    # theta is derived from (grid, node count), so new values of another
+    # length would silently move the grid
+    prof = sv.RadialProfile.make(4, 16, grid=grid)
+    for bad in (np.ones(15), np.ones(17)):
+        with pytest.raises(ValueError, match=f"16 nodes of the grid, got {len(bad)}"):
+            prof.with_values(bad)
+    assert prof.with_values(2.0 * np.ones(16)).theta is prof.theta
+
+
+@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+def test_profiles_on_one_grid_share_read_only_operators(grid):
+    a = sv.RadialProfile.make(4, 24, grid=grid)
+    b = sv.RadialProfile.make(3, 24, values=lambda th: 2.0 + np.cos(th), grid=grid)
+    for get in (lambda p: p.theta, lambda p: p.cot_theta(), lambda p: p.pole_mask(),
+                lambda p: p.d1_matrix(), lambda p: p.d2_matrix()):
+        assert get(a) is get(b)
+        assert not get(a).flags.writeable
+    assert a.theta[0] == 0.0 and a.theta[-1] == math.pi
+    assert list(np.flatnonzero(a.pole_mask())) == [0, 23]
+    assert a.cot_theta()[0] == a.cot_theta()[-1] == 0.0
+    other = sv.RadialProfile.make(4, 24, grid="lobatto" if grid == "uniform" else "uniform")
+    assert other.theta is not a.theta
 
 
 def test_radial_eigs_constant_profiles():
@@ -244,6 +269,34 @@ def test_linearized_spectrum_facts():
         assert vals[1] == pytest.approx(n, rel=5e-3)
         # only one nonpositive eigenvalue
         assert np.sum(np.asarray(vals) <= 1e-8) == 1
+
+
+@pytest.mark.parametrize("nodes", [12, 32])
+def test_linearized_spectrum_rejects_the_lobatto_grid(nodes):
+    # its D2 squares the full first-derivative matrix and ignores the Neumann
+    # condition: n = 3 gave -1308.3, -1228.7 and -2 at 12 nodes, breaking the
+    # "unique nonpositive eigenvalue -2" contract
+    prof = sv.RadialProfile.make(3, nodes, grid="lobatto")
+    with pytest.raises(ValueError, match="'lobatto'"):
+        sv.linearized_H0_spectrum(prof, 3)
+
+
+def test_h_t_checkpoints_are_members_of_the_family():
+    # g0_residual (ht_residual at t = 1) against the formula written out,
+    # and the linearised spectrum (the exact H_t Jacobian at t = 0, u = 1)
+    # against the operator -Lap - (2/Vol) Int assembled by hand
+    for n in (3, 4, 6):
+        prof = sv.RadialProfile.make(n, 48, values=lambda th: 1.0 + 0.2 * np.cos(th))
+        v = prof.values
+        cn = (n - 2.0) / (4.0 * (n - 1.0))
+        direct = -prof.laplacian(v) + cn * n * (n - 1.0) * v - v ** (n / (n - 2.0))
+        assert np.abs(sv.g0_residual(prof) - direct).max() <= 1e-13 * np.abs(direct).max()
+        jac = sv._ht_jacobian(prof, 0.0, np.ones(48))
+        w = prof.quad_weights()
+        hand = -prof.laplacian(np.eye(48)) - (2.0 / prof.volume()) * np.tile(w, (48, 1))
+        assert np.abs(jac - hand).max() <= 1e-12 * np.abs(hand).max()
+        want = np.sort(np.linalg.eigvals(hand).real)[:4]
+        assert np.allclose(sv.linearized_H0_spectrum(prof, 4), want, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("grid", ["uniform", "lobatto"])
@@ -527,7 +580,7 @@ def test_cold_sphere_start_at_s0_raises_and_the_walk_reaches_it(monkeypatch):
 
 
 def test_uniform_stencil_matrices_are_the_three_point_stencils():
-    sv._uniform_matrices.cache_clear()
+    sv._grid.cache_clear()
     for m in (5, 33, 64, 128):
         prof = sv.RadialProfile.make(4, m)
         h = prof.theta[1] - prof.theta[0]
@@ -542,11 +595,11 @@ def test_uniform_stencil_matrices_are_the_three_point_stencils():
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert not got.flags.writeable
-        # built once per (node count, spacing), shared by every profile
+        # built once per node count, shared by every profile
         other = sv.RadialProfile.make(3, m, values=lambda th: 2.0 + np.cos(th))
         assert other.d1_matrix() is prof.d1_matrix()
         assert other.d2_matrix() is prof.d2_matrix()
-    assert sv._uniform_matrices.cache_info().misses == 4
+    assert sv._grid.cache_info().misses == 4
 
 
 def _fresh_lobatto_matrices(num_nodes):
@@ -569,15 +622,15 @@ def test_lobatto_matrices_built_once_per_node_count(monkeypatch):
     builds = []
     real = sv._cheb_matrix
     monkeypatch.setattr(sv, "_cheb_matrix", lambda m: builds.append(m) or real(m))
-    sv._lobatto_matrices.cache_clear()
+    sv._grid.cache_clear()
     cached = sv.newton_solve(prof, f, 1.0, tol=1e-9)
     assert cached.newton_iterations > 0 and builds == [39]
     d1, d2 = prof.d1_matrix(), prof.d2_matrix()
     assert not d1.flags.writeable and not d2.flags.writeable
     fresh = _fresh_lobatto_matrices(40)
     assert np.array_equal(d1, fresh[0]) and np.array_equal(d2, fresh[1])
-    # the same solve with both matrices built afresh at every call
-    monkeypatch.setattr(sv, "_lobatto_matrices", _fresh_lobatto_matrices)
+    # the same solve with the grid built afresh at every call
+    monkeypatch.setattr(sv, "_grid", sv._grid.__wrapped__)
     rebuilt = sv.newton_solve(prof, f, 1.0, tol=1e-9)
     assert np.array_equal(cached.profile.values, rebuilt.profile.values)
     assert cached.newton_iterations == rebuilt.newton_iterations
