@@ -8,7 +8,9 @@ Per-call timings at the shapes the cone layer and the solver really use
 ``perfbench/run.py`` run.
 
 Kernels:
-  elementary_symmetric  -- all e_0..e_kmax of each row, Newton/Horner recurrence
+  elementary_symmetric  -- all e_0..e_kmax of each row, Newton/Horner recurrence,
+                           run rows-last: e is (kmax+1, rows) and entry i of
+                           every row updates all prefixes in one vector step
   gamma_member          -- sigma_j > 0 for j = 1..k, batched
   gamma_margin          -- diagonal-ray distance to the cone boundary: Laguerre's
                            iteration for the smallest root of sigma_k(lam - t*e),
@@ -46,15 +48,20 @@ _LAGUERRE_MAXITER = 50
 
 
 def _elementary_symmetric_np(lam, kmax):
-    lam = np.ascontiguousarray(lam, dtype=np.float64)
-    nrow, n = lam.shape
-    e = np.zeros((nrow, kmax + 1))
-    e[:, 0] = 1.0
+    # rows last: one contiguous (rows,) column per entry and e as (kmax+1, rows),
+    # so entry i updates every prefix in one vector operation.  The product is
+    # formed from the old e_{j-1} before the in-place add, so each e_j gets the
+    # same operations in the same order as updating the prefixes one at a
+    # time, highest first: the bits are the same.  Returns the (rows, kmax+1)
+    # view of that array.
+    cols = np.ascontiguousarray(np.asarray(lam, dtype=np.float64).T)
+    n, nrow = cols.shape
+    e = np.zeros((kmax + 1, nrow))
+    e[0] = 1.0
     for i in range(n):
-        x = lam[:, i]
-        for j in range(min(i + 1, kmax), 0, -1):
-            e[:, j] += x * e[:, j - 1]
-    return e
+        m = min(i + 1, kmax)
+        e[1:m + 1] += cols[i] * e[:m]
+    return e.T
 
 
 def _gamma_member_np(lam, k):
@@ -159,23 +166,27 @@ def _radial_sphere_eig_partials_np(u, up, upp, cot_theta, pole, n, rad, tan):
     """Nodewise partials in (u, u', u'') of the eigenvalue pair (rad, tan).
 
     ``rad, tan`` are ``radial_sphere_eigs`` at the same arguments, which this
-    kernel does not recompute.  Returns drad, dtan, each (3, m): the partials
+    kernel does not recompute, and ``cot_theta`` must be 0 where ``pole`` is
+    True (as the solver's grids store it): d lam_tan/du' reads it unmasked.  Returns drad, dtan, each (3, m): the partials
     in u, u' and u''.  With q = 2/(n-2), w = u'/u and lam = bracket * u^(-2q),
     d lam/du = (d bracket/du) u^(-2q) - 2q lam/u.  At a pole the tangential
     branch reads u'' in place of cot(theta) u'.
     """
     u = np.asarray(u, dtype=np.float64)
     q = 2.0 / (n - 2.0)
-    w = up / u
+    inv_u = 1.0 / u
+    w = up * inv_u
+    qqw = q * q * w
     tan_hess = np.where(pole, upp, cot_theta * up)
-    su = u ** (-2.0 * q) / u
+    su = u ** (-2.0 * q) * inv_u
     drad, dtan = np.empty((2, 3, u.size))
-    drad[0] = (q * upp / u - (n - 1.0) * q * q * w * w) * su - 2.0 * q * rad / u
-    drad[1] = (n - 1.0) * q * q * w * su
+    drad[0] = (q * upp * inv_u - (n - 1.0) * qqw * w) * su - 2.0 * q * rad * inv_u
+    drad[1] = (n - 1.0) * qqw * su
     drad[2] = -q * su
-    dtan[0] = (q * tan_hess / u + q * q * w * w) * su - 2.0 * q * tan / u
-    dtan[1] = -(q * np.where(pole, 0.0, cot_theta) + q * q * w) * su
-    dtan[2] = np.where(pole, -q * su, 0.0)
+    dtan[0] = (q * tan_hess * inv_u + qqw * w) * su - 2.0 * q * tan * inv_u
+    # cot(theta) is 0 at the poles, so d/du' of cot(theta) u' needs no mask
+    dtan[1] = -(q * cot_theta + qqw) * su
+    dtan[2] = np.where(pole, drad[2], 0.0)
     return drad, dtan
 
 

@@ -15,8 +15,11 @@ Other degree-one concave symmetric functions can be added by mimicking
 The radial solver's eigenvalue rows are two-valued, (b; a, ..., a) with a
 repeated n - 1 times, and T_t keeps that shape.  Two entry points take such
 rows as the pair (b, a) and work in closed form: ``CurvatureFunction.
-pair_gradient`` (the gradient of f_t) and ``ConeSpec.pair_margin`` (the
-diagonal-ray margin, equal to ``margin_batch`` of the full rows).
+pair_value`` (membership, the value of f_t and a thunk for its gradient, the
+closed form of ``value_batch``) and ``ConeSpec.pair_margin`` (the
+diagonal-ray margin, equal to ``margin_batch`` of the full rows).  Both read
+the same two quantities of T_t(b; a, ..., a) = (B; A, ..., A): A and
+k B + (n - k) A, whose signs decide membership.
 """
 
 from __future__ import annotations
@@ -113,12 +116,20 @@ class ConeSpec:
         s1 = lams.sum(axis=1, keepdims=True)
         return self.t * lams + (1.0 - self.t) * s1
 
-    def _pair_map(self, b, a):
-        # T_t on the two-valued rows (b; a, ..., a): the pair (B, A) of (B; A, ..., A)
-        if self.t == 1.0:
-            return b, a
-        s1 = b + (self.n - 1.0) * a
-        return self.t * b + (1.0 - self.t) * s1, self.t * a + (1.0 - self.t) * s1
+    def _pair_roots(self, b, a):
+        """(A, L) of the two-valued rows (b; a, ..., a), a n - 1 times.
+
+        T_t maps such a row to (B; A, ..., A), and with L = k B + (n-k) A,
+        sigma_k(T_t lam - tau e) = C(n-1, k-1)/k (A - tau)^(k-1) (L - n tau):
+        its roots in tau are A (k - 1 times) and L/n, all real as
+        hyperbolicity in e demands (Garding 1959).  The row is inside the
+        cone iff every root is positive.
+        """
+        n, k, t = self.n, self.k, self.t
+        if t != 1.0:
+            s1 = b + (n - 1.0) * a
+            b, a = t * b + (1.0 - t) * s1, t * a + (1.0 - t) * s1
+        return a, (n - k) * a + k * b
 
     def contains_batch(self, lams):
         lams, _ = _as_batch(lams)
@@ -144,17 +155,14 @@ class ConeSpec:
     def pair_margin(self, b, a):
         """``margin_batch`` of the two-valued rows (b; a, ..., a), a n - 1 times, in closed form.
 
-        T_t maps such a row to (B; A, ..., A), and sigma_k(T_t lam - tau e) =
-        C(n-1, k-1) (A - tau)^(k-1) ((B - tau) + (n-k)/k (A - tau)): its roots
-        in tau are A (k - 1 times) and ((n-k) A + k B)/n, all real as
-        hyperbolicity in e demands (Garding 1959), and the margin is the
-        smallest of them.  Rows with a non-finite entry give -inf.
+        The smallest root in tau of sigma_k(T_t lam - tau e), A or L/n
+        (``_pair_roots``).  Rows with a non-finite entry give -inf.
         """
         n, k, t = self.n, self.k, self.t
         b = np.asarray(b, dtype=np.float64)
         a = np.asarray(a, dtype=np.float64)
-        big_b, big_a = self._pair_map(b, a)
-        m = ((n - k) * big_a + k * big_b) / n
+        big_a, lead = self._pair_roots(b, a)
+        m = lead / n
         if k > 1:
             m = np.minimum(big_a, m)
         m = m / (t + (1.0 - t) * n)
@@ -248,26 +256,46 @@ class CurvatureFunction:
     def value(self, lam):
         return float(self.value_batch(np.asarray(lam, dtype=np.float64)))
 
-    def pair_gradient(self, b, a):
-        """(df/db, df/da) at the two-valued rows (b; a, ..., a), a n - 1 times.
+    def pair_value(self, b, a):
+        """(values, gradient) of f_t at the two-valued rows (b; a, ..., a), a n - 1 times.
 
-        T_t maps such a row to (B; A, ..., A) (``ConeSpec._pair_map``), with
-        dB/db = 1, dB/da = (1-t)(n-1), dA/db = 1-t and dA/da = t + (1-t)(n-1),
-        where sigma_k = C(n-1, k-1) A^(k-1) B + C(n-1, k) A^k; df/da moves all
-        n - 1 entries a together.  The rows must lie inside the cone.
+        T_t maps such a row to (B; A, ..., A), where
+        sigma_k = C(n-1, k-1) A^(k-1) B + C(n-1, k) A^k
+        = C(n-1, k-1)/k A^(k-1) L with L = k B + (n-k) A.  The row is inside
+        the cone iff L > 0 and, for k >= 2, A > 0: the signs of the roots
+        ``ConeSpec._pair_roots`` gives and ``pair_margin`` reads, so
+        membership is ``pair_margin > 0``.  Rows with a non-finite entry are
+        outside.  Raises ``ConeExitError`` whose ``node`` is the first row
+        outside, as ``value_batch`` does.
+
+        The thunk ``gradient()`` returns (df/db, df/da), df/da moving all
+        n - 1 entries a together.  From log f = ((k-1) log A + log L)/k plus
+        a constant, df/dB = f/L and
+        df/dA = f ((k-1)/(k A) + (n-k)/(k L)), chained through dB/db = 1,
+        dB/da = (1-t)(n-1), dA/db = 1-t and dA/da = t + (1-t)(n-1).
         """
         n, k, t = self.cone.n, self.cone.k, self.cone.t
-        big_b, big_a = self.cone._pair_map(b, a)
-        c_b, c_a = math.comb(n - 1, k - 1), math.comb(n - 1, k)
-        ds_db = c_b * big_a ** (k - 1)
-        sigma = ds_db * big_b + c_a * big_a ** k
-        ds_da = k * c_a * big_a ** (k - 1)
+        b = np.asarray(b, dtype=np.float64)
+        a = np.asarray(a, dtype=np.float64)
+        big_a, lead = self.cone._pair_roots(b, a)
+        inside = np.isfinite(b) & np.isfinite(a) & (lead > 0.0)
         if k > 1:
-            ds_da = ds_da + (k - 1) * c_b * big_a ** (k - 2) * big_b
-        scale = (self.kappa / k) * sigma ** (1.0 / k - 1.0)
-        f_b, f_a = scale * ds_db, scale * ds_da
-        return (f_b + (1.0 - t) * f_a,
-                (1.0 - t) * (n - 1.0) * f_b + (t + (1.0 - t) * (n - 1.0)) * f_a)
+            inside &= big_a > 0.0
+        if not inside.all():
+            node = int(np.argmin(inside))
+            raise ConeExitError(f"eigenvalues left the cone at node {node}", node=node)
+        sigma = (math.comb(n - 1, k - 1) / k) * big_a ** (k - 1) * lead
+        vals = self.kappa * sigma ** (1.0 / k)
+
+        def gradient():
+            f_b = vals / lead
+            f_a = ((n - k) / k) * f_b
+            if k > 1:
+                f_a = f_a + ((k - 1) / k) * vals / big_a
+            return (f_b + (1.0 - t) * f_a,
+                    (1.0 - t) * (n - 1.0) * f_b + (t + (1.0 - t) * (n - 1.0)) * f_a)
+
+        return vals, gradient
 
     def power_value_batch(self, lams):
         """kappa^k * sigma_k(T_t lam), the k-th power of the function value.

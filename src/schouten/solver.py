@@ -31,17 +31,21 @@ The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
 uniform grid.  The partials chain the closed-form partials of the two
 eigenvalue branches (``_kernels.radial_sphere_eig_partials``) through the
-gradient of f_t on two-valued rows (``CurvatureFunction.pair_gradient``).
+gradient of f_t on two-valued rows (``CurvatureFunction.pair_value``).
 H_t has its own exact Jacobian, -L + diag(...) plus the rank-one term of
 mean(u^2).  No Newton run differences the residual; the dense
 one-column difference is the tests' oracle.
 
 A Newton run sees its problem as one callable, ``evaluate(u) ->
-(residual, jacobian)``: the residual costs u', u'', the eigenvalue pair and
-one ``value_batch`` pass, and the thunk ``jacobian()`` reuses them, so the
-Jacobian is built only at accepted iterates and never recomputes the
-eigenvalues.  An accepted state's cone margin is read in closed form from
-its two-valued rows (``ConeSpec.pair_margin``).
+(residual, jacobian)``: the residual costs u', u'', the eigenvalue pair
+(lambda_rad, lambda_tan) and one closed-form pass over that pair
+(``CurvatureFunction.pair_value``: membership, value and a gradient thunk),
+and the thunk ``jacobian()`` reuses them, so the Jacobian is built only at
+accepted iterates and never recomputes the eigenvalues.  The Newton loop
+never expands the pair into (m, n) eigenvalue rows.  ``make_state`` does,
+once per accepted state: its residual is the generic certificate
+(``schouten_eig_matrix`` and ``value_batch``, the e_k recurrence), and its
+cone margin is read in closed form (``ConeSpec.pair_margin``).
 
 Every Newton run stops at the resolution of its residual, rho =
 eps * || |J| |u| ||_inf (Higham, Accuracy and Stability of Numerical
@@ -268,13 +272,6 @@ class RadialProfile:
 # Schouten eigenvalues and the fully nonlinear residual
 # ---------------------------------------------------------------------------
 
-def _eig_rows(rad, tan, n):
-    out = np.empty((len(rad), n))
-    out[:, 0] = rad
-    out[:, 1:] = tan[:, None]
-    return out
-
-
 def schouten_eig_matrix(profile, values=None):
     """(num_nodes, n) eigenvalue rows [radial, tangential x (n-1)], unsorted."""
     v = profile.values if values is None else values
@@ -282,7 +279,10 @@ def schouten_eig_matrix(profile, values=None):
         raise DomainError("conformal factor must stay positive")
     rad, tan = _kernels.radial_sphere_eigs(v, profile.d1(v), profile.d2(v), profile.cot_theta(),
                                            profile.pole_mask(), profile.n)
-    return _eig_rows(rad, tan, profile.n)
+    out = np.empty((len(v), profile.n))
+    out[:, 0] = rad
+    out[:, 1:] = tan[:, None]
+    return out
 
 
 def radial_schouten_eigs(profile, j):
@@ -301,15 +301,16 @@ def _psi_values(psi, profile):
 def _residual_evaluator(profile, ft, s, weight):
     """``evaluate(u) -> (residual, jacobian)`` for u -> f_t(lambda(A_{g_u})) - weight * u^(-s).
 
-    One evaluation takes u', u'', the eigenvalue pair and one
-    ``value_batch`` pass (which raises ``ConeExitError`` on cone exit); a
-    non-positive u raises ``DomainError``.  The thunk ``jacobian()`` builds
-    the exact Jacobian from that evaluation's own u', u'' and eigenvalues:
-    the residual at node i is F(u_i, u'_i, u''_i), so
+    One evaluation takes u', u'', the eigenvalue pair and one closed-form
+    pass over the pair, ``CurvatureFunction.pair_value`` (which raises
+    ``ConeExitError`` on cone exit); a non-positive u raises
+    ``DomainError``.  The thunk ``jacobian()`` builds the exact Jacobian
+    from that evaluation's own u', u'', eigenvalues and values: the residual
+    at node i is F(u_i, u'_i, u''_i), so
     J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
     uniform grid, with the partials chained from
-    ``_kernels.radial_sphere_eig_partials`` through the two-valued-row
-    gradient of f_t (``CurvatureFunction.pair_gradient``).
+    ``_kernels.radial_sphere_eig_partials`` through the gradient thunk of
+    ``pair_value``.
     """
     n, cot, pole = profile.n, profile.cot_theta(), profile.pole_mask()
 
@@ -318,11 +319,12 @@ def _residual_evaluator(profile, ft, s, weight):
             raise DomainError("conformal factor must stay positive")
         up, upp = profile.d1(u), profile.d2(u)
         rad, tan = _kernels.radial_sphere_eigs(u, up, upp, cot, pole, n)
-        res = ft.value_batch(_eig_rows(rad, tan, n)) - weight * u ** (-s)
+        vals, gradient = ft.pair_value(rad, tan)
+        res = vals - weight * u ** (-s)
 
         def jacobian():
             drad, dtan = _kernels.radial_sphere_eig_partials(u, up, upp, cot, pole, n, rad, tan)
-            f_b, f_a = ft.pair_gradient(rad, tan)
+            f_b, f_a = gradient()
             f_u, f_up, f_upp = f_b * drad + f_a * dtan
             jac = f_up[:, None] * profile.d1_matrix() + f_upp[:, None] * profile.d2_matrix()
             jac.flat[::len(u) + 1] += f_u + s * weight * u ** (-s - 1.0)  # the diagonal
@@ -373,8 +375,11 @@ def _ricci_margin_from_eigs(lam, n, alpha=0.0):
 def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     """The ``ContinuationState`` of a profile at (s, t).
 
-    The rows are two-valued, so the cone margin is read in closed form
-    (``ConeSpec.pair_margin``), not by the root finder of ``margin_batch``.
+    The residual is the generic certificate of the Newton loop's closed
+    form: the (m, n) eigenvalue rows and one ``value_batch`` pass (the e_k
+    recurrence).  The rows are two-valued, so the cone margin is read in
+    closed form (``ConeSpec.pair_margin``), not by the root finder of
+    ``margin_batch``.
     """
     ft = f.deform(t) if t != 1.0 else f
     v = profile.values

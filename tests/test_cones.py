@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schouten.cones import (ConeSpec, CurvatureFunction, cone_margin, f_eval,
                             gamma_k_member, homotopy_ft, mu_plus, sigma_k)
-from schouten.errors import DomainError
+from schouten.errors import ConeExitError, DomainError
 
 
 def brute_sigma(lam, k):
@@ -368,6 +368,28 @@ def _pair_rows(b, a, n):
     return np.concatenate([b[:, None], np.repeat(a[:, None], n - 1, axis=1)], axis=1)
 
 
+def _pair_cases(rng, n, k, t):
+    """(b, a, boundary) of two-valued test rows for Gamma_t in R^n: 800 random
+    rows, then rows on the boundary: k B + (n-k) A = 0 for the mapped pair
+    (B, A), the (-mu, 1, ..., 1) ray among them, and for k >= 2 A = 0."""
+    # mu with (-mu, 1, ..., 1) on the boundary; gamma_mu_plus at t = 1
+    mu = (t * (n - k) + n * (1.0 - t) * (n - 1.0)) / (k * t + n * (1.0 - t))
+    a_edge = rng.uniform(0.1, 2.0, 50)
+    b_parts = [rng.uniform(-2.0, 2.0, 800), -mu * a_edge, [-mu]]
+    a_parts = [rng.uniform(-0.5, 1.5, 800), a_edge, [1.0]]
+    if k >= 2:
+        # A = 0 with B > 0: (b; 0, ..., 0) with b > 0 at t = 1
+        if t < 1.0:
+            a_zero = -rng.uniform(0.1, 2.0, 50)
+            b_zero = -(t + (1.0 - t) * (n - 1.0)) * a_zero / (1.0 - t)
+        else:
+            a_zero, b_zero = np.zeros(50), rng.uniform(0.1, 2.0, 50)
+        b_parts.append(b_zero)
+        a_parts.append(a_zero)
+    b, a = np.concatenate(b_parts), np.concatenate(a_parts)
+    return b, a, np.arange(b.size) >= 800
+
+
 def test_pair_margin_matches_margin_batch(rng):
     # two-valued rows (b; a, ..., a): the closed form against the Laguerre
     # margin, per row within 1e-12 of max|lambda|; off the boundary its sign
@@ -378,23 +400,7 @@ def test_pair_margin_matches_margin_batch(rng):
         for k in range(1, n + 1):
             for t in (1.0, 0.7, 0.2, 0.0):
                 cone = ConeSpec.homotopy(n, k, t)
-                # mu with (-mu, 1, ..., 1) on the boundary: k B + (n-k) A = 0
-                # for the mapped pair (B, A); gamma_mu_plus at t = 1
-                mu = (t * (n - k) + n * (1.0 - t) * (n - 1.0)) / (k * t + n * (1.0 - t))
-                a_edge = rng.uniform(0.1, 2.0, 50)
-                b_parts = [rng.uniform(-2.0, 2.0, 800), -mu * a_edge, [-mu]]
-                a_parts = [rng.uniform(-0.5, 1.5, 800), a_edge, [1.0]]
-                if k >= 2:
-                    # A = 0 with B > 0: (b; 0, ..., 0) with b > 0 at t = 1
-                    if t < 1.0:
-                        a_zero = -rng.uniform(0.1, 2.0, 50)
-                        b_zero = -(t + (1.0 - t) * (n - 1.0)) * a_zero / (1.0 - t)
-                    else:
-                        a_zero, b_zero = np.zeros(50), rng.uniform(0.1, 2.0, 50)
-                    b_parts.append(b_zero)
-                    a_parts.append(a_zero)
-                b0, a0 = np.concatenate(b_parts), np.concatenate(a_parts)
-                boundary = np.arange(b0.size) >= 800
+                b0, a0, boundary = _pair_cases(rng, n, k, t)
                 for mag in (1.0, math.exp(5.0), math.exp(-5.0)):
                     b, a = mag * b0, mag * a0
                     lams = _pair_rows(b, a, n)
@@ -418,3 +424,90 @@ def test_pair_margin_non_finite_rows():
     got = cone.pair_margin(b, a)
     assert np.array_equal(got, cone.margin_batch(_pair_rows(b, a, 5)))
     assert np.all(got[:4] == -np.inf) and got[4] > 0
+
+
+def _pair_gradient_oracle(f, b, a):
+    # the gradient of f_t on two-valued rows from sigma_k = C(n-1, k-1) A^(k-1) B
+    # + C(n-1, k) A^k and its partials, chained through T_t
+    n, k, t = f.cone.n, f.cone.k, f.cone.t
+    s1 = b + (n - 1.0) * a
+    big_b, big_a = t * b + (1.0 - t) * s1, t * a + (1.0 - t) * s1
+    c_b, c_a = math.comb(n - 1, k - 1), math.comb(n - 1, k)
+    ds_db = c_b * big_a ** (k - 1)
+    sigma = ds_db * big_b + c_a * big_a ** k
+    ds_da = k * c_a * big_a ** (k - 1)
+    if k > 1:
+        ds_da = ds_da + (k - 1) * c_b * big_a ** (k - 2) * big_b
+    scale = (f.kappa / k) * sigma ** (1.0 / k - 1.0)
+    f_b, f_a = scale * ds_db, scale * ds_da
+    return (f_b + (1.0 - t) * f_a,
+            (1.0 - t) * (n - 1.0) * f_b + (t + (1.0 - t) * (n - 1.0)) * f_a)
+
+
+def test_pair_value_matches_value_batch(rng):
+    # membership is pair_margin > 0 on every row, boundary rows included, and
+    # contains_batch wherever the margin is decided; the first row outside is
+    # the ConeExitError node; values match value_batch within 16 rounding
+    # units of the row scale times the gradient's size (the first-order
+    # effect of perturbing each entry by one unit), and on random rows the
+    # gradient matches the sigma_k-partials oracle within 32 units relative
+    # times scale / margin, the condition of df/dB = f/L as L nears 0 (both
+    # forms are that far from a 60-digit gradient next to the wall)
+    eps = np.finfo(np.float64).eps
+    rows = 0
+    for n in range(3, 11):
+        for k in range(1, n + 1):
+            for t in (1.0, 0.7, 0.2, 0.0):
+                f = CurvatureFunction.sigma_root(n, k).deform(t)
+                b0, a0, boundary = _pair_cases(rng, n, k, t)
+                for mag in (1.0, math.exp(5.0), math.exp(-5.0)):
+                    b, a = mag * b0, mag * a0
+                    lams = _pair_rows(b, a, n)
+                    scale = np.abs(lams).max(axis=1)
+                    margin = f.cone.pair_margin(b, a)
+                    inside = margin > 0
+                    with pytest.raises(ConeExitError) as err:
+                        f.pair_value(b, a)
+                    assert err.value.node == int(np.argmin(inside))
+                    decided = np.abs(margin) > 1e-12 * scale
+                    assert np.array_equal(inside[decided], f.cone.contains_batch(lams)[decided])
+                    got, gradient = f.pair_value(b[inside], a[inside])
+                    g_b, g_a = gradient()
+                    size = np.abs(g_b) + np.abs(g_a)
+                    both = f.cone.contains_batch(lams[inside])
+                    want = f.value_batch(lams[inside][both])
+                    assert np.all(np.abs(got[both] - want)
+                                  <= 16.0 * eps * (scale[inside] * size)[both]), (n, k, t, mag)
+                    rand = ~boundary & inside
+                    o_b, o_a = _pair_gradient_oracle(f, b[rand], a[rand])
+                    cond = scale[rand] / margin[rand]
+                    sub = rand[inside]
+                    assert np.all(np.abs(g_b[sub] - o_b) + np.abs(g_a[sub] - o_a)
+                                  <= 32.0 * eps * size[sub] * cond), (n, k, t, mag)
+                    rows += b.size
+    assert rows > 300_000
+
+
+def test_pair_value_rejects_non_finite_and_boundary_rows():
+    f = CurvatureFunction.sigma_root(5, 3).deform(0.7)
+    margin = f.cone.pair_margin  # membership is its sign
+    b = np.array([1.0, np.nan, np.inf, 1.0, -np.inf, 1.0])
+    a = np.array([0.5, 1.0, 1.0, np.inf, 1.0, 0.5])
+    for i in range(1, 5):
+        keep = np.r_[0, i, 5]
+        with pytest.raises(ConeExitError) as err:
+            f.pair_value(b[keep], a[keep])
+        assert err.value.node == 1
+        assert margin(b[keep], a[keep])[1] == -np.inf
+    # Gamma_k itself: the (-mu+, 1, ..., 1) ray and A = 0 are on the boundary,
+    # outside the open cone; just inside them the values are positive
+    for n, k in ((4, 2), (6, 3), (5, 1), (4, 4)):
+        f = CurvatureFunction.sigma_root(n, k)
+        b = np.array([1.0, -(n - k) / k, 1.0 if k > 1 else 2.0])
+        a = np.array([1.0, 1.0, 0.0 if k > 1 else -0.5])
+        for node in (1, 2):
+            with pytest.raises(ConeExitError) as err:
+                f.pair_value(b[[0, node]], a[[0, node]])
+            assert err.value.node == 1
+        vals, _ = f.pair_value(b + 1e-9, a + 1e-9)
+        assert np.all(vals > 0)

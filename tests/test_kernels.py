@@ -17,6 +17,45 @@ def test_public_kernels_are_the_numpy_definitions():
     assert _kernels.radial_sphere_eigs is _kernels._radial_sphere_eigs_np
 
 
+def _esym_double_loop(lam, kmax):
+    # rows first, one (rows,) update per (entry, prefix), prefixes descending:
+    # the bitwise oracle of the rows-last kernel
+    lam = np.ascontiguousarray(lam, dtype=np.float64)
+    nrow, n = lam.shape
+    e = np.zeros((nrow, kmax + 1))
+    e[:, 0] = 1.0
+    for i in range(n):
+        x = lam[:, i]
+        for j in range(min(i + 1, kmax), 0, -1):
+            e[:, j] += x * e[:, j - 1]
+    return e
+
+
+@pytest.mark.parametrize("nrow", [1, 512])
+def test_elementary_symmetric_bitwise_against_the_double_loop(rng, nrow):
+    # every entry gets the same operations in the same order: equal bits,
+    # signed zeros and NaNs included, for n = 1..10, kmax = 0..n + 1, rows
+    # with NaN and +-inf entries, and strided input
+    bad = [np.nan, np.inf, -np.inf]
+    for n in range(1, 11):
+        for kmax in range(n + 2):
+            lam = rng.standard_normal((nrow, n)) * np.exp(rng.uniform(-5.0, 5.0, (nrow, 1)))
+            lam[rng.random((nrow, n)) < 0.1] = 0.0
+            if nrow > 1:
+                rows = rng.choice(nrow, 12, replace=False)
+                lam[rows, rng.integers(0, n, 12)] = np.repeat(bad, 4)
+            cases = [lam, lam[::-1], np.asfortranarray(lam)]
+            if nrow == 1:
+                cases += [np.full((1, n), x) for x in bad]
+            for case in cases:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = _kernels.elementary_symmetric(case, kmax)
+                    want = _esym_double_loop(case, kmax)
+                assert got.shape == want.shape == (nrow, kmax + 1)
+                assert np.array_equal(got, want, equal_nan=True), (n, kmax)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (n, kmax)
+
+
 def test_margin_zero_vector_is_boundary():
     lam = np.zeros((1, 4))
     assert _kernels.gamma_margin(lam, 2)[0] == 0.0

@@ -900,17 +900,20 @@ def test_lobatto_and_ht_jacobians_are_not_banded():
 
 
 def test_newton_jacobians_take_no_residual_calls(monkeypatch):
-    # one newton_solve: each residual evaluation takes u', u'' and the
-    # eigenvalue pair once; its Jacobian thunk reuses them (no derivative,
-    # eigenvalue matrix, membership or value pass) and runs only at accepted
-    # iterates, so the rejected damping trial of this cold start takes no
-    # partials
+    # one newton_solve: each residual evaluation takes u', u'', the
+    # eigenvalue pair and one closed-form pass over the pair, never the
+    # (m, n) rows, membership or value passes of the generic path; its
+    # Jacobian thunk reuses them (no derivative, eigenvalue or value pass)
+    # and runs only at accepted iterates, so the rejected damping trial of
+    # this cold start takes no partials
     calls = []
     for owner, name in ((sv.RadialProfile, "d1"), (sv.RadialProfile, "d2"),
                         (_kernels, "radial_sphere_eigs"),
                         (_kernels, "radial_sphere_eig_partials"),
-                        (sv, "schouten_eig_matrix"), (ConeSpec, "contains_batch"),
-                        (CurvatureFunction, "value_batch")):
+                        (_kernels, "_elementary_symmetric_np"),
+                        (sv, "schouten_eig_matrix"),
+                        (ConeSpec, "contains_batch"), (CurvatureFunction, "value_batch"),
+                        (CurvatureFunction, "pair_value")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name, **kw: (
             calls.append(_name) or _real(*a, **kw)))
@@ -937,8 +940,7 @@ def test_newton_jacobians_take_no_residual_calls(monkeypatch):
                             psi=lambda th: 1.0 + 0.1 * np.cos(th))
     evaluations = [c for kind, c in log if kind == "evaluate"]
     jacobians = [c for kind, c in log if kind == "jacobian"]
-    assert all(c == ["contains_batch", "d1", "d2", "radial_sphere_eigs", "value_batch"]
-               for c in evaluations)
+    assert all(c == ["d1", "d2", "pair_value", "radial_sphere_eigs"] for c in evaluations)
     assert jacobians == [["radial_sphere_eig_partials"]] * len(jacobians)
     # one Jacobian per accepted iterate, the start included; one trial rejected
     assert len(jacobians) == state.newton_iterations + 1 == 7
@@ -946,7 +948,7 @@ def test_newton_jacobians_take_no_residual_calls(monkeypatch):
     # the H_t Jacobian makes no residual call either
     calls.clear()
     sv._ht_jacobian(prof, 0.5, prof.values)
-    assert not {"schouten_eig_matrix", "contains_batch", "value_batch"} & set(calls)
+    assert not {"schouten_eig_matrix", "contains_batch", "value_batch", "pair_value"} & set(calls)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -967,23 +969,77 @@ def test_non_finite_jacobian_raises(bad):
 
 
 def test_residual_checks_cone_membership_once(monkeypatch):
+    # the residual decides membership once, in the closed-form pass over the
+    # eigenvalue pair, and matches the generic value_batch oracle within a
+    # few rounding units of the row scale; make_state keeps the generic
+    # certificate, one contains_batch call
+    eps = np.finfo(np.float64).eps
     prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.1 * np.cos(th))
     f = CurvatureFunction.sigma_root(4, 2)
-    expect = f.value_batch(sv.schouten_eig_matrix(prof)) - prof.values ** -0.5
+    lam = sv.schouten_eig_matrix(prof)
+    expect = f.value_batch(lam) - prof.values ** -0.5
     calls = []
-    real = ConeSpec.contains_batch
-
-    def counted(self, lams):
-        calls.append(1)
-        return real(self, lams)
-
-    monkeypatch.setattr(ConeSpec, "contains_batch", counted)
+    for owner, name in ((ConeSpec, "contains_batch"), (CurvatureFunction, "pair_value")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _real=real, _name=name: (
+            calls.append(_name) or _real(*a)))
     res = sv.residual_Fs(prof, f, 0.5)
-    assert len(calls) == 1
-    assert np.array_equal(res, expect)
+    assert calls == ["pair_value"]
+    assert np.all(np.abs(res - expect) <= 4.0 * eps * np.abs(lam).max(axis=1))
     calls.clear()
     sv.make_state(prof, f, 0.5, 1.0)
-    assert len(calls) == 1
+    assert calls == ["contains_batch"]
+
+
+def test_residual_exits_at_the_first_node_outside():
+    # a profile whose eigenvalue rows leave Gamma_2 at some nodes: the
+    # residual raises ConeExitError at the first of them, as value_batch does
+    prof = sv.RadialProfile.make(4, 32, values=lambda th: 1.0 + 0.9 * np.cos(3.0 * th))
+    f = CurvatureFunction.sigma_root(4, 2)
+    outside = ~f.cone.contains_batch(sv.schouten_eig_matrix(prof))
+    assert outside.any() and not outside.all()
+    with pytest.raises(ConeExitError) as err:
+        sv.residual_Fs(prof, f, 0.5)
+    assert err.value.node == int(np.argmax(outside))
+
+
+def test_certificate_agrees_with_the_newton_loop(monkeypatch):
+    # at every accepted state of the psi-branch walk and of a walk on the
+    # deformed cone t = 0.5, make_state's generic residual (the (m, n) rows
+    # and one value_batch pass) and the closed form the Newton loop reads
+    # agree within a few rounding units of the row scale, taken through the
+    # gradient of f_t (at t = 0, f_t = f(e) sigma_1 is n f(e) times the scale)
+    eps = np.finfo(np.float64).eps
+    made = []
+    real_make_state = sv.make_state
+    monkeypatch.setattr(sv, "make_state", lambda *a, **kw: (
+        made.append(real_make_state(*a, **kw)) or made[-1]))
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    f4 = CurvatureFunction.sigma_root(4, 2)
+    cur, schedule = _psi_branch_start(sv.RadialProfile.make(4, 64), f4, psi)
+    with pytest.raises(ContinuationError):
+        sv.newton_continuation(cur, schedule, f4, psi=psi, max_steps=17)
+    psi_branch = list(made)
+    made.clear()
+    # from the t = 0 solution near the constant 4 up to t = 0.5, then down in s
+    start = sv.newton_solve(sv.RadialProfile.make(4, 48, values=np.full(48, 4.0)), f4, 1.0,
+                            t=0.0, psi=psi)
+    sv.newton_continuation(start, [(1.0, 0.25), (1.0, 0.5), (0.7, 0.5), (0.4, 0.5)], f4,
+                           psi=psi)
+    for states in (psi_branch, list(made)):
+        accepted = [st for st in states if st.min_cone_margin > 0]
+        assert len(accepted) >= 5
+        for st in accepted:
+            ft = f4.deform(st.t) if st.t != 1.0 else f4
+            u, weight = st.profile.values, sv._psi_values(psi, st.profile)
+            lam = sv.schouten_eig_matrix(st.profile)
+            generic = ft.value_batch(lam) - weight * u ** (-st.s)
+            closed = sv._residual_evaluator(st.profile, ft, st.s, weight)(u)[0]
+            # one rounding unit of the row scale in every entry, to first order
+            g_b, g_a = ft.pair_value(lam[:, 0], lam[:, 1])[1]()
+            scale = np.abs(lam).max(axis=1) * (np.abs(g_b) + np.abs(g_a))
+            assert np.all(np.abs(closed - generic) <= 8.0 * eps * scale), (st.s, st.t)
+            assert st.residual_norm == float(np.abs(generic).max())
 
 
 # ---------------------------------------------------------------------------
