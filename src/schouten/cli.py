@@ -27,11 +27,9 @@ import math
 import sys
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import barriers, bubbles, comparison, reports, solver
 from .cones import ConeSpec, CurvatureFunction
@@ -447,6 +445,8 @@ def _params(cid, spec):
 # ---------------------------------------------------------------------------
 
 def load_config(path):
+    import yaml  # loaded at the first config read, not with the module
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = yaml.safe_load(fh)
@@ -501,6 +501,8 @@ def run_campaigns(cfg, outdir, jobs=1, seed=None):
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     items = [(cid, spec, seed, str(outdir)) for cid, spec in campaigns.items()]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_item, items))
     else:

@@ -55,7 +55,15 @@ max(tol, rho); if rho > tol its residual cannot be told from rounding at
 tol, and it raises ``ContinuationError`` naming rho and the tolerance.  The
 spectral second-derivative matrix grows like the fourth power of the node
 count, and on the Lobatto grid with 40 nodes or more rho exceeds the
-default tolerance 1e-10: those solves raise.
+default tolerance 1e-10: those solves raise.  A stopped run is accepted
+only if its normwise backward error eta = ||r||_inf / || |J| |u| ||_inf is
+at most 1e-6 (``_ETA_MAX``): that refuses a state whose scale has collapsed
+(u ~ 1e10, where rho shrinks with the state and the residual passes tol
+only in absolute terms).
+
+scipy is imported lazily: ``scipy.linalg`` loads at the first Newton run
+of the process (``_damped_newton``), so importing the module, or running
+any campaign that does not solve, costs numpy alone.
 """
 
 from __future__ import annotations
@@ -66,7 +74,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import linalg as sla
 
 from . import _kernels
 from .comparison import unit_sphere_area
@@ -89,6 +96,17 @@ __all__ = [
     "apriori_margins",
     "MarginReport",
 ]
+
+
+def __getattr__(name):
+    # ``solver.sla`` resolves to scipy.linalg without a module-level import:
+    # perfbench's tracer wraps ``solver.sla.lu_factor``/``lu_solve``.  This
+    # leaves together with scipy once the tracer reads a solver-owned
+    # function instead (ROADMAP item 1, then item 8).
+    if name == "sla":
+        from scipy import linalg
+        return linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +421,16 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
 
 
 _NEWTON_MAX_ITER, _HT_MAX_ITER, _HT_TOL = 60, 40, 1e-10
+# the largest normwise backward error eta = ||r|| / || |J| |u| || a converged
+# run may have: honest states read <= 1e-14, a collapsed scale reads ~1
+_ETA_MAX = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _resolution(jac, u):
     """rho = eps * || |J| |u| ||_inf: the first-order change of the residual
     when every u_j moves by one rounding unit relative."""
-    return float(np.finfo(np.float64).eps * (np.abs(jac) @ np.abs(u)).max())
+    return float(_EPS * (np.abs(jac) @ np.abs(u)).max())
 
 
 def _damped_newton(evaluate, u0, tol, max_iter):
@@ -426,16 +448,28 @@ def _damped_newton(evaluate, u0, tol, max_iter):
     points violating positivity or the cone are skipped by halving a.
     Finiteness is checked once per step, on rho below: a Jacobian with a
     NaN or inf entry raises ``ContinuationError``, and the LU calls skip
-    scipy's own scans.  Convergence is declared in the discrete max norm,
-    and only above the residual's resolution at u:
-    rho = eps * || |J| |u| ||_inf is the first-order change of the residual
-    under a relative perturbation of u by one rounding unit (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 7).  A run whose
-    residual falls to max(tol, rho) stops; if rho > tol it raises
-    ``ContinuationError`` naming both, since its residual cannot be told
-    from rounding at ``tol``.  Returns (u, iterations, residual_norm); a
-    start that meets ``tol`` is returned after 0 iterations.
+    scipy's own scans.  scipy.linalg is imported here, at the first Newton
+    run of the process, and ``sla.lu_factor``/``sla.lu_solve`` are looked
+    up on the module at each call, so a wrapper patched onto the module
+    sees every factorisation.
+
+    Convergence is declared in the discrete max norm, and only above the
+    residual's resolution at u: rho = eps * || |J| |u| ||_inf is the
+    first-order change of the residual under a relative perturbation of u
+    by one rounding unit (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 7).  A run whose residual falls to max(tol, rho) stops;
+    if rho > tol it raises ``ContinuationError`` naming both, since its
+    residual cannot be told from rounding at ``tol``.  A stopped run is
+    accepted only if its normwise backward error
+    eta = ||r||_inf / || |J| |u| ||_inf = eps * ||r||_inf / rho is at most
+    ``_ETA_MAX``: a run whose scale collapses (u blowing up so far that the
+    residual is small only against |J| |u| ~ ||r||) raises
+    ``ContinuationError`` naming eta.  Returns (u, iterations,
+    residual_norm); a start that meets ``tol`` is returned after 0
+    iterations.
     """
+    from scipy import linalg as sla
+
     u = np.asarray(u0, dtype=np.float64).copy()
     r, jacobian = evaluate(u)
     rn = float(np.abs(r).max())
@@ -446,10 +480,15 @@ def _damped_newton(evaluate, u0, tol, max_iter):
         if not math.isfinite(rho):
             raise ContinuationError("non-finite Jacobian in Newton step")
         if rn <= max(tol, rho):
+            eta = _EPS * rn / rho if rho > 0 else (0.0 if rn == 0 else math.inf)
             if rho > tol:
                 raise ContinuationError(
                     f"tolerance {tol:g} lies below the resolution rho = {rho:.3g} "
-                    f"of the residual (residual {rn:g})")
+                    f"of the residual (residual {rn:g}, backward error eta = {eta:.3g})")
+            if eta > _ETA_MAX:
+                raise ContinuationError(
+                    f"collapsed scale: backward error eta = {eta:.3g} exceeds "
+                    f"{_ETA_MAX:g} (residual {rn:g}, max u {float(u.max()):.3g})")
             return u, it, rn
         if it == max_iter:
             raise ContinuationError(f"Newton did not reach tolerance, residual {rn:g}")

@@ -1,6 +1,9 @@
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +392,60 @@ def test_solve_campaigns_write_transcripts(tmp_path):
     rows = [line.split() for line in profile.strip().splitlines()]
     assert len(rows) == 48 and all(len(r) == 2 for r in rows)
     assert (tmp_path / "out" / "homotopy" / "solve_homotopy.csv").exists()
+
+
+def test_one_step_homotopy_bisects_past_the_collapsed_scale(tmp_path):
+    # one leg from the t = 0 constant: Newton's first run drives u to ~1.8e10,
+    # where the residual passes tol only in absolute terms; the backward-error
+    # test refuses that state, and the walk bisects to t = 0.5, 0.75, 1
+    summary = cli.run_campaigns({"campaigns": {"h": {
+        "kind": "solve homotopy", "dim": 4, "k": 2, "nodes": 96, "steps": 1}}},
+        tmp_path)
+    result = summary["results"][0]
+    assert result["passed"], result
+    assert result["end_dev_from_one"] < 1e-10
+    assert result["worst_margin"] == pytest.approx(0.03125, rel=1e-12)
+    body = reports.csv_body(tmp_path / "h" / "solve_homotopy.csv")
+    assert [float(row.split(",")[2]) for row in body.splitlines()[1:]] \
+        == [0.0, 0.5, 0.75, 1.0]
+
+
+def test_heavy_imports_load_where_used():
+    # in a fresh interpreter (this one has scipy and yaml): importing the CLI
+    # loads neither scipy, PyYAML nor the process pool; the first config read
+    # loads PyYAML, and the first Newton run scipy.linalg and no other scipy
+    # subpackage (scipy.integrate would pull special, optimize, sparse, ...)
+    code = """if True:
+        import json, pkgutil, sys
+        def heavy():
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")
+                          or m == "concurrent.futures.process")
+        import numpy as np
+        import schouten.cli as cli
+        from schouten import solver
+        from schouten.cones import CurvatureFunction
+        stages = [heavy()]
+        cli.load_config(sys.argv[1])
+        stages.append(heavy())
+        solver.newton_solve(solver.RadialProfile.make(4, 16),
+                            CurvatureFunction.sigma_root(4, 2), 1.0,
+                            psi=lambda th: 1.0 + 0.1 * np.cos(th))
+        import scipy
+        public = {m.name for m in pkgutil.iter_modules(scipy.__path__)
+                  if m.ispkg and not m.name.startswith("_")}
+        stages.append(sorted(public & {m.split(".")[1] for m in sys.modules
+                                       if m.startswith("scipy.")}))
+        print(json.dumps(stages))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "configs" / "demo.yaml")],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    on_import, on_config, on_solve = json.loads(proc.stdout)
+    assert on_import == []
+    assert "yaml" in on_config
+    assert not [m for m in on_config if m.split(".")[0] == "scipy"]
+    assert on_solve == ["linalg"]
 
 
 def test_merge_reports(tmp_path, capsys):

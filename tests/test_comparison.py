@@ -1,9 +1,5 @@
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,20 +129,6 @@ def test_flat_model_volume_is_the_closed_form():
         for r in (1e-3, 0.7, 1.0, 3.5, 1e20, 1e300 ** (1.0 / n)):
             want = cp.unit_ball_volume(n) * r ** n
             assert cp.model_ball_volume(cp.ModelSpace(n=n), r) == want
-
-
-def test_cli_import_loads_only_scipy_linalg():
-    # scipy.integrate (and with it special, optimize, sparse, ...) stays off
-    # the import path; run in a fresh interpreter, since this one has quad
-    code = ("import pkgutil, sys, scipy, schouten.cli\n"
-            "subs = {m.name for m in pkgutil.iter_modules(scipy.__path__) if m.ispkg\n"
-            "        and not m.name.startswith('_')}\n"
-            "print(' '.join(sorted(subs & {m.split('.')[1] for m in sys.modules\n"
-            "                               if m.startswith('scipy.')})))")
-    src = str(Path(cp.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert proc.stdout.split() == ["linalg"]
 
 
 def test_bg_ratio_flat_is_one():

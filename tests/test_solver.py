@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from types import SimpleNamespace
 
@@ -548,7 +549,8 @@ def test_rhs_sweep_failure_raises_without_state(monkeypatch):
 
 def test_resolution_error_names_the_direct_solve(monkeypatch):
     # at the default tolerance the Lobatto solves from 40 nodes on meet the
-    # resolution stop in their one Newton run, and the error says so
+    # resolution stop in their one Newton run, and the error says so; its
+    # backward error eta says that the state is converged to rounding
     f = CurvatureFunction.sigma_root(4, 2)
     runs = _counted_newton_runs(monkeypatch)
     for m in (40, 48, 64):
@@ -557,6 +559,8 @@ def test_resolution_error_names_the_direct_solve(monkeypatch):
         with pytest.raises(ContinuationError) as err:
             sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th), tol=1e-10)
         assert str(err.value).startswith("tolerance 1e-10 lies below the resolution")
+        eta = re.search(r"backward error eta = (\S+)\)$", str(err.value))
+        assert eta is not None and float(eta.group(1)) < 1e-14
         assert err.value.last_state is None
         assert len(runs) == 1
 
@@ -1083,3 +1087,48 @@ def test_newton_stops_at_resolution(grid, m):
     else:
         state = sv.newton_solve(prof, f, 1.0, psi=psi)
         assert state.residual_norm <= 1e-10 and state.max_u > 1.05
+
+
+# ---------------------------------------------------------------------------
+# the backward-error acceptance
+# ---------------------------------------------------------------------------
+
+def test_newton_refuses_the_collapsed_scale():
+    # the one-leg homotopy from the t = 0 constant n^((n-2)/2) = 4 at
+    # s = 2/(n-2) = 1 (n = 4, k = 2, 96 nodes): Newton reaches residual
+    # 5.6e-11 < tol at max u ~1.8e10 and cone margin ~1e-21; rho shrinks with
+    # the state, so only the backward error eta = ||r|| / || |J| |u| || (~1
+    # there) tells this state from a solution
+    f = CurvatureFunction.sigma_root(4, 2)
+    start = sv.make_state(sv.RadialProfile.make(4, 96, values=np.full(96, 4.0)), f, 1.0, 0.0)
+    with pytest.raises(ContinuationError, match=r"^collapsed scale: backward error eta = ") \
+            as err:
+        sv.newton_solve(start.profile, f, 1.0, t=1.0)
+    eta = float(re.search(r"eta = (\S+) exceeds", str(err.value)).group(1))
+    assert eta > sv._ETA_MAX
+    assert err.value.last_state is None
+    states = sv.newton_continuation(start, [(1.0, 1.0)], f)
+    assert [st.t for st in states] == [0.0, 0.5, 0.75, 1.0]
+    assert np.abs(states[-1].profile.values - 1.0).max() < 1e-10
+
+
+def test_lu_is_read_from_scipy_linalg_at_call_time(monkeypatch):
+    # the benchmark's tracer counts factorisations by wrapping
+    # solver.sla.lu_factor / lu_solve; a solver that bound the LU when it
+    # loaded would quietly zero those counts
+    from scipy import linalg
+
+    assert sv.sla is linalg
+    calls = {"lu_factor": 0, "lu_solve": 0}
+    for name, original in [(k, getattr(linalg, k)) for k in calls]:
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(linalg, name, counted)
+    prof = sv.RadialProfile.make(4, 32)
+    f = CurvatureFunction.sigma_root(4, 2)
+    state = sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th))
+    assert state.newton_iterations > 0
+    assert calls["lu_factor"] == state.newton_iterations
+    # one solve for the step, one per damping trial that evaluates
+    assert calls["lu_solve"] >= 2 * state.newton_iterations
