@@ -16,6 +16,7 @@ rounding level.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -37,19 +38,27 @@ __all__ = [
 ]
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_GROWTH = 8.0  # rate * panel width
 # sinh(x) overflows a double beyond this x
 _SINH_ARG_MAX = math.asinh(sys.float_info.max)
 
 
+@functools.cache
+def _gauss_legendre():
+    """Nodes and weights of the 32-node rule, built at first use: importing
+    ``numpy.polynomial`` costs the many callers that never integrate."""
+    from numpy.polynomial import legendre
+    return legendre.leggauss(32)
+
+
 def _panel_quadrature(f, r, rate):
     """int_0^r f(t) dt for ``f`` vectorised over t, on panels over which
     exp(rate * t) gains at most e^8 (see the module docstring)."""
+    nodes, weights = _gauss_legendre()
     m = max(1, math.ceil(rate * r / _PANEL_GROWTH))
     h = r / m
-    t = h * (np.arange(m)[:, None] + 0.5 * (_GL_NODES + 1.0))
-    return 0.5 * h * float(np.sum(f(t) @ _GL_WEIGHTS))
+    t = h * (np.arange(m)[:, None] + 0.5 * (nodes + 1.0))
+    return 0.5 * h * float(np.sum(f(t) @ weights))
 
 
 def unit_ball_volume(n):

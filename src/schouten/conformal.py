@@ -38,8 +38,12 @@ Background geometry depends only on the metric and the points, not on the
 factor u.  ``chart_geometry`` evaluates it once per point batch into a
 ``ChartGeometry`` value: metric and first derivatives once, one Cholesky
 factorisation g = L L^T giving L^-1 and g^-1 = L^-T L^-1, Christoffel
-symbols and A_g from that one pass.  The conformal operations assemble from
-it, and ``conformal_schouten_eigs(..., geometry=...)`` lets a caller that
+symbols and A_g from that one pass.  A metric that declares a ``euclidean``
+chart (the builtin ``flat``: g_ij = delta_ij in its coordinates) reads that
+pass in closed form, L^-1 = g^-1 = I and d g = Gamma = 0, with no first
+derivatives, factorisation or inverse evaluated; its components are still
+evaluated, so every domain check holds.  The conformal operations assemble
+from the geometry, and ``conformal_schouten_eigs(..., geometry=...)`` lets a caller that
 owns its point grid (the barrier sweeps) build it once and reuse it for
 every factor.  There is no cache: the geometry is passed explicitly.  As
 g_u = phi g with phi = u^(4/(n-2)), eigenvalues relative to g_u are
@@ -182,6 +186,10 @@ class MetricField:
     set, Ricci is read as (n-1) K g and the curvature assembly never calls
     ``d2_fn``; the builtin charts set it, custom metrics and
     ``conformal_metric`` results do not.
+    ``euclidean``: the components are delta_ij at every point of the chart.
+    When set, the chart geometry reads g^-1 = I and d g = Gamma = 0 and never
+    calls ``d1_fn`` or factorises g; ``flat`` sets it, custom metrics and
+    ``conformal_metric`` results do not.
     """
 
     n: int
@@ -194,6 +202,7 @@ class MetricField:
     domain_hi: Optional[np.ndarray] = None
     name: str = "custom"
     sectional_curvature: Optional[float] = None
+    euclidean: bool = False
 
     @property
     def mode(self):
@@ -221,10 +230,10 @@ class MetricField:
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
         """Same components, derivatives forced to finite differences, and no
-        ``sectional_curvature``: Ricci comes from the finite-difference second
-        derivatives, not from the closed form."""
+        ``sectional_curvature`` or ``euclidean``: the geometry comes from the
+        finite-difference derivatives, not from the closed forms."""
         return replace(self, d1_fn=None, d2_fn=None, h=h, richardson=richardson,
-                       sectional_curvature=None)
+                       sectional_curvature=None, euclidean=False)
 
     # -- builtin charts -------------------------------------------------------
 
@@ -242,7 +251,7 @@ class MetricField:
             return np.zeros((x.shape[0], n, n, n, n))
 
         return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2, name="flat",
-                   sectional_curvature=0.0)
+                   sectional_curvature=0.0, euclidean=True)
 
     @classmethod
     def sphere_normal(cls, n, chart_radius=3.0):
@@ -472,7 +481,8 @@ class ChartGeometry:
     Cholesky factor g = L L^T and ``ginv`` g^ij = L^-T L^-1 (B, n, n); ``d1``
     d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma`` Gamma^m_ij
     (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or None on a
-    first-order pass.  Built by ``chart_geometry``.
+    first-order pass.  Built by ``chart_geometry``; on a ``euclidean`` metric
+    ``linv``, ``ginv``, ``d1``, ``sym`` and ``gamma`` are read-only.
     """
 
     points: np.ndarray
@@ -488,8 +498,15 @@ class ChartGeometry:
 def _geometry(g, xb):
     """First-order chart geometry on the point batch ``xb``: one evaluation of
     the metric and its first derivatives, and one Cholesky factorisation
-    g = L L^T, from which L^-1 and g^-1 = L^-T L^-1."""
+    g = L L^T, from which L^-1 and g^-1 = L^-T L^-1.  On a ``euclidean``
+    metric L^-1 = g^-1 = I and d g = Gamma = 0, read-only and unevaluated."""
     gmat = g.components(xb)
+    B, n = xb.shape
+    if g.euclidean:
+        eye = np.broadcast_to(np.eye(n), (B, n, n))
+        zeros = np.zeros((B, n, n, n))
+        zeros.flags.writeable = False
+        return ChartGeometry(xb, gmat, eye, eye, zeros, zeros, zeros)
     d1 = g.d1(xb)
     try:
         linv = np.linalg.inv(np.linalg.cholesky(gmat))
@@ -497,7 +514,6 @@ def _geometry(g, xb):
         raise DomainError("metric is singular or not positive definite at a queried point") \
             from exc
     ginv = np.swapaxes(linv, 1, 2) @ linv
-    B, n = xb.shape
     # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
     # Gamma^m_ij = 1/2 g^{ml} sym_ijl, one (n, n) @ (n, n^2) product per point
@@ -525,7 +541,8 @@ def _g_trace(ginv, a):
 
 
 def christoffel(g, x):
-    """Christoffel symbols; index order [m, i, j] for Gamma^m_ij."""
+    """Christoffel symbols; index order [m, i, j] for Gamma^m_ij (read-only
+    zeros on a ``euclidean`` metric)."""
     xb, single = _batchify(x, g.n)
     return _unbatch(_geometry(g, xb).gamma, single)
 

@@ -412,14 +412,16 @@ def test_one_step_homotopy_bisects_past_the_collapsed_scale(tmp_path):
 
 def test_heavy_imports_load_where_used():
     # in a fresh interpreter (this one has scipy and yaml): importing the CLI
-    # loads neither scipy, PyYAML nor the process pool; the first config read
-    # loads PyYAML, and the first Newton run scipy.linalg and no other scipy
+    # loads neither scipy, PyYAML, the process pool nor numpy.polynomial (the
+    # quadrature rule is built at first use); the first config read loads
+    # PyYAML, and the first Newton run scipy.linalg and no other scipy
     # subpackage (scipy.integrate would pull special, optimize, sparse, ...)
     code = """if True:
         import json, pkgutil, sys
         def heavy():
             return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "yaml")
-                          or m == "concurrent.futures.process")
+                          or m == "concurrent.futures.process"
+                          or m.startswith("numpy.polynomial"))
         import numpy as np
         import schouten.cli as cli
         from schouten import solver

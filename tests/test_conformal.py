@@ -370,12 +370,14 @@ def test_indefinite_metric_is_domain_error():
 
 def test_shared_geometry_keeps_domain_checks():
     one = cf.ConformalFactor.constant(3, 1.0)
-    g = cf.MetricField.sphere_normal(3, chart_radius=1.0)
     outside = np.array([[2.0, 0.0, 0.0]])
-    with pytest.raises(DomainError, match="outside chart domain"):
-        cf.chart_geometry(g, outside)
-    with pytest.raises(DomainError, match="outside chart domain"):
-        cf.conformal_schouten_eigs(g, one, outside)
+    # the Euclidean chart evaluates its components, and so checks its box too
+    boxed_flat = replace(cf.MetricField.flat(3), domain_lo=-np.ones(3), domain_hi=np.ones(3))
+    for g in (cf.MetricField.sphere_normal(3, chart_radius=1.0), boxed_flat):
+        with pytest.raises(DomainError, match="outside chart domain"):
+            cf.chart_geometry(g, outside)
+        with pytest.raises(DomainError, match="outside chart domain"):
+            cf.conformal_schouten_eigs(g, one, outside)
 
     def degenerate(x):
         out = np.broadcast_to(np.eye(3), (x.shape[0], 3, 3)).copy()
@@ -508,6 +510,69 @@ def test_derived_metrics_carry_no_sectional_curvature():
     # the FD form exercises the finite-difference Ricci it exists for
     assert normal.with_fd().sectional_curvature is None
     assert cf.MetricField.flat(3).with_fd(richardson=True).sectional_curvature is None
+    # only flat declares a Euclidean chart, and no derived metric keeps it
+    flat = cf.MetricField.flat(4)
+    assert flat.euclidean
+    assert not normal.euclidean and not cf.MetricField.sphere_polar(4).euclidean
+    assert not cf.MetricField(n=3, value_fn=lambda x: None).euclidean
+    assert not flat.with_fd().euclidean
+    assert not flat.with_fd(richardson=True).euclidean
+    assert not cf.conformal_metric(flat, u).euclidean
+    assert not cf.conformal_metric(flat, u.with_fd()).euclidean
+
+
+# -- closed-form Euclidean chart against the generic first-order pass --------
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_euclidean_geometry_matches_generic_path(n, monkeypatch, rng):
+    pts = rng.uniform(-2.0, 2.0, (10, n))
+    for K in (0.0, None):
+        flat = replace(cf.MetricField.flat(n), sectional_curvature=K)
+        generic = replace(flat, euclidean=False)
+        builds = [cf._geometry] + ([cf.chart_geometry] if n >= 3 else [])
+        for build in builds:
+            expect = build(generic, pts)
+            d1, d1_calls = _counting(flat.d1_fn)
+            with monkeypatch.context() as m:
+                cholesky, factorised = _counting(np.linalg.cholesky)
+                inv, inverted = _counting(np.linalg.inv)
+                m.setattr(np.linalg, "cholesky", cholesky)
+                m.setattr(np.linalg, "inv", inv)
+                got = build(replace(flat, d1_fn=d1), pts)
+            assert d1_calls == factorised == inverted == [], (n, K, build.__name__)
+            for field, want in vars(expect).items():
+                have = getattr(got, field)
+                if want is None:
+                    assert have is None
+                    continue
+                assert np.array_equal(have, want), (n, K, build.__name__, field)
+            # the closed-form arrays are shared, so nothing may write into them
+            for field in ("linv", "ginv", "d1", "sym", "gamma"):
+                assert not getattr(got, field).flags.writeable, field
+        # the generic path still reads the derivatives
+        d1, d1_calls = _counting(flat.d1_fn)
+        cf._geometry(replace(generic, d1_fn=d1), pts)
+        assert d1_calls == [pts.shape]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+def test_bubble_verify_is_bit_identical_on_the_generic_path(n, mode, monkeypatch, rng):
+    from schouten import bubbles as bb
+    from schouten.cones import CurvatureFunction
+
+    f = CurvatureFunction.sigma_root(n, 2)
+    bubble = bb.Bubble(n=n, a=1.7, p=rng.uniform(-0.5, 0.5, n))
+    pts = rng.uniform(-1.5, 1.5, (10, n))
+    fast = bb.bubble_verify(f, bubble, pts, mode=mode)
+    flat = cf.MetricField.flat
+    monkeypatch.setattr(cf.MetricField, "flat",
+                        classmethod(lambda cls, k: replace(flat(k), euclidean=False)))
+    assert not cf.MetricField.flat(n).euclidean
+    slow = bb.bubble_verify(f, bubble, pts, mode=mode)
+    for field in ("max_lambda_dev", "max_f_dev", "passed"):
+        assert np.float64(getattr(fast, field)).tobytes() \
+            == np.float64(getattr(slow, field)).tobytes(), field
 
 
 # -- one-call finite-difference Hessian against the per-stencil loop ----------
