@@ -29,7 +29,12 @@ second derivatives, so ``ricci_background``, ``scalar_curvature`` and
 ``schouten_background`` (A_g = K g / 2) read it too.  The trace assembly
 stays for every other metric and as the oracle.  A finite-difference
 Hessian evaluates its 1 + 2n^2 stencil point sets in one call of the field,
-as a finite-difference gradient does with its 2n.
+as a finite-difference gradient does with its 2n.  That stencil holds the
+centre and every +-h e_k set, so it is the whole jet: the conformal
+operations read a factor as one jet (u, du, d^2 u) per point batch, and a
+finite-difference factor evaluates ``value_fn`` once per batch (twice with
+Richardson), where reading value, gradient and Hessian apart would take
+three calls.
 
 All operations accept a single point ``(n,)`` or a batch ``(B, n)`` and are
 vectorised over the batch.
@@ -42,10 +47,16 @@ symbols and A_g from that one pass.  A metric that declares a ``euclidean``
 chart (the builtin ``flat``: g_ij = delta_ij in its coordinates) reads that
 pass in closed form, L^-1 = g^-1 = I and d g = Gamma = 0, with no first
 derivatives, factorisation or inverse evaluated; its components are still
-evaluated, so every domain check holds.  The conformal operations assemble
-from the geometry, and ``conformal_schouten_eigs(..., geometry=...)`` lets a caller that
-owns its point grid (the barrier sweeps) build it once and reuse it for
-every factor.  There is no cache: the geometry is passed explicitly.  As
+evaluated, so every domain check holds.  Its ``ChartGeometry`` says so
+(``euclidean``), and the conformal operations skip the identity arithmetic
+downstream too: Hess_g u = d^2 u with no Gamma product, |du|_g^2 = du . du,
+g-traces are plain traces and relative eigenvalues are eigvalsh(A) / phi,
+with no L^-1 products; every result is bit-identical to the generic path,
+which stays for every other metric and as the oracle.  The conformal
+operations assemble from the geometry, and
+``conformal_schouten_eigs(..., geometry=...)`` lets a caller that owns its
+point grid (the barrier sweeps) build it once and reuse it for every factor.
+There is no cache: the geometry is passed explicitly.  As
 g_u = phi g with phi = u^(4/(n-2)), eigenvalues relative to g_u are
 eigvalsh(L^-1 A L^-T) / phi (Cholesky reduction of the symmetric-definite
 eigenproblem), so a factor needs no factorisation of its own.
@@ -127,25 +138,33 @@ def _d2_offsets(n):
     return np.concatenate([np.zeros((1, n)), _d1_offsets(n), mixed.reshape(-1, n)])
 
 
+def _central_d1(vals, h):
+    # vals: fn on the 2n point sets x + h e_k, x - h e_k in ``_d1_offsets``
+    # order, stacked (2n, B, ...); returns the central differences (B, n, ...).
+    vals = vals.reshape((-1, 2) + vals.shape[1:])
+    return np.moveaxis((vals[:, 0] - vals[:, 1]) / (2 * h), 0, 1)
+
+
 def _fd_d1(fn, x, h):
     # fn: (B,n) -> (B, ...); returns (B, n, ...).  One call of fn on the 2n
     # stencil point sets x + h e_k, x - h e_k.
     B, n = x.shape
     pts = x + h * _d1_offsets(n)[:, None, :]
     vals = fn(pts.reshape(2 * n * B, n))
-    vals = vals.reshape((n, 2, B) + vals.shape[1:])
-    return np.moveaxis((vals[:, 0] - vals[:, 1]) / (2 * h), 0, 1)
+    return _central_d1(vals.reshape((2 * n, B) + vals.shape[1:]), h)
 
 
-def _fd_d2(fn, x, h):
-    # returns (B, n, n, ...), symmetric second derivatives.  One call of fn on
-    # the stacked 1 + 2n^2 stencil point sets of ``_d2_offsets``.
+def _fd_jet(fn, x, h):
+    """f, d f (B, n, ...) and the symmetric d^2 f (B, n, n, ...) from one call
+    of fn on the stacked 1 + 2n^2 point sets of ``_d2_offsets``.  The centre
+    row, exactly x, is f; the +-h e_k rows give d f by ``_central_d1``."""
     B, n = x.shape
     idx = np.arange(n)
     ku, lu = np.triu_indices(n, 1)
     diag = 1 + 2 * idx
     mixed = 1 + 2 * n + 4 * np.arange(len(ku))
     pts = x + h * _d2_offsets(n)[:, None, :]
+    pts[0] = x  # x + 0.0 would turn a -0.0 coordinate into +0.0
     vals = fn(pts.reshape(-1, n))
     vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
     f0 = vals[0]
@@ -155,7 +174,12 @@ def _fd_d2(fn, x, h):
                         / (4.0 * h ** 2), 0, 1)
     out[:, ku, lu] = cross
     out[:, lu, ku] = cross
-    return out
+    return f0, _central_d1(vals[1:1 + 2 * n], h), out
+
+
+def _fd_d2(fn, x, h):
+    # returns (B, n, n, ...): the second-derivative part of ``_fd_jet``.
+    return _fd_jet(fn, x, h)[2]
 
 
 def _derivative(field, exact_fn, fd_op, xb):
@@ -400,7 +424,16 @@ def _sphere_q(s):
 
 @dataclass(frozen=True)
 class ConformalFactor:
-    """Positive scalar field u(x) with gradient/Hessian access."""
+    """Positive scalar field u(x) with gradient/Hessian access.
+
+    ``value_fn`` maps (B, n) -> (B,).  When ``grad_fn``/``hess_fn`` are given
+    they are used; otherwise derivatives fall back to central finite
+    differences with step ``h`` (Richardson-refined when ``richardson``).  The
+    conformal operations read the factor as one jet (u, du, d^2 u) per point
+    batch, bit-identical to ``value``, ``grad`` and ``hess``: without
+    ``hess_fn`` that is one call of ``value_fn`` on the second-difference
+    stencil (two with Richardson), whose centre row is the value.
+    """
 
     n: int
     value_fn: Callable
@@ -469,6 +502,22 @@ class ConformalFactor:
         return cls(n=n, value_fn=value, grad_fn=grad, hess_fn=hess)
 
 
+def _factor_jet(u, xb):
+    """``(u.value, u.grad, u.hess)`` on the batch ``xb``, bit for bit: the
+    factor's callables where it has them, the rest from one call of
+    ``value_fn`` on the ``_fd_jet`` stencil (two with Richardson), whose
+    centre row is the value."""
+    if u.hess_fn is not None:
+        return u.value_fn(xb), _derivative(u, u.grad_fn, _fd_d1, xb), u.hess_fn(xb)
+    val, du, d2u = _fd_jet(u.value_fn, xb, u.h / 2.0 if u.richardson else u.h)
+    if u.richardson:
+        _, du_h, d2u_h = _fd_jet(u.value_fn, xb, u.h)
+        du, d2u = (4.0 * du - du_h) / 3.0, (4.0 * d2u - d2u_h) / 3.0
+    if u.grad_fn is not None:
+        du = u.grad_fn(xb)
+    return val, du, d2u
+
+
 # ---------------------------------------------------------------------------
 # curvature assembly (batched core)
 # ---------------------------------------------------------------------------
@@ -482,7 +531,10 @@ class ChartGeometry:
     d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma`` Gamma^m_ij
     (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or None on a
     first-order pass.  Built by ``chart_geometry``; on a ``euclidean`` metric
-    ``linv``, ``ginv``, ``d1``, ``sym`` and ``gamma`` are read-only.
+    ``linv``, ``ginv``, ``d1``, ``sym`` and ``gamma`` are read-only, and
+    ``euclidean`` is set: the conformal operations then read Hess_g u as
+    d^2 u, |du|_g^2 as du . du, g-traces as plain traces and relative
+    eigenvalues as eigvalsh(A) / phi, and never touch those fields.
     """
 
     points: np.ndarray
@@ -493,6 +545,7 @@ class ChartGeometry:
     sym: np.ndarray
     gamma: np.ndarray
     a_bg: Optional[np.ndarray] = None
+    euclidean: bool = False
 
 
 def _geometry(g, xb):
@@ -506,7 +559,7 @@ def _geometry(g, xb):
         eye = np.broadcast_to(np.eye(n), (B, n, n))
         zeros = np.zeros((B, n, n, n))
         zeros.flags.writeable = False
-        return ChartGeometry(xb, gmat, eye, eye, zeros, zeros, zeros)
+        return ChartGeometry(xb, gmat, eye, eye, zeros, zeros, zeros, euclidean=True)
     d1 = g.d1(xb)
     try:
         linv = np.linalg.inv(np.linalg.cholesky(gmat))
@@ -535,9 +588,12 @@ def _checked(geometry, xb):
     return geometry
 
 
-def _g_trace(ginv, a):
-    """tr_g a = g^ij a_ji at each point of the batch."""
-    return np.trace(ginv @ a, axis1=1, axis2=2)
+def _g_trace(geom, a):
+    """tr_g a = g^ij a_ji at each point of the batch of ``geom``; the plain
+    trace on a ``euclidean`` chart."""
+    if not geom.euclidean:
+        a = geom.ginv @ a
+    return np.trace(a, axis1=1, axis2=2)
 
 
 def christoffel(g, x):
@@ -594,7 +650,7 @@ def scalar_curvature(g, x):
     """R_g = tr_g Ric_g; n (n-1) K up to rounding on a declared space form."""
     xb, single = _batchify(x, g.n)
     geom = _geometry(g, xb)
-    return _unbatch(_g_trace(geom.ginv, _ricci_batch(g, geom)), single)
+    return _unbatch(_g_trace(geom, _ricci_batch(g, geom)), single)
 
 
 def schouten_background(g, x, *, geometry=None):
@@ -613,13 +669,16 @@ def schouten_background(g, x, *, geometry=None):
     geom = _geometry(g, xb) if geometry is None else _checked(geometry, xb)
     ric = _ricci_batch(g, geom)
     n = g.n
-    scal = _g_trace(geom.ginv, ric)
+    scal = _g_trace(geom, ric)
     a = (ric - scal[:, None, None] * geom.gmat / (2.0 * (n - 1.0))) / (n - 2.0)
     return _unbatch(a, single)
 
 
 def _covariant_hessian(geom, du, d2u):
-    """Hess_g u = d^2 u - Gamma^m d_m u from the chart derivatives of u."""
+    """Hess_g u = d^2 u - Gamma^m d_m u from the chart derivatives of u; d^2 u
+    itself on a ``euclidean`` chart, where Gamma = 0."""
+    if geom.euclidean:
+        return d2u
     B, n = du.shape
     return d2u - (du[:, None, :] @ geom.gamma.reshape(B, n, n * n)).reshape(B, n, n)
 
@@ -627,29 +686,34 @@ def _covariant_hessian(geom, du, d2u):
 def covariant_hessian(g, u, x):
     """Hess_g u = d^2 u - Gamma^m d_m u."""
     xb, single = _batchify(x, g.n)
-    hess = _covariant_hessian(_geometry(g, xb), u.grad(xb), u.hess(xb))
-    return _unbatch(hess, single)
+    _, du, d2u = _factor_jet(u, xb)
+    return _unbatch(_covariant_hessian(_geometry(g, xb), du, d2u), single)
 
 
 def laplace_beltrami(g, u, x):
     """Delta_g u = tr_g Hess_g u."""
     xb, single = _batchify(x, g.n)
     geom = _geometry(g, xb)
-    hess = _covariant_hessian(geom, u.grad(xb), u.hess(xb))
-    return _unbatch(_g_trace(geom.ginv, hess), single)
+    _, du, d2u = _factor_jet(u, xb)
+    return _unbatch(_g_trace(geom, _covariant_hessian(geom, du, d2u)), single)
 
 
 def _schouten_conformal_batch(geom, u):
     """A_{g_u} and the scale phi = u^(4/(n-2)) of g_u = phi g on the batch of
-    ``geom``."""
+    ``geom``, from one jet (u, du, d^2 u) of the factor (``_factor_jet``).
+
+    On a ``euclidean`` chart Hess_g u = d^2 u and |du|_g^2 = du . du.  Raises
+    ``DomainError`` where u <= 0 and where A_{g_u} is not finite (a factor,
+    derivative or metric component that is NaN or infinite there)."""
     xb = geom.points
     n = xb.shape[1]
-    uval = np.atleast_1d(u.value(xb))
+    uval, du, d2u = _factor_jet(u, xb)
+    uval = np.atleast_1d(uval)
     if np.any(uval <= 0.0):
         raise DomainError("conformal factor is nonpositive at a queried point")
-    du = u.grad(xb)
-    hess = _covariant_hessian(geom, du, u.hess(xb))
-    grad_sq = (du[:, None, :] @ geom.ginv @ du[:, :, None])[:, 0, 0]
+    hess = _covariant_hessian(geom, du, d2u)
+    row = du[:, None, :] if geom.euclidean else du[:, None, :] @ geom.ginv
+    grad_sq = (row @ du[:, :, None])[:, 0, 0]
     c1 = 2.0 / (n - 2.0)
     c2 = 2.0 * n / (n - 2.0) ** 2
     c3 = 2.0 / (n - 2.0) ** 2
@@ -657,6 +721,11 @@ def _schouten_conformal_batch(geom, u):
            + c2 * du[:, :, None] * du[:, None, :] / uval[:, None, None] ** 2
            - c3 * grad_sq[:, None, None] * geom.gmat / uval[:, None, None] ** 2
            + geom.a_bg)
+    finite = np.isfinite(a_u).all(axis=(1, 2))
+    if not finite.all():
+        raise DomainError(f"A_{{g_u}} is not finite at the queried point "
+                          f"{xb[~finite][0].tolist()}: the conformal factor, its first two "
+                          "derivatives or the metric is not finite there")
     return a_u, uval ** (4.0 / (n - 2.0))
 
 
@@ -759,7 +828,12 @@ def eigen_rel(a, gmat):
 def _eigs_rel_scaled(geom, a, phi):
     """Eigenvalues of the forms ``a`` relative to phi g on the batch of
     ``geom``, ascending: eigvalsh(L^-1 a L^-T) / phi with the geometry's factor
-    g = L L^T, since phi g = (sqrt(phi) L) (sqrt(phi) L)^T."""
+    g = L L^T, since phi g = (sqrt(phi) L) (sqrt(phi) L)^T; eigvalsh(a) / phi
+    on a ``euclidean`` chart, where L = I."""
+    if geom.euclidean:
+        # the products with I turn a -0.0 into +0.0, and eigvalsh reads the
+        # sign of a zero
+        return np.linalg.eigvalsh(a + 0.0) / phi[:, None]
     linv = geom.linv
     return np.linalg.eigvalsh(linv @ a @ np.swapaxes(linv, 1, 2)) / phi[:, None]
 
@@ -781,7 +855,7 @@ def _ricci_conformal_batch(geom, u):
 
     With g_u = phi g, tr_{g_u}(A) = tr_g(A) / phi."""
     a_u, phi = _schouten_conformal_batch(geom, u)
-    tr = _g_trace(geom.ginv, a_u) / phi
+    tr = _g_trace(geom, a_u) / phi
     gu = phi[:, None, None] * geom.gmat
     return (geom.points.shape[1] - 2.0) * a_u + tr[:, None, None] * gu, phi
 

@@ -139,6 +139,31 @@ def test_nonpositive_factor_rejected():
         cf.schouten_conformal(g, u, np.array([-1.0, 0.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_factor_is_domain_error():
+    # NaN passes the u <= 0 guard; A_{g_u} must not reach eigvalsh unchecked
+    n = 4
+    radial = cf.ConformalFactor.radial(n, lambda r: 1.0 + r ** 2, lambda r: 2.0 * r,
+                                       lambda r: 2.0 + 0.0 * r)
+    pts = np.array([[0.3, -0.2, 0.1, 0.5], [0.0, 0.0, 0.0, 0.0]])
+    nan_pt = np.array([[0.3, -0.2, 0.1, 0.5], [np.nan, 0.1, 0.0, 0.2]])
+    cases = [(cf.MetricField.flat(n), radial, pts),  # the origin: grad is 0/0
+             (cf.MetricField.flat(n), _exp_factor([0.3, -0.2, 0.1, 0.4]), nan_pt),
+             (cf.MetricField.flat(n), _exp_factor([0.3, -0.2, 0.1, 0.4]).with_fd(), nan_pt),
+             (cf.MetricField.sphere_normal(n), cf.ConformalFactor.constant(n, 1.0), nan_pt)]
+    for g, u, x in cases:
+        for op in (lambda: cf.conformal_schouten_eigs(g, u, x),
+                   lambda: cf.schouten_conformal(g, u, x),
+                   lambda: cf.ricci_conformal(g, u, x),
+                   lambda: cf.ricci_lower_margin(g, u, 0.5, x)):
+            with pytest.raises(DomainError, match=r"is not finite at the queried point \[") as err:
+                op()
+            assert str(x[1].tolist()) in str(err.value), g.name
+    # the finite rows alone still pass
+    for g, u, x in cases:
+        assert np.isfinite(cf.conformal_schouten_eigs(g, u, x[0])).all()
+
+
 def test_eigenvalue_scaling_law(rng):
     # replacing u by c*u multiplies the relative eigenvalues by c^(-4/(n-2))
     n = 5
@@ -540,8 +565,12 @@ def test_euclidean_geometry_matches_generic_path(n, monkeypatch, rng):
                 m.setattr(np.linalg, "inv", inv)
                 got = build(replace(flat, d1_fn=d1), pts)
             assert d1_calls == factorised == inverted == [], (n, K, build.__name__)
+            # the flag that takes the downstream arithmetic off the generic path
+            assert got.euclidean and not expect.euclidean
             for field, want in vars(expect).items():
                 have = getattr(got, field)
+                if field == "euclidean":
+                    continue
                 if want is None:
                     assert have is None
                     continue
@@ -564,6 +593,35 @@ def test_bubble_verify_is_bit_identical_on_the_generic_path(n, mode, monkeypatch
     f = CurvatureFunction.sigma_root(n, 2)
     bubble = bb.Bubble(n=n, a=1.7, p=rng.uniform(-0.5, 0.5, n))
     pts = rng.uniform(-1.5, 1.5, (10, n))
+    # every conformal operation on the Euclidean chart against the generic path
+    u = bubble.factor(mode)
+    euclid = cf.MetricField.flat(n)
+    generic = replace(euclid, euclidean=False)
+    ops = [lambda g: cf.conformal_schouten_eigs(g, u, pts),
+           lambda g: cf.schouten_conformal(g, u, pts),
+           lambda g: cf.ricci_conformal(g, u, pts),
+           lambda g: cf.ricci_lower_margin(g, u, 0.0, pts),
+           lambda g: cf.ricci_lower_margin(g, u, 0.8, pts),
+           lambda g: cf.covariant_hessian(g, u, pts),
+           lambda g: cf.laplace_beltrami(g, u, pts)]
+    for i, op in enumerate(ops):
+        assert np.asarray(op(euclid)).tobytes() == np.asarray(op(generic)).tobytes(), i
+    # downstream of the geometry, a Euclidean chart reads no L^-1, g^-1 or Gamma
+    geom = cf.chart_geometry(euclid, pts)
+    assert geom.euclidean and not cf.chart_geometry(generic, pts).euclidean
+    nan = np.full((len(pts), n, n), np.nan)
+    blind = replace(geom, linv=nan, ginv=nan, gamma=np.full((len(pts), n, n, n), np.nan))
+    assert cf.conformal_schouten_eigs(euclid, u, pts, geometry=blind).tobytes() \
+        == cf.conformal_schouten_eigs(generic, u, pts).tobytes()
+    assert cf._ricci_conformal_batch(blind, u)[0].tobytes() \
+        == cf.ricci_conformal(generic, u, pts).tobytes()
+    # eigvalsh reads the sign of a zero, which the generic reduction drops
+    a = rng.standard_normal((len(pts), n, n))
+    a = a + np.swapaxes(a, 1, 2)
+    a[:, 1, 0] = a[:, 0, 1] = -0.0
+    phi = rng.uniform(0.5, 2.0, len(pts))
+    assert cf._eigs_rel_scaled(blind, a, phi).tobytes() \
+        == cf._eigs_rel_scaled(cf.chart_geometry(generic, pts), a, phi).tobytes()
     fast = bb.bubble_verify(f, bubble, pts, mode=mode)
     flat = cf.MetricField.flat
     monkeypatch.setattr(cf.MetricField, "flat",
@@ -642,6 +700,55 @@ def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
         expect = (4.0 * _fd_d2_per_stencil(fn, pts, 5e-4)
                   - _fd_d2_per_stencil(fn, pts, 1e-3)) / 3.0
         assert np.array_equal(refined, expect)
+
+
+# -- a conformal factor read as one jet per point batch ------------------------
+
+def _jet_factors(n, rng):
+    """Analytic, FD, Richardson and single-callable forms of two fields: a
+    bubble, and one whose value reads the sign of a zero coordinate."""
+    from schouten.bubbles import Bubble
+
+    b = Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n))
+
+    def signed(x):
+        return 2.0 + np.copysign(0.25, x[:, 0]) + 0.1 * np.sin(x).sum(axis=1)
+
+    return {"analytic": b.factor("analytic"), "fd": b.factor("fd"),
+            "richardson": cf.ConformalFactor(n=n, value_fn=b.value, h=1e-3, richardson=True),
+            "grad-only": cf.ConformalFactor.from_callable(n, b.value, grad=b.grad),
+            "hess-only": cf.ConformalFactor.from_callable(n, b.value, hess=b.hess),
+            "signed-fd": cf.ConformalFactor(n=n, value_fn=signed),
+            "signed-richardson": cf.ConformalFactor(n=n, value_fn=signed, richardson=True)}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_factor_jet_equals_value_grad_hess_bitwise(n, rng):
+    pts = rng.uniform(-1.0, 1.0, (6, n))
+    pts[1, 0] = -0.0
+    pts[2] = -0.0
+    pts[3, -1] = 0.0
+    for name, u in _jet_factors(n, rng).items():
+        expect = (u.value(pts), u.grad(pts), u.hess(pts))
+        for part, have, want in zip(("value", "grad", "hess"), cf._factor_jet(u, pts), expect):
+            assert have.shape == want.shape, (name, part)
+            assert have.tobytes() == want.tobytes(), (name, part)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_fd_factor_is_one_stencil_call_per_batch(n, rng):
+    from schouten.bubbles import Bubble
+
+    b = Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n))
+    pts = rng.uniform(-1.0, 1.0, (10, n))
+    stencil = ((1 + 2 * n * n) * len(pts), n)
+    for g in (cf.MetricField.flat(n), cf.MetricField.sphere_normal(n)):
+        geom = cf.chart_geometry(g, pts)
+        for richardson, expect in ((False, [stencil]), (True, [stencil, stencil])):
+            value_fn, calls = _counting(b.value)
+            u = cf.ConformalFactor(n=n, value_fn=value_fn, richardson=richardson)
+            cf.conformal_schouten_eigs(g, u, pts, geometry=geom)
+            assert calls == expect, (g.name, richardson)
 
 
 # -- argument checks ----------------------------------------------------------
