@@ -20,12 +20,13 @@ the (s, t) continuation is the one homotopy, a bisecting walk in which a
 failed leg is halved toward its target.  The module also hosts the
 semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
 its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
-Jacobian at t = 0, u = 1 (uniform grid only).
+Jacobian at t = 0, u = 1.
 
 A radial grid is its kind and node count.  ``RadialProfile`` holds (n,
 values, grid); theta, D1, D2, cot(theta) and the pole mask come from one
 cached builder, ``_grid(grid, num_nodes)``, read-only and shared by every
-profile on that grid.
+profile on that grid.  Both kinds, the three-point "uniform" stencils and
+the spectral "cosine" collocation, share the nodes theta_j = j pi / (m - 1).
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
@@ -52,14 +53,12 @@ eps * || |J| |u| ||_inf (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 7): the first-order change of the residual when u moves by
 one rounding unit relative.  A run stops once its residual falls to
 max(tol, rho); if rho > tol its residual cannot be told from rounding at
-tol, and it raises ``ContinuationError`` naming rho and the tolerance.  The
-spectral second-derivative matrix grows like the fourth power of the node
-count, and on the Lobatto grid with 40 nodes or more rho exceeds the
-default tolerance 1e-10: those solves raise.  A stopped run is accepted
-only if its normwise backward error eta = ||r||_inf / || |J| |u| ||_inf is
-at most 1e-6 (``_ETA_MAX``): that refuses a state whose scale has collapsed
-(u ~ 1e10, where rho shrinks with the state and the residual passes tol
-only in absolute terms).
+tol, and it raises ``ContinuationError`` naming rho and the tolerance.  On
+both grids rho grows like the square of the node count.  A stopped run is
+accepted only if its normwise backward error
+eta = ||r||_inf / || |J| |u| ||_inf is at most 1e-6 (``_ETA_MAX``): that
+refuses a state whose scale has collapsed (u ~ 1e10, where rho shrinks
+with the state and the residual passes tol only in absolute terms).
 
 scipy is imported lazily: ``scipy.linalg`` loads at the first Newton run
 of the process (``_damped_newton``), so importing the module, or running
@@ -113,17 +112,6 @@ def __getattr__(name):
 # discretisation
 # ---------------------------------------------------------------------------
 
-def _cheb_matrix(m):
-    # Chebyshev-Lobatto differentiation matrix on x_j = cos(j pi / m), m >= 1
-    x = np.cos(np.pi * np.arange(m + 1) / m)
-    c = np.hstack([2.0, np.ones(m - 1), 2.0]) * (-1.0) ** np.arange(m + 1)
-    xm = np.tile(x, (m + 1, 1)).T
-    dx = xm - xm.T + np.eye(m + 1)
-    d = np.outer(c, 1.0 / c) / dx
-    d -= np.diag(d.sum(axis=1))
-    return d, x
-
-
 def _stencil_d1(v, h):
     out = np.empty_like(v)
     out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
@@ -140,30 +128,46 @@ def _stencil_d2(v, h):
     return out
 
 
+def _cosine_matrices(m):
+    # even Fourier collocation: the periodic differentiation matrices of the
+    # 2(m-1)-point even extension (Trefethen, Spectral Methods in MATLAB,
+    # ch. 3), each column folded with its mirror image onto the m nodes
+    big, h = 2 * (m - 1), math.pi / (m - 1)
+    k = np.arange(1, big)
+    sign = (-1.0) ** k
+    c1 = np.concatenate([[0.0], 0.5 * sign / np.tan(0.5 * h * k)])
+    c2 = np.concatenate([[-math.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0],
+                         -0.5 * sign / np.sin(0.5 * h * k) ** 2])
+    i, j = np.ogrid[:m, :m]
+    d1, d2 = c1[(i - j) % big], c2[(i - j) % big]
+    mirror = (i + j[:, 1:-1]) % big
+    d1[:, 1:-1] += c1[mirror]
+    d2[:, 1:-1] += c2[mirror]
+    d1[[0, -1], :] = 0.0  # the pole rows: u' = 0 there
+    return d1, d2
+
+
 @functools.lru_cache(maxsize=None)
 def _grid(grid, num_nodes):
     """Read-only (theta, D1, D2, cot(theta), pole mask) of a radial grid.
 
-    The uniform grid's matrices are the three-point stencils applied to the
-    identity (even reflection at the poles).  On the Lobatto grid D2 squares
-    the full spectral first-derivative matrix, then the pole rows of D1 are
-    zeroed (Neumann compatibility).  cot(theta) is 0 at the poles.
+    theta, cot(theta) (0 at the poles) and the pole mask are the same for
+    both kinds; only D1 and D2 differ.  The uniform grid's are the
+    three-point stencils applied to the identity (even reflection at the
+    poles).  The cosine grid's (``_cosine_matrices``) are exact on
+    cos(l theta), l < m, so u'(0) = u'(pi) = 0 holds by construction and -L
+    has the zonal spectrum l(l + n - 1).
     """
-    if grid not in ("uniform", "lobatto"):
-        raise ValueError(f"grid must be 'uniform' or 'lobatto', got {grid!r}")
+    if grid not in ("uniform", "cosine"):
+        raise ValueError(f"grid must be 'uniform' or 'cosine', got {grid!r}")
     if num_nodes < 3:
         raise ValueError(f"radial profile needs at least 3 nodes, got {num_nodes}")
+    theta = np.linspace(0.0, math.pi, num_nodes)
     if grid == "uniform":
-        theta = np.linspace(0.0, math.pi, num_nodes)
         eye, h = np.eye(num_nodes), theta[1] - theta[0]
         d1, d2 = _stencil_d1(eye, h), _stencil_d2(eye, h)
     else:
-        dc, x = _cheb_matrix(num_nodes - 1)
-        theta = (math.pi / 2.0) * (1.0 - x)
-        d1 = -(2.0 / math.pi) * dc
-        d2 = d1 @ d1
-        d1[0, :] = 0.0
-        d1[-1, :] = 0.0
+        d1, d2 = _cosine_matrices(num_nodes)
     cot = np.zeros(num_nodes)
     cot[1:-1] = 1.0 / np.tan(theta[1:-1])
     pole = np.zeros(num_nodes, dtype=bool)
@@ -180,10 +184,10 @@ class RadialProfile:
 
     A grid is its kind and node count: theta and every grid operator are
     derived from (``grid``, ``len(values)``), built once and shared
-    read-only.  Both endpoints are grid nodes; the discretisation enforces
-    the Neumann compatibility u'(0) = u'(pi) = 0 (even reflection on the
-    uniform grid, zeroed pole rows of the spectral derivative on the
-    Lobatto grid).
+    read-only.  Both kinds ("uniform" and "cosine") share the nodes
+    theta_j = j pi / (m - 1), both endpoints included; the discretisation
+    enforces the Neumann compatibility u'(0) = u'(pi) = 0 (even reflection
+    on the uniform grid, even Fourier collocation on the cosine grid).
     """
 
     n: int
@@ -659,14 +663,10 @@ def linearized_H0_spectrum(profile, m, return_vectors=False):
 
     The operator is the linearisation of H_0 at u = 1 (``_ht_jacobian``).
     The unique nonpositive eigenvalue is -2 with constant eigenfunction; the
-    rest of the spectrum is the radial Laplacian spectrum on mean-zero fields.
-    Only the uniform grid is accepted: the Lobatto D2, the square of the full
-    first-derivative matrix, does not see the Neumann condition, and its
-    spectrum has spurious large negative eigenvalues.
+    rest of the spectrum is the radial Laplacian spectrum on mean-zero fields,
+    exactly l(l + n - 1) on the cosine grid and to second order in the node
+    spacing on the uniform grid.
     """
-    if profile.grid != "uniform":
-        raise ValueError(f"linearized_H0_spectrum needs the uniform grid, got {profile.grid!r}:"
-                         " the Lobatto D2 ignores the Neumann condition")
     a = _ht_jacobian(profile, 0.0, np.ones(profile.num_nodes))
     vals, vecs = np.linalg.eig(a)
     order = np.argsort(vals.real)

@@ -262,7 +262,7 @@ def test_criterion_11_cross_module_consistency():
             return u(th) * (p1 ** 2 + p2)
 
         prof = sv.RadialProfile.make(n, 128, values=lambda th: u(th),
-                                     grid="lobatto")
+                                     grid="cosine")
         interior = np.flatnonzero((prof.theta > 0.3)
                                   & (prof.theta < math.pi - 0.3))
         j = int(rng.choice(interior))

@@ -203,6 +203,8 @@ def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, node
     # mus up to the closed form (n - k)/k = 4/3 for [7, 3]; bisection puts
     # mu_plus above it
     ({"kind": "verify barrier-super", "pairs": [[7, 3]], "mus": [4.0 / 3.0]}, "mus"),
+    # the Chebyshev-Lobatto grid is gone; the cosine grid replaced it
+    ({"kind": "solve radial", "grid": "lobatto"}, "grid"),
 ])
 def test_malformed_number_or_pair_exit_two(tmp_path, capsys, spec, field):
     # a value the runners cannot read is a config error naming the field,
@@ -392,6 +394,20 @@ def test_solve_campaigns_write_transcripts(tmp_path):
     rows = [line.split() for line in profile.strip().splitlines()]
     assert len(rows) == 48 and all(len(r) == 2 for r in rows)
     assert (tmp_path / "out" / "homotopy" / "solve_homotopy.csv").exists()
+
+
+def test_cosine_grid_replaces_lobatto(tmp_path, capsys):
+    # the removed Chebyshev-Lobatto grid is a config error naming the grid
+    # that replaced it, and a cosine-grid solve runs to s = 0 at u = 1
+    cfg = write_cfg(tmp_path, {"x": {"kind": "solve radial", "grid": "lobatto"}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "one of uniform, cosine" in capsys.readouterr().err
+    summary = cli.run_campaigns({"campaigns": {"r": {
+        "kind": "solve radial", "dim": 4, "k": 2, "nodes": 48, "steps": 5,
+        "grid": "cosine"}}}, tmp_path / "out")
+    result = summary["results"][0]
+    assert result["passed"], result
+    assert result["max_dev_from_const"] <= 1e-8
 
 
 def test_one_step_homotopy_bisects_past_the_collapsed_scale(tmp_path):

@@ -39,7 +39,7 @@ def test_profile_validation():
         sv.RadialProfile.make(4, 32, grid="nope")
 
 
-@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("grid", ["uniform", "cosine"])
 def test_profile_rejects_bad_dimension_grid_and_lengths(grid):
     # each used to get through and fail later: n = 2 with a bare
     # ZeroDivisionError in the eigenvalues, one node with an IndexError and
@@ -54,7 +54,7 @@ def test_profile_rejects_bad_dimension_grid_and_lengths(grid):
     sv.RadialProfile.make(3, 3, grid=grid)  # the least accepted
 
 
-@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("grid", ["uniform", "cosine"])
 def test_with_values_keeps_the_node_count(grid):
     # theta is derived from (grid, node count), so new values of another
     # length would silently move the grid
@@ -65,7 +65,7 @@ def test_with_values_keeps_the_node_count(grid):
     assert prof.with_values(2.0 * np.ones(16)).theta is prof.theta
 
 
-@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("grid", ["uniform", "cosine"])
 def test_profiles_on_one_grid_share_read_only_operators(grid):
     a = sv.RadialProfile.make(4, 24, grid=grid)
     b = sv.RadialProfile.make(3, 24, values=lambda th: 2.0 + np.cos(th), grid=grid)
@@ -76,8 +76,13 @@ def test_profiles_on_one_grid_share_read_only_operators(grid):
     assert a.theta[0] == 0.0 and a.theta[-1] == math.pi
     assert list(np.flatnonzero(a.pole_mask())) == [0, 23]
     assert a.cot_theta()[0] == a.cot_theta()[-1] == 0.0
-    other = sv.RadialProfile.make(4, 24, grid="lobatto" if grid == "uniform" else "uniform")
-    assert other.theta is not a.theta
+    # the other kind: its own operators on the same nodes
+    other = sv.RadialProfile.make(4, 24, grid="cosine" if grid == "uniform" else "uniform")
+    assert other.theta is not a.theta and other.d2_matrix() is not a.d2_matrix()
+    assert np.array_equal(other.theta, a.theta)
+    assert np.array_equal(other.cot_theta(), a.cot_theta())
+    assert np.array_equal(other.pole_mask(), a.pole_mask())
+    assert np.array_equal(other.quad_weights(), a.quad_weights())
 
 
 def test_radial_eigs_constant_profiles():
@@ -123,11 +128,11 @@ def test_radial_eigs_cross_check_against_chart(rng):
             assert np.abs(chart - closed).max() < 1e-10
 
 
-def test_radial_eigs_lobatto_grid_matches_exact(rng):
+def test_radial_eigs_cosine_grid_matches_exact(rng):
     # spectral differentiation reproduces the analytic profile derivatives
     n = 4
     u, up, upp = trig_profile(rng)
-    prof = sv.RadialProfile.make(n, 96, values=u, grid="lobatto")
+    prof = sv.RadialProfile.make(n, 96, values=u, grid="cosine")
     j = 40
     lam_grid = sv.radial_schouten_eigs(prof, j)
     th = prof.theta[j:j + 1]
@@ -272,14 +277,69 @@ def test_linearized_spectrum_facts():
         assert np.sum(np.asarray(vals) <= 1e-8) == 1
 
 
+def _zonal_spectrum(n, m):
+    # -Lap on radial functions of S^n: l(l + n - 1) with eigenfunction the
+    # zonal harmonic of degree l; the cosine grid resolves l = 0..m-1
+    ell = np.arange(m)
+    return ell * (ell + n - 1.0)
+
+
+@pytest.mark.parametrize("m", [3, 12, 24, 32, 48, 64])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_cosine_laplacian_has_the_zonal_spectrum(n, m):
+    # the whole spectrum of -L is l(l + n - 1), l = 0..m-1, with no spurious
+    # mode (a Chebyshev D2 that ignores u'(0) = u'(pi) = 0 had eigenvalues
+    # down to -1308 at 12 nodes, n = 3)
+    prof = sv.RadialProfile.make(n, m, grid="cosine")
+    vals = np.linalg.eigvals(-prof.laplacian(np.eye(m)))
+    exact = _zonal_spectrum(n, m)
+    assert np.abs(vals.imag).max() <= 1e-9 * exact[-1]
+    err = np.abs(np.sort(vals.real) - exact)
+    assert np.all(err <= 1e-9 * np.maximum(1.0, exact))
+
+
 @pytest.mark.parametrize("nodes", [12, 32])
-def test_linearized_spectrum_rejects_the_lobatto_grid(nodes):
-    # its D2 squares the full first-derivative matrix and ignores the Neumann
-    # condition: n = 3 gave -1308.3, -1228.7 and -2 at 12 nodes, breaking the
-    # "unique nonpositive eigenvalue -2" contract
-    prof = sv.RadialProfile.make(3, nodes, grid="lobatto")
-    with pytest.raises(ValueError, match="'lobatto'"):
-        sv.linearized_H0_spectrum(prof, 3)
+def test_linearized_spectrum_on_the_cosine_grid_is_exact(nodes):
+    # -2 with the constant eigenfunction, then the zonal spectrum l(l + n - 1)
+    # from l = 1 on: the mean term of H_0 moves only the constant mode
+    for n in (3, 4, 5, 6):
+        prof = sv.RadialProfile.make(n, nodes, grid="cosine")
+        vals, vecs = sv.linearized_H0_spectrum(prof, nodes, return_vectors=True)
+        want = np.concatenate([[-2.0], _zonal_spectrum(n, nodes)[1:]])
+        assert np.all(np.abs(vals - want) <= 1e-9 * np.maximum(1.0, np.abs(want)))
+        v0 = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        assert np.abs(v0 - v0.mean()).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_cosine_matrices_differentiate_smooth_even_profiles(m):
+    # u = exp(0.3 cos(theta)) against its analytic derivatives; the uniform
+    # stencils miss by 2.8e-3 at 16 nodes
+    prof = sv.RadialProfile.make(4, m, grid="cosine", values=lambda th: np.exp(0.3 * np.cos(th)))
+    th, u = prof.theta, prof.values
+    up = -0.3 * np.sin(th) * u
+    upp = (0.09 * np.sin(th) ** 2 - 0.3 * np.cos(th)) * u
+    for got, want in ((prof.d1(), up), (prof.d2(), upp),
+                      (prof.d1_matrix() @ u, up), (prof.d2_matrix() @ u, upp)):
+        assert np.abs(got - want).max() <= 1e-10
+    assert prof.d1()[0] == prof.d1()[-1] == 0.0
+
+
+# u(0) and u(pi) of the s = 1 solve below (n = 4, k = 2, psi = 1 + 0.1 cos)
+# on the earlier 32-node Chebyshev-Lobatto grid; its 16-, 24- and 32-node
+# solves agreed to 3.1e-12
+LOBATTO_POLES = (1.0989866574323166, 0.900958887201896)
+
+
+@pytest.mark.parametrize("m", [16, 24, 32, 64, 128])
+def test_cosine_solve_matches_the_spectral_reference(m):
+    # the Lobatto grid raised the resolution stop at 64 and 128 nodes
+    f = CurvatureFunction.sigma_root(4, 2)
+    prof = sv.RadialProfile.make(4, m, grid="cosine")
+    state = sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th))
+    assert state.newton_iterations == 4 and state.residual_norm <= 1e-10
+    poles = state.profile.values[[0, -1]]
+    assert np.abs(poles - LOBATTO_POLES).max() <= 1e-9
 
 
 def test_h_t_checkpoints_are_members_of_the_family():
@@ -300,7 +360,7 @@ def test_h_t_checkpoints_are_members_of_the_family():
         assert np.allclose(sv.linearized_H0_spectrum(prof, 4), want, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("grid", ["uniform", "cosine"])
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_laplacian_matrix_matches_hand_built_stencil(n, grid):
     # oracle: D2 + (n-1) cot(theta) D1 from the derivative matrices, with the
@@ -548,17 +608,18 @@ def test_rhs_sweep_failure_raises_without_state(monkeypatch):
 
 
 def test_resolution_error_names_the_direct_solve(monkeypatch):
-    # at the default tolerance the Lobatto solves from 40 nodes on meet the
-    # resolution stop in their one Newton run, and the error says so; its
-    # backward error eta says that the state is converged to rounding
+    # tol 1e-14 lies below the residual's resolution on 64 nodes (rho about
+    # 8.8e-13 uniform, 2.2e-12 cosine): each solve meets the resolution stop
+    # in its one Newton run, and the error says so; its backward error eta
+    # says that the state is converged to rounding
     f = CurvatureFunction.sigma_root(4, 2)
     runs = _counted_newton_runs(monkeypatch)
-    for m in (40, 48, 64):
+    for grid in ("uniform", "cosine"):
         runs.clear()
-        prof = sv.RadialProfile.make(4, m, grid="lobatto")
+        prof = sv.RadialProfile.make(4, 64, grid=grid)
         with pytest.raises(ContinuationError) as err:
-            sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th), tol=1e-10)
-        assert str(err.value).startswith("tolerance 1e-10 lies below the resolution")
+            sv.newton_solve(prof, f, 1.0, psi=lambda th: 1.0 + 0.1 * np.cos(th), tol=1e-14)
+        assert str(err.value).startswith("tolerance 1e-14 lies below the resolution")
         eta = re.search(r"backward error eta = (\S+)\)$", str(err.value))
         assert eta is not None and float(eta.group(1)) < 1e-14
         assert err.value.last_state is None
@@ -568,9 +629,9 @@ def test_resolution_error_names_the_direct_solve(monkeypatch):
 def test_cold_sphere_start_at_s0_raises_and_the_walk_reaches_it(monkeypatch):
     # the round sphere at s = 0, psi = 1 (sigma_4 in n = 4): the solutions
     # form a noncompact conformal family, and a cold start off u = 1 stalls
-    # in its one Newton run; walking s down from 1 reaches s = 0 at u = 1
-    prof = sv.RadialProfile.make(4, 24, grid="lobatto",
-                                 values=lambda th: 1.0 + 0.06 * np.cos(th))
+    # in its one Newton run (at residual 0.72, far above tol); walking s down
+    # from 1 reaches s = 0 at u = 1
+    prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.06 * np.cos(th))
     f = CurvatureFunction.sigma_root(4, 4)
     runs = _counted_newton_runs(monkeypatch)
     with pytest.raises(ContinuationError) as err:
@@ -606,36 +667,42 @@ def test_uniform_stencil_matrices_are_the_three_point_stencils():
     assert sv._grid.cache_info().misses == 4
 
 
-def _fresh_lobatto_matrices(num_nodes):
-    # the per-call build: d2 squares the full first-derivative matrix, whose
-    # pole rows are then zeroed for d1
-    dc, _ = sv._cheb_matrix(num_nodes - 1)
-    d = -(2.0 / math.pi) * dc
-    d1 = d.copy()
-    d1[0, :] = 0.0
-    d1[-1, :] = 0.0
-    return d1, d @ d
+def _fresh_cosine_matrices(num_nodes):
+    # the periodic Fourier matrices of the 2(m-1)-point even extension as
+    # Toeplitz matrices (Trefethen, Spectral Methods in MATLAB, ch. 3), times
+    # the even-extension map of the m nodes, with zeroed pole rows in D1
+    from scipy.linalg import toeplitz
+
+    big, h = 2 * (num_nodes - 1), math.pi / (num_nodes - 1)
+    k = np.arange(1, big)
+    col1 = np.concatenate([[0.0], 0.5 * (-1.0) ** k / np.tan(0.5 * k * h)])
+    col2 = np.concatenate([[-math.pi ** 2 / (3.0 * h ** 2) - 1.0 / 6.0],
+                           -0.5 * (-1.0) ** k / np.sin(0.5 * k * h) ** 2])
+    extend = np.zeros((big, num_nodes))
+    extend[np.arange(big), np.minimum(np.arange(big), big - np.arange(big))] = 1.0
+    d1, d2 = ((toeplitz(col, col[np.r_[0, big - 1:0:-1]]) @ extend)[:num_nodes]
+              for col in (col1, col2))
+    d1[[0, -1], :] = 0.0
+    return d1, d2
 
 
-def test_lobatto_matrices_built_once_per_node_count(monkeypatch):
-    # tol 1e-9 lies above the residual's resolution on 40 Lobatto nodes
-    # (about 1.7e-10), which the default 1e-10 does not
+def test_cosine_matrices_built_once_per_node_count(monkeypatch):
     f = CurvatureFunction.sigma_root(4, 2)
     prof = sv.RadialProfile.make(4, 40, values=lambda th: 1.0 + 0.05 * np.cos(th),
-                                 grid="lobatto")
+                                 grid="cosine")
     builds = []
-    real = sv._cheb_matrix
-    monkeypatch.setattr(sv, "_cheb_matrix", lambda m: builds.append(m) or real(m))
+    real = sv._cosine_matrices
+    monkeypatch.setattr(sv, "_cosine_matrices", lambda m: builds.append(m) or real(m))
     sv._grid.cache_clear()
-    cached = sv.newton_solve(prof, f, 1.0, tol=1e-9)
-    assert cached.newton_iterations > 0 and builds == [39]
+    cached = sv.newton_solve(prof, f, 1.0)
+    assert cached.newton_iterations > 0 and builds == [40]
     d1, d2 = prof.d1_matrix(), prof.d2_matrix()
     assert not d1.flags.writeable and not d2.flags.writeable
-    fresh = _fresh_lobatto_matrices(40)
+    fresh = _fresh_cosine_matrices(40)
     assert np.array_equal(d1, fresh[0]) and np.array_equal(d2, fresh[1])
     # the same solve with the grid built afresh at every call
     monkeypatch.setattr(sv, "_grid", sv._grid.__wrapped__)
-    rebuilt = sv.newton_solve(prof, f, 1.0, tol=1e-9)
+    rebuilt = sv.newton_solve(prof, f, 1.0)
     assert np.array_equal(cached.profile.values, rebuilt.profile.values)
     assert cached.newton_iterations == rebuilt.newton_iterations
 
@@ -720,7 +787,7 @@ def _newton_runs(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("grid", ["uniform", "lobatto"])
+@pytest.mark.parametrize("grid", ["uniform", "cosine"])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_exact_jacobian_matches_fd_oracle(monkeypatch, n, grid):
     # every k and t in {1, 0.5, 0}: the solve's Jacobian at s = 0.5 and at
@@ -891,13 +958,13 @@ def test_fd_jacobian_near_the_wall_moves_toward_exact():
     assert abs(fine[i, j] - exact[i, j]) < abs(oracle[i, j] - exact[i, j])
 
 
-def test_lobatto_and_ht_jacobians_are_not_banded():
+def test_cosine_and_ht_jacobians_are_not_banded():
     # both couple nodes beyond the three-point band
     f = CurvatureFunction.sigma_root(4, 2)
-    lob = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th),
-                                grid="lobatto")
+    cosine = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th),
+                                   grid="cosine")
     uni = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th))
-    for jac in (_exact_jacobian(lob, f, 1.0, np.ones(16))(lob.values),
+    for jac in (_exact_jacobian(cosine, f, 1.0, np.ones(16))(cosine.values),
                 sv._ht_jacobian(uni, 0.5, uni.values)):
         rows, cols = np.nonzero(jac)
         assert np.abs(rows - cols).max() > 1
@@ -1050,7 +1117,7 @@ def test_certificate_agrees_with_the_newton_loop(monkeypatch):
 # the resolution stop
 # ---------------------------------------------------------------------------
 
-GRIDS = [("lobatto", 32), ("lobatto", 40), ("lobatto", 48), ("lobatto", 64),
+GRIDS = [("cosine", 32), ("cosine", 40), ("cosine", 48), ("cosine", 64),
          ("uniform", 64), ("uniform", 128)]
 
 
@@ -1073,20 +1140,19 @@ def test_resolution_matches_one_ulp_probes(grid, m):
 
 @pytest.mark.parametrize("grid, m", GRIDS)
 def test_newton_stops_at_resolution(grid, m):
-    # at tol 1e-10 the Lobatto grids from 40 nodes on raise an error that
-    # names rho and tol; Lobatto 32 and the uniform grids converge
+    # every grid converges at tol 1e-10 (rho grows like m^2 on both kinds;
+    # a Chebyshev D2, whose rho grew like m^4, raised from 40 nodes on); at
+    # tol 1e-14, below rho, each raises promptly an error that names rho and tol
     f = CurvatureFunction.sigma_root(4, 2)
     prof = sv.RadialProfile.make(4, m, grid=grid)
     psi = lambda th: 1.0 + 0.1 * np.cos(th)
-    if grid == "lobatto" and m >= 40:
-        t0 = time.perf_counter()
-        with pytest.raises(ContinuationError,
-                           match=r"tolerance 1e-10 lies below the resolution rho = "):
-            sv.newton_solve(prof, f, 1.0, psi=psi)
-        assert time.perf_counter() - t0 < 0.5
-    else:
-        state = sv.newton_solve(prof, f, 1.0, psi=psi)
-        assert state.residual_norm <= 1e-10 and state.max_u > 1.05
+    state = sv.newton_solve(prof, f, 1.0, psi=psi)
+    assert state.residual_norm <= 1e-10 and state.max_u > 1.05
+    t0 = time.perf_counter()
+    with pytest.raises(ContinuationError,
+                       match=r"tolerance 1e-14 lies below the resolution rho = "):
+        sv.newton_solve(prof, f, 1.0, psi=psi, tol=1e-14)
+    assert time.perf_counter() - t0 < 0.5
 
 
 # ---------------------------------------------------------------------------
