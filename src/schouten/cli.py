@@ -364,7 +364,7 @@ _SWEEP = {name: (field, _SWEEP_DEFAULT[name]) for name, field in [
     ("background", _one_of(*barriers.BACKGROUNDS))]}
 _SOLVE = {"steps": (_ints(1), 20), "tolerance": (_POSITIVE, 1e-10),
           "dev_tolerance": (_POSITIVE, 1e-8),
-          "grid": (_one_of("uniform", "cosine"), "uniform")}
+          "grid": (_one_of(*solver.GRIDS), "uniform")}
 
 # defaults are immutable, since every campaign shares them; a None default
 # depends on another field and the runner fills it in.  A radial grid needs

@@ -27,14 +27,16 @@ sectional curvature K, Ric = (n-1) K g exactly; a metric that declares its
 ``sphere_polar``, K = 1) reads Ricci in that closed form and evaluates no
 second derivatives, so ``ricci_background``, ``scalar_curvature`` and
 ``schouten_background`` (A_g = K g / 2) read it too.  The trace assembly
-stays for every other metric and as the oracle.  A finite-difference
-Hessian evaluates its 1 + 2n^2 stencil point sets in one call of the field,
-as a finite-difference gradient does with its 2n.  That stencil holds the
-centre and every +-h e_k set, so it is the whole jet: the conformal
-operations read a factor as one jet (u, du, d^2 u) per point batch, and a
-finite-difference factor evaluates ``value_fn`` once per batch (twice with
-Richardson), where reading value, gradient and Hessian apart would take
-three calls.
+stays for every other metric and as the oracle.
+
+Every finite-difference derivative of a field, first or second, metric or
+factor, reads one stencil pass (``_fd_jet``): the 1 + 2n^2 point sets of the
+second difference in one call of the field (two with Richardson, through
+``_richardson_jet``).  That stencil holds the centre and every +-h e_k set,
+so it is the whole jet (f, d f, d^2 f).  The conformal operations read a
+factor as one jet (u, du, d^2 u) per point batch, and the chart geometry
+reads a finite-difference metric's (g, d g, d^2 g) from one call of
+``value_fn`` per batch (two with Richardson), keeping d^2 g for Ricci.
 
 All operations accept a single point ``(n,)`` or a batch ``(B, n)`` and are
 vectorised over the batch.
@@ -120,44 +122,22 @@ def _unbatch(arr, single):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _d1_offsets(n):
-    """Unit stencil of the central first difference: +e_k, -e_k for each k."""
-    eye = np.eye(n)
-    return np.stack([eye, -eye], axis=1).reshape(2 * n, n)
-
-
-@functools.lru_cache(maxsize=None)
 def _d2_offsets(n):
-    """Unit stencil of the second difference: the centre, +-e_k for each k,
-    then e_k, e_l with signs ++, +-, -+, -- for each pair k < l."""
+    """Unit stencil of the second difference: the centre, +e_k, -e_k for each
+    k, then e_k, e_l with signs ++, +-, -+, -- for each pair k < l."""
     eye = np.eye(n)
     ku, lu = np.triu_indices(n, 1)
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     mixed = (signs[None, :, 0, None] * eye[ku][:, None]
              + signs[None, :, 1, None] * eye[lu][:, None])
-    return np.concatenate([np.zeros((1, n)), _d1_offsets(n), mixed.reshape(-1, n)])
-
-
-def _central_d1(vals, h):
-    # vals: fn on the 2n point sets x + h e_k, x - h e_k in ``_d1_offsets``
-    # order, stacked (2n, B, ...); returns the central differences (B, n, ...).
-    vals = vals.reshape((-1, 2) + vals.shape[1:])
-    return np.moveaxis((vals[:, 0] - vals[:, 1]) / (2 * h), 0, 1)
-
-
-def _fd_d1(fn, x, h):
-    # fn: (B,n) -> (B, ...); returns (B, n, ...).  One call of fn on the 2n
-    # stencil point sets x + h e_k, x - h e_k.
-    B, n = x.shape
-    pts = x + h * _d1_offsets(n)[:, None, :]
-    vals = fn(pts.reshape(2 * n * B, n))
-    return _central_d1(vals.reshape((2 * n, B) + vals.shape[1:]), h)
+    return np.concatenate([np.zeros((1, n)), np.stack([eye, -eye], axis=1).reshape(2 * n, n),
+                           mixed.reshape(-1, n)])
 
 
 def _fd_jet(fn, x, h):
     """f, d f (B, n, ...) and the symmetric d^2 f (B, n, n, ...) from one call
     of fn on the stacked 1 + 2n^2 point sets of ``_d2_offsets``.  The centre
-    row, exactly x, is f; the +-h e_k rows give d f by ``_central_d1``."""
+    row, exactly x, is f; the +-h e_k rows give the central differences d f."""
     B, n = x.shape
     idx = np.arange(n)
     ku, lu = np.triu_indices(n, 1)
@@ -168,30 +148,26 @@ def _fd_jet(fn, x, h):
     vals = fn(pts.reshape(-1, n))
     vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
     f0 = vals[0]
+    d1 = np.moveaxis((vals[diag] - vals[diag + 1]) / (2 * h), 0, 1)
     out = np.zeros((B, n, n) + f0.shape[1:])
     out[:, idx, idx] = np.swapaxes((vals[diag] - 2.0 * f0 + vals[diag + 1]) / h ** 2, 0, 1)
     cross = np.swapaxes((vals[mixed] - vals[mixed + 1] - vals[mixed + 2] + vals[mixed + 3])
                         / (4.0 * h ** 2), 0, 1)
     out[:, ku, lu] = cross
     out[:, lu, ku] = cross
-    return f0, _central_d1(vals[1:1 + 2 * n], h), out
+    return f0, d1, out
 
 
-def _fd_d2(fn, x, h):
-    # returns (B, n, n, ...): the second-derivative part of ``_fd_jet``.
-    return _fd_jet(fn, x, h)[2]
-
-
-def _derivative(field, exact_fn, fd_op, xb):
-    """``exact_fn(xb)`` when given, else ``fd_op`` central differences of
-    ``field.value_fn`` with step ``field.h`` (Richardson-refined when
-    ``field.richardson``)."""
-    if exact_fn is not None:
-        return exact_fn(xb)
+def _richardson_jet(field, xb):
+    """(f, d f, d^2 f) of ``field.value_fn`` on ``xb`` with step ``field.h``:
+    one ``_fd_jet`` call, or with ``field.richardson`` two, at h/2 and h,
+    combined as (4 D_(h/2) - D_h) / 3 (f is the first call's centre row)."""
     fn, h = field.value_fn, field.h
-    if field.richardson:
-        return (4.0 * fd_op(fn, xb, h / 2.0) - fd_op(fn, xb, h)) / 3.0
-    return fd_op(fn, xb, h)
+    if not field.richardson:
+        return _fd_jet(fn, xb, h)
+    f0, d1, d2 = _fd_jet(fn, xb, h / 2.0)
+    _, d1_h, d2_h = _fd_jet(fn, xb, h)
+    return f0, (4.0 * d1 - d1_h) / 3.0, (4.0 * d2 - d2_h) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -245,12 +221,14 @@ class MetricField:
     def d1(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        return _unbatch(_derivative(self, self.d1_fn, _fd_d1, xb), single)
+        d1 = self.d1_fn(xb) if self.d1_fn is not None else _richardson_jet(self, xb)[1]
+        return _unbatch(d1, single)
 
     def d2(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        return _unbatch(_derivative(self, self.d2_fn, _fd_d2, xb), single)
+        d2 = self.d2_fn(xb) if self.d2_fn is not None else _richardson_jet(self, xb)[2]
+        return _unbatch(d2, single)
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
         """Same components, derivatives forced to finite differences, and no
@@ -294,26 +272,23 @@ class MetricField:
             core = s[:, None, None] * eye - x[:, :, None] * x[:, None, :]
             return eye + q[:, None, None] * core
 
-        def d1(x):
+        def parts(x):
             s = (x ** 2).sum(axis=1)
-            q, q1, _ = _sphere_q(s)
             core = s[:, None, None] * eye - x[:, :, None] * x[:, None, :]
             # d_k core_ij = 2 x_k delta_ij - delta_ik x_j - x_i delta_jk
             dcore = (2.0 * x[:, :, None, None] * eye[None, None, :, :]
                      - eye[None, :, :, None] * x[:, None, None, :]
                      - x[:, None, :, None] * eye[None, :, None, :])
+            return _sphere_q(s), core, dcore
+
+        def d1(x):
+            (q, q1, _), core, dcore = parts(x)
             return (2.0 * q1[:, None, None, None] * x[:, :, None, None] * core[:, None]
                     + q[:, None, None, None] * dcore)
 
         def d2(x):
-            B = x.shape[0]
-            s = (x ** 2).sum(axis=1)
-            q, q1, q2 = _sphere_q(s)
-            core = s[:, None, None] * eye - x[:, :, None] * x[:, None, :]
-            dcore = (2.0 * x[:, :, None, None] * eye[None, None, :, :]
-                     - eye[None, :, :, None] * x[:, None, None, :]
-                     - x[:, None, :, None] * eye[None, :, None, :])
-            out = np.zeros((B, n, n, n, n))
+            (q, q1, q2), core, dcore = parts(x)
+            out = np.zeros((x.shape[0], n, n, n, n))
             xx = x[:, :, None, None, None] * x[:, None, :, None, None]
             out += 4.0 * q2[:, None, None, None, None] * xx * core[:, None, None]
             out += 2.0 * q1[:, None, None, None, None] * eye[None, :, :, None, None] \
@@ -452,11 +427,13 @@ class ConformalFactor:
 
     def grad(self, x):
         xb, single = _batchify(x, self.n)
-        return _unbatch(_derivative(self, self.grad_fn, _fd_d1, xb), single)
+        du = self.grad_fn(xb) if self.grad_fn is not None else _richardson_jet(self, xb)[1]
+        return _unbatch(du, single)
 
     def hess(self, x):
         xb, single = _batchify(x, self.n)
-        return _unbatch(_derivative(self, self.hess_fn, _fd_d2, xb), single)
+        d2u = self.hess_fn(xb) if self.hess_fn is not None else _richardson_jet(self, xb)[2]
+        return _unbatch(d2u, single)
 
     def with_fd(self, h=_DEFAULT_H, richardson=False):
         return replace(self, grad_fn=None, hess_fn=None, h=h, richardson=richardson)
@@ -504,18 +481,13 @@ class ConformalFactor:
 
 def _factor_jet(u, xb):
     """``(u.value, u.grad, u.hess)`` on the batch ``xb``, bit for bit: the
-    factor's callables where it has them, the rest from one call of
-    ``value_fn`` on the ``_fd_jet`` stencil (two with Richardson), whose
-    centre row is the value."""
-    if u.hess_fn is not None:
-        return u.value_fn(xb), _derivative(u, u.grad_fn, _fd_d1, xb), u.hess_fn(xb)
-    val, du, d2u = _fd_jet(u.value_fn, xb, u.h / 2.0 if u.richardson else u.h)
-    if u.richardson:
-        _, du_h, d2u_h = _fd_jet(u.value_fn, xb, u.h)
-        du, d2u = (4.0 * du - du_h) / 3.0, (4.0 * d2u - d2u_h) / 3.0
-    if u.grad_fn is not None:
-        du = u.grad_fn(xb)
-    return val, du, d2u
+    factor's callables where it has both, else one ``_richardson_jet`` with
+    a derivative callable it has in place of that part."""
+    if u.mode == "analytic":
+        return u.value_fn(xb), u.grad_fn(xb), u.hess_fn(xb)
+    val, du, d2u = _richardson_jet(u, xb)
+    return (val, du if u.grad_fn is None else u.grad_fn(xb),
+            d2u if u.hess_fn is None else u.hess_fn(xb))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +501,9 @@ class ChartGeometry:
     ``points`` (B, n); ``gmat`` g_ij, ``linv`` the inverse L^-1 of its
     Cholesky factor g = L L^T and ``ginv`` g^ij = L^-T L^-1 (B, n, n); ``d1``
     d_k g_ij, ``sym`` d_i g_jl + d_j g_il - d_l g_ij and ``gamma`` Gamma^m_ij
-    (B, n, n, n); ``a_bg`` the Schouten tensor A_g (B, n, n), or None on a
-    first-order pass.  Built by ``chart_geometry``; on a ``euclidean`` metric
+    (B, n, n, n); ``d2`` d_k d_l g_ij (B, n, n, n, n) of a finite-difference
+    metric, else None; ``a_bg`` the Schouten tensor A_g (B, n, n), or None on
+    a first-order pass.  Built by ``chart_geometry``; on a ``euclidean`` metric
     ``linv``, ``ginv``, ``d1``, ``sym`` and ``gamma`` are read-only, and
     ``euclidean`` is set: the conformal operations then read Hess_g u as
     d^2 u, |du|_g^2 as du . du, g-traces as plain traces and relative
@@ -544,34 +517,51 @@ class ChartGeometry:
     d1: np.ndarray
     sym: np.ndarray
     gamma: np.ndarray
+    d2: Optional[np.ndarray] = None
     a_bg: Optional[np.ndarray] = None
     euclidean: bool = False
 
 
+def _cholesky_inverse(gmat):
+    """L^-1 of the Cholesky factor g = L L^T of the stacked metrics ``gmat``;
+    raises ``DomainError`` where one is not positive definite."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(gmat))
+    except np.linalg.LinAlgError as exc:
+        raise DomainError("metric is singular or not positive definite at a queried point") \
+            from exc
+
+
+def _reduced(linv, a):
+    """L^-1 a L^-T: the forms ``a`` in the frame where g = L L^T is I."""
+    return linv @ a @ np.swapaxes(linv, -1, -2)
+
+
 def _geometry(g, xb):
-    """First-order chart geometry on the point batch ``xb``: one evaluation of
-    the metric and its first derivatives, and one Cholesky factorisation
-    g = L L^T, from which L^-1 and g^-1 = L^-T L^-1.  On a ``euclidean``
-    metric L^-1 = g^-1 = I and d g = Gamma = 0, read-only and unevaluated."""
-    gmat = g.components(xb)
+    """First-order chart geometry on the point batch ``xb``: the metric and
+    its first derivatives, and one Cholesky factorisation g = L L^T, from
+    which L^-1 and g^-1 = L^-T L^-1.  A finite-difference metric reads g, d g
+    and d^2 g from one ``_richardson_jet`` and keeps d^2 g for Ricci; an
+    analytic ``d2_fn`` is called only there.  On a ``euclidean`` metric
+    L^-1 = g^-1 = I and d g = Gamma = 0, read-only and unevaluated."""
     B, n = xb.shape
     if g.euclidean:
         eye = np.broadcast_to(np.eye(n), (B, n, n))
         zeros = np.zeros((B, n, n, n))
         zeros.flags.writeable = False
-        return ChartGeometry(xb, gmat, eye, eye, zeros, zeros, zeros, euclidean=True)
-    d1 = g.d1(xb)
-    try:
-        linv = np.linalg.inv(np.linalg.cholesky(gmat))
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("metric is singular or not positive definite at a queried point") \
-            from exc
+        return ChartGeometry(xb, g.components(xb), eye, eye, zeros, zeros, zeros, euclidean=True)
+    if g.d1_fn is not None:
+        gmat, d1, d2 = g.components(xb), g.d1_fn(xb), None
+    else:
+        g._check_domain(xb)
+        gmat, d1, d2 = _richardson_jet(g, xb)
+    linv = _cholesky_inverse(gmat)
     ginv = np.swapaxes(linv, 1, 2) @ linv
     # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
     # Gamma^m_ij = 1/2 g^{ml} sym_ijl, one (n, n) @ (n, n^2) product per point
     gamma = 0.5 * (ginv @ sym.reshape(B, n * n, n).transpose(0, 2, 1)).reshape(B, n, n, n)
-    return ChartGeometry(xb, gmat, linv, ginv, d1, sym, gamma)
+    return ChartGeometry(xb, gmat, linv, ginv, d1, sym, gamma, d2 if g.d2_fn is None else None)
 
 
 def chart_geometry(g, x):
@@ -618,7 +608,7 @@ def _ricci_batch(g, geom):
     # product over reshaped views; d2 is never copied.
     ginv, gamma, sym = geom.ginv, geom.gamma, geom.sym
     B, n = ginv.shape[:2]
-    d2 = g.d2(geom.points)
+    d2 = g.d2(geom.points) if geom.d2 is None else geom.d2
     d2_sq = d2.reshape(B, n * n, n * n)
     gvec = ginv.reshape(B, n * n, 1)
     # cross[b, k, j] = sum_{m,l} g^{ml} d_m d_k g_jl, one (n^2, n) block per m;
@@ -769,27 +759,23 @@ def conformal_metric(g, u):
 
     if g.mode == "analytic" and u.mode == "analytic":
 
-        def d1(x):
+        def parts(x):
+            # u, du, g, d g, phi = u^p and phi'(u) = p u^(p-1)
             uval = np.atleast_1d(u.value(x))
-            du = np.atleast_2d(u.grad(x))
-            gmat = g.components(x)
-            gd1 = g.d1(x)
-            phi = uval ** p
-            dphi = p * uval ** (p - 1.0)
+            return (uval, np.atleast_2d(u.grad(x)), g.components(x), g.d1(x), uval ** p,
+                    p * uval ** (p - 1.0))
+
+        def d1(x):
+            _, du, gmat, gd1, phi, dphi = parts(x)
             return (dphi[:, None, None, None] * du[:, :, None, None] * gmat[:, None]
                     + phi[:, None, None, None] * gd1)
 
         def d2(x):
-            uval = np.atleast_1d(u.value(x))
-            du = np.atleast_2d(u.grad(x))
+            uval, du, gmat, gd1, phi, dphi = parts(x)
             d2u = u.hess(x)
             if d2u.ndim == 2:
                 d2u = d2u[None]
-            gmat = g.components(x)
-            gd1 = g.d1(x)
             gd2 = g.d2(x)
-            phi = uval ** p
-            dphi = p * uval ** (p - 1.0)
             ddphi_part = p * (p - 1.0) * uval ** (p - 2.0)
             dphi_vec = dphi[:, None] * du
             ddphi = (ddphi_part[:, None, None] * du[:, :, None] * du[:, None, :]
@@ -814,15 +800,8 @@ def eigen_rel(a, gmat):
     Cholesky reduction g = L L^T, then the symmetric spectrum of L^-1 a L^-T.
     Accepts stacked inputs (..., n, n).
     """
-    a = np.asarray(a, dtype=np.float64)
-    gmat = np.asarray(gmat, dtype=np.float64)
-    try:
-        chol = np.linalg.cholesky(gmat)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError("metric not positive-definite in eigen_rel") from exc
-    linv = np.linalg.inv(chol)
-    reduced = linv @ a @ np.swapaxes(linv, -1, -2)
-    return np.linalg.eigvalsh(reduced)
+    linv = _cholesky_inverse(np.asarray(gmat, dtype=np.float64))
+    return np.linalg.eigvalsh(_reduced(linv, np.asarray(a, dtype=np.float64)))
 
 
 def _eigs_rel_scaled(geom, a, phi):
@@ -834,8 +813,7 @@ def _eigs_rel_scaled(geom, a, phi):
         # the products with I turn a -0.0 into +0.0, and eigvalsh reads the
         # sign of a zero
         return np.linalg.eigvalsh(a + 0.0) / phi[:, None]
-    linv = geom.linv
-    return np.linalg.eigvalsh(linv @ a @ np.swapaxes(linv, 1, 2)) / phi[:, None]
+    return np.linalg.eigvalsh(_reduced(geom.linv, a)) / phi[:, None]
 
 
 def conformal_schouten_eigs(g, u, x, *, geometry=None):

@@ -8,33 +8,33 @@ summary JSON carries a schema version checked by ``merge_reports``.
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 from pathlib import Path
 
 SCHEMA_VERSION = 1
 
 
+# the cell format of each type, in isinstance order (bool before int); a
+# subclass such as np.float64 takes its base's format, any other type str(x)
+_FORMATS = {type(None): lambda x: "", bool: lambda x: "1" if x else "0",
+            float: "{:.17g}".format, int: str, str: str}
+
+
+@functools.lru_cache(maxsize=None)
+def _formatter(kind):
+    return next((fmt for base, fmt in _FORMATS.items() if issubclass(kind, base)), str)
+
+
 def _fmt(x):
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-# the cell formats of ``_fmt`` for a column whose cells all have one exact type
-_COLUMN_FMT = {float: "{:.17g}".format, bool: lambda x: "1" if x else "0", int: str}
+    return _formatter(type(x))(x)
 
 
 def _fmt_column(cells):
     """``_fmt`` of every cell, with one formatter for the whole column when
-    all its cells share a type of ``_COLUMN_FMT`` (subclasses such as
-    ``np.float64`` and mixed columns go through ``_fmt`` cell by cell)."""
+    all its cells share a type (mixed columns go cell by cell)."""
     kinds = set(map(type, cells))
-    fmt = _COLUMN_FMT.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(fmt or _fmt, cells))
+    return list(map(_formatter(kinds.pop()) if len(kinds) == 1 else _fmt, cells))
 
 
 def write_csv(path, columns, rows):

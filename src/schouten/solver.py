@@ -22,11 +22,14 @@ semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
 its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
 Jacobian at t = 0, u = 1.
 
-A radial grid is its kind and node count.  ``RadialProfile`` holds (n,
-values, grid); theta, D1, D2, cot(theta) and the pole mask come from one
-cached builder, ``_grid(grid, num_nodes)``, read-only and shared by every
-profile on that grid.  Both kinds, the three-point "uniform" stencils and
-the spectral "cosine" collocation, share the nodes theta_j = j pi / (m - 1).
+A radial grid is its kind (``GRIDS``) and node count.  ``RadialProfile``
+holds (n, values, grid); theta, D1, D2, cot(theta) and the pole mask come
+from one cached builder, ``_grid(grid, num_nodes)``, read-only and shared by
+every profile on that grid.  Both kinds, the three-point "uniform" stencils
+and the spectral "cosine" collocation, share the nodes
+theta_j = j pi / (m - 1).  u' and u'' are D1 and D2 applied, the operator
+the Jacobian is built from.  Quadrature over S^n is the trapezoid rule on
+the uniform grid and spectral on the cosine grid (``_cosine_weights``).
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
@@ -79,6 +82,7 @@ from .comparison import unit_sphere_area
 from .errors import ContinuationError, DomainError
 
 __all__ = [
+    "GRIDS",
     "RadialProfile",
     "ContinuationState",
     "radial_schouten_eigs",
@@ -112,22 +116,6 @@ def __getattr__(name):
 # discretisation
 # ---------------------------------------------------------------------------
 
-def _stencil_d1(v, h):
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
-def _stencil_d2(v, h):
-    out = np.empty_like(v)
-    out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-    out[0] = 2.0 * (v[1] - v[0]) / h ** 2
-    out[-1] = 2.0 * (v[-2] - v[-1]) / h ** 2
-    return out
-
-
 def _cosine_matrices(m):
     # even Fourier collocation: the periodic differentiation matrices of the
     # 2(m-1)-point even extension (Trefethen, Spectral Methods in MATLAB,
@@ -148,24 +136,52 @@ def _cosine_matrices(m):
 
 
 @functools.lru_cache(maxsize=None)
+def _cosine_weights(m, n):
+    """Read-only S^n weights of the m-node cosine grid, exact on cos(l theta),
+    l < m: the integral of the type-I cosine interpolant (ends halved) against
+    the moments M_l = int_0^pi cos(l theta) sin^(n-1) theta, which vanish for
+    odd l and obey M_(l+2) = M_l (l - n + 1) / (l + n + 1)."""
+    big = 2 * (m - 1)
+    moments = np.zeros(m)
+    moments[0] = unit_sphere_area(n + 1) / unit_sphere_area(n)
+    for l in range(0, m - 2, 2):
+        moments[l + 2] = moments[l] * (l - n + 1.0) / (l + n + 1.0)
+    ends = np.ones(m)
+    ends[[0, -1]] = 0.5
+    l, j = np.ogrid[:m, :m]
+    cos = np.cos(2.0 * math.pi / big * ((l * j) % big))
+    w = unit_sphere_area(n) * (4.0 / big) * ends * ((ends * moments) @ cos)
+    w.flags.writeable = False
+    return w
+
+
+# the radial grid kinds; ``_grid`` builds the operators of each
+GRIDS = ("uniform", "cosine")
+
+
+@functools.lru_cache(maxsize=None)
 def _grid(grid, num_nodes):
     """Read-only (theta, D1, D2, cot(theta), pole mask) of a radial grid.
 
     theta, cot(theta) (0 at the poles) and the pole mask are the same for
     both kinds; only D1 and D2 differ.  The uniform grid's are the
-    three-point stencils applied to the identity (even reflection at the
-    poles).  The cosine grid's (``_cosine_matrices``) are exact on
-    cos(l theta), l < m, so u'(0) = u'(pi) = 0 holds by construction and -L
-    has the zonal spectrum l(l + n - 1).
+    three-point stencils applied to the identity, bit for bit (even
+    reflection at the poles).  The cosine grid's are exact on cos(l theta),
+    l < m, so u'(0) = u'(pi) = 0 holds by construction and -L has the zonal
+    spectrum l(l + n - 1).
     """
-    if grid not in ("uniform", "cosine"):
-        raise ValueError(f"grid must be 'uniform' or 'cosine', got {grid!r}")
+    if grid not in GRIDS:
+        raise ValueError(f"grid must be one of {', '.join(GRIDS)}, got {grid!r}")
     if num_nodes < 3:
         raise ValueError(f"radial profile needs at least 3 nodes, got {num_nodes}")
     theta = np.linspace(0.0, math.pi, num_nodes)
     if grid == "uniform":
-        eye, h = np.eye(num_nodes), theta[1] - theta[0]
-        d1, d2 = _stencil_d1(eye, h), _stencil_d2(eye, h)
+        # even reflection u_{-1} = u_1 at a pole: u' = 0, u'' = 2 (u_1 - u_0) / h^2
+        h, up, down = theta[1] - theta[0], np.eye(num_nodes, k=1), np.eye(num_nodes, k=-1)
+        d1 = (up - down) / (2.0 * h)
+        d1[[0, -1], :] = 0.0
+        d2 = (up - 2.0 * np.eye(num_nodes) + down) / h ** 2
+        d2[0, 1] = d2[-1, -2] = 2.0 / h ** 2
     else:
         d1, d2 = _cosine_matrices(num_nodes)
     cot = np.zeros(num_nodes)
@@ -240,16 +256,13 @@ class RadialProfile:
         return _grid(self.grid, self.num_nodes)[2]
 
     def d1(self, values=None):
-        v = self.values if values is None else values
-        if self.grid == "uniform":
-            return _stencil_d1(v, self.theta[1] - self.theta[0])
-        return self.d1_matrix() @ v
+        """u' at the nodes: ``d1_matrix() @ values`` (an (m,) profile or an
+        (m, k) stack of columns), the operator the Jacobian is built from."""
+        return self.d1_matrix() @ (self.values if values is None else values)
 
     def d2(self, values=None):
-        v = self.values if values is None else values
-        if self.grid == "uniform":
-            return _stencil_d2(v, self.theta[1] - self.theta[0])
-        return self.d2_matrix() @ v
+        """u'' at the nodes: ``d2_matrix() @ values``."""
+        return self.d2_matrix() @ (self.values if values is None else values)
 
     def pole_mask(self):
         return _grid(self.grid, self.num_nodes)[4]
@@ -260,7 +273,11 @@ class RadialProfile:
     # -- quadrature over the sphere -------------------------------------------
 
     def quad_weights(self):
-        """Weights for integration over S^n against the round measure."""
+        """Weights for integration over S^n against the round measure: the
+        trapezoid rule in theta on the uniform grid; on the cosine grid the
+        spectral weights of ``_cosine_weights``, exact on cos(l theta), l < m."""
+        if self.grid == "cosine":
+            return _cosine_weights(self.num_nodes, self.n)
         th = self.theta
         w = np.empty_like(th)
         w[0] = 0.5 * (th[1] - th[0])

@@ -291,23 +291,36 @@ def test_deterministic_csv_bodies(tmp_path):
         != reports.csv_body(tmp_path / "c" / "bubble/bubble.csv")
 
 
+def _fmt_per_cell(x):
+    # the cell format as isinstance rules, one cell at a time
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return str(x)
+
+
 def test_write_csv_matches_the_per_cell_format(tmp_path):
-    # one formatter per column of one exact type, else _fmt per cell: the
-    # body must be the per-cell join either way
+    # one formatter per column of one type, else one per cell: the body must
+    # be the per-cell join either way
     nan, inf = float("nan"), float("inf")
-    columns = ("mixed", "flag", "count", "value", "np", "text")
-    rows = [(None, True, 3, -0.0, np.float64(0.1), "a"),
-            (2.5, False, -4, nan, np.float64(-0.0), None),
-            (7, True, 0, inf, np.float64(nan), 2.0),
-            (False, False, 10 ** 20, -inf, np.float64(-inf), 1),
-            (0.1, True, 1, 1e-300, np.float64(1e300), "b")]
+    columns = ("mixed", "flag", "count", "value", "np", "text", "none", "mode", "np_mixed")
+    rows = [(None, True, 3, -0.0, np.float64(0.1), "a", None, "analytic", np.int64(3)),
+            (2.5, False, -4, nan, np.float64(-0.0), None, None, "fd", np.bool_(True)),
+            (7, True, 0, inf, np.float64(nan), 2.0, None, "fd", np.float64(0.5)),
+            (False, False, 10 ** 20, -inf, np.float64(-inf), 1, None, "analytic", 0.25),
+            (0.1, True, 1, 1e-300, np.float64(1e300), "b", None, "", np.float32(0.1))]
     reports.write_csv(tmp_path / "mixed.csv", columns, rows)
-    want = [",".join(columns)] + [",".join(reports._fmt(v) for v in row) for row in rows]
+    want = [",".join(columns)] + [",".join(map(_fmt_per_cell, row)) for row in rows]
     assert reports.csv_body(tmp_path / "mixed.csv") == "\n".join(want)
-    assert want[1:3] == [",1,3,-0,0.10000000000000001,a",
-                         "2.5,0,-4,nan,-0,"]
-    with pytest.raises(ValueError, match="row 1 has 5 cells for 6 columns"):
-        reports.write_csv(tmp_path / "short.csv", columns, [rows[0], rows[1][:5]])
+    assert [reports._fmt(v) for row in rows for v in row] \
+        == [_fmt_per_cell(v) for row in rows for v in row]
+    assert want[1:3] == [",1,3,-0,0.10000000000000001,a,,analytic,3",
+                         "2.5,0,-4,nan,-0,,,fd,True"]
+    with pytest.raises(ValueError, match="row 1 has 8 cells for 9 columns"):
+        reports.write_csv(tmp_path / "short.csv", columns, [rows[0], rows[1][:8]])
 
 
 def _gershgorin_per_pair(rng, dims, trials):

@@ -633,7 +633,20 @@ def test_bubble_verify_is_bit_identical_on_the_generic_path(n, mode, monkeypatch
             == np.float64(getattr(slow, field)).tobytes(), field
 
 
-# -- one-call finite-difference Hessian against the per-stencil loop ----------
+# -- one finite-difference stencil pass against the per-stencil loops --------
+
+def _fd_d1_per_stencil(fn, x, h):
+    """Central first derivatives from one call of ``fn`` per stencil point set."""
+    B, n = x.shape
+    f0 = fn(x)
+    out = np.zeros((B, n) + f0.shape[1:])
+    for k in range(n):
+        xp, xm = x.copy(), x.copy()
+        xp[:, k] += h
+        xm[:, k] -= h
+        out[:, k] = (fn(xp) - fn(xm)) / (2 * h)
+    return out
+
 
 def _fd_d2_per_stencil(fn, x, h):
     """Second derivatives from one call of ``fn`` per stencil point set."""
@@ -685,9 +698,11 @@ def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
     for kind, fn, pts in fields:
         for h in (1e-4, 1e-3):
             counted, calls = _counting(fn)
-            got = cf._fd_d2(counted, pts, h)
+            value, d1, d2 = cf._fd_jet(counted, pts, h)
             assert calls == [((1 + 2 * n * n) * len(pts), n)]
-            assert np.array_equal(got, _fd_d2_per_stencil(fn, pts, h))
+            assert value.tobytes() == fn(pts).tobytes()
+            assert d1.tobytes() == _fd_d1_per_stencil(fn, pts, h).tobytes()
+            assert np.array_equal(d2, _fd_d2_per_stencil(fn, pts, h))
         # Richardson: one call per step size
         counted, calls = _counting(fn)
         if kind == "scalar":
@@ -700,6 +715,86 @@ def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
         expect = (4.0 * _fd_d2_per_stencil(fn, pts, 5e-4)
                   - _fd_d2_per_stencil(fn, pts, 1e-3)) / 3.0
         assert np.array_equal(refined, expect)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_fd_derivatives_read_one_stencil_pass_and_equal_per_stencil_loops(n, rng):
+    from schouten.bubbles import Bubble
+
+    b = Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n))
+    metric_fn = cf.MetricField.sphere_normal(n).value_fn
+    pts = rng.uniform(-1.0, 1.0, (7, n))
+    stencil = ((1 + 2 * n * n) * len(pts), n)
+
+    def expect(fn, order, h, richardson):
+        loop = (_fd_d1_per_stencil, _fd_d2_per_stencil)[order - 1]
+        if not richardson:
+            return loop(fn, pts, h)
+        return (4.0 * loop(fn, pts, h / 2.0) - loop(fn, pts, h)) / 3.0
+
+    for richardson in (False, True):
+        for order in (1, 2):
+            for fn, make, read in (
+                    (metric_fn, cf.MetricField, ("d1", "d2")),
+                    (b.value, cf.ConformalFactor, ("grad", "hess"))):
+                counted, calls = _counting(fn)
+                field = make(n=n, value_fn=counted, h=1e-3, richardson=richardson)
+                got = getattr(field, read[order - 1])(pts)
+                assert calls == [stencil] * (1 + richardson), (read, richardson)
+                assert got.tobytes() == expect(fn, order, 1e-3, richardson).tobytes(), \
+                    (read, richardson)
+        # a factor with one derivative callable differences the other
+        grad_only = cf.ConformalFactor.from_callable(n, b.value, grad=b.grad,
+                                                     h=1e-3, richardson=richardson)
+        hess_only = cf.ConformalFactor.from_callable(n, b.value, hess=b.hess,
+                                                     h=1e-3, richardson=richardson)
+        assert grad_only.hess(pts).tobytes() == expect(b.value, 2, 1e-3, richardson).tobytes()
+        assert hess_only.grad(pts).tobytes() == expect(b.value, 1, 1e-3, richardson).tobytes()
+        assert grad_only.grad(pts).tobytes() == b.grad(pts).tobytes()
+        assert hess_only.hess(pts).tobytes() == b.hess(pts).tobytes()
+
+
+def _three_call_metric(fn, n, h, richardson):
+    """The metric ``fn`` with its finite differences written out as the
+    callables of an analytic metric: components, the per-stencil first
+    derivatives and the per-stencil second derivatives, each its own pass."""
+    def derivative(loop):
+        if not richardson:
+            return lambda x: loop(fn, x, h)
+        return lambda x: (4.0 * loop(fn, x, h / 2.0) - loop(fn, x, h)) / 3.0
+
+    return cf.MetricField(n=n, value_fn=fn, d1_fn=derivative(_fd_d1_per_stencil),
+                          d2_fn=derivative(_fd_d2_per_stencil))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_fd_metric_geometry_is_one_stencil_pass_per_batch(n, rng):
+    base = cf.MetricField.sphere_normal(n)
+    pts = rng.uniform(-1.0, 1.0, (9, n))
+    stencil = ((1 + 2 * n * n) * len(pts), n)
+    for richardson in (False, True):
+        expect = [stencil] * (1 + richardson)
+        slow = _three_call_metric(base.value_fn, n, 1e-3, richardson)
+        want = cf.chart_geometry(slow, pts)
+        value_fn, calls = _counting(base.value_fn)
+        g = cf.MetricField(n=n, value_fn=value_fn, h=1e-3, richardson=richardson)
+        geom = cf.chart_geometry(g, pts)
+        assert calls == expect, richardson
+        for field in ("gmat", "linv", "ginv", "d1", "sym", "gamma", "a_bg"):
+            assert getattr(geom, field).tobytes() == getattr(want, field).tobytes(), field
+        assert geom.d2.tobytes() == slow.d2(pts).tobytes()
+        for op in (cf.schouten_background, cf.christoffel, cf.ricci_background,
+                   cf.scalar_curvature):
+            calls.clear()
+            assert op(g, pts).tobytes() == op(slow, pts).tobytes(), op.__name__
+            assert calls == expect, op.__name__
+    # an analytic metric calls d2_fn only where Ricci is needed
+    d2_fn, d2_calls = _counting(base.d2_fn)
+    g = replace(base, d2_fn=d2_fn, sectional_curvature=None)
+    geom = cf.chart_geometry(g, pts)
+    assert geom.d2 is None and len(d2_calls) == 1
+    cf.christoffel(g, pts)
+    assert len(d2_calls) == 1
 
 
 # -- a conformal factor read as one jet per point batch ------------------------
