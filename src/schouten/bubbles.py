@@ -73,9 +73,8 @@ class Bubble:
         n, m = self.n, (self.n - 2) / 2.0
         w = self._w(x)
         d = x - self.p
-        eye = np.eye(n)
         coef = -2.0 * m * self.a ** 2 * self.c * self.a ** m * w ** (-m - 2.0)
-        core = (w[:, None, None] * eye
+        core = (w[:, None, None] * cf._dim(n).eye
                 - 2.0 * (m + 1.0) * self.a ** 2 * d[:, :, None] * d[:, None, :])
         out = coef[:, None, None] * core
         return out[0] if single else out

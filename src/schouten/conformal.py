@@ -38,6 +38,12 @@ factor as one jet (u, du, d^2 u) per point batch, and the chart geometry
 reads a finite-difference metric's (g, d g, d^2 g) from one call of
 ``value_fn`` per batch (two with Richardson), keeping d^2 g for Ricci.
 
+Arrays that depend only on the dimension n are built once per n and are
+read-only: the stencil offsets (``_d2_offsets``), and in ``_dim`` its index
+arrays and the identity I_n that the builtin charts, ``Bubble.hess`` and
+``ConformalFactor.radial`` read.  ``MetricField.flat(n)`` is one shared
+instance per n.  Nothing keyed on points, factors or batch size is cached.
+
 All operations accept a single point ``(n,)`` or a batch ``(B, n)`` and are
 vectorised over the batch.
 
@@ -73,7 +79,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -121,17 +127,40 @@ def _unbatch(arr, single):
 # finite differences on batched callables
 # ---------------------------------------------------------------------------
 
+class _Dim(NamedTuple):
+    """Read-only constants of the chart dimension n, built once per n."""
+
+    eye: np.ndarray    # I_n
+    idx: np.ndarray    # 0, ..., n-1
+    ku: np.ndarray     # the pairs k < l of the strict upper triangle
+    lu: np.ndarray
+    diag: np.ndarray   # stencil row of +h e_k; the -h e_k row follows
+    mixed: np.ndarray  # stencil row of the ++ set of the pair (ku, lu); +-, -+, -- follow
+
+
+@functools.lru_cache(maxsize=None)
+def _dim(n):
+    """The ``_Dim`` constants of dimension n, shared by every caller at n."""
+    idx = np.arange(n)
+    ku, lu = np.triu_indices(n, 1)
+    out = _Dim(np.eye(n), idx, ku, lu, 1 + 2 * idx, 1 + 2 * n + 4 * np.arange(len(ku)))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _d2_offsets(n):
-    """Unit stencil of the second difference: the centre, +e_k, -e_k for each
-    k, then e_k, e_l with signs ++, +-, -+, -- for each pair k < l."""
-    eye = np.eye(n)
-    ku, lu = np.triu_indices(n, 1)
+    """Read-only unit stencil of the second difference: the centre, +e_k, -e_k
+    for each k, then e_k, e_l with signs ++, +-, -+, -- for each pair k < l."""
+    eye, _, ku, lu, _, _ = _dim(n)
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     mixed = (signs[None, :, 0, None] * eye[ku][:, None]
              + signs[None, :, 1, None] * eye[lu][:, None])
-    return np.concatenate([np.zeros((1, n)), np.stack([eye, -eye], axis=1).reshape(2 * n, n),
-                           mixed.reshape(-1, n)])
+    out = np.concatenate([np.zeros((1, n)), np.stack([eye, -eye], axis=1).reshape(2 * n, n),
+                          mixed.reshape(-1, n)])
+    out.flags.writeable = False
+    return out
 
 
 def _fd_jet(fn, x, h):
@@ -139,10 +168,7 @@ def _fd_jet(fn, x, h):
     of fn on the stacked 1 + 2n^2 point sets of ``_d2_offsets``.  The centre
     row, exactly x, is f; the +-h e_k rows give the central differences d f."""
     B, n = x.shape
-    idx = np.arange(n)
-    ku, lu = np.triu_indices(n, 1)
-    diag = 1 + 2 * idx
-    mixed = 1 + 2 * n + 4 * np.arange(len(ku))
+    _, idx, ku, lu, diag, mixed = _dim(n)
     pts = x + h * _d2_offsets(n)[:, None, :]
     pts[0] = x  # x + 0.0 would turn a -0.0 coordinate into +0.0
     vals = fn(pts.reshape(-1, n))
@@ -240,8 +266,11 @@ class MetricField:
     # -- builtin charts -------------------------------------------------------
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def flat(cls, n):
-        eye = np.eye(n)
+        """Euclidean chart g_ij = delta_ij: one shared instance per n (it is
+        frozen, and ``components`` returns a fresh array at every call)."""
+        eye = _dim(n).eye
 
         def value(x):
             return np.broadcast_to(eye, (x.shape[0], n, n)).copy()
@@ -264,7 +293,7 @@ class MetricField:
         """
         if not 0 < chart_radius < math.pi:
             raise ValueError("chart radius must lie in (0, pi)")
-        eye = np.eye(n)
+        eye = _dim(n).eye
 
         def value(x):
             s = (x ** 2).sum(axis=1)
@@ -329,7 +358,7 @@ class MetricField:
         def value(x):
             d = _diag(x)
             out = np.zeros((x.shape[0], n, n))
-            idx = np.arange(n)
+            idx = _dim(n).idx
             out[:, idx, idx] = d
             return out
 
@@ -472,9 +501,8 @@ class ConformalFactor:
             r = np.linalg.norm(x, axis=1)
             xhat = x / r[:, None]
             proj = xhat[:, :, None] * xhat[:, None, :]
-            eye = np.eye(n)
             return (v2(r)[:, None, None] * proj
-                    + (v1(r) / r)[:, None, None] * (eye - proj))
+                    + (v1(r) / r)[:, None, None] * (_dim(n).eye - proj))
 
         return cls(n=n, value_fn=value, grad_fn=grad, hess_fn=hess)
 
@@ -546,7 +574,7 @@ def _geometry(g, xb):
     L^-1 = g^-1 = I and d g = Gamma = 0, read-only and unevaluated."""
     B, n = xb.shape
     if g.euclidean:
-        eye = np.broadcast_to(np.eye(n), (B, n, n))
+        eye = np.broadcast_to(_dim(n).eye, (B, n, n))
         zeros = np.zeros((B, n, n, n))
         zeros.flags.writeable = False
         return ChartGeometry(xb, g.components(xb), eye, eye, zeros, zeros, zeros, euclidean=True)
@@ -731,15 +759,6 @@ def _conformal_power(n):
     if n < 3:
         raise DomainError("the conformal metric u^(4/(n-2)) g needs n >= 3")
     return 4.0 / (n - 2.0)
-
-
-def conformal_metric_components(g, u, x):
-    p = _conformal_power(g.n)
-    xb, single = _batchify(x, g.n)
-    uval = np.atleast_1d(u.value(xb))
-    gmat = g.components(xb)
-    phi = uval ** p
-    return _unbatch(phi[:, None, None] * gmat, single)
 
 
 def conformal_metric(g, u):

@@ -29,7 +29,8 @@ every profile on that grid.  Both kinds, the three-point "uniform" stencils
 and the spectral "cosine" collocation, share the nodes
 theta_j = j pi / (m - 1).  u' and u'' are D1 and D2 applied, the operator
 the Jacobian is built from.  Quadrature over S^n is the trapezoid rule on
-the uniform grid and spectral on the cosine grid (``_cosine_weights``).
+the uniform grid (``_trapezoid_weights``) and spectral on the cosine grid
+(``_cosine_weights``), each built once per (m, n) and read-only.
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
@@ -155,6 +156,20 @@ def _cosine_weights(m, n):
     return w
 
 
+@functools.lru_cache(maxsize=None)
+def _trapezoid_weights(m, n):
+    """Read-only S^n weights of the m-node uniform grid: the trapezoid rule in
+    theta against sin^(n-1) theta."""
+    th = _grid("uniform", m)[0]
+    w = np.empty_like(th)
+    w[0] = 0.5 * (th[1] - th[0])
+    w[-1] = 0.5 * (th[-1] - th[-2])
+    w[1:-1] = 0.5 * (th[2:] - th[:-2])
+    w = unit_sphere_area(n) * np.sin(th) ** (n - 1.0) * w
+    w.flags.writeable = False
+    return w
+
+
 # the radial grid kinds; ``_grid`` builds the operators of each
 GRIDS = ("uniform", "cosine")
 
@@ -273,17 +288,14 @@ class RadialProfile:
     # -- quadrature over the sphere -------------------------------------------
 
     def quad_weights(self):
-        """Weights for integration over S^n against the round measure: the
-        trapezoid rule in theta on the uniform grid; on the cosine grid the
-        spectral weights of ``_cosine_weights``, exact on cos(l theta), l < m."""
+        """Weights for integration over S^n against the round measure, built
+        once per (grid, m, n) and shared read-only: the trapezoid rule in
+        theta on the uniform grid (``_trapezoid_weights``); on the cosine grid
+        the spectral weights of ``_cosine_weights``, exact on cos(l theta),
+        l < m."""
         if self.grid == "cosine":
             return _cosine_weights(self.num_nodes, self.n)
-        th = self.theta
-        w = np.empty_like(th)
-        w[0] = 0.5 * (th[1] - th[0])
-        w[-1] = 0.5 * (th[-1] - th[-2])
-        w[1:-1] = 0.5 * (th[2:] - th[:-2])
-        return unit_sphere_area(self.n) * np.sin(th) ** (self.n - 1.0) * w
+        return _trapezoid_weights(self.num_nodes, self.n)
 
     def integrate(self, values):
         return float(self.quad_weights() @ np.asarray(values))

@@ -129,7 +129,7 @@ def test_bubble_metric_proportionality(rng):
         b = bb.Bubble(n=n, a=1.0, p=np.zeros(n))
         u = b.factor()
         pts = rng.uniform(-1.5, 1.5, (6, n))
-        gu = cf.conformal_metric_components(g, u, pts)
+        gu = cf.conformal_metric(g, u).components(pts)
         a = cf.schouten_conformal(g, u, pts)
         assert np.abs(a - 0.5 * gu).max() < 1e-12
         ric = cf.ricci_conformal(g, u, pts)

@@ -797,6 +797,85 @@ def test_fd_metric_geometry_is_one_stencil_pass_per_batch(n, rng):
     assert len(d2_calls) == 1
 
 
+# -- per-dimension constants built once, read-only ------------------------------
+
+def _fd_jet_per_call_indices(fn, x, h):
+    """The stencil pass with every offset and index array built at the call."""
+    B, n = x.shape
+    eye = np.eye(n)
+    idx = np.arange(n)
+    ku, lu = np.triu_indices(n, 1)
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    mixed_offsets = (signs[None, :, 0, None] * eye[ku][:, None]
+                     + signs[None, :, 1, None] * eye[lu][:, None])
+    offsets = np.concatenate([np.zeros((1, n)), np.stack([eye, -eye], axis=1).reshape(2 * n, n),
+                              mixed_offsets.reshape(-1, n)])
+    diag = 1 + 2 * idx
+    mixed = 1 + 2 * n + 4 * np.arange(len(ku))
+    pts = x + h * offsets[:, None, :]
+    pts[0] = x
+    vals = fn(pts.reshape(-1, n))
+    vals = vals.reshape(pts.shape[:2] + vals.shape[1:])
+    f0 = vals[0]
+    d1 = np.moveaxis((vals[diag] - vals[diag + 1]) / (2 * h), 0, 1)
+    out = np.zeros((B, n, n) + f0.shape[1:])
+    out[:, idx, idx] = np.swapaxes((vals[diag] - 2.0 * f0 + vals[diag + 1]) / h ** 2, 0, 1)
+    cross = np.swapaxes((vals[mixed] - vals[mixed + 1] - vals[mixed + 2] + vals[mixed + 3])
+                        / (4.0 * h ** 2), 0, 1)
+    out[:, ku, lu] = cross
+    out[:, lu, ku] = cross
+    return f0, d1, out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fd_jet_on_cached_indices_equals_per_call_construction(n, rng):
+    from schouten.bubbles import Bubble
+
+    pts = rng.uniform(-1.0, 1.0, (10, n))
+    fields = [Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n)).value,
+              cf.MetricField.sphere_normal(n).value_fn]
+    for fn in fields:
+        for h in (1e-4, 1e-3):
+            for got, want in zip(cf._fd_jet(fn, pts, h), _fd_jet_per_call_indices(fn, pts, h)):
+                assert np.array_equal(got, want)
+        # Richardson: the passes at h/2 and h combined
+        f0, d1, d2 = _fd_jet_per_call_indices(fn, pts, 5e-4)
+        _, d1_h, d2_h = _fd_jet_per_call_indices(fn, pts, 1e-3)
+        want = (f0, (4.0 * d1 - d1_h) / 3.0, (4.0 * d2 - d2_h) / 3.0)
+        field = cf.ConformalFactor(n=n, value_fn=fn, h=1e-3, richardson=True)
+        for got, expect in zip(cf._richardson_jet(field, pts), want):
+            assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_per_dimension_constants_are_shared_and_read_only(n):
+    dim = cf._dim(n)
+    assert dim is cf._dim(n) and cf._d2_offsets(n) is cf._d2_offsets(n)
+    assert np.array_equal(dim.eye, np.eye(n))
+    assert np.array_equal(dim.idx, np.arange(n))
+    assert np.array_equal(dim.ku, np.triu_indices(n, 1)[0])
+    assert np.array_equal(dim.lu, np.triu_indices(n, 1)[1])
+    for arr in (cf._d2_offsets(n), *dim):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_flat_metric_is_one_instance_with_fresh_components(n, rng):
+    g = cf.MetricField.flat(n)
+    assert g is cf.MetricField.flat(n)
+    assert g is not cf.MetricField.flat(n + 1)
+    pts = rng.uniform(-1.0, 1.0, (4, n))
+    first = g.components(pts)
+    second = g.components(pts)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable and np.array_equal(first, np.broadcast_to(np.eye(n), (4, n, n)))
+    first[...] = 7.0
+    assert np.array_equal(g.components(pts), second)
+    assert np.array_equal(g.components(pts[0]), np.eye(n))
+
+
 # -- a conformal factor read as one jet per point batch ------------------------
 
 def _jet_factors(n, rng):
@@ -865,8 +944,6 @@ def test_conformal_metric_needs_n_at_least_3():
     # the exponent 4/(n-2) is undefined at n = 2
     g = cf.MetricField.flat(2)
     one = cf.ConformalFactor.constant(2, 1.0)
-    with pytest.raises(DomainError, match=r"needs n >= 3"):
-        cf.conformal_metric_components(g, one, np.array([0.1, -0.2]))
     with pytest.raises(DomainError, match=r"needs n >= 3"):
         cf.conformal_metric(g, one)
 

@@ -83,10 +83,15 @@ def test_profiles_on_one_grid_share_read_only_operators(grid):
     assert np.array_equal(other.theta, a.theta)
     assert np.array_equal(other.cot_theta(), a.cot_theta())
     assert np.array_equal(other.pole_mask(), a.pole_mask())
-    # the quadrature rule is the kind's too: trapezoid, or cached spectral weights
-    cosine = a if grid == "cosine" else other
-    assert cosine.quad_weights() is sv.RadialProfile.make(4, 24, grid="cosine").quad_weights()
-    assert not cosine.quad_weights().flags.writeable
+    # the quadrature rule is the kind's too: trapezoid, or spectral weights,
+    # each cached per (m, n) and read-only
+    for prof in (a, other):
+        w = prof.quad_weights()
+        assert w is sv.RadialProfile.make(4, 24, grid=prof.grid).quad_weights()
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.0
+    assert b.quad_weights() is not a.quad_weights()
 
 
 def test_radial_eigs_constant_profiles():
@@ -338,6 +343,20 @@ def test_cosine_quadrature_is_exact_on_the_cosine_basis(n, m):
     trapezoid[[0, -1]] = 0.5 * th[1]
     want = unit_sphere_area(n) * np.sin(th) ** (n - 1) * trapezoid
     assert np.allclose(sv.RadialProfile.make(n, m).quad_weights(), want, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_cached_uniform_weights_equal_the_per_call_trapezoid(n):
+    # oracle: the trapezoid weights built from theta at every call
+    for m in (3, 4, 17, 64, 128):
+        prof = sv.RadialProfile.make(n, m)
+        th = np.linspace(0.0, math.pi, m)
+        w = np.empty_like(th)
+        w[0] = 0.5 * (th[1] - th[0])
+        w[-1] = 0.5 * (th[-1] - th[-2])
+        w[1:-1] = 0.5 * (th[2:] - th[:-2])
+        want = unit_sphere_area(n) * np.sin(th) ** (n - 1.0) * w
+        assert prof.quad_weights().tobytes() == want.tobytes(), m
 
 
 @pytest.mark.parametrize("m", [16, 32, 64])
