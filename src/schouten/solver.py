@@ -22,21 +22,25 @@ semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
 its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
 Jacobian at t = 0, u = 1.
 
-A radial grid is its kind (``GRIDS``) and node count.  ``RadialProfile``
-holds (n, values, grid); theta, D1, D2, cot(theta) and the pole mask come
-from one cached builder, ``_grid(grid, num_nodes)``, read-only and shared by
-every profile on that grid.  Both kinds, the three-point "uniform" stencils
-and the spectral "cosine" collocation, share the nodes
-theta_j = j pi / (m - 1).  u' and u'' are D1 and D2 applied, the operator
-the Jacobian is built from.  Quadrature over S^n is the trapezoid rule on
-the uniform grid (``_trapezoid_weights``) and spectral on the cosine grid
-(``_cosine_weights``), each built once per (m, n) and read-only.
+The radial grid is the m-node cosine grid, theta_j = j pi / (m - 1): even
+Fourier collocation, the discretisation of an even function of theta, which
+a radial profile is.  ``RadialProfile`` holds (n, values); theta, D1, D2,
+cot(theta) and the pole mask come from one cached builder,
+``_grid(num_nodes)``, read-only and shared by every profile with m nodes.
+Each diagonal of D1 and D2 is minus its row's off-diagonal sum (the
+negative-sum trick), so D 1 = 0 up to rounding, and u', u'' and the
+Laplacian apply the matrices to u - min(u): a constant has u' = u'' = 0
+exactly, the operator stays the one the Jacobian is built from, and since
+0 <= u - min(u) <= u for a positive profile the product rounds no worse
+than D u.  The Laplacian's matrix (``_laplacian_matrix``) and the spectral
+quadrature weights over S^n (``_cosine_weights``) are each built once per
+(m, n) and read-only.
 
 The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
-is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
-uniform grid.  The partials chain the closed-form partials of the two
-eigenvalue branches (``_kernels.radial_sphere_eig_partials``) through the
-gradient of f_t on two-valued rows (``CurvatureFunction.pair_value``).
+is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, dense.  The partials
+chain the closed-form partials of the two eigenvalue branches
+(``_kernels.radial_sphere_eig_partials``) through the gradient of f_t on
+two-valued rows (``CurvatureFunction.pair_value``).
 H_t has its own exact Jacobian, -L + diag(...) plus the rank-one term of
 mean(u^2).  No Newton run differences the residual; the dense
 one-column difference is the tests' oracle.
@@ -57,9 +61,9 @@ eps * || |J| |u| ||_inf (Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 7): the first-order change of the residual when u moves by
 one rounding unit relative.  A run stops once its residual falls to
 max(tol, rho); if rho > tol its residual cannot be told from rounding at
-tol, and it raises ``ContinuationError`` naming rho and the tolerance.  On
-both grids rho grows like the square of the node count.  A stopped run is
-accepted only if its normwise backward error
+tol, and it raises ``ContinuationError`` naming rho and the tolerance.  rho
+grows like the square of the node count.  A stopped run is accepted only
+if its normwise backward error
 eta = ||r||_inf / || |J| |u| ||_inf is at most 1e-6 (``_ETA_MAX``): that
 refuses a state whose scale has collapsed (u ~ 1e10, where rho shrinks
 with the state and the residual passes tol only in absolute terms).
@@ -83,7 +87,6 @@ from .comparison import unit_sphere_area
 from .errors import ContinuationError, DomainError
 
 __all__ = [
-    "GRIDS",
     "RadialProfile",
     "ContinuationState",
     "radial_schouten_eigs",
@@ -133,6 +136,12 @@ def _cosine_matrices(m):
     d1[:, 1:-1] += c1[mirror]
     d2[:, 1:-1] += c2[mirror]
     d1[[0, -1], :] = 0.0  # the pole rows: u' = 0 there
+    # the negative-sum trick (Baltensperger & Trummer, SIAM J. Sci. Comput.
+    # 24, 2003): each diagonal entry is minus its row's off-diagonal sum, so
+    # D 1 = 0 up to the rounding of that sum
+    for d in (d1, d2):
+        np.fill_diagonal(d, 0.0)
+        np.fill_diagonal(d, -d.sum(axis=1))
     return d1, d2
 
 
@@ -157,48 +166,29 @@ def _cosine_weights(m, n):
 
 
 @functools.lru_cache(maxsize=None)
-def _trapezoid_weights(m, n):
-    """Read-only S^n weights of the m-node uniform grid: the trapezoid rule in
-    theta against sin^(n-1) theta."""
-    th = _grid("uniform", m)[0]
-    w = np.empty_like(th)
-    w[0] = 0.5 * (th[1] - th[0])
-    w[-1] = 0.5 * (th[-1] - th[-2])
-    w[1:-1] = 0.5 * (th[2:] - th[:-2])
-    w = unit_sphere_area(n) * np.sin(th) ** (n - 1.0) * w
-    w.flags.writeable = False
-    return w
-
-
-# the radial grid kinds; ``_grid`` builds the operators of each
-GRIDS = ("uniform", "cosine")
+def _laplacian_matrix(m, n):
+    """Read-only (m, m) matrix of the radial Laplace-Beltrami operator on S^n,
+    D2 + (n-1) cot(theta) D1, with the pole rows n D2 (the limit of
+    cot(theta) u' at a pole is u'')."""
+    _, d1, d2, cot, _ = _grid(m)
+    lap = d2 + ((n - 1.0) * cot)[:, None] * d1
+    lap[[0, -1], :] = n * d2[[0, -1], :]
+    lap.flags.writeable = False
+    return lap
 
 
 @functools.lru_cache(maxsize=None)
-def _grid(grid, num_nodes):
-    """Read-only (theta, D1, D2, cot(theta), pole mask) of a radial grid.
+def _grid(num_nodes):
+    """Read-only (theta, D1, D2, cot(theta), pole mask) of the m-node cosine grid.
 
-    theta, cot(theta) (0 at the poles) and the pole mask are the same for
-    both kinds; only D1 and D2 differ.  The uniform grid's are the
-    three-point stencils applied to the identity, bit for bit (even
-    reflection at the poles).  The cosine grid's are exact on cos(l theta),
-    l < m, so u'(0) = u'(pi) = 0 holds by construction and -L has the zonal
-    spectrum l(l + n - 1).
+    The nodes are theta_j = j pi / (m - 1); cot(theta) is 0 at the poles.  D1
+    and D2 are exact on cos(l theta), l < m, so u'(0) = u'(pi) = 0 holds by
+    construction and -L has the zonal spectrum l(l + n - 1).
     """
-    if grid not in GRIDS:
-        raise ValueError(f"grid must be one of {', '.join(GRIDS)}, got {grid!r}")
     if num_nodes < 3:
         raise ValueError(f"radial profile needs at least 3 nodes, got {num_nodes}")
     theta = np.linspace(0.0, math.pi, num_nodes)
-    if grid == "uniform":
-        # even reflection u_{-1} = u_1 at a pole: u' = 0, u'' = 2 (u_1 - u_0) / h^2
-        h, up, down = theta[1] - theta[0], np.eye(num_nodes, k=1), np.eye(num_nodes, k=-1)
-        d1 = (up - down) / (2.0 * h)
-        d1[[0, -1], :] = 0.0
-        d2 = (up - 2.0 * np.eye(num_nodes) + down) / h ** 2
-        d2[0, 1] = d2[-1, -2] = 2.0 / h ** 2
-    else:
-        d1, d2 = _cosine_matrices(num_nodes)
+    d1, d2 = _cosine_matrices(num_nodes)
     cot = np.zeros(num_nodes)
     cot[1:-1] = 1.0 / np.tan(theta[1:-1])
     pole = np.zeros(num_nodes, dtype=bool)
@@ -213,37 +203,34 @@ def _grid(grid, num_nodes):
 class RadialProfile:
     """Positive radial profile u(theta_j) on [0, pi] with pole-aware calculus.
 
-    A grid is its kind and node count: theta and every grid operator are
-    derived from (``grid``, ``len(values)``), built once and shared
-    read-only.  Both kinds ("uniform" and "cosine") share the nodes
-    theta_j = j pi / (m - 1), both endpoints included; the discretisation
-    enforces the Neumann compatibility u'(0) = u'(pi) = 0 (even reflection
-    on the uniform grid, even Fourier collocation on the cosine grid).
+    The grid is its node count: theta and every grid operator are derived
+    from ``len(values)``, built once and shared read-only.  The nodes are
+    theta_j = j pi / (m - 1), both endpoints included; even Fourier
+    collocation enforces the Neumann compatibility u'(0) = u'(pi) = 0.
     """
 
     n: int
     values: np.ndarray
-    grid: str = "uniform"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if self.n < 3:
             raise DomainError(f"radial profile needs dimension n >= 3, got {self.n}")
-        _grid(self.grid, len(values))
+        _grid(len(values))
         if np.any(values <= 0):
             raise DomainError("radial profile must be strictly positive")
 
     @classmethod
-    def make(cls, n, num_nodes, values=None, grid="uniform"):
+    def make(cls, n, num_nodes, values=None):
         if values is None:
             values = np.ones(num_nodes)
         elif callable(values):
-            values = values(_grid(grid, num_nodes)[0])
+            values = values(_grid(num_nodes)[0])
         values = np.asarray(values, dtype=np.float64)
         if len(values) != num_nodes:
             raise ValueError(f"values has {len(values)} nodes but the grid has {num_nodes}")
-        return cls(n=n, values=values, grid=grid)
+        return cls(n=n, values=values)
 
     @property
     def num_nodes(self):
@@ -251,7 +238,7 @@ class RadialProfile:
 
     @property
     def theta(self):
-        return _grid(self.grid, self.num_nodes)[0]
+        return _grid(self.num_nodes)[0]
 
     def with_values(self, values):
         values = np.asarray(values, dtype=np.float64)
@@ -264,38 +251,38 @@ class RadialProfile:
 
     def d1_matrix(self):
         """(m, m) first-derivative matrix, built once per grid and shared read-only."""
-        return _grid(self.grid, self.num_nodes)[1]
+        return _grid(self.num_nodes)[1]
 
     def d2_matrix(self):
         """(m, m) second-derivative matrix, built once per grid and shared read-only."""
-        return _grid(self.grid, self.num_nodes)[2]
+        return _grid(self.num_nodes)[2]
 
     def d1(self, values=None):
-        """u' at the nodes: ``d1_matrix() @ values`` (an (m,) profile or an
-        (m, k) stack of columns), the operator the Jacobian is built from."""
-        return self.d1_matrix() @ (self.values if values is None else values)
+        """u' at the nodes: ``d1_matrix()`` applied to u - min(u) (an (m,)
+        profile or an (m, k) stack of columns, each less its own minimum), so
+        a constant has u' = 0 exactly; the operator the Jacobian is built
+        from, since D1 1 = 0 up to rounding."""
+        v = self.values if values is None else values
+        return self.d1_matrix() @ (v - v.min(axis=0))
 
     def d2(self, values=None):
-        """u'' at the nodes: ``d2_matrix() @ values``."""
-        return self.d2_matrix() @ (self.values if values is None else values)
+        """u'' at the nodes: ``d2_matrix()`` applied to u - min(u)."""
+        v = self.values if values is None else values
+        return self.d2_matrix() @ (v - v.min(axis=0))
 
     def pole_mask(self):
-        return _grid(self.grid, self.num_nodes)[4]
+        return _grid(self.num_nodes)[4]
 
     def cot_theta(self):
-        return _grid(self.grid, self.num_nodes)[3]
+        return _grid(self.num_nodes)[3]
 
     # -- quadrature over the sphere -------------------------------------------
 
     def quad_weights(self):
-        """Weights for integration over S^n against the round measure, built
-        once per (grid, m, n) and shared read-only: the trapezoid rule in
-        theta on the uniform grid (``_trapezoid_weights``); on the cosine grid
-        the spectral weights of ``_cosine_weights``, exact on cos(l theta),
-        l < m."""
-        if self.grid == "cosine":
-            return _cosine_weights(self.num_nodes, self.n)
-        return _trapezoid_weights(self.num_nodes, self.n)
+        """Weights for integration over S^n against the round measure, exact
+        on cos(l theta), l < m (``_cosine_weights``), built once per (m, n)
+        and shared read-only."""
+        return _cosine_weights(self.num_nodes, self.n)
 
     def integrate(self, values):
         return float(self.quad_weights() @ np.asarray(values))
@@ -304,19 +291,12 @@ class RadialProfile:
         return self.integrate(np.ones(self.num_nodes))
 
     def laplacian(self, values=None):
-        """Laplace-Beltrami of the radial function: u'' + (n-1) cot(theta) u'.
-
-        ``values`` may be an (m,) profile or an (m, m) stack of columns, so
-        ``laplacian(np.eye(m))`` is the operator's matrix.
-        """
+        """Laplace-Beltrami of the radial function, u'' + (n-1) cot(theta) u'
+        (n u'' at the poles): the matrix ``_laplacian_matrix`` applied to
+        u - min(u), so 0 on a constant exactly.  ``values`` may be an (m,)
+        profile or an (m, k) stack of columns."""
         v = self.values if values is None else values
-        up = self.d1(v)
-        upp = self.d2(v)
-        cot = self.cot_theta().reshape((-1,) + (1,) * (np.ndim(v) - 1))
-        out = upp + (self.n - 1.0) * cot * up
-        out[0] = self.n * upp[0]
-        out[-1] = self.n * upp[-1]
-        return out
+        return _laplacian_matrix(self.num_nodes, self.n) @ (v - v.min(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +338,9 @@ def _residual_evaluator(profile, ft, s, weight):
     ``DomainError``.  The thunk ``jacobian()`` builds the exact Jacobian
     from that evaluation's own u', u'', eigenvalues and values: the residual
     at node i is F(u_i, u'_i, u''_i), so
-    J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, tridiagonal on the
-    uniform grid, with the partials chained from
+    J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2 (u' and u'' are D1 and D2
+    applied to u - min(u), whose Jacobians are D1 and D2 since D 1 = 0 up to
+    rounding), with the partials chained from
     ``_kernels.radial_sphere_eig_partials`` through the gradient thunk of
     ``pair_value``.
     """
@@ -635,7 +616,7 @@ def _ht_jacobian(profile, t, v):
     less the rank-one term (1-t) u^(p_t) (2 w u / Vol)^T of mean(u^2), with w
     the quadrature weights."""
     pt, coef, source = _ht_terms(profile, t, v)
-    jac = -profile.laplacian(np.eye(profile.num_nodes))
+    jac = -_laplacian_matrix(profile.num_nodes, profile.n)
     jac[np.diag_indices_from(jac)] += coef - source * pt * v ** (pt - 1.0)
     jac -= np.outer((1.0 - t) * v ** pt, 2.0 * profile.quad_weights() * v / profile.volume())
     return jac
@@ -693,8 +674,7 @@ def linearized_H0_spectrum(profile, m, return_vectors=False):
     The operator is the linearisation of H_0 at u = 1 (``_ht_jacobian``).
     The unique nonpositive eigenvalue is -2 with constant eigenfunction; the
     rest of the spectrum is the radial Laplacian spectrum on mean-zero fields,
-    exactly l(l + n - 1) on the cosine grid and to second order in the node
-    spacing on the uniform grid.
+    l(l + n - 1) for l = 1..m-1, exact up to rounding.
     """
     a = _ht_jacobian(profile, 0.0, np.ones(profile.num_nodes))
     vals, vecs = np.linalg.eig(a)

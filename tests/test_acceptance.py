@@ -261,8 +261,7 @@ def test_criterion_11_cross_module_consistency():
             p2 = -np.cos(np.outer(np.atleast_1d(th), ms)) @ (ms ** 2 * coef)
             return u(th) * (p1 ** 2 + p2)
 
-        prof = sv.RadialProfile.make(n, 128, values=lambda th: u(th),
-                                     grid="cosine")
+        prof = sv.RadialProfile.make(n, 128, values=lambda th: u(th))
         interior = np.flatnonzero((prof.theta > 0.3)
                                   & (prof.theta < math.pi - 0.3))
         j = int(rng.choice(interior))

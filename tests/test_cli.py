@@ -146,7 +146,7 @@ def test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, field, value)
 @pytest.mark.parametrize("kind", ["solve radial", "solve homotopy"])
 @pytest.mark.parametrize("nodes", [1, 2])
 def test_radial_grid_without_interior_node_exit_two(tmp_path, capsys, kind, nodes):
-    # the three-point stencils need an interior node
+    # the radial grid needs an interior node
     test_nonpositive_sample_count_exit_two(tmp_path, capsys, kind, "nodes", nodes)
 
 
@@ -409,15 +409,38 @@ def test_solve_campaigns_write_transcripts(tmp_path):
     assert (tmp_path / "out" / "homotopy" / "solve_homotopy.csv").exists()
 
 
+def test_radial_start_lies_inside_the_cone():
+    # the demo's radial start, 1 + perturbation cos(theta) at n = 3, k = 2 on
+    # 128 nodes: the default 0.1 has pole margin (-0.2/0.9 + 1/2) 0.9^-4 ~
+    # 0.42; the earlier default 0.2 lay on the cone boundary at theta = pi,
+    # where rounding decided the sign of its margin
+    from schouten import solver
+    from schouten.cones import CurvatureFunction
+
+    spec = cli.load_config(ROOT / "configs" / "demo.yaml")["campaigns"]["radial-continuation"]
+    par = cli._params("radial-continuation", spec)
+    assert par["perturbation"] == 0.1
+    n, f = par["dim"], CurvatureFunction.sigma_root(par["dim"], par["k"])
+    margins = []
+    for amp in (par["perturbation"], 0.2):
+        prof = solver.RadialProfile.make(n, par["nodes"], values=lambda th: 1.0 + amp * np.cos(th))
+        margins.append(solver.make_state(prof, f, 2.0 / (n - 2.0), 1.0).min_cone_margin)
+    assert margins[0] == pytest.approx((-0.2 / 0.9 + 0.5) * 0.9 ** -4, rel=1e-9)
+    assert abs(margins[1]) < 1e-10
+
+
 def test_cosine_grid_replaces_lobatto(tmp_path, capsys):
-    # the removed Chebyshev-Lobatto grid is a config error naming the grid
-    # that replaced it, and a cosine-grid solve runs to s = 0 at u = 1
-    cfg = write_cfg(tmp_path, {"x": {"kind": "solve radial", "grid": "lobatto"}})
-    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "one of uniform, cosine" in capsys.readouterr().err
+    # the cosine grid is the only radial grid: a config that still names a
+    # grid (the removed Chebyshev-Lobatto or uniform one, or the cosine grid
+    # itself) is an unknown field, and a solve runs to s = 0 at u = 1
+    for kind in ("solve radial", "solve homotopy"):
+        for grid in ("lobatto", "uniform", "cosine"):
+            cfg = write_cfg(tmp_path, {"x": {"kind": kind, "grid": grid}})
+            assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+            assert "field 'grid' is not one of" in capsys.readouterr().err
     summary = cli.run_campaigns({"campaigns": {"r": {
-        "kind": "solve radial", "dim": 4, "k": 2, "nodes": 48, "steps": 5,
-        "grid": "cosine"}}}, tmp_path / "out")
+        "kind": "solve radial", "dim": 4, "k": 2, "nodes": 48, "steps": 5}}},
+        tmp_path / "out")
     result = summary["results"][0]
     assert result["passed"], result
     assert result["max_dev_from_const"] <= 1e-8
