@@ -12,11 +12,15 @@ Schouten form decomposes as
     A = chi1 * Id - chi2 * (x/r) x (x/r) + remainder,
 
 with closed-form coefficients chi1, chi2 depending on log-derivatives of v.
-The sweeps compute the true eigenvalues through the ``conformal`` chart
-machinery, check the diagonal-ray cone margin sign demanded by each barrier
-(strictly outside the closed cone for the sub-solution, strictly inside for
-the super-solution), certify the largest radius r1 at which the verdict
-holds by dyadic descent, and record how far the eigenvalues drift from the
+A barrier is its jet r -> (v, l, l') with l = v'/v (``_barrier_jet``): the
+factor's derivatives v' = v l and v'' = v (l' + l^2), the sweep's scales and
+both chi closed forms read it, and the two closed forms are one formula
+(``_chi``) in p = l/(n-2) and p'.  The sweeps compute the true eigenvalues
+through the ``conformal`` chart machinery, check the diagonal-ray cone
+margin sign demanded by each barrier (strictly outside the closed cone for
+the sub-solution, strictly inside for the super-solution), certify the
+largest radius r1 at which the verdict holds by dyadic descent, and record
+how far the eigenvalues drift from the
 (chi1 - chi2, chi1, ..., chi1) prediction relative to the remainder scale
 1 + |r v'/v| + (r v'/v)^2.  Each ceiling r1 tried gets its own report (rows,
 failures, worst margin, largest remainder, per-combination verdicts); a sweep
@@ -160,6 +164,32 @@ def gershgorin_ratios(m, mt):
 # closed forms
 # ---------------------------------------------------------------------------
 
+def _barrier_jet(n, kind, delta, mu=None, eps=None):
+    """The ``kind`` ("sub" or "super") barrier as r -> (v, l, l'), l = v'/v.
+
+    Sub: v = r^-a e^r with a = n - 2 - 2 delta, so l = 1 - a/r, l' = a/r^2.
+    Super: v = b^beta with beta = (n-2)/(mu-1), so l = beta m, l' = beta m'
+    for the base's m = b'/b (``_super_base``).  No parameter checks: the
+    public entry points and ``sweep_fault`` make them.
+    """
+    if kind == "sub":
+        a = n - 2.0 - 2.0 * delta
+        return lambda r: (r ** (-a) * np.exp(r), -a / r + 1.0, a / r ** 2)
+    beta = (n - 2.0) / (mu - 1.0)
+
+    def jet(r):
+        b, m, m1 = _super_base(mu, delta, eps, r)
+        return b ** beta, beta * m, beta * m1
+    return jet
+
+
+def _chi(p, p1, r):
+    """Flat-chart Schouten coefficients (chi1, chi2) of a radial factor whose
+    p = v'/((n-2) v) has derivative p1: chi1 = -2p/r - 2p^2 and
+    chi2 = 2 (p1 - p/r) - 4p^2."""
+    return -2.0 * p / r - 2.0 * p ** 2, 2.0 * (p1 - p / r) - 4.0 * p ** 2
+
+
 def subsolution_eval(n, delta, r):
     """Value and radial log-derivative of r^-(n-2-2*delta) * exp(r)."""
     r = np.asarray(r, dtype=np.float64)
@@ -167,28 +197,22 @@ def subsolution_eval(n, delta, r):
         raise DomainError("radius must be positive")
     if not 0 < delta < 0.25:
         raise DomainError("sub-solution exponent shift needs 0 < delta < 1/4")
-    a = n - 2.0 - 2.0 * delta
-    value = r ** (-a) * np.exp(r)
-    dlog = -a / r + 1.0
+    value, dlog, _ = _barrier_jet(n, "sub", delta)(r)
     return value, dlog
 
 
 def chi_coefficients_sub(n, delta, r):
     """Closed-form (chi1, chi2) of the sub-solution Schouten decomposition.
 
-    chi1 = 2 (a - r)(2 delta + r) / ((n-2)^2 r^2) with a = n - 2 - 2 delta;
-    chi2 is the matching quadratic-in-r coefficient.  They satisfy
-    chi2 - 2 chi1 = 2 / ((n-2) r) identically.
+    ``_chi`` of p = l/(n-2): chi1 = 2 (a - r)(2 delta + r) / ((n-2)^2 r^2)
+    with a = n - 2 - 2 delta, and chi2 - 2 chi1 = 2 / ((n-2) r) identically.
     """
     r = np.asarray(r, dtype=np.float64)
     a = n - 2.0 - 2.0 * delta
     if np.any(r <= 0) or np.any(r >= a):
         raise DomainError("sub-solution coefficients need 0 < r < n-2-2*delta")
-    pref = 2.0 / (n - 2.0) ** 2
-    chi1 = pref * (a - r) * (2.0 * delta + r) / r ** 2
-    chi2 = pref * (4.0 * a * delta + (3.0 * (n - 2.0) - 8.0 * delta) * r
-                   - 2.0 * r ** 2) / r ** 2
-    return chi1, chi2
+    _, l, l1 = _barrier_jet(n, "sub", delta)(r)
+    return _chi(l / (n - 2.0), l1 / (n - 2.0), r)
 
 
 def supersolution_eval(n, mu, delta, eps, r):
@@ -202,14 +226,15 @@ def supersolution_eval(n, mu, delta, eps, r):
 
 
 def _super_base(mu, delta, eps, r):
-    """b = eps r^(1-mu) + 1 - r^delta with b' and b''; b must be positive."""
+    """b = eps r^(1-mu) + 1 - r^delta with m = b'/b and m' = b''/b - m^2;
+    b must be positive."""
     b = eps * r ** (1.0 - mu) + 1.0 - r ** delta
     if np.any(b <= 0):
         raise DomainError("super-solution base is nonpositive")
-    b1 = eps * (1.0 - mu) * r ** (-mu) - delta * r ** (delta - 1.0)
+    m = (eps * (1.0 - mu) * r ** (-mu) - delta * r ** (delta - 1.0)) / b
     b2 = eps * mu * (mu - 1.0) * r ** (-mu - 1.0) \
         - delta * (delta - 1.0) * r ** (delta - 2.0)
-    return b, b1, b2
+    return b, m, b2 / b - m ** 2
 
 
 def _check_super_params(mu, delta, eps):
@@ -224,22 +249,14 @@ def _check_super_params(mu, delta, eps):
 def chi_coefficients_super(mu, delta, eps, r):
     """Closed-form (chi1, chi2) for the super-solution; independent of n.
 
-    Built from log-derivatives of the base b = eps r^(1-mu) + 1 - r^delta:
-    with m = b'/b and m' = b''/b - m^2,
-
-        chi1 = -2 m / ((mu-1) r) - 2 m^2 / (mu-1)^2,
-        chi2 = 2 (m' - m/r) / (mu-1) - 4 m^2 / (mu-1)^2,
-
-    and chi2 - (mu+1) chi1 = -2 delta (mu-1+delta) / ((mu-1) r^(2-delta) b) < 0.
+    ``_chi`` of p = m/(mu-1), with m = b'/b for the base
+    b = eps r^(1-mu) + 1 - r^delta; and
+    chi2 - (mu+1) chi1 = -2 delta (mu-1+delta) / ((mu-1) r^(2-delta) b) < 0.
     """
     r = np.asarray(r, dtype=np.float64)
     _check_super_params(mu, delta, eps)
-    b, b1, b2 = _super_base(mu, delta, eps, r)
-    lm = b1 / b
-    lmp = b2 / b - lm ** 2
-    chi1 = -2.0 * lm / ((mu - 1.0) * r) - 2.0 * lm ** 2 / (mu - 1.0) ** 2
-    chi2 = 2.0 * (lmp - lm / r) / (mu - 1.0) - 4.0 * lm ** 2 / (mu - 1.0) ** 2
-    return chi1, chi2
+    _, m, m1 = _super_base(mu, delta, eps, r)
+    return _chi(m / (mu - 1.0), m1 / (mu - 1.0), r)
 
 
 # ---------------------------------------------------------------------------
@@ -300,42 +317,17 @@ class SweepReport:
 
 
 def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
-    if kind == "sub":
-        a = n - 2.0 - 2.0 * delta
+    """(v, v', v'', v'/v) of the barrier, each read from its one jet."""
+    jet = _barrier_jet(n, kind, delta, mu, eps)
 
-        def v(r):
-            return subsolution_eval(n, delta, r)[0]
+    def v1(r):
+        v, l, _ = jet(r)
+        return v * l
 
-        def v1(r):
-            val, dl = subsolution_eval(n, delta, r)
-            return val * dl
-
-        def v2(r):
-            val, dl = subsolution_eval(n, delta, r)
-            return val * (dl ** 2 + a / r ** 2)
-
-        def dlog(r):
-            return subsolution_eval(n, delta, r)[1]
-    else:
-        beta = (n - 2.0) / (mu - 1.0)
-
-        def v(r):
-            b, _, _ = _super_base(mu, delta, eps, r)
-            return b ** beta
-
-        def v1(r):
-            b, b1, _ = _super_base(mu, delta, eps, r)
-            return beta * b ** (beta - 1.0) * b1
-
-        def v2(r):
-            b, b1, b2 = _super_base(mu, delta, eps, r)
-            return (beta * (beta - 1.0) * b ** (beta - 2.0) * b1 ** 2
-                    + beta * b ** (beta - 1.0) * b2)
-
-        def dlog(r):
-            b, b1, _ = _super_base(mu, delta, eps, r)
-            return beta * b1 / b
-    return v, v1, v2, dlog
+    def v2(r):
+        v, l, l1 = jet(r)
+        return v * (l1 + l ** 2)
+    return (lambda r: jet(r)[0]), v1, v2, (lambda r: jet(r)[1])
 
 
 def _sweep_once(combo, kind, g, geometry, rr, cone):
@@ -345,23 +337,19 @@ def _sweep_once(combo, kind, g, geometry, rr, cone):
     Returns (margins, remainders) with one entry per sample.
     """
     n = g.n
-    v, v1, v2, dlog = _radial_factor(n, kind=kind, **combo)
-    if kind == "sub":
-        chi1, chi2 = chi_coefficients_sub(n, combo["delta"], rr)
-    else:
-        chi1, chi2 = chi_coefficients_super(combo["mu"], combo["delta"], combo["eps"], rr)
-
+    v, v1, v2, _ = _radial_factor(n, kind=kind, **combo)
     u = cf.ConformalFactor.radial(n, v, v1, v2)
     eigs = cf.conformal_schouten_eigs(g, u, geometry.points, geometry=geometry)
     margins = cone.margin_batch(eigs)
 
-    vals = v(rr)
+    vals, l, l1 = _barrier_jet(n, kind, **combo)(rr)
+    chi1, chi2 = _chi(l / (n - 2.0), l1 / (n - 2.0), rr)
     scale = vals ** (-4.0 / (n - 2.0))
     pred = np.empty((len(rr), n))
     pred[:, 0] = (chi1 - chi2) * scale
     pred[:, 1:] = (chi1 * scale)[:, None]
     pred.sort(axis=1)
-    rl = rr * dlog(rr)
+    rl = rr * l
     rem_scale = scale * (1.0 + np.abs(rl) + rl ** 2)
     remainders = np.abs(eigs - pred).max(axis=1) / rem_scale
     return margins, remainders

@@ -198,8 +198,11 @@ def test_criterion_09_solver_fixed_point_and_continuation():
         prof = sv.RadialProfile.make(n, 128)
         f = CurvatureFunction.sigma_root(n, k)
         s0 = 2.0 / (n - 2.0)
-        start = sv.newton_solve(
-            prof.with_values(1.0 + 0.2 * np.cos(prof.theta)), f, s0)
+        # the CLI's default perturbation, inside the cone by a decided margin
+        # (0.42 at the pole for n = 3: (-0.2/0.9 + 1/2) 0.9^-4)
+        guess = prof.with_values(1.0 + 0.1 * np.cos(prof.theta))
+        assert sv.make_state(guess, f, s0, 1.0).min_cone_margin >= 0.1
+        start = sv.newton_solve(guess, f, s0)
         dev0 = float(np.abs(start.profile.values - 1.0).max())
         ok = ok and start.residual_norm < 1e-8 and dev0 <= 1e-8
         schedule = [(s, 1.0) for s in np.linspace(s0, 0.0, 21)[1:]]

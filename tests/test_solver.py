@@ -449,6 +449,23 @@ def test_newton_recovers_the_mobius_profile_with_psi_u_to_the_s(n, k):
                                                 abs=max(trunc, 1e-10))
 
 
+@pytest.mark.parametrize("n, k", MOBIUS_PAIRS)
+def test_mobius_family_is_noncompact_at_s0(n, k):
+    # the paper's exclusion of the round sphere, stated on the grid: along
+    # the family the maximum e^(beta (n-2)/2), taken at the node theta = pi,
+    # grows without bound while every member stays a discrete solution at
+    # s = 0 to truncation level (at most 2.6e-11 on 128 nodes for beta <= 1.5)
+    f = CurvatureFunction.sigma_root(n, k)
+    maxima = []
+    for beta in (0.5, 1.0, 1.5):
+        u, _ = _mobius(n, beta)
+        prof = sv.RadialProfile.make(n, 128, values=u)
+        maxima.append(float(prof.values.max()))
+        assert maxima[-1] == pytest.approx(math.exp(beta * (n - 2.0) / 2.0), rel=1e-14)
+        assert np.abs(sv.residual_Fs(prof, f, 0.0)).max() <= 1e-10, beta
+    assert maxima[0] < maxima[1] < maxima[2]
+
+
 def test_h_t_checkpoints_are_members_of_the_family():
     # g0_residual (ht_residual at t = 1) against the formula written out,
     # and the linearised spectrum (the exact H_t Jacobian at t = 0, u = 1)
@@ -942,11 +959,6 @@ def test_exact_ht_jacobian_matches_fd_oracle(monkeypatch):
         _assert_matches_oracle(*_res_and_jac(evaluate), u)
 
 
-# The tests below are named for the coloured, stacked difference Jacobian
-# that the solver formed before it had exact Jacobians, and keep those names;
-# each now checks the exact Jacobian at the same states against the dense
-# one-column oracle.
-
 def _psi_branch_start(prof, f, psi):
     # the psi-branch workload's start: s = 1, 0.5, 0.25, 0.12 on 64 nodes,
     # and the schedule that walks on toward s = 0
@@ -956,7 +968,7 @@ def _psi_branch_start(prof, f, psi):
     return cur, [(s, 1.0) for s in np.linspace(0.12, 0.0, 25)[1:]]
 
 
-def test_coloured_jacobian_bitwise_at_psi_state():
+def test_exact_jacobian_matches_oracle_at_a_psi_state():
     prof = sv.RadialProfile.make(4, 64)
     f = CurvatureFunction.sigma_root(4, 2)
     psi = lambda th: 1.0 + 0.1 * np.cos(th)
@@ -969,7 +981,7 @@ def test_coloured_jacobian_bitwise_at_psi_state():
         state.profile.values)
 
 
-def test_coloured_jacobian_bitwise_on_deformed_cone():
+def test_exact_jacobian_matches_oracle_on_a_deformed_cone():
     prof = sv.RadialProfile.make(4, 48)
     ft = CurvatureFunction.sigma_root(4, 2).deform(0.5)
     u = 1.0 + 0.1 * np.cos(prof.theta) + 0.02 * np.cos(2.0 * prof.theta)
@@ -1008,7 +1020,7 @@ def _checked_jacobians(monkeypatch, keep=None):
     return seen
 
 
-def test_stacked_jacobian_bitwise_along_the_psi_branch(monkeypatch):
+def test_exact_jacobian_matches_oracle_along_the_psi_branch(monkeypatch):
     # the psi-branch benchmark workload: s = 1 ... 0.035 on 64 nodes
     seen = _checked_jacobians(monkeypatch)
     prof = sv.RadialProfile.make(4, 64)
@@ -1024,7 +1036,7 @@ def test_stacked_jacobian_bitwise_along_the_psi_branch(monkeypatch):
 
 
 @pytest.mark.parametrize("m, t", [(64, 0.4), (96, 1.0), (96, 0.4), (128, 1.0)])
-def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
+def test_exact_jacobian_matches_oracle_on_finer_grids_and_deformed_cones(m, t):
     prof = sv.RadialProfile.make(4, m)
     ft = CurvatureFunction.sigma_root(4, 2).deform(t)
     psi = lambda th: 1.0 + 0.1 * np.cos(th)
@@ -1034,7 +1046,7 @@ def test_stacked_jacobian_bitwise_on_finer_grids_and_deformed_cones(m, t):
                            _exact_jacobian(prof, ft, 0.5, psi_arr), u)
 
 
-def test_stacked_jacobian_bitwise_where_probes_leave_the_cone(monkeypatch):
+def test_exact_jacobian_matches_oracle_near_the_psi_branch_wall(monkeypatch):
     # the obstructed psi-branch walked past s = 0.035 to its end state, the
     # stretch where the coloured difference probes left the cone: the last
     # ten Jacobians, nearest the wall, match the oracle, whose one-column
