@@ -16,11 +16,11 @@ A barrier is its jet r -> (v, l, l') with l = v'/v (``_barrier_jet``): the
 factor's derivatives v' = v l and v'' = v (l' + l^2), the sweep's scales and
 both chi closed forms read it, and the two closed forms are one formula
 (``_chi``) in p = l/(n-2) and p'.  The sweeps compute the true eigenvalues
-through the ``conformal`` chart machinery, check the diagonal-ray cone
-margin sign demanded by each barrier (strictly outside the closed cone for
-the sub-solution, strictly inside for the super-solution), certify the
-largest radius r1 at which the verdict holds by dyadic descent, and record
-how far the eigenvalues drift from the
+at one point per radius through the ``conformal`` chart machinery, check
+the diagonal-ray cone margin sign demanded by each barrier (strictly outside
+the closed cone for the sub-solution, strictly inside for the
+super-solution), certify the largest radius r1 at which the verdict holds by
+dyadic descent, and record how far the eigenvalues drift from the
 (chi1 - chi2, chi1, ..., chi1) prediction relative to the remainder scale
 1 + |r v'/v| + (r v'/v)^2.  Each ceiling r1 tried gets its own report (rows,
 failures, worst margin, largest remainder, per-combination verdicts); a sweep
@@ -269,6 +269,12 @@ BACKGROUNDS = {"sphere": cf.MetricField.sphere_normal, "flat": cf.MetricField.fl
 
 @dataclass
 class BarrierSweepConfig:
+    """Grids of a barrier sweep.  Each ceiling r1 is sampled at the ``num_r``
+    radii ``radii(r1)``, one point per radius: radius i lies along direction
+    i mod ``num_dirs`` of the ``num_dirs`` random unit ``directions()`` drawn
+    from ``seed``.  Both backgrounds are rotation invariant and the barriers
+    radial, so one direction per radius samples what all of them would."""
+
     n: int
     k: int
     deltas: tuple = (0.01, 0.05, 0.1, 0.2)
@@ -331,10 +337,11 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
 
 
 def _sweep_once(combo, kind, g, geometry, rr, cone):
-    """Evaluate one parameter combination over the (r, direction) samples.
+    """Evaluate one parameter combination at one sample per radius.
 
-    ``geometry`` is the chart geometry of the sample points, at radii ``rr``.
-    Returns (margins, remainders) with one entry per sample.
+    ``geometry`` is the chart geometry of the sample points, the point i at
+    radius ``rr[i]``.  Returns (margins, remainders) with one entry per
+    sample, so one per radius.
     """
     n = g.n
     v, v1, v2, _ = _radial_factor(n, kind=kind, **combo)
@@ -405,9 +412,10 @@ def _ceilings(kind, n, deltas, r_min=0.0):
 def barrier_sweep_sub(cfg):
     """Certify that the sub-solution eigenvalues exit the closed cone.
 
-    Over the (delta, r, direction) grid the margin must be strictly negative;
-    the largest grid ceiling r1 for which this holds is found by dyadic
-    descent from 0.5 and reported.
+    At every delta and every radius of the grid (one sample per radius,
+    along a direction of ``cfg.directions()``) the margin must be strictly
+    negative; the largest grid ceiling r1 for which this holds is found by
+    dyadic descent from 0.5 and reported.
     """
     report = _run_sweep(cfg, kind="sub", combos=[{"delta": d} for d in cfg.deltas])
     if (cfg.n, cfg.k) not in sub_pairs([cfg.n]):
@@ -474,11 +482,10 @@ def _run_sweep(cfg, kind, combos):
         report = SweepReport(kind=f"barrier-{kind}", n=cfg.n, k=cfg.k,
                              background=cfg.background, passed=False, r1_certified=None,
                              worst_margin=-math.inf if sub else math.inf, max_remainder=0.0)
-        # one point grid and one chart geometry per ceiling, shared by every
-        # parameter combination
-        radii = cfg.radii(r1)
-        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
-        rr = np.repeat(radii, cfg.num_dirs)
+        # one sample per radius, r_i d_(i mod num_dirs), and one chart
+        # geometry per ceiling, shared by every parameter combination
+        rr = cfg.radii(r1)
+        pts = rr[:, None] * dirs[np.arange(cfg.num_r) % cfg.num_dirs]
         geometry = cf.chart_geometry(g, pts)
         for combo in combos:
             margins, rems = _sweep_once(combo, kind, g, geometry, rr, cone)

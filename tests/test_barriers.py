@@ -277,28 +277,37 @@ def test_super_sweep_passes_and_is_eps_uniform():
 def test_super_sweep_builds_chart_geometry_once_per_ceiling(monkeypatch):
     # the background Schouten tensor depends only on the point grid: one
     # evaluation per r1 candidate, shared by every (mu, delta, eps)
-    background_r1, eigs_r1 = [], []
+    geometry_r1, background_r1, eigs_r1 = [], [], []
+    geometry_rows, eigs_rows = [], []
 
-    def counted(fn, log):
+    def counted(fn, log, rows):
         def wrapper(*args, **kwargs):
             log.append(float(np.linalg.norm(args[-1], axis=-1).max()))
+            rows.append(len(args[-1]))
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(cf, "chart_geometry",
+                        counted(cf.chart_geometry, geometry_r1, geometry_rows))
     monkeypatch.setattr(cf, "schouten_background",
-                        counted(cf.schouten_background, background_r1))
+                        counted(cf.schouten_background, background_r1, []))
     monkeypatch.setattr(cf, "conformal_schouten_eigs",
-                        counted(cf.conformal_schouten_eigs, eigs_r1))
+                        counted(cf.conformal_schouten_eigs, eigs_r1, eigs_rows))
     cfg = br.BarrierSweepConfig(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3,),
                                 epsilons=(0.1, 0.9), background="sphere",
                                 num_r=8, num_dirs=2)
     rep = br.barrier_sweep_super(cfg)
     assert rep.passed and rep.r1_certified == 0.125
     tried = [0.5, 0.25, 0.125]
+    assert geometry_r1 == pytest.approx(tried, rel=1e-12)
     assert background_r1 == pytest.approx(tried, rel=1e-12)
     # the discarded ceilings 0.5 and 0.25 stop at their first (failing)
     # combination; the certified ceiling 0.125 runs all four
     assert eigs_r1 == pytest.approx([0.5, 0.25, 0.125, 0.125, 0.125, 0.125], rel=1e-12)
+    # one sample per radius: num_r rows, not num_r * num_dirs
+    assert geometry_rows == [cfg.num_r] * len(tried)
+    assert eigs_rows == [cfg.num_r] * len(eigs_r1)
+    assert len(rep.rows) == 4 * cfg.num_r
 
 
 def test_super_sweep_precondition_violations():
@@ -361,9 +370,8 @@ def test_sweep_rejects_the_field_the_config_rejects(monkeypatch, kind, params, f
 def _full_ceiling(cfg, kind, combos, r1):
     # every combination evaluated at the ceiling r1, none skipped
     g = cfg.metric()
-    radii = cfg.radii(r1)
-    pts = (radii[:, None, None] * cfg.directions()[None, :, :]).reshape(-1, cfg.n)
-    rr = np.repeat(radii, cfg.num_dirs)
+    rr = cfg.radii(r1)
+    pts = rr[:, None] * cfg.directions()[np.arange(cfg.num_r) % cfg.num_dirs]
     geometry = cf.chart_geometry(g, pts)
     cone = ConeSpec.gamma(cfg.n, cfg.k)
     rows, failures, verdicts = [], [], {}
@@ -413,13 +421,15 @@ def test_early_stop_returns_the_fully_evaluated_report(monkeypatch, kind, params
         assert getattr(report, name) == value, name
     if report.r1_certified is None:
         # the last ceiling, returned when none certifies, is complete
-        assert len(report.rows) == len(cfg.deltas) * cfg.num_r * cfg.num_dirs
+        assert len(report.rows) == len(cfg.deltas) * cfg.num_r
         assert [f[0]["delta"] for f in report.failures] == list(cfg.deltas)
 
 
-def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
+def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5, full_grid=False):
     # the sweep loop as it was before it kept one report per ceiling: state
-    # for the current ceiling, copied into the result at its end
+    # for the current ceiling, copied into the result at its end.  It samples
+    # one point per radius, r_i d_(i mod num_dirs), or with ``full_grid``
+    # every (radius, direction) pair, radius-major, as the sweep once did
     g = cfg.metric()
     dirs = cfg.directions()
     cone = ConeSpec.gamma(cfg.n, cfg.k)
@@ -440,8 +450,12 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
         fail_list = []
         eps_verdicts = {}
         radii = cfg.radii(r1)
-        pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
-        rr = np.repeat(radii, cfg.num_dirs)
+        if full_grid:
+            pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
+            rr = np.repeat(radii, cfg.num_dirs)
+        else:
+            pts = radii[:, None] * dirs[np.arange(cfg.num_r) % cfg.num_dirs]
+            rr = radii
         geometry = cf.chart_geometry(g, pts)
         for combo in combos:
             margins, rems = br._sweep_once(combo, kind, g, geometry, rr, cone)
@@ -473,7 +487,7 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
                           failures=failures, epsilon_verdicts=eps_verdicts)
 
 
-@pytest.mark.parametrize("kind, params", [
+_SWEEP_CASES = [
     ("sub", dict(n=4, k=2, deltas=(0.05, 0.2))),
     ("sub", dict(n=4, k=1, deltas=(0.05, 0.2))),  # negative control
     ("sub", dict(n=4, k=2, deltas=(0.1,), background="flat")),
@@ -481,7 +495,10 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5):
     ("super", dict(n=4, k=1, deltas=(0.25, 0.5), mus=(1.3, 1.6),
                    epsilons=(0.1, 0.9))),
     ("super", dict(n=6, k=2, deltas=(0.25, 0.5), mus=(1.5,))),
-])
+]
+
+
+@pytest.mark.parametrize("kind, params", _SWEEP_CASES)
 def test_sweep_report_matches_copied_out_oracle(monkeypatch, kind, params):
     cfg = br.BarrierSweepConfig(num_r=12, num_dirs=3, **params)
     sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
@@ -494,6 +511,30 @@ def test_sweep_report_matches_copied_out_oracle(monkeypatch, kind, params):
     # the CSV writer formats numpy scalars differently from Python ones
     assert all(type(row[3]) is float and type(row[4]) is float
                and type(row[5]) is bool for row in got.rows)
+
+
+@pytest.mark.parametrize("num_dirs", [1, 3, 20])
+@pytest.mark.parametrize("kind, params", _SWEEP_CASES)
+def test_sweep_rows_are_rows_of_the_full_direction_grid(monkeypatch, kind, params, num_dirs):
+    # row i of a combination is the full (radius x direction) grid's row at
+    # (r_i, d_(i mod num_dirs)), bit for bit, and the full grid decides the
+    # same; with num_dirs = 20 > num_r = 12 only d_0, ..., d_11 are sampled
+    cfg = br.BarrierSweepConfig(num_r=12, num_dirs=num_dirs, **params)
+    sweep = br.barrier_sweep_sub if kind == "sub" else br.barrier_sweep_super
+    got = sweep(cfg)
+    monkeypatch.setattr(br, "_run_sweep", lambda cfg, kind, combos: _copied_out_sweep(
+        cfg, kind, combos, kind == "sub", br._ceilings(kind, cfg.n, cfg.deltas)[0],
+        full_grid=True))
+    full = sweep(cfg)
+    assert got.passed == full.passed
+    assert got.r1_certified == full.r1_certified
+    assert got.epsilon_verdicts == full.epsilon_verdicts
+    combos = len(got.epsilon_verdicts)
+    assert len(got.rows) == combos * cfg.num_r
+    assert len(full.rows) == combos * cfg.num_r * num_dirs
+    picks = [(c * cfg.num_r + i) * num_dirs + i % num_dirs
+             for c in range(combos) for i in range(cfg.num_r)]
+    assert got.rows == [full.rows[j] for j in picks]
 
 
 def test_sweep_prediction_remainder_scales():
