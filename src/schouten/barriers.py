@@ -32,9 +32,10 @@ complete, filled from every combination.  Defaults live in
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
 prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
-takes (..., n, n) stacks of pairs through one ``eigh``/``eigvalsh`` call each
-and returns the per-pair ratios and within-bound flags bit-identical to the
-per-pair results.  ``suph_barrier_check`` probes the spherical-harmonic
+takes (..., n, n) stacks of pairs through one ``eigvalsh`` call per stack and
+returns the per-pair ratios and within-bound flags bit-identical to the
+per-pair results.  Only ``gershgorin_pairing`` diagonalises, for its rotated
+Gershgorin discs.  ``suph_barrier_check`` probes the spherical-harmonic
 barrier G(r) = r^(2-n) - K r^(5/2-n) used in superharmonic minimum tracking.
 """
 
@@ -96,10 +97,10 @@ def _pairing_stack(m, mt):
     """The eigen path shared by ``gershgorin_pairing`` and ``gershgorin_ratios``.
 
     Takes (..., n, n) stacks and returns, per pair, the max-entry perturbation
-    eps, the eigenvectors of ``m``, the per-eigenvalue drifts, their total,
-    the n^2 eps bound and whether the total is within it (up to 1e-12 of the
-    spectrum scale).  ``m`` goes through ``eigh`` even where only its
-    eigenvalues are read: ``eigvalsh`` differs from ``eigh`` in the last bits.
+    eps, the per-eigenvalue drifts, their total, the n^2 eps bound and
+    whether the total is within it (up to 1e-12 of the spectrum scale).  Both
+    spectra come from ``eigvalsh``, one call per stack: no eigenvectors are
+    formed.
     """
     m = np.asarray(m, dtype=np.float64)
     mt = np.asarray(mt, dtype=np.float64)
@@ -107,14 +108,14 @@ def _pairing_stack(m, mt):
         raise ValueError("matrices must be square and of equal size")
     n = m.shape[-1]
     eps = np.abs(m - mt).max(axis=(-2, -1))
-    vals_m, q = np.linalg.eigh(m)
+    vals_m = np.linalg.eigvalsh(m)
     # both spectra ascending: the identity pairing minimises the total
     per_pair = np.abs(vals_m - np.linalg.eigvalsh(mt))
     total = per_pair.sum(axis=-1)
     bound = n ** 2 * eps
     slack = 1e-12 * np.maximum(1.0, np.abs(vals_m).max(axis=-1))
     within = ~(total > bound + slack)
-    return eps, q, per_pair, total, bound, within
+    return eps, per_pair, total, bound, within
 
 
 def gershgorin_pairing(m, mt):
@@ -133,10 +134,11 @@ def gershgorin_pairing(m, mt):
     mt = np.asarray(mt, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError("matrices must be square and of equal size")
-    eps, q, per_pair, total, bound, within = _pairing_stack(m, mt)
+    eps, per_pair, total, bound, within = _pairing_stack(m, mt)
     if not within:
         raise AssertionError(
             f"eigenvalue drift {total:g} exceeds n^2 * max-perturbation {bound:g}")
+    q = np.linalg.eigh(m)[1]
     rotated = q.T @ mt @ q
     diag = np.diag(rotated).copy()
     return GershgorinResult(permutation=np.arange(m.shape[0]),
@@ -155,7 +157,7 @@ def gershgorin_ratios(m, mt):
     bit-identical to ``gershgorin_pairing(m[i], mt[i]).ratio``; where it
     fails, the pair is flagged instead of raising.
     """
-    eps, _, _, total, _, within = _pairing_stack(m, mt)
+    eps, _, total, _, within = _pairing_stack(m, mt)
     ratio = np.divide(total, eps, out=np.zeros_like(total), where=eps != 0.0)
     return ratio, within
 

@@ -154,15 +154,11 @@ def _run_gershgorin(par, rng):
     measured = {}
     out_of_bound = {}
     for n in dims:
-        # per-trial draws in the per-pair order, then one stacked pass;
+        # three array draws per dimension, then one stacked pass;
         # -8 + 8 * random() is the double rng.uniform(-8, 0) draws
-        m = np.empty((trials, n, n))
-        noise = np.empty((trials, n, n))
-        scale = np.empty(trials)
-        for trial in range(trials):
-            rng.standard_normal(out=m[trial])
-            scale[trial] = 10.0 ** (-8.0 + 8.0 * rng.random())
-            rng.standard_normal(out=noise[trial])
+        m = rng.standard_normal((trials, n, n))
+        scale = 10.0 ** (-8.0 + 8.0 * rng.random(trials))
+        noise = rng.standard_normal((trials, n, n))
         m = 0.5 * (m + m.transpose(0, 2, 1))
         mt = m + (scale * 0.5)[:, None, None] * (noise + noise.transpose(0, 2, 1))
         del noise

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from schouten import barriers as br
+from schouten import cli
 from schouten import conformal as cf
 from schouten.cones import ConeSpec
 from schouten.errors import DomainError
@@ -58,9 +59,9 @@ def _symmetric_pairs(rng, trials, n):
 
 def _pairing_loop(m, mt):
     results = [br.gershgorin_pairing(a, b) for a, b in zip(m, mt)]
-    # the per-pair total as the estimate defines it, spectrum of m from eigh
+    # the per-pair total as the estimate defines it, both spectra from eigvalsh
     for a, b, res in zip(m, mt, results):
-        drift = np.abs(np.linalg.eigh(a)[0] - np.linalg.eigvalsh(b))
+        drift = np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b))
         assert res.total_deviation == float(drift.sum())
     return (np.array([r.ratio for r in results]),
             np.array([r.total_deviation for r in results]),
@@ -75,7 +76,7 @@ def test_gershgorin_ratios_match_per_pair_loop(rng, n):
     assert ratio.shape == within.shape == (50,)
     assert within.all()
     assert np.array_equal(ratio, loop_ratio)
-    eps, _, _, total, bound, ok = br._pairing_stack(m, mt)
+    eps, _, total, bound, ok = br._pairing_stack(m, mt)
     assert np.array_equal(total, loop_total) and np.array_equal(eps, loop_eps)
     assert np.array_equal(bound, n ** 2 * loop_eps) and ok.all()
 
@@ -91,6 +92,35 @@ def test_gershgorin_ratios_single_trial_and_identical_row(rng):
     ratio, within = br.gershgorin_ratios(m, mt)
     assert within.all() and ratio[1] == 0.0 and ratio[0] > 0.0
     assert np.array_equal(ratio, _pairing_loop(m, mt)[0])
+
+
+def test_only_the_per_pair_estimate_diagonalises(rng, monkeypatch):
+    real_eigh = br.np.linalg.eigh
+    calls = []
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(br.np.linalg, "eigh", counted_eigh)
+    n = 5
+    m, mt = _symmetric_pairs(rng, 40, n)
+    ratio, within = br.gershgorin_ratios(m, mt)
+    summary, _ = cli._run_gershgorin({"dims": [2, 5], "trials": 30}, cli._rng_for(0, "gersh"))
+    assert calls == [] and within.all() and summary["passed"]
+    for i in (0, 17, 39):
+        res = br.gershgorin_pairing(m[i], mt[i])
+        assert res.ratio == ratio[i]
+        # the rotated discs: Q^T mt Q in the eigenbasis of m, whose diagonal
+        # sits within ||mt - m||_2 <= n eps of the spectrum of m
+        q = real_eigh(m[i])[1]
+        rotated = q.T @ mt[i] @ q
+        diag = np.diag(rotated)
+        assert np.array_equal(res.rotated_diagonal, diag)
+        assert np.array_equal(res.gershgorin_radii, np.abs(rotated).sum(axis=1) - np.abs(diag))
+        assert np.all(np.abs(diag - np.linalg.eigvalsh(m[i]))
+                      <= n * res.max_perturbation + 1e-12)
+    assert calls == [(n, n)] * 3
 
 
 def test_gershgorin_ratios_shape_validation():

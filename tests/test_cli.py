@@ -323,17 +323,22 @@ def test_write_csv_matches_the_per_cell_format(tmp_path):
         reports.write_csv(tmp_path / "short.csv", columns, [rows[0], rows[1][:8]])
 
 
+def _gershgorin_draws(rng, n, trials):
+    """One dimension's (m, mt) stacks as the campaign draws them: every m,
+    then every scale, then every noise matrix."""
+    m = rng.standard_normal((trials, n, n))
+    scale = 10.0 ** rng.uniform(-8, 0, size=trials)
+    noise = rng.standard_normal((trials, n, n))
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    return m, m + (scale * 0.5)[:, None, None] * (noise + noise.transpose(0, 2, 1))
+
+
 def _gershgorin_per_pair(rng, dims, trials):
     """The campaign as one ``gershgorin_pairing`` call per trial."""
     rows = []
     for n in dims:
         sharp = 0.0
-        for _ in range(trials):
-            m = rng.standard_normal((n, n))
-            m = 0.5 * (m + m.T)
-            scale = 10.0 ** rng.uniform(-8, 0)
-            noise = rng.standard_normal((n, n))
-            mt = m + scale * 0.5 * (noise + noise.T)
+        for m, mt in zip(*_gershgorin_draws(rng, n, trials)):
             sharp = max(sharp, barriers.gershgorin_pairing(m, mt).ratio)
         rows.append((n, trials, sharp, n ** 2, sharp / n ** 2))
     return rows
@@ -349,7 +354,7 @@ def test_gershgorin_campaign_matches_per_pair_loop(tmp_path):
                                               "bound_constant", "fraction_of_bound"), rows)
     assert reports.csv_body(tmp_path / "out" / "gersh" / "gershgorin.csv") \
         == reports.csv_body(tmp_path / "loop.csv")
-    # the batched draws consume the stream exactly as the per-pair loop does
+    # the campaign consumes the stream exactly as the per-pair loop does
     campaign_rng = cli._rng_for(7, "gersh")
     summary, _ = cli._run_gershgorin(spec, campaign_rng)
     assert campaign_rng.bit_generator.state == rng.bit_generator.state
@@ -357,6 +362,29 @@ def test_gershgorin_campaign_matches_per_pair_loop(tmp_path):
     assert summary["out_of_bound"] == {"2": 0, "5": 0, "8": 0}
     written = reports.load_summary(tmp_path / "out" / "summary.json")["results"][0]
     assert written["out_of_bound"] == summary["out_of_bound"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gershgorin_constants_move_only_at_eigh_rounding(seed):
+    # the demo's draws: the eigvalsh path against an eigh oracle for the
+    # spectrum of m.  The near-1e-8 perturbations divide ~1e-16 of rounding
+    # by ~1e-8, so the constants agree to about 8 digits, not bit for bit.
+    spec = {"dims": list(range(2, 9)), "trials": 1000}
+    summary, _ = cli._run_gershgorin(spec, cli._rng_for(seed, "eigenvalue-continuity"))
+    rng = cli._rng_for(seed, "eigenvalue-continuity")
+    for n in spec["dims"]:
+        m, mt = _gershgorin_draws(rng, n, spec["trials"])
+        ratio, within = barriers.gershgorin_ratios(m, mt)
+        vals_m = np.linalg.eigh(m)[0]
+        total = np.abs(vals_m - np.linalg.eigvalsh(mt)).sum(axis=-1)
+        eps = np.abs(m - mt).max(axis=(-2, -1))
+        slack = 1e-12 * np.maximum(1.0, np.abs(vals_m).max(axis=-1))
+        oracle_within = ~(total > n ** 2 * eps + slack)
+        assert np.array_equal(within, oracle_within) and within.all()
+        measured = summary["measured_constants"][str(n)]
+        assert measured == float(ratio.max())
+        oracle = float((total / eps).max())
+        assert abs(measured - oracle) <= 1e-6 * oracle
 
 
 def test_gershgorin_out_of_bound_trial_fails_and_is_not_sharp(monkeypatch):
