@@ -36,7 +36,8 @@ takes (..., n, n) stacks of pairs through one ``eigvalsh`` call per stack and
 returns the per-pair ratios and within-bound flags bit-identical to the
 per-pair results.  Only ``gershgorin_pairing`` diagonalises, for its rotated
 Gershgorin discs.  ``suph_barrier_check`` probes the spherical-harmonic
-barrier G(r) = r^(2-n) - K r^(5/2-n) used in superharmonic minimum tracking.
+barrier G(r) = r^(2-n) - K r^(5/2-n) used in superharmonic minimum tracking,
+in closed form on its background space form: it evaluates no chart.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ class SweepReport:
 
 
 def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
-    """(v, v', v'', v'/v) of the barrier, each read from its one jet."""
+    """(v, v', v'') of the barrier, each read from its one jet."""
     jet = _barrier_jet(n, kind, delta, mu, eps)
 
     def v1(r):
@@ -335,7 +336,7 @@ def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
     def v2(r):
         v, l, l1 = jet(r)
         return v * (l1 + l ** 2)
-    return (lambda r: jet(r)[0]), v1, v2, (lambda r: jet(r)[1])
+    return (lambda r: jet(r)[0]), v1, v2
 
 
 def _sweep_once(combo, kind, g, geometry, rr, cone):
@@ -346,7 +347,7 @@ def _sweep_once(combo, kind, g, geometry, rr, cone):
     sample, so one per radius.
     """
     n = g.n
-    v, v1, v2, _ = _radial_factor(n, kind=kind, **combo)
+    v, v1, v2 = _radial_factor(n, kind=kind, **combo)
     u = cf.ConformalFactor.radial(n, v, v1, v2)
     eigs = cf.conformal_schouten_eigs(g, u, geometry.points, geometry=geometry)
     margins = cone.margin_batch(eigs)
@@ -527,44 +528,43 @@ class SupHReport:
     limit_values: dict
 
 
-def suph_barrier_check(g, K, delta):
+def suph_barrier_check(n, K, delta, background="flat"):
     """Diagnostics for G(r) = r^(2-n) - K r^(5/2-n), normalised to vanish at delta.
 
-    Evaluates L_g G = Delta_g G - c(n) R_g G on a 64-point annulus grid and reports the
-    minimum; on the flat background the sign is also certified through the
-    exact identity Delta r^alpha = alpha (alpha + n - 2) r^(alpha-2).  The
-    ratio G^-1 w is checked for monotone increase for the superharmonic
-    samples w = r^(2-n) and w = 1.
+    Evaluates L_g G = Delta_g G - c(n) R_g G on a 64-point annulus grid and
+    reports the minimum.  The ``background`` chart (a key of ``BACKGROUNDS``)
+    is normal coordinates on a space form of curvature kappa, its
+    ``sectional_curvature``, where Delta_g G = G'' + (n-1) cot_kappa(r) G' and
+    R_g = n (n-1) kappa exactly (Petersen, *Riemannian Geometry*), so L_g G
+    is read from G's closed-form jet; a grid reaching the cut locus
+    r = pi/sqrt(kappa) raises ``DomainError``.  At kappa = 0 the sign is also
+    certified through the exact identity Delta r^alpha = alpha (alpha + n - 2)
+    r^(alpha-2).  The ratio G^-1 w is checked for monotone increase for the
+    superharmonic samples w = r^(2-n) and w = 1.
     """
-    n = g.n
+    if background not in BACKGROUNDS:
+        raise ValueError(f"background must be one of {', '.join(BACKGROUNDS)}")
+    kappa = BACKGROUNDS[background](n).sectional_curvature
+    radii = np.geomspace(delta / 100.0, delta * 0.999, 64)
+    if kappa > 0 and not radii[-1] < math.pi / math.sqrt(kappa):
+        raise DomainError(f"delta {delta:g} reaches the cut locus of the {background} chart")
     cn = (n - 2.0) / (4.0 * (n - 1.0))
     offset = delta ** (2.0 - n) - K * delta ** (2.5 - n)
-
-    def G(r):
-        return r ** (2.0 - n) - K * r ** (2.5 - n) - offset
-
-    def G1(r):
-        return (2.0 - n) * r ** (1.0 - n) - K * (2.5 - n) * r ** (1.5 - n)
-
-    def G2(r):
-        return ((2.0 - n) * (1.0 - n) * r ** (-n)
-                - K * (2.5 - n) * (1.5 - n) * r ** (0.5 - n))
-
-    radii = np.geomspace(delta / 100.0, delta * 0.999, 64)
-    direction = np.ones(n) / math.sqrt(n)
-    pts = radii[:, None] * direction[None, :]
-    u = cf.ConformalFactor.radial(n, G, G1, G2)
-    lap = cf.laplace_beltrami(g, u, pts)
-    scal = cf.scalar_curvature(g, pts)
-    lg = lap - cn * scal * G(radii)
+    gvals = radii ** (2.0 - n) - K * radii ** (2.5 - n) - offset
+    g1 = (2.0 - n) * radii ** (1.0 - n) - K * (2.5 - n) * radii ** (1.5 - n)
+    g2 = ((2.0 - n) * (1.0 - n) * radii ** (-n)
+          - K * (2.5 - n) * (1.5 - n) * radii ** (0.5 - n))
+    # cot_kappa(r): 1/r at kappa = 0, sqrt(kappa) cot(sqrt(kappa) r) above
+    cot = 1.0 / radii if kappa == 0 else math.sqrt(kappa) / np.tan(math.sqrt(kappa) * radii)
+    lap = g2 + (n - 1.0) * cot * g1
+    lg = lap - cn * n * (n - 1.0) * kappa * gvals
 
     flat_cert = None
-    if g.name == "flat":
+    if kappa == 0:
         # Delta G = K (n - 5/2) * 1/2 * r^(1/2 - n) > 0 for n >= 3, K > 0
         exact = K * (n - 2.5) * 0.5 * radii ** (0.5 - n)
         flat_cert = bool(np.all(exact > 0) and np.allclose(lap, exact, rtol=1e-6))
 
-    gvals = G(radii)
     monotone = {}
     for label, w in (("r^(2-n)", radii ** (2.0 - n)), ("const", np.ones_like(radii))):
         ratio = w / gvals

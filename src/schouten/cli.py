@@ -178,10 +178,10 @@ def _run_gershgorin(par, rng):
 
 def _run_suph(par, rng):
     n, K, delta, background = par["dim"], par["K"], par["delta"], par["background"]
-    rep = barriers.suph_barrier_check(barriers.BACKGROUNDS[background](n), K, delta)
+    rep = barriers.suph_barrier_check(n, K, delta, background)
     monotone_ok = all(rep.ratio_monotone.values())
     checks = [rep.min_G >= -1e-12, monotone_ok]
-    if background == "flat":
+    if rep.flat_certificate is not None:
         checks.append(bool(rep.flat_certificate))
         checks.append(rep.min_LG >= 0.0)
     summary = {"passed": all(checks), "min_G": rep.min_G, "min_LG": rep.min_LG,

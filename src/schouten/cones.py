@@ -101,10 +101,6 @@ class ConeSpec:
     def homotopy(cls, n, k, t):
         return cls(n=n, k=k, t=t)
 
-    @property
-    def kind(self):
-        return "gamma_k" if self.t == 1.0 else "homotopy"
-
     def deform(self, t):
         return ConeSpec(self.n, self.k, t)
 

@@ -289,7 +289,8 @@ class MetricField:
         """Unit round sphere in geodesic normal coordinates at a pole.
 
         g_ij = delta_ij + q(s) (s delta_ij - x_i x_j) with s = |x|^2 and
-        q(s) = (sin^2 sqrt(s) - s) / s^2; valid for |x| < pi.
+        q(s) = (sin^2 sqrt(s) - s) / s^2; valid for |x| < pi.  The chart box,
+        of half-width chart_radius / sqrt(n), lies in |x| <= chart_radius.
         """
         if not 0 < chart_radius < math.pi:
             raise ValueError("chart radius must lie in (0, pi)")
@@ -333,7 +334,7 @@ class MetricField:
             out += q[:, None, None, None, None] * ddcore[None]
             return out
 
-        lo = -chart_radius * np.ones(n)
+        lo = -chart_radius / math.sqrt(n) * np.ones(n)
         return cls(n=n, value_fn=value, d1_fn=d1, d2_fn=d2,
                    domain_lo=lo, domain_hi=-lo, name="sphere-normal",
                    sectional_curvature=1.0)

@@ -206,14 +206,15 @@ def test_supersolution_asymptotic_slope():
 ])
 def test_radial_factor_derivatives_match_central_differences(kind, params):
     n = 4
-    v, v1, v2, dlog = br._radial_factor(n, kind=kind, **params)
+    v, v1, v2 = br._radial_factor(n, kind=kind, **params)
     r = np.geomspace(0.02, 0.5, 25)
     h = 1e-4 * r
     fd1 = (v(r + h) - v(r - h)) / (2.0 * h)
     fd2 = (v(r + h) - 2.0 * v(r) + v(r - h)) / h ** 2
     assert np.allclose(v1(r), fd1, rtol=1e-7, atol=0.0)
     assert np.allclose(v2(r), fd2, rtol=1e-5, atol=0.0)
-    assert np.allclose(dlog(r), v1(r) / v(r), rtol=1e-13, atol=0.0)
+    _, dlog, _ = br._barrier_jet(n, kind, **params)(r)
+    assert np.allclose(dlog, v1(r) / v(r), rtol=1e-13, atol=0.0)
     if kind == "super":
         assert np.array_equal(v(r), br.supersolution_eval(n, r=r, **params))
     else:
@@ -581,8 +582,7 @@ def test_sweep_prediction_remainder_scales():
 # -- superharmonic barrier ----------------------------------------------------
 
 def test_suph_flat_certificate_and_monotone_ratio():
-    g = cf.MetricField.flat(4)
-    rep = br.suph_barrier_check(g, K=1.0, delta=0.25)
+    rep = br.suph_barrier_check(4, K=1.0, delta=0.25, background="flat")
     assert rep.flat_certificate
     assert rep.min_LG >= 0.0
     assert rep.min_G >= -1e-12
@@ -607,7 +607,54 @@ def test_suph_delta_laplacian_identity():
 
 
 def test_suph_on_sphere_background_runs():
-    g = cf.MetricField.sphere_normal(4)
-    rep = br.suph_barrier_check(g, K=1.0, delta=0.2)
+    rep = br.suph_barrier_check(4, K=1.0, delta=0.2, background="sphere")
     assert rep.flat_certificate is None
     assert rep.min_G >= -1e-12
+
+
+def _suph_chart_path(n, K, delta, background):
+    # L_g G = Delta_g G - c(n) R_g G through the chart, on the check's grid
+    # along the diagonal direction
+    off = delta ** (2.0 - n) - K * delta ** (2.5 - n)
+    u = cf.ConformalFactor.radial(
+        n, lambda r: r ** (2.0 - n) - K * r ** (2.5 - n) - off,
+        lambda r: (2.0 - n) * r ** (1.0 - n) - K * (2.5 - n) * r ** (1.5 - n),
+        lambda r: ((2.0 - n) * (1.0 - n) * r ** (-n)
+                   - K * (2.5 - n) * (1.5 - n) * r ** (0.5 - n)))
+    g = br.BACKGROUNDS[background](n)
+    radii = np.geomspace(delta / 100.0, delta * 0.999, 64)
+    pts = radii[:, None] * np.full(n, 1.0 / math.sqrt(n))
+    return cf.laplace_beltrami(g, u, pts) - (n - 2.0) / (4.0 * (n - 1.0)) \
+        * cf.scalar_curvature(g, pts) * u.value(pts)
+
+
+@pytest.mark.parametrize("background", ["flat", "sphere"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("K, delta", [(1.0, 0.25), (2.0, 0.2), (0.5, 0.1)])
+def test_suph_closed_form_matches_chart_path(n, background, K, delta):
+    lg = _suph_chart_path(n, K, delta, background)
+    rep = br.suph_barrier_check(n, K, delta, background)
+    assert abs(rep.min_LG - lg.min()) <= 1e-12 * abs(lg.min())
+    assert (rep.flat_certificate is None) == (background == "sphere")
+
+
+def test_suph_evaluates_no_chart(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("suph_barrier_check called into the chart layer")
+
+    for name in ("laplace_beltrami", "scalar_curvature", "chart_geometry"):
+        monkeypatch.setattr(cf, name, refuse)
+    monkeypatch.setattr(cf.ConformalFactor, "radial", refuse)
+    for background in br.BACKGROUNDS:
+        rep = br.suph_barrier_check(4, 1.0, 0.25, background)
+        assert rep.min_G >= -1e-12 and np.isfinite(rep.min_LG)
+
+
+def test_suph_domain_and_background_errors():
+    # normal coordinates on the unit sphere end at the cut locus r = pi
+    with pytest.raises(DomainError, match="cut locus"):
+        br.suph_barrier_check(4, 1.0, 4.0, background="sphere")
+    br.suph_barrier_check(4, 1.0, 3.0, background="sphere")  # 0.999 * 3 < pi
+    br.suph_barrier_check(4, 1.0, 4.0, background="flat")
+    with pytest.raises(ValueError, match="sphere, flat"):
+        br.suph_barrier_check(4, 1.0, 0.25, background="sphere_polar")

@@ -249,6 +249,17 @@ def test_domain_guard():
         g.components(np.array([2.0, 0.0, 0.0]))
 
 
+def test_sphere_normal_box_lies_inside_the_cut_locus():
+    # the box corner (2, 2, 2, 2) has |x| = 4 > pi, past the normal chart,
+    # where the components are still positive definite
+    g = cf.MetricField.sphere_normal(4)
+    with pytest.raises(DomainError, match="outside chart domain"):
+        g.components(np.full(4, 2.0))
+    x = np.full(4, 0.25)  # |x| = 0.5
+    assert np.all(np.linalg.eigvalsh(g.components(x)) > 0)
+    assert np.linalg.norm(g.domain_hi) <= 3.0 * (1.0 + 1e-15)
+
+
 # -- shared chart geometry against the per-call assembly ----------------------
 
 def _exp_factor(a):
