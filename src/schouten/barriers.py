@@ -68,6 +68,7 @@ __all__ = [
     "sub_pairs",
     "mu_grid",
     "suph_barrier_check",
+    "suph_fault",
     "SweepReport",
     "SupHReport",
 ]
@@ -528,6 +529,18 @@ class SupHReport:
     limit_values: dict
 
 
+def suph_fault(n, delta, background):
+    """The superharmonic barrier's rule, as (field, what it must be) or None:
+    on a ``background`` of curvature kappa > 0 its grid, whose top radius is
+    0.999 delta, must stay inside the cut locus r = pi/sqrt(kappa)."""
+    kappa = BACKGROUNDS[background](n).sectional_curvature
+    if kappa > 0 and not delta * 0.999 < math.pi / math.sqrt(kappa):
+        return "delta", (f"a radius whose grid stays inside the cut locus r = "
+                         f"{math.pi / math.sqrt(kappa):.6g} of the {background} chart; "
+                         f"{float(delta)!r} reaches it")
+    return None
+
+
 def suph_barrier_check(n, K, delta, background="flat"):
     """Diagnostics for G(r) = r^(2-n) - K r^(5/2-n), normalised to vanish at delta.
 
@@ -537,17 +550,18 @@ def suph_barrier_check(n, K, delta, background="flat"):
     ``sectional_curvature``, where Delta_g G = G'' + (n-1) cot_kappa(r) G' and
     R_g = n (n-1) kappa exactly (Petersen, *Riemannian Geometry*), so L_g G
     is read from G's closed-form jet; a grid reaching the cut locus
-    r = pi/sqrt(kappa) raises ``DomainError``.  At kappa = 0 the sign is also
-    certified through the exact identity Delta r^alpha = alpha (alpha + n - 2)
-    r^(alpha-2).  The ratio G^-1 w is checked for monotone increase for the
-    superharmonic samples w = r^(2-n) and w = 1.
+    r = pi/sqrt(kappa) raises ``DomainError`` (``suph_fault``).  At kappa = 0
+    the sign is also certified through the exact identity Delta r^alpha =
+    alpha (alpha + n - 2) r^(alpha-2).  The ratio G^-1 w is checked for
+    monotone increase for the superharmonic samples w = r^(2-n) and w = 1.
     """
     if background not in BACKGROUNDS:
         raise ValueError(f"background must be one of {', '.join(BACKGROUNDS)}")
+    fault = suph_fault(n, delta, background)
+    if fault is not None:
+        raise DomainError(f"{fault[0]} must be {fault[1]}")
     kappa = BACKGROUNDS[background](n).sectional_curvature
     radii = np.geomspace(delta / 100.0, delta * 0.999, 64)
-    if kappa > 0 and not radii[-1] < math.pi / math.sqrt(kappa):
-        raise DomainError(f"delta {delta:g} reaches the cut locus of the {background} chart")
     cn = (n - 2.0) / (4.0 * (n - 1.0))
     offset = delta ** (2.0 - n) - K * delta ** (2.5 - n)
     gvals = radii ** (2.0 - n) - K * radii ** (2.5 - n) - offset

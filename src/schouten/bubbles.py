@@ -7,7 +7,9 @@ A bubble is the entire profile
 whose conformal metric U^(4/(n-2)) g_flat is the round sphere pulled back
 through stereographic projection.  Its Schouten eigenvalues relative to that
 metric are (1/2, ..., 1/2) at every point, which is what ``bubble_verify``
-certifies numerically through the chart machinery in ``conformal``.
+certifies numerically through the chart machinery in ``conformal``.  A
+bubble's analytic factor is its jet (``Bubble.jet``), and so is a rescaled
+factor's when the original has one.
 """
 
 from __future__ import annotations
@@ -50,54 +52,49 @@ class Bubble:
     def peak_value(self):
         return self.c * self.a ** ((self.n - 2) / 2.0)
 
-    def _w(self, x):
-        rho2 = ((x - self.p) ** 2).sum(axis=1)
-        return 1.0 + self.a ** 2 * rho2
+    def _offset(self, x):
+        """d = x - p, w = 1 + a^2 |d|^2 and whether ``x`` was one point."""
+        x, single = cf._batchify(x, self.n)
+        d = x - self.p
+        return d, 1.0 + self.a ** 2 * (d ** 2).sum(axis=1), single
 
     def value(self, x):
-        x, single = cf._batchify(x, self.n)
-        m = (self.n - 2) / 2.0
-        out = self.c * (self.a / self._w(x)) ** m
+        _, w, single = self._offset(x)
+        out = self.c * (self.a / w) ** ((self.n - 2) / 2.0)
         return out[0] if single else out
+
+    def jet(self, x):
+        """(value, gradient, Hessian) at x from one batch check and one w."""
+        d, w, single = self._offset(x)
+        m = (self.n - 2) / 2.0
+        val = self.c * (self.a / w) ** m
+        k = -2.0 * m * self.a ** 2 * self.c * self.a ** m
+        grad = (k * w ** (-m - 1.0))[:, None] * d
+        core = (w[:, None, None] * cf._dim(self.n).eye
+                - 2.0 * (m + 1.0) * self.a ** 2 * d[:, :, None] * d[:, None, :])
+        hess = (k * w ** (-m - 2.0))[:, None, None] * core
+        return (val[0], grad[0], hess[0]) if single else (val, grad, hess)
 
     def grad(self, x):
-        x, single = cf._batchify(x, self.n)
-        m = (self.n - 2) / 2.0
-        w = self._w(x)
-        coef = -2.0 * m * self.a ** 2 * self.c * self.a ** m * w ** (-m - 1.0)
-        out = coef[:, None] * (x - self.p)
-        return out[0] if single else out
+        return self.jet(x)[1]
 
     def hess(self, x):
-        x, single = cf._batchify(x, self.n)
-        n, m = self.n, (self.n - 2) / 2.0
-        w = self._w(x)
-        d = x - self.p
-        coef = -2.0 * m * self.a ** 2 * self.c * self.a ** m * w ** (-m - 2.0)
-        core = (w[:, None, None] * cf._dim(n).eye
-                - 2.0 * (m + 1.0) * self.a ** 2 * d[:, :, None] * d[:, None, :])
-        out = coef[:, None, None] * core
-        return out[0] if single else out
+        return self.jet(x)[2]
 
     def factor(self, mode="analytic", h=1e-4):
-        """The bubble as a ConformalFactor, analytic or finite-difference."""
+        """The bubble as a ConformalFactor: its jet, or finite differences."""
         if mode == "analytic":
-            return cf.ConformalFactor.from_callable(self.n, self.value, grad=self.grad,
-                                                    hess=self.hess)
+            return cf.ConformalFactor(self.n, self.value, jet_fn=self.jet)
         if mode == "fd":
-            return cf.ConformalFactor.from_callable(self.n, self.value, h=h)
+            return cf.ConformalFactor(self.n, self.value, h=h)
         raise ValueError(f"unknown derivative mode {mode!r}")
 
 
 def bubble_eval(bubble, x, deriv=0):
     """Bubble value (deriv=0), gradient (1) or Hessian (2) at x."""
-    if deriv == 0:
-        return bubble.value(x)
-    if deriv == 1:
-        return bubble.grad(x)
-    if deriv == 2:
-        return bubble.hess(x)
-    raise ValueError("deriv must be 0, 1 or 2")
+    if deriv not in (0, 1, 2):
+        raise ValueError("deriv must be 0, 1 or 2")
+    return bubble.value(x) if deriv == 0 else bubble.jet(x)[deriv]
 
 
 def stereographic_factor(n, x):
@@ -150,9 +147,12 @@ def rescale_profile(u, y0, rule="critical", p_exp=None,
     s = 2/(n-2) for the critical rule or s = (p_exp - 1)/2 for the
     subcritical one.  The rescaled field equals c at the origin by
     construction.  The chart is normal coordinates around y0, so the shift
-    map is identity-plus-offset; optional chart bounds make evaluations
-    outside the original domain raise a domain error.
+    map is identity-plus-offset; chart bounds (both or neither) make
+    evaluations outside the original domain raise a domain error.  A jet of
+    ``u`` gives the rescaled factor one: one shift and one jet of ``u``.
     """
+    if (chart_lo is None) != (chart_hi is None):
+        raise ValueError("rescale_profile takes both chart bounds chart_lo and chart_hi")
     n = u.n
     y0 = np.asarray(y0, dtype=np.float64)
     c = 2.0 ** ((n - 2) / 2.0)
@@ -172,14 +172,13 @@ def rescale_profile(u, y0, rule="critical", p_exp=None,
 
     def shifted(x):
         y = y0 + beta * np.atleast_2d(x)
-        if chart_lo is not None:
-            if np.any(y < chart_lo) or np.any(y > chart_hi):
-                raise DomainError("rescaled evaluation leaves the chart domain")
+        if chart_lo is not None and (np.any(y < chart_lo) or np.any(y > chart_hi)):
+            raise DomainError("rescaled evaluation leaves the chart domain")
         return y
 
-    value = lambda x: amp * u.value(shifted(x))
-    if u.mode == "analytic":
-        grad = lambda x: amp * beta * u.grad(shifted(x))
-        hess = lambda x: amp * beta ** 2 * u.hess(shifted(x))
-        return cf.ConformalFactor.from_callable(n, value, grad=grad, hess=hess)
-    return cf.ConformalFactor.from_callable(n, value, h=u.h, richardson=u.richardson)
+    def jet(x):
+        val, du, d2u = u.jet_fn(shifted(x))
+        return amp * val, amp * beta * du, amp * beta ** 2 * d2u
+
+    return cf.ConformalFactor(n, lambda x: amp * u.value(shifted(x)),
+                              jet_fn=None if u.jet_fn is None else jet, h=u.h)

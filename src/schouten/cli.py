@@ -433,6 +433,10 @@ def _params(cid, spec):
                                          cfg.r_min)
             if fault is not None:
                 raise ConfigError(f"{where}field '{fault[0]}' must be {fault[1]}")
+    if "delta" in out:  # the superharmonic barrier's rule
+        fault = barriers.suph_fault(out["dim"], out["delta"], out["background"])
+        if fault is not None:
+            raise ConfigError(f"{where}field '{fault[0]}' must be {fault[1]}")
     return out
 
 

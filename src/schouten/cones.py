@@ -165,7 +165,10 @@ class ConeSpec:
         return np.where(np.isfinite(b) & np.isfinite(a), m, -np.inf)
 
     def mu_plus(self, tol=1e-10):
-        """Unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary."""
+        """Unique mu in [0, n-1] with (-mu, 1, ..., 1) on the cone boundary,
+        bisected to a finite positive ``tol`` or to adjacent floats."""
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"mu_plus tolerance must be finite and positive, got {tol!r}")
         n = self.n
 
         def member(mu, cone=self):
@@ -186,7 +189,7 @@ class ConeSpec:
         # formula and tested in one batch, then the bisection is replayed on
         # them, so the result is bit-identical to one call per midpoint.
         lo, hi = 0.0, n - 1.0
-        while hi - lo > tol:
+        while hi - lo > tol and np.nextafter(lo, hi) < hi:
             grid = np.array([lo, hi])
             for _ in range(_MU_PLUS_LEVELS):
                 fine = np.empty(2 * grid.size - 1)

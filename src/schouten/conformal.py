@@ -30,13 +30,13 @@ second derivatives, so ``ricci_background``, ``scalar_curvature`` and
 stays for every other metric and as the oracle.
 
 Every finite-difference derivative of a field, first or second, metric or
-factor, reads one stencil pass (``_fd_jet``): the 1 + 2n^2 point sets of the
-second difference in one call of the field (two with Richardson, through
-``_richardson_jet``).  That stencil holds the centre and every +-h e_k set,
-so it is the whole jet (f, d f, d^2 f).  The conformal operations read a
-factor as one jet (u, du, d^2 u) per point batch, and the chart geometry
-reads a finite-difference metric's (g, d g, d^2 g) from one call of
-``value_fn`` per batch (two with Richardson), keeping d^2 g for Ricci.
+factor, reads one central-difference stencil pass (``_fd_jet``): the 1 + 2n^2
+point sets of the second difference in one call of the field.  That stencil
+holds the centre and every +-h e_k set, so it is the whole jet (f, d f,
+d^2 f).  A conformal factor is read as one jet (u, du, d^2 u) per point
+batch: its ``jet_fn``, or that one pass of its ``value_fn``.  The chart
+geometry reads a finite-difference metric's (g, d g, d^2 g) from one call of
+``value_fn`` per batch, keeping d^2 g for Ricci.
 
 Arrays that depend only on the dimension n are built once per n and are
 read-only: the stencil offsets (``_d2_offsets``), and in ``_dim`` its index
@@ -184,18 +184,6 @@ def _fd_jet(fn, x, h):
     return f0, d1, out
 
 
-def _richardson_jet(field, xb):
-    """(f, d f, d^2 f) of ``field.value_fn`` on ``xb`` with step ``field.h``:
-    one ``_fd_jet`` call, or with ``field.richardson`` two, at h/2 and h,
-    combined as (4 D_(h/2) - D_h) / 3 (f is the first call's centre row)."""
-    fn, h = field.value_fn, field.h
-    if not field.richardson:
-        return _fd_jet(fn, xb, h)
-    f0, d1, d2 = _fd_jet(fn, xb, h / 2.0)
-    _, d1_h, d2_h = _fd_jet(fn, xb, h)
-    return f0, (4.0 * d1 - d1_h) / 3.0, (4.0 * d2 - d2_h) / 3.0
-
-
 # ---------------------------------------------------------------------------
 # metric fields
 # ---------------------------------------------------------------------------
@@ -204,9 +192,10 @@ def _richardson_jet(field, xb):
 class MetricField:
     """Pointwise metric g_ij(x) on a box chart with derivative access.
 
-    ``value_fn`` maps (B, n) -> (B, n, n).  When ``d1_fn``/``d2_fn`` are given
-    the mode is analytic; otherwise derivatives fall back to central finite
-    differences with step ``h`` (Richardson-refined when ``richardson``).
+    ``value_fn`` maps (B, n) -> (B, n, n).  When ``d1_fn`` and ``d2_fn`` are
+    given the mode is analytic; when neither is, derivatives are central
+    finite differences with step ``h``.  Exactly one of them raises
+    ``ValueError``.
     Index conventions: d1[b, k, i, j] = d_k g_ij, d2[b, k, l, i, j] = d_k d_l g_ij.
     ``sectional_curvature``: the constant K of a space form, or None.  When
     set, Ricci is read as (n-1) K g and the curvature assembly never calls
@@ -223,16 +212,19 @@ class MetricField:
     d1_fn: Optional[Callable] = None
     d2_fn: Optional[Callable] = None
     h: float = _DEFAULT_H
-    richardson: bool = False
     domain_lo: Optional[np.ndarray] = None
     domain_hi: Optional[np.ndarray] = None
     name: str = "custom"
     sectional_curvature: Optional[float] = None
     euclidean: bool = False
 
+    def __post_init__(self):
+        if (self.d1_fn is None) != (self.d2_fn is None):
+            raise ValueError("a metric takes both derivative callables d1_fn and d2_fn")
+
     @property
     def mode(self):
-        return "analytic" if (self.d1_fn is not None and self.d2_fn is not None) else "fd"
+        return "fd" if self.d1_fn is None else "analytic"
 
     def _check_domain(self, x):
         if self.domain_lo is not None:
@@ -247,21 +239,21 @@ class MetricField:
     def d1(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        d1 = self.d1_fn(xb) if self.d1_fn is not None else _richardson_jet(self, xb)[1]
+        d1 = self.d1_fn(xb) if self.d1_fn is not None else _fd_jet(self.value_fn, xb, self.h)[1]
         return _unbatch(d1, single)
 
     def d2(self, x):
         xb, single = _batchify(x, self.n)
         self._check_domain(xb)
-        d2 = self.d2_fn(xb) if self.d2_fn is not None else _richardson_jet(self, xb)[2]
+        d2 = self.d2_fn(xb) if self.d2_fn is not None else _fd_jet(self.value_fn, xb, self.h)[2]
         return _unbatch(d2, single)
 
-    def with_fd(self, h=_DEFAULT_H, richardson=False):
+    def with_fd(self, h=_DEFAULT_H):
         """Same components, derivatives forced to finite differences, and no
         ``sectional_curvature`` or ``euclidean``: the geometry comes from the
         finite-difference derivatives, not from the closed forms."""
-        return replace(self, d1_fn=None, d2_fn=None, h=h, richardson=richardson,
-                       sectional_curvature=None, euclidean=False)
+        return replace(self, d1_fn=None, d2_fn=None, h=h, sectional_curvature=None,
+                       euclidean=False)
 
     # -- builtin charts -------------------------------------------------------
 
@@ -429,27 +421,25 @@ def _sphere_q(s):
 
 @dataclass(frozen=True)
 class ConformalFactor:
-    """Positive scalar field u(x) with gradient/Hessian access.
+    """Positive scalar field u(x), read as its jet (u, du, d^2 u).
 
-    ``value_fn`` maps (B, n) -> (B,).  When ``grad_fn``/``hess_fn`` are given
-    they are used; otherwise derivatives fall back to central finite
-    differences with step ``h`` (Richardson-refined when ``richardson``).  The
-    conformal operations read the factor as one jet (u, du, d^2 u) per point
-    batch, bit-identical to ``value``, ``grad`` and ``hess``: without
-    ``hess_fn`` that is one call of ``value_fn`` on the second-difference
-    stencil (two with Richardson), whose centre row is the value.
+    ``value_fn`` maps (B, n) -> (B,).  ``jet_fn``, when given, maps (B, n) to
+    the jet (u (B,), du (B, n), d^2 u (B, n, n)) in one call, and its u must
+    equal ``value_fn`` bit for bit; when it is None, the jet is one call of
+    ``value_fn`` on the second-difference stencil with step ``h``
+    (``_fd_jet``), whose centre row is the value.  The conformal operations
+    read the factor as one jet per point batch (``_factor_jet``), and
+    ``grad`` and ``hess`` read their part of it.
     """
 
     n: int
     value_fn: Callable
-    grad_fn: Optional[Callable] = None
-    hess_fn: Optional[Callable] = None
+    jet_fn: Optional[Callable] = None
     h: float = _DEFAULT_H
-    richardson: bool = False
 
     @property
     def mode(self):
-        return "analytic" if (self.grad_fn is not None and self.hess_fn is not None) else "fd"
+        return "fd" if self.jet_fn is None else "analytic"
 
     def value(self, x):
         xb, single = _batchify(x, self.n)
@@ -457,66 +447,56 @@ class ConformalFactor:
 
     def grad(self, x):
         xb, single = _batchify(x, self.n)
-        du = self.grad_fn(xb) if self.grad_fn is not None else _richardson_jet(self, xb)[1]
-        return _unbatch(du, single)
+        return _unbatch(_factor_jet(self, xb)[1], single)
 
     def hess(self, x):
         xb, single = _batchify(x, self.n)
-        d2u = self.hess_fn(xb) if self.hess_fn is not None else _richardson_jet(self, xb)[2]
-        return _unbatch(d2u, single)
+        return _unbatch(_factor_jet(self, xb)[2], single)
 
-    def with_fd(self, h=_DEFAULT_H, richardson=False):
-        return replace(self, grad_fn=None, hess_fn=None, h=h, richardson=richardson)
+    def with_fd(self, h=_DEFAULT_H):
+        return replace(self, jet_fn=None, h=h)
 
     @classmethod
     def constant(cls, n, c):
         if c <= 0:
             raise DomainError("conformal factor must be positive")
-        return cls(
-            n=n,
-            value_fn=lambda x: np.full(x.shape[0], float(c)),
-            grad_fn=lambda x: np.zeros((x.shape[0], n)),
-            hess_fn=lambda x: np.zeros((x.shape[0], n, n)),
-        )
+        value = lambda x: np.full(x.shape[0], float(c))
+        return cls(n=n, value_fn=value, jet_fn=lambda x: (
+            value(x), np.zeros((x.shape[0], n)), np.zeros((x.shape[0], n, n))))
 
     @classmethod
-    def from_callable(cls, n, fn, grad=None, hess=None, h=_DEFAULT_H, richardson=False):
-        return cls(n=n, value_fn=fn, grad_fn=grad, hess_fn=hess, h=h,
-                   richardson=richardson)
+    def from_callable(cls, n, fn, grad=None, hess=None, h=_DEFAULT_H):
+        """The factor ``fn`` with the jet (fn, grad, hess), or with finite
+        differences of step ``h`` when neither derivative callable is given."""
+        if (grad is None) != (hess is None):
+            raise ValueError("a conformal factor takes both derivative callables grad and hess")
+        jet = None if grad is None else (lambda x: (fn(x), grad(x), hess(x)))
+        return cls(n=n, value_fn=fn, jet_fn=jet, h=h)
 
     @classmethod
     def radial(cls, n, v, v1, v2):
-        """Factor v(|x|) from radial profile callables v, v', v''.
-
-        Euclidean-chart derivative formulas; not evaluable at the origin.
+        """Factor v(|x|) from radial profile callables v, v', v'', each called
+        once per jet.  Euclidean-chart formulas; not evaluable at the origin.
         """
 
         def value(x):
             return v(np.linalg.norm(x, axis=1))
 
-        def grad(x):
+        def jet(x):
             r = np.linalg.norm(x, axis=1)
-            return v1(r)[:, None] * x / r[:, None]
-
-        def hess(x):
-            r = np.linalg.norm(x, axis=1)
+            dv = v1(r)
             xhat = x / r[:, None]
             proj = xhat[:, :, None] * xhat[:, None, :]
-            return (v2(r)[:, None, None] * proj
-                    + (v1(r) / r)[:, None, None] * (_dim(n).eye - proj))
+            return (v(r), dv[:, None] * x / r[:, None],
+                    v2(r)[:, None, None] * proj + (dv / r)[:, None, None] * (_dim(n).eye - proj))
 
-        return cls(n=n, value_fn=value, grad_fn=grad, hess_fn=hess)
+        return cls(n=n, value_fn=value, jet_fn=jet)
 
 
 def _factor_jet(u, xb):
-    """``(u.value, u.grad, u.hess)`` on the batch ``xb``, bit for bit: the
-    factor's callables where it has both, else one ``_richardson_jet`` with
-    a derivative callable it has in place of that part."""
-    if u.mode == "analytic":
-        return u.value_fn(xb), u.grad_fn(xb), u.hess_fn(xb)
-    val, du, d2u = _richardson_jet(u, xb)
-    return (val, du if u.grad_fn is None else u.grad_fn(xb),
-            d2u if u.hess_fn is None else u.hess_fn(xb))
+    """The jet (u, du, d^2 u) of the factor ``u`` on the batch ``xb``: its
+    ``jet_fn``, or one ``_fd_jet`` stencil pass of its ``value_fn``."""
+    return _fd_jet(u.value_fn, xb, u.h) if u.jet_fn is None else u.jet_fn(xb)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +550,7 @@ def _geometry(g, xb):
     """First-order chart geometry on the point batch ``xb``: the metric and
     its first derivatives, and one Cholesky factorisation g = L L^T, from
     which L^-1 and g^-1 = L^-T L^-1.  A finite-difference metric reads g, d g
-    and d^2 g from one ``_richardson_jet`` and keeps d^2 g for Ricci; an
+    and d^2 g from one ``_fd_jet`` and keeps d^2 g for Ricci; an
     analytic ``d2_fn`` is called only there.  On a ``euclidean`` metric
     L^-1 = g^-1 = I and d g = Gamma = 0, read-only and unevaluated."""
     B, n = xb.shape
@@ -583,14 +563,14 @@ def _geometry(g, xb):
         gmat, d1, d2 = g.components(xb), g.d1_fn(xb), None
     else:
         g._check_domain(xb)
-        gmat, d1, d2 = _richardson_jet(g, xb)
+        gmat, d1, d2 = _fd_jet(g.value_fn, xb, g.h)
     linv = _cholesky_inverse(gmat)
     ginv = np.swapaxes(linv, 1, 2) @ linv
     # sym[b, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     sym = d1 + d1.transpose(0, 2, 1, 3) - d1.transpose(0, 2, 3, 1)
     # Gamma^m_ij = 1/2 g^{ml} sym_ijl, one (n, n) @ (n, n^2) product per point
     gamma = 0.5 * (ginv @ sym.reshape(B, n * n, n).transpose(0, 2, 1)).reshape(B, n, n, n)
-    return ChartGeometry(xb, gmat, linv, ginv, d1, sym, gamma, d2 if g.d2_fn is None else None)
+    return ChartGeometry(xb, gmat, linv, ginv, d1, sym, gamma, d2)
 
 
 def chart_geometry(g, x):
@@ -780,21 +760,18 @@ def conformal_metric(g, u):
     if g.mode == "analytic" and u.mode == "analytic":
 
         def parts(x):
-            # u, du, g, d g, phi = u^p and phi'(u) = p u^(p-1)
-            uval = np.atleast_1d(u.value(x))
-            return (uval, np.atleast_2d(u.grad(x)), g.components(x), g.d1(x), uval ** p,
+            # the jet of u on the batch x, g, d g, phi = u^p and phi'(u) = p u^(p-1)
+            uval, du, d2u = _factor_jet(u, x)
+            return (uval, du, d2u, g.components(x), g.d1(x), uval ** p,
                     p * uval ** (p - 1.0))
 
         def d1(x):
-            _, du, gmat, gd1, phi, dphi = parts(x)
+            _, du, _, gmat, gd1, phi, dphi = parts(x)
             return (dphi[:, None, None, None] * du[:, :, None, None] * gmat[:, None]
                     + phi[:, None, None, None] * gd1)
 
         def d2(x):
-            uval, du, gmat, gd1, phi, dphi = parts(x)
-            d2u = u.hess(x)
-            if d2u.ndim == 2:
-                d2u = d2u[None]
+            uval, du, d2u, gmat, gd1, phi, dphi = parts(x)
             gd2 = g.d2(x)
             ddphi_part = p * (p - 1.0) * uval ** (p - 2.0)
             dphi_vec = dphi[:, None] * du

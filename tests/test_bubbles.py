@@ -176,3 +176,43 @@ def test_rescale_domain_guard():
 def test_invalid_bubble():
     with pytest.raises(DomainError):
         bb.Bubble(n=4, a=-1.0, p=np.zeros(4))
+
+
+def test_rescale_profile_takes_both_chart_bounds_or_neither(rng):
+    n = 3
+    b = bb.Bubble(n=n, a=0.05, p=np.zeros(n))
+    for bound in ({"chart_lo": -np.ones(n)}, {"chart_hi": np.ones(n)}):
+        with pytest.raises(ValueError, match="both chart bounds"):
+            bb.rescale_profile(b.factor(), np.zeros(n), **bound)
+    for mode in ("analytic", "fd"):
+        resc = bb.rescale_profile(b.factor(mode), np.zeros(n), chart_lo=-np.ones(n),
+                                  chart_hi=np.ones(n))
+        assert resc.value(np.zeros(n)) == pytest.approx(b.c, rel=1e-14)
+        inside = rng.uniform(-0.01, 0.01, (4, n))
+        assert np.isfinite(resc.hess(inside)).all()
+        for read in (resc.value, resc.grad, resc.hess):
+            with pytest.raises(DomainError):
+                read(10.0 * np.ones(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_bubble_jet_equals_the_per_part_formulas_bitwise(n, rng):
+    # the value, gradient and Hessian formulas, each on its own w, are the
+    # oracle of the one jet
+    b = bb.Bubble(n=n, a=1.7, p=rng.uniform(-0.5, 0.5, n))
+    pts = rng.uniform(-1.5, 1.5, (9, n))
+    pts[0, 0] = -0.0
+    a, c, m = b.a, b.c, (n - 2) / 2.0
+    w = 1.0 + a ** 2 * ((pts - b.p) ** 2).sum(axis=1)
+    d = pts - b.p
+    want = (c * (a / w) ** m,
+            (-2.0 * m * a ** 2 * c * a ** m * w ** (-m - 1.0))[:, None] * d,
+            (-2.0 * m * a ** 2 * c * a ** m * w ** (-m - 2.0))[:, None, None]
+            * (w[:, None, None] * np.eye(n) - 2.0 * (m + 1.0) * a ** 2
+               * d[:, :, None] * d[:, None, :]))
+    u = b.factor("analytic")
+    for have in (b.jet(pts), u.jet_fn(pts), (b.value(pts), b.grad(pts), b.hess(pts))):
+        for part, expect in zip(have, want):
+            assert part.tobytes() == expect.tobytes()
+    for part, expect in zip(b.jet(pts[3]), want):
+        assert part.shape == expect.shape[1:] and np.array_equal(part, expect[3])

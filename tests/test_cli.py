@@ -236,6 +236,23 @@ def test_r_min_above_every_ceiling_exit_two(tmp_path, capsys, spec, ceiling):
     assert not (tmp_path / "o").exists()
 
 
+def test_suph_delta_past_the_cut_locus_exit_two(tmp_path, capsys):
+    # normal coordinates on the sphere end at r = pi: the grid up to
+    # 0.999 delta must stay inside, a config rule before any campaign runs
+    cfg = write_cfg(tmp_path, {"ok": dict(FAST_CAMPAIGNS["suph"]),
+                               "x": {"kind": "verify suph", "background": "sphere",
+                                     "delta": 4.0}})
+    assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    msg = capsys.readouterr().err
+    assert "campaign 'x'" in msg and "field 'delta'" in msg and "cut locus" in msg
+    assert "4.0 reaches it" in msg
+    assert not (tmp_path / "o").exists()
+    # the same delta on the flat chart, and a sphere grid inside pi, load
+    assert cli._params("x", {"kind": "verify suph", "delta": 4.0})["delta"] == 4.0
+    assert cli._params("x", {"kind": "verify suph", "background": "sphere",
+                             "delta": 3.0})["delta"] == 3.0
+
+
 def test_barrier_range_end_points():
     # the closed end of each range reads; the open ends are rejected above
     sub = cli._params("x", {"kind": "verify barrier-sub", "deltas": [1e-9, 0.2499]})

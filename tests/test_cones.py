@@ -511,3 +511,26 @@ def test_pair_value_rejects_non_finite_and_boundary_rows():
             assert err.value.node == 1
         vals, _ = f.pair_value(b + 1e-9, a + 1e-9)
         assert np.all(vals > 0)
+
+
+def test_mu_plus_refuses_a_nonpositive_tolerance_and_ends_at_one_ulp(monkeypatch):
+    # the count turns a bisection that never ends into a failure
+    calls = []
+    batch = ConeSpec.contains_batch
+
+    def counted(self, lams):
+        calls.append(1)
+        if len(calls) > 300:
+            raise AssertionError("mu_plus did not end within 300 membership calls")
+        return batch(self, lams)
+
+    monkeypatch.setattr(ConeSpec, "contains_batch", counted)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        calls.clear()
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConeSpec.gamma(4, 2).mu_plus(tol=tol)
+    # a tolerance below the float spacing ends when no float lies strictly
+    # inside the bracket
+    for n, k in ((4, 2), (5, 1), (5, 2), (7, 3), (10, 4)):
+        calls.clear()
+        assert abs(ConeSpec.gamma(n, k).mu_plus(tol=1e-300) - (n - k) / k) <= 1e-12, (n, k)

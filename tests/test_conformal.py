@@ -82,16 +82,6 @@ def test_fd_agreement_on_product_metric(rng):
     assert np.abs(a_fd - a_exact).max() < 1e-6
 
 
-def test_richardson_refinement_beats_plain_fd():
-    g = cf.MetricField.sphere_normal(4)
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-    a_exact = cf.schouten_background(g, x)
-    plain = np.abs(cf.schouten_background(g.with_fd(h=1e-3), x) - a_exact).max()
-    rich = np.abs(cf.schouten_background(
-        g.with_fd(h=1e-3, richardson=True), x) - a_exact).max()
-    assert rich < plain / 50
-
-
 def test_eigen_rel_trivial_and_constructed(rng):
     assert np.allclose(cf.eigen_rel(np.diag([3.0, 1.0, 2.0]), np.eye(3)),
                        [1.0, 2.0, 3.0])
@@ -172,9 +162,8 @@ def test_eigenvalue_scaling_law(rng):
     x = rng.uniform(-0.5, 0.5, (4, n))
     base = cf.conformal_schouten_eigs(g, u, x)
     for c in (0.5, 3.0):
-        cu = cf.ConformalFactor.from_callable(
-            n, lambda y: c * u.value_fn(y), grad=lambda y: c * u.grad_fn(y),
-            hess=lambda y: c * u.hess_fn(y))
+        cu = cf.ConformalFactor(n, lambda y: c * u.value_fn(y),
+                                jet_fn=lambda y: tuple(c * part for part in u.jet_fn(y)))
         scaled = cf.conformal_schouten_eigs(g, cu, x)
         assert np.allclose(scaled, c ** (-4.0 / (n - 2)) * base, rtol=1e-10)
 
@@ -545,14 +534,12 @@ def test_derived_metrics_carry_no_sectional_curvature():
     assert cf.MetricField(n=3, value_fn=lambda x: None).sectional_curvature is None
     # the FD form exercises the finite-difference Ricci it exists for
     assert normal.with_fd().sectional_curvature is None
-    assert cf.MetricField.flat(3).with_fd(richardson=True).sectional_curvature is None
     # only flat declares a Euclidean chart, and no derived metric keeps it
     flat = cf.MetricField.flat(4)
     assert flat.euclidean
     assert not normal.euclidean and not cf.MetricField.sphere_polar(4).euclidean
     assert not cf.MetricField(n=3, value_fn=lambda x: None).euclidean
     assert not flat.with_fd().euclidean
-    assert not flat.with_fd(richardson=True).euclidean
     assert not cf.conformal_metric(flat, u).euclidean
     assert not cf.conformal_metric(flat, u.with_fd()).euclidean
 
@@ -702,11 +689,10 @@ def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
 
     # a scalar field (a bubble) and (B, n, n) fields (metric components)
     near = rng.uniform(-1.0, 1.0, (7, n))
-    fields = [("scalar", Bubble(n=n, a=1.3, p=np.zeros(n)).value, near),
-              ("metric", cf.MetricField.sphere_normal(n).value_fn, near),
-              ("metric", cf.MetricField.sphere_polar(n).value_fn,
-               rng.uniform(0.6, 2.4, (7, n)))]
-    for kind, fn, pts in fields:
+    fields = [(Bubble(n=n, a=1.3, p=np.zeros(n)).value, near),
+              (cf.MetricField.sphere_normal(n).value_fn, near),
+              (cf.MetricField.sphere_polar(n).value_fn, rng.uniform(0.6, 2.4, (7, n)))]
+    for fn, pts in fields:
         for h in (1e-4, 1e-3):
             counted, calls = _counting(fn)
             value, d1, d2 = cf._fd_jet(counted, pts, h)
@@ -714,18 +700,6 @@ def test_fd_hessian_is_one_call_and_equals_per_stencil_loop(n, rng):
             assert value.tobytes() == fn(pts).tobytes()
             assert d1.tobytes() == _fd_d1_per_stencil(fn, pts, h).tobytes()
             assert np.array_equal(d2, _fd_d2_per_stencil(fn, pts, h))
-        # Richardson: one call per step size
-        counted, calls = _counting(fn)
-        if kind == "scalar":
-            refined = cf.ConformalFactor(n=n, value_fn=counted, h=1e-3,
-                                         richardson=True).hess(pts)
-        else:
-            refined = cf.MetricField(n=n, value_fn=counted, h=1e-3,
-                                     richardson=True).d2(pts)
-        assert len(calls) == 2
-        expect = (4.0 * _fd_d2_per_stencil(fn, pts, 5e-4)
-                  - _fd_d2_per_stencil(fn, pts, 1e-3)) / 3.0
-        assert np.array_equal(refined, expect)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -737,45 +711,22 @@ def test_fd_derivatives_read_one_stencil_pass_and_equal_per_stencil_loops(n, rng
     pts = rng.uniform(-1.0, 1.0, (7, n))
     stencil = ((1 + 2 * n * n) * len(pts), n)
 
-    def expect(fn, order, h, richardson):
-        loop = (_fd_d1_per_stencil, _fd_d2_per_stencil)[order - 1]
-        if not richardson:
-            return loop(fn, pts, h)
-        return (4.0 * loop(fn, pts, h / 2.0) - loop(fn, pts, h)) / 3.0
-
-    for richardson in (False, True):
-        for order in (1, 2):
-            for fn, make, read in (
-                    (metric_fn, cf.MetricField, ("d1", "d2")),
-                    (b.value, cf.ConformalFactor, ("grad", "hess"))):
-                counted, calls = _counting(fn)
-                field = make(n=n, value_fn=counted, h=1e-3, richardson=richardson)
-                got = getattr(field, read[order - 1])(pts)
-                assert calls == [stencil] * (1 + richardson), (read, richardson)
-                assert got.tobytes() == expect(fn, order, 1e-3, richardson).tobytes(), \
-                    (read, richardson)
-        # a factor with one derivative callable differences the other
-        grad_only = cf.ConformalFactor.from_callable(n, b.value, grad=b.grad,
-                                                     h=1e-3, richardson=richardson)
-        hess_only = cf.ConformalFactor.from_callable(n, b.value, hess=b.hess,
-                                                     h=1e-3, richardson=richardson)
-        assert grad_only.hess(pts).tobytes() == expect(b.value, 2, 1e-3, richardson).tobytes()
-        assert hess_only.grad(pts).tobytes() == expect(b.value, 1, 1e-3, richardson).tobytes()
-        assert grad_only.grad(pts).tobytes() == b.grad(pts).tobytes()
-        assert hess_only.hess(pts).tobytes() == b.hess(pts).tobytes()
+    for order, loop in ((1, _fd_d1_per_stencil), (2, _fd_d2_per_stencil)):
+        for fn, make, read in ((metric_fn, cf.MetricField, ("d1", "d2")),
+                               (b.value, cf.ConformalFactor, ("grad", "hess"))):
+            counted, calls = _counting(fn)
+            field = make(n=n, value_fn=counted, h=1e-3)
+            got = getattr(field, read[order - 1])(pts)
+            assert calls == [stencil], read
+            assert got.tobytes() == loop(fn, pts, 1e-3).tobytes(), read
 
 
-def _three_call_metric(fn, n, h, richardson):
+def _three_call_metric(fn, n, h):
     """The metric ``fn`` with its finite differences written out as the
     callables of an analytic metric: components, the per-stencil first
     derivatives and the per-stencil second derivatives, each its own pass."""
-    def derivative(loop):
-        if not richardson:
-            return lambda x: loop(fn, x, h)
-        return lambda x: (4.0 * loop(fn, x, h / 2.0) - loop(fn, x, h)) / 3.0
-
-    return cf.MetricField(n=n, value_fn=fn, d1_fn=derivative(_fd_d1_per_stencil),
-                          d2_fn=derivative(_fd_d2_per_stencil))
+    return cf.MetricField(n=n, value_fn=fn, d1_fn=lambda x: _fd_d1_per_stencil(fn, x, h),
+                          d2_fn=lambda x: _fd_d2_per_stencil(fn, x, h))
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -783,22 +734,20 @@ def test_fd_metric_geometry_is_one_stencil_pass_per_batch(n, rng):
     base = cf.MetricField.sphere_normal(n)
     pts = rng.uniform(-1.0, 1.0, (9, n))
     stencil = ((1 + 2 * n * n) * len(pts), n)
-    for richardson in (False, True):
-        expect = [stencil] * (1 + richardson)
-        slow = _three_call_metric(base.value_fn, n, 1e-3, richardson)
-        want = cf.chart_geometry(slow, pts)
-        value_fn, calls = _counting(base.value_fn)
-        g = cf.MetricField(n=n, value_fn=value_fn, h=1e-3, richardson=richardson)
-        geom = cf.chart_geometry(g, pts)
-        assert calls == expect, richardson
-        for field in ("gmat", "linv", "ginv", "d1", "sym", "gamma", "a_bg"):
-            assert getattr(geom, field).tobytes() == getattr(want, field).tobytes(), field
-        assert geom.d2.tobytes() == slow.d2(pts).tobytes()
-        for op in (cf.schouten_background, cf.christoffel, cf.ricci_background,
-                   cf.scalar_curvature):
-            calls.clear()
-            assert op(g, pts).tobytes() == op(slow, pts).tobytes(), op.__name__
-            assert calls == expect, op.__name__
+    slow = _three_call_metric(base.value_fn, n, 1e-3)
+    want = cf.chart_geometry(slow, pts)
+    value_fn, calls = _counting(base.value_fn)
+    g = cf.MetricField(n=n, value_fn=value_fn, h=1e-3)
+    geom = cf.chart_geometry(g, pts)
+    assert calls == [stencil]
+    for field in ("gmat", "linv", "ginv", "d1", "sym", "gamma", "a_bg"):
+        assert getattr(geom, field).tobytes() == getattr(want, field).tobytes(), field
+    assert geom.d2.tobytes() == slow.d2(pts).tobytes()
+    for op in (cf.schouten_background, cf.christoffel, cf.ricci_background,
+               cf.scalar_curvature):
+        calls.clear()
+        assert op(g, pts).tobytes() == op(slow, pts).tobytes(), op.__name__
+        assert calls == [stencil], op.__name__
     # an analytic metric calls d2_fn only where Ricci is needed
     d2_fn, d2_calls = _counting(base.d2_fn)
     g = replace(base, d2_fn=d2_fn, sectional_curvature=None)
@@ -849,13 +798,6 @@ def test_fd_jet_on_cached_indices_equals_per_call_construction(n, rng):
         for h in (1e-4, 1e-3):
             for got, want in zip(cf._fd_jet(fn, pts, h), _fd_jet_per_call_indices(fn, pts, h)):
                 assert np.array_equal(got, want)
-        # Richardson: the passes at h/2 and h combined
-        f0, d1, d2 = _fd_jet_per_call_indices(fn, pts, 5e-4)
-        _, d1_h, d2_h = _fd_jet_per_call_indices(fn, pts, 1e-3)
-        want = (f0, (4.0 * d1 - d1_h) / 3.0, (4.0 * d2 - d2_h) / 3.0)
-        field = cf.ConformalFactor(n=n, value_fn=fn, h=1e-3, richardson=True)
-        for got, expect in zip(cf._richardson_jet(field, pts), want):
-            assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -890,34 +832,127 @@ def test_flat_metric_is_one_instance_with_fresh_components(n, rng):
 # -- a conformal factor read as one jet per point batch ------------------------
 
 def _jet_factors(n, rng):
-    """Analytic, FD, Richardson and single-callable forms of two fields: a
-    bubble, and one whose value reads the sign of a zero coordinate."""
-    from schouten.bubbles import Bubble
+    """Every analytic factor the package builds (constant, radial, the
+    bubble, a rescaled bubble, ``from_callable``) and the FD forms of two
+    fields: a bubble, and one whose value reads the sign of a zero
+    coordinate."""
+    from schouten.bubbles import Bubble, rescale_profile
 
     b = Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n))
+    a = rng.uniform(-0.5, 0.5, n)
 
     def signed(x):
         return 2.0 + np.copysign(0.25, x[:, 0]) + 0.1 * np.sin(x).sum(axis=1)
 
-    return {"analytic": b.factor("analytic"), "fd": b.factor("fd"),
-            "richardson": cf.ConformalFactor(n=n, value_fn=b.value, h=1e-3, richardson=True),
-            "grad-only": cf.ConformalFactor.from_callable(n, b.value, grad=b.grad),
-            "hess-only": cf.ConformalFactor.from_callable(n, b.value, hess=b.hess),
-            "signed-fd": cf.ConformalFactor(n=n, value_fn=signed),
-            "signed-richardson": cf.ConformalFactor(n=n, value_fn=signed, richardson=True)}
+    return {"constant": cf.ConformalFactor.constant(n, 1.7),
+            "radial": cf.ConformalFactor.radial(n, lambda r: 1.0 + r ** 2,
+                                                lambda r: 2.0 * r, lambda r: 2.0 + 0.0 * r),
+            "analytic": b.factor("analytic"),
+            # the critical rule's 2/(n-2) is undefined at n = 2
+            "rescaled": rescale_profile(b.factor("analytic"), 0.2 * a, rule="subcritical",
+                                        p_exp=1.5),
+            "from-callable": _exp_factor(a),
+            "fd": b.factor("fd"),
+            "signed-fd": cf.ConformalFactor(n=n, value_fn=signed)}
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_factor_jet_equals_value_grad_hess_bitwise(n, rng):
     pts = rng.uniform(-1.0, 1.0, (6, n))
     pts[1, 0] = -0.0
-    pts[2] = -0.0
+    pts[2, 1:] = -0.0  # the radial factor is not evaluable at the origin
     pts[3, -1] = 0.0
     for name, u in _jet_factors(n, rng).items():
         expect = (u.value(pts), u.grad(pts), u.hess(pts))
         for part, have, want in zip(("value", "grad", "hess"), cf._factor_jet(u, pts), expect):
             assert have.shape == want.shape, (name, part)
             assert have.tobytes() == want.tobytes(), (name, part)
+        # an analytic jet's value is its value_fn, bit for bit
+        assert (u.jet_fn is None) == name.endswith("fd"), name
+        if u.jet_fn is not None:
+            assert u.jet_fn(pts)[0].tobytes() == u.value_fn(pts).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_radial_jet_equals_the_per_part_formulas_bitwise(n, rng):
+    # the three Euclidean-chart formulas of a radial factor, each on its own
+    # r, are the oracle of the one jet
+    v, v1, v2 = np.exp, lambda r: np.sin(r) + r, lambda r: np.cos(r) + 1.0
+    pts = rng.uniform(-1.0, 1.0, (9, n))
+    pts[0, 1:] = -0.0
+    jet = cf.ConformalFactor.radial(n, v, v1, v2).jet_fn(pts)
+    r = np.linalg.norm(pts, axis=1)
+    xhat = pts / r[:, None]
+    proj = xhat[:, :, None] * xhat[:, None, :]
+    want = (v(r), v1(r)[:, None] * pts / r[:, None],
+            v2(r)[:, None, None] * proj + (v1(r) / r)[:, None, None] * (np.eye(n) - proj))
+    for have, expect in zip(jet, want):
+        assert have.tobytes() == expect.tobytes()
+
+
+def test_radial_factor_calls_each_profile_callable_once_per_batch(rng):
+    n = 4
+    pts = rng.uniform(0.2, 1.0, (8, n))
+    v, v_calls = _counting(lambda r: 1.0 + r ** 2)
+    v1, v1_calls = _counting(lambda r: 2.0 * r)
+    v2, v2_calls = _counting(lambda r: 2.0 + 0.0 * r)
+    u = cf.ConformalFactor.radial(n, v, v1, v2)
+    for g in (cf.MetricField.flat(n), cf.MetricField.sphere_normal(n)):
+        for calls in (v_calls, v1_calls, v2_calls):
+            calls.clear()
+        cf.conformal_schouten_eigs(g, u, pts)
+        assert v_calls == v1_calls == v2_calls == [(len(pts),)], g.name
+
+
+def test_sweep_combination_evaluates_the_barrier_jet_four_times(monkeypatch, rng):
+    # v, v' and v'' of the factor's one jet per batch, and the prediction
+    from schouten import barriers as br
+    from schouten.cones import ConeSpec
+
+    counts = []
+    barrier_jet = br._barrier_jet
+
+    def counting_barrier_jet(*args, **kwargs):
+        jet = barrier_jet(*args, **kwargs)
+
+        def counted(r):
+            counts.append(np.shape(r))
+            return jet(r)
+        return counted
+
+    monkeypatch.setattr(br, "_barrier_jet", counting_barrier_jet)
+    cfg = br.BarrierSweepConfig(n=4, k=1)
+    g = cfg.metric()
+    rr = cfg.radii(0.5)
+    pts = rr[:, None] * cfg.directions()[np.arange(cfg.num_r) % cfg.num_dirs]
+    geometry = cf.chart_geometry(g, pts)
+    for kind, combo in (("super", {"mu": 1.5, "delta": 0.25, "eps": 0.1}),
+                        ("sub", {"delta": 0.1})):
+        counts.clear()
+        br._sweep_once(combo, kind, g, geometry, rr, ConeSpec.gamma(4, 1))
+        assert counts == [rr.shape] * 4, kind
+
+
+def test_one_derivative_callable_is_refused(rng):
+    from schouten.bubbles import Bubble
+
+    n = 4
+    b = Bubble(n=n, a=1.3, p=rng.uniform(-0.5, 0.5, n))
+    normal = cf.MetricField.sphere_normal(n)
+    for kwargs in ({"d1_fn": normal.d1_fn}, {"d2_fn": normal.d2_fn}):
+        with pytest.raises(ValueError, match="both derivative callables"):
+            cf.MetricField(n, normal.value_fn, **kwargs)
+        with pytest.raises(ValueError, match="both derivative callables"):
+            replace(normal, **{name: None for name in ("d1_fn", "d2_fn") if name not in kwargs})
+    for kwargs in ({"grad": b.grad}, {"hess": b.hess}):
+        with pytest.raises(ValueError, match="both derivative callables"):
+            cf.ConformalFactor.from_callable(n, b.value, **kwargs)
+    # both or neither still build
+    assert cf.MetricField(n, normal.value_fn).mode == "fd"
+    assert cf.MetricField(n, normal.value_fn, normal.d1_fn, normal.d2_fn).mode == "analytic"
+    assert cf.ConformalFactor.from_callable(n, b.value).mode == "fd"
+    assert cf.ConformalFactor.from_callable(n, b.value, grad=b.grad,
+                                            hess=b.hess).mode == "analytic"
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
@@ -929,11 +964,10 @@ def test_fd_factor_is_one_stencil_call_per_batch(n, rng):
     stencil = ((1 + 2 * n * n) * len(pts), n)
     for g in (cf.MetricField.flat(n), cf.MetricField.sphere_normal(n)):
         geom = cf.chart_geometry(g, pts)
-        for richardson, expect in ((False, [stencil]), (True, [stencil, stencil])):
-            value_fn, calls = _counting(b.value)
-            u = cf.ConformalFactor(n=n, value_fn=value_fn, richardson=richardson)
-            cf.conformal_schouten_eigs(g, u, pts, geometry=geom)
-            assert calls == expect, (g.name, richardson)
+        value_fn, calls = _counting(b.value)
+        u = cf.ConformalFactor(n=n, value_fn=value_fn)
+        cf.conformal_schouten_eigs(g, u, pts, geometry=geom)
+        assert calls == [stencil], g.name
 
 
 # -- argument checks ----------------------------------------------------------
