@@ -10,8 +10,7 @@ Modules:
   cli         -- configuration-driven verification campaigns
 """
 
-from .cones import ConeSpec, CurvatureFunction, sigma_k, gamma_k_member, \
-    cone_margin, mu_plus, f_eval, homotopy_ft
+from .cones import ConeSpec, CurvatureFunction, sigma_k
 from .errors import BrokenConeError, ConeExitError, ContinuationError, DomainError
 
 __version__ = "0.1.0"
@@ -20,11 +19,6 @@ __all__ = [
     "ConeSpec",
     "CurvatureFunction",
     "sigma_k",
-    "gamma_k_member",
-    "cone_margin",
-    "mu_plus",
-    "f_eval",
-    "homotopy_ft",
     "DomainError",
     "ConeExitError",
     "ContinuationError",

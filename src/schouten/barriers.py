@@ -23,12 +23,12 @@ super-solution), certify the largest radius r1 at which the verdict holds by
 dyadic descent, and record how far the eigenvalues drift from the
 (chi1 - chi2, chi1, ..., chi1) prediction relative to the remainder scale
 1 + |r v'/v| + (r v'/v)^2.  Each ceiling r1 tried gets its own report (rows,
-failures, worst margin, largest remainder, per-combination verdicts); a sweep
-returns the report of the first ceiling it certifies, otherwise that of the
-last ceiling.  A ceiling that is not the last stops at its first failing
-combination, as its report is discarded; the report a sweep returns is
-complete, filled from every combination.  Defaults live in
-``BarrierSweepConfig``, ceilings in ``_ceilings``, rules in ``sweep_fault``.
+failures, worst margin, largest remainder); a sweep returns the report of the
+first ceiling it certifies, otherwise that of the last ceiling.  A ceiling
+that is not the last stops at its first failing combination, as its report is
+discarded; the report a sweep returns is complete, filled from every
+combination.  Defaults live in ``BarrierSweepConfig``, ceilings in
+``_ceilings``, rules in ``sweep_fault``.
 
 ``gershgorin_pairing`` is the eigenvalue-continuity estimate the closed-form
 prediction rests on; ``gershgorin_ratios`` is its batched entry point, which
@@ -80,7 +80,6 @@ __all__ = [
 
 @dataclass
 class GershgorinResult:
-    permutation: np.ndarray
     total_deviation: float
     bound: float
     max_perturbation: float
@@ -143,8 +142,7 @@ def gershgorin_pairing(m, mt):
     q = np.linalg.eigh(m)[1]
     rotated = q.T @ mt @ q
     diag = np.diag(rotated).copy()
-    return GershgorinResult(permutation=np.arange(m.shape[0]),
-                            total_deviation=float(total), bound=float(bound),
+    return GershgorinResult(total_deviation=float(total), bound=float(bound),
                             max_perturbation=float(eps), per_pair=per_pair,
                             gershgorin_radii=np.abs(rotated).sum(axis=1) - np.abs(diag),
                             rotated_diagonal=diag)
@@ -323,7 +321,6 @@ class SweepReport:
     rows: list = field(default_factory=list)  # (delta, mu, eps, r, margin, ok)
     failures: list = field(default_factory=list)
     chi_inequality_ok: Optional[bool] = None
-    epsilon_verdicts: dict = field(default_factory=dict)
 
 
 def _radial_factor(n, delta=None, mu=None, eps=None, kind="sub"):
@@ -448,16 +445,6 @@ def barrier_sweep_super(cfg):
             report.failures.append(("chi-inequality", combo))
     report.chi_inequality_ok = ok
     report.passed = report.passed and ok
-
-    # verdict must not depend on eps for fixed (mu, delta)
-    verdicts = {}
-    for combo, verdict in report.epsilon_verdicts.items():
-        key = combo[:2]
-        verdicts.setdefault(key, set()).add(verdict)
-    uniform = all(len(v) == 1 for v in verdicts.values())
-    if not uniform:
-        report.failures.append(("eps-uniformity", "verdict varies across epsilon grid"))
-        report.passed = False
     return report
 
 
@@ -499,7 +486,6 @@ def _run_sweep(cfg, kind, combos):
                                    else min(report.worst_margin, float(margins.min())))
             report.max_remainder = max(report.max_remainder, float(rems.max()))
             mu, delta, eps = combo.get("mu"), combo["delta"], combo.get("eps")
-            report.epsilon_verdicts[(mu, delta, eps)] = combo_ok
             if not combo_ok:
                 bad = int(np.argmin(ok))
                 report.failures.append((combo, float(rr[bad]), float(margins[bad])))
@@ -530,9 +516,12 @@ class SupHReport:
 
 
 def suph_fault(n, delta, background):
-    """The superharmonic barrier's rule, as (field, what it must be) or None:
-    on a ``background`` of curvature kappa > 0 its grid, whose top radius is
-    0.999 delta, must stay inside the cut locus r = pi/sqrt(kappa)."""
+    """The superharmonic barrier's rules, as (field, what it must be) or None:
+    ``delta`` is finite and positive, and on a ``background`` of curvature
+    kappa > 0 its grid, whose top radius is 0.999 delta, must stay inside the
+    cut locus r = pi/sqrt(kappa)."""
+    if not 0 < delta < math.inf:
+        return "delta", f"a finite positive number; {float(delta)!r} is not"
     kappa = BACKGROUNDS[background](n).sectional_curvature
     if kappa > 0 and not delta * 0.999 < math.pi / math.sqrt(kappa):
         return "delta", (f"a radius whose grid stays inside the cut locus r = "

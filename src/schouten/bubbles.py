@@ -23,7 +23,6 @@ from .errors import DomainError
 
 __all__ = [
     "Bubble",
-    "bubble_eval",
     "stereographic_factor",
     "bubble_verify",
     "rescale_profile",
@@ -88,13 +87,6 @@ class Bubble:
         if mode == "fd":
             return cf.ConformalFactor(self.n, self.value, h=h)
         raise ValueError(f"unknown derivative mode {mode!r}")
-
-
-def bubble_eval(bubble, x, deriv=0):
-    """Bubble value (deriv=0), gradient (1) or Hessian (2) at x."""
-    if deriv not in (0, 1, 2):
-        raise ValueError("deriv must be 0, 1 or 2")
-    return bubble.value(x) if deriv == 0 else bubble.jet(x)[deriv]
 
 
 def stereographic_factor(n, x):

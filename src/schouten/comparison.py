@@ -86,7 +86,7 @@ class ModelSpace:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("curvature parameter alpha must be nonnegative")
 
 
@@ -97,7 +97,7 @@ def hawking_bound(alpha, c0):
     1/c0 when alpha = 0 and arccoth(c0/alpha)/alpha otherwise.  The two
     branches join continuously as alpha -> 0.
     """
-    if c0 <= alpha or alpha < 0:
+    if not c0 > alpha >= 0:
         raise DomainError("hawking bound needs c0 > alpha >= 0")
     if alpha == 0.0:
         return 1.0 / c0
@@ -153,10 +153,10 @@ def bg_ratio(volumes, model, radii):
     to 1e-8 (relative) are treated as round-off.
     """
     radii = np.asarray(radii, dtype=np.float64)
-    if np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
+    if not (np.all(radii > 0) and np.all(np.diff(radii) > 0)):
         raise ValueError("radii must be positive and increasing")
     vol = np.array([float(volumes(r)) for r in radii])
-    if np.any(vol <= 0) or np.any(np.diff(vol) < 0):
+    if not (np.all(vol > 0) and np.all(np.diff(vol) >= 0)):
         raise ValueError("volumes must be positive and nondecreasing")
     mvol = np.array([model_ball_volume(model, r) for r in radii])
     ratios = vol / mvol
@@ -173,6 +173,6 @@ def isoperimetric_ratio(n, area, volume):
     Equals n^(n/(n-1)) c(n)^(1/(n-1)) for the Euclidean ball and is invariant
     under the scaling (area, volume) -> (t^(n-1) area, t^n volume).
     """
-    if area <= 0 or volume <= 0:
+    if not (area > 0 and volume > 0):
         raise DomainError("area and volume must be positive")
     return area ** (n / (n - 1.0)) / volume

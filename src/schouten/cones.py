@@ -36,13 +36,7 @@ __all__ = [
     "ConeSpec",
     "CurvatureFunction",
     "sigma_k",
-    "sigma_all",
-    "gamma_k_member",
-    "cone_margin",
-    "mu_plus",
     "gamma_mu_plus",
-    "f_eval",
-    "homotopy_ft",
 ]
 
 
@@ -51,19 +45,13 @@ __all__ = [
 _MU_PLUS_LEVELS = 6
 
 
-def sigma_all(lam, kmax):
-    """All elementary symmetric values (e_0, ..., e_kmax) of one vector."""
-    lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
-    return _kernels.elementary_symmetric(lam, int(kmax))[0]
-
-
 def sigma_k(lam, k):
     """k-th elementary symmetric polynomial, stable prefix recurrence (O(nk))."""
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
     n = lam.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
-    return float(sigma_all(lam, k)[k])
+    return float(_kernels.elementary_symmetric(lam, k)[0, k])
 
 
 def _as_batch(lam):
@@ -96,10 +84,6 @@ class ConeSpec:
     @classmethod
     def gamma(cls, n, k):
         return cls(n=n, k=k)
-
-    @classmethod
-    def homotopy(cls, n, k, t):
-        return cls(n=n, k=k, t=t)
 
     def deform(self, t):
         return ConeSpec(self.n, self.k, t)
@@ -214,29 +198,26 @@ class ConeSpec:
 class CurvatureFunction:
     """Normalised degree-one curvature function kappa * sigma_k^(1/k) on a cone.
 
-    kappa is fixed once per (n, k) so that the value at (1/2, ..., 1/2) -- the
-    Schouten eigenvalues of the round sphere -- equals 1.  Deformed members
-    (cone.t < 1) evaluate the base function on T_t(lam) and keep the base
-    normalisation, so the t = 0 endpoint is lam -> f(e) * sigma_1(lam).
+    kappa is derived from (n, k), not passed, so that the value at
+    (1/2, ..., 1/2) -- the Schouten eigenvalues of the round sphere -- equals
+    1.  Deformed members (cone.t < 1) evaluate the base function on T_t(lam)
+    and share its (n, k), hence its normalisation, so the t = 0 endpoint is
+    lam -> f(e) * sigma_1(lam).
     """
 
     cone: ConeSpec
-    kappa: float = field(default=None)
+    kappa: float = field(init=False)
 
     def __post_init__(self):
-        if self.kappa is None:
-            object.__setattr__(self, "kappa", self._normalisation(self.cone.n, self.cone.k))
-
-    @staticmethod
-    def _normalisation(n, k):
-        return 2.0 / math.comb(n, k) ** (1.0 / k)
+        n, k = self.cone.n, self.cone.k
+        object.__setattr__(self, "kappa", 2.0 / math.comb(n, k) ** (1.0 / k))
 
     @classmethod
     def sigma_root(cls, n, k):
         return cls(cone=ConeSpec.gamma(n, k))
 
     def deform(self, t):
-        return CurvatureFunction(cone=self.cone.deform(t), kappa=self.kappa)
+        return CurvatureFunction(cone=self.cone.deform(t))
 
     def value_batch(self, lams):
         """Values at (rows, n) eigenvalue vectors, with one cone-membership pass.
@@ -310,22 +291,6 @@ class CurvatureFunction:
         return vals[0] if single else vals
 
 
-# -- module-level operation aliases -----------------------------------------
-
-def gamma_k_member(lam, k):
-    """True iff lam lies in the open cone Gamma_k (sigma_j > 0, j = 1..k)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    return ConeSpec.gamma(lam.shape[-1], k).contains(lam)
-
-
-def cone_margin(lam, cone):
-    return cone.margin(lam)
-
-
-def mu_plus(cone, tol=1e-10):
-    return cone.mu_plus(tol=tol)
-
-
 def gamma_mu_plus(n, k):
     """mu_plus of Gamma_k in R^n in closed form, (n - k)/k.
 
@@ -336,14 +301,3 @@ def gamma_mu_plus(n, k):
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
     return (n - k) / k
-
-
-def f_eval(f, lam):
-    return f.value(lam)
-
-
-def homotopy_ft(f, t, lam):
-    """Value of the deformed function f_t(lam) = f(t*lam + (1-t)*sigma_1(lam)*e)."""
-    if f.cone.t != 1.0:
-        raise ValueError("homotopy_ft expects an undeformed base function")
-    return f.deform(t).value(lam)

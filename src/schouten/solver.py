@@ -89,7 +89,6 @@ from .errors import ContinuationError, DomainError
 __all__ = [
     "RadialProfile",
     "ContinuationState",
-    "radial_schouten_eigs",
     "schouten_eig_matrix",
     "residual_Fs",
     "newton_solve",
@@ -314,12 +313,6 @@ def schouten_eig_matrix(profile, values=None):
     out[:, 0] = rad
     out[:, 1:] = tan[:, None]
     return out
-
-
-def radial_schouten_eigs(profile, j):
-    """Ascending eigenvalues of A_{g_u} relative to g_u at node j."""
-    lam = schouten_eig_matrix(profile)[j]
-    return np.sort(lam)
 
 
 def _psi_values(psi, profile):

@@ -268,7 +268,7 @@ def test_criterion_11_cross_module_consistency():
         interior = np.flatnonzero((prof.theta > 0.3)
                                   & (prof.theta < math.pi - 0.3))
         j = int(rng.choice(interior))
-        lam_radial = sv.radial_schouten_eigs(prof, j)
+        lam_radial = np.sort(sv.schouten_eig_matrix(prof)[j])
         theta = prof.theta[j]
 
         def val(x):

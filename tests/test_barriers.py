@@ -300,9 +300,17 @@ def test_super_sweep_passes_and_is_eps_uniform():
     assert rep.chi_inequality_ok
     assert rep.worst_margin > 0
     verdicts = {}
-    for (mu, delta, eps), verdict in rep.epsilon_verdicts.items():
+    for (mu, delta, eps), verdict in _combo_verdicts(rep.rows).items():
         verdicts.setdefault((mu, delta), set()).add(verdict)
     assert all(len(v) == 1 for v in verdicts.values())
+
+
+def _combo_verdicts(rows):
+    # the verdict of each (mu, delta, eps) combination: all of its rows pass
+    verdicts = {}
+    for delta, mu, eps, _, _, ok in rows:
+        verdicts[(mu, delta, eps)] = verdicts.get((mu, delta, eps), True) and ok
+    return verdicts
 
 
 def test_super_sweep_builds_chart_geometry_once_per_ceiling(monkeypatch):
@@ -405,7 +413,7 @@ def _full_ceiling(cfg, kind, combos, r1):
     pts = rr[:, None] * cfg.directions()[np.arange(cfg.num_r) % cfg.num_dirs]
     geometry = cf.chart_geometry(g, pts)
     cone = ConeSpec.gamma(cfg.n, cfg.k)
-    rows, failures, verdicts = [], [], {}
+    rows, failures = [], []
     worst, max_rem = (-math.inf, 0.0) if kind == "sub" else (math.inf, 0.0)
     for combo in combos:
         margins, rems = br._sweep_once(combo, kind, g, geometry, rr, cone)
@@ -414,14 +422,13 @@ def _full_ceiling(cfg, kind, combos, r1):
                  else min(worst, float(margins.min())))
         max_rem = max(max_rem, float(rems.max()))
         mu, delta, eps = combo.get("mu"), combo["delta"], combo.get("eps")
-        verdicts[(mu, delta, eps)] = bool(ok.all())
         if not ok.all():
             bad = int(np.argmin(ok))
             failures.append((combo, float(rr[bad]), float(margins[bad])))
         rows.extend((delta, mu, eps) + row
                     for row in zip(rr.tolist(), margins.tolist(), ok.tolist()))
     return dict(rows=rows, failures=failures, worst_margin=worst,
-                max_remainder=max_rem, epsilon_verdicts=verdicts)
+                max_remainder=max_rem)
 
 
 @pytest.mark.parametrize("kind, params, calls", [
@@ -470,7 +477,6 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5, full_grid=F
     worst = math.inf if want_negative else -math.inf
     max_rem = 0.0
     failures = []
-    eps_verdicts = {}
     for r1 in candidates:
         if r1 <= cfg.r_min * 2:
             break
@@ -479,7 +485,6 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5, full_grid=F
         worst_margin = -math.inf if want_negative else math.inf
         max_remainder = 0.0
         fail_list = []
-        eps_verdicts = {}
         radii = cfg.radii(r1)
         if full_grid:
             pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, cfg.n)
@@ -496,8 +501,6 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5, full_grid=F
             worst_margin = (max(worst_margin, margins.max()) if want_negative
                             else min(worst_margin, margins.min()))
             max_remainder = max(max_remainder, float(rems.max()))
-            key = (combo.get("mu"), combo.get("delta"), combo.get("eps"))
-            eps_verdicts[key] = combo_ok
             if not combo_ok:
                 bad = int(np.argmin(ok_mask))
                 fail_list.append((combo, float(rr[bad]), float(margins[bad])))
@@ -515,7 +518,7 @@ def _copied_out_sweep(cfg, kind, combos, want_negative, r_start=0.5, full_grid=F
                           background=cfg.background, passed=best_r1 is not None,
                           r1_certified=best_r1, worst_margin=float(worst),
                           max_remainder=float(max_rem), rows=final_rows,
-                          failures=failures, epsilon_verdicts=eps_verdicts)
+                          failures=failures)
 
 
 _SWEEP_CASES = [
@@ -559,8 +562,9 @@ def test_sweep_rows_are_rows_of_the_full_direction_grid(monkeypatch, kind, param
     full = sweep(cfg)
     assert got.passed == full.passed
     assert got.r1_certified == full.r1_certified
-    assert got.epsilon_verdicts == full.epsilon_verdicts
-    combos = len(got.epsilon_verdicts)
+    verdicts = _combo_verdicts(got.rows)
+    assert verdicts == _combo_verdicts(full.rows)
+    combos = len(verdicts)
     assert len(got.rows) == combos * cfg.num_r
     assert len(full.rows) == combos * cfg.num_r * num_dirs
     picks = [(c * cfg.num_r + i) * num_dirs + i % num_dirs
@@ -648,6 +652,16 @@ def test_suph_evaluates_no_chart(monkeypatch):
     for background in br.BACKGROUNDS:
         rep = br.suph_barrier_check(4, 1.0, 0.25, background)
         assert rep.min_G >= -1e-12 and np.isfinite(rep.min_LG)
+
+
+@pytest.mark.parametrize("background", ["flat", "sphere"])
+@pytest.mark.parametrize("delta", [-0.25, math.nan, 0.0, math.inf])
+def test_suph_refuses_a_delta_that_is_not_finite_and_positive(delta, background):
+    # the CLI's positive-number reader keeps these out of configs; the
+    # library call itself used to return NaN minima or leak numpy's error
+    assert br.suph_fault(4, delta, background)[0] == "delta"
+    with pytest.raises(DomainError, match="delta must be a finite positive number"):
+        br.suph_barrier_check(4, 1.0, delta, background)
 
 
 def test_suph_domain_and_background_errors():

@@ -36,16 +36,6 @@ def test_gradient_hessian_against_fd(rng):
     assert np.abs(b.hess(pts) - fd2.hess(pts)).max() < 1e-5
 
 
-def test_bubble_eval_dispatch():
-    b = bb.Bubble(n=3, a=1.0, p=np.zeros(3))
-    x = np.array([0.5, 0.0, 0.0])
-    assert bb.bubble_eval(b, x, 0) == b.value(x)
-    assert np.allclose(bb.bubble_eval(b, x, 1), b.grad(x))
-    assert np.allclose(bb.bubble_eval(b, x, 2), b.hess(x))
-    with pytest.raises(ValueError):
-        bb.bubble_eval(b, x, 3)
-
-
 def test_wrong_length_points_raise():
     # a batch of length-1 rows would otherwise broadcast against the centre
     b = bb.Bubble(n=4, a=1.0, p=np.zeros(4))

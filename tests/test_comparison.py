@@ -205,3 +205,20 @@ def test_model_space_validation():
         for alpha in (0.0, 1.0):
             with pytest.raises(DomainError, match="radius"):
                 cp.model_ball_volume(cp.ModelSpace(n=3, alpha=alpha), r)
+
+
+def test_nan_curvature_and_bound_arguments_are_refused():
+    # every guard is written so that NaN fails it
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        cp.ModelSpace(n=3, alpha=math.nan)
+    for alpha, c0 in ((math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(DomainError, match="c0 > alpha >= 0"):
+            cp.hawking_bound(alpha, c0)
+    for area, volume in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="area and volume"):
+            cp.isoperimetric_ratio(3, area, volume)
+    model = cp.ModelSpace(n=3)
+    with pytest.raises(ValueError, match="radii"):
+        cp.bg_ratio(lambda r: r, model, [0.1, math.nan, 0.3])
+    with pytest.raises(ValueError, match="volumes"):
+        cp.bg_ratio(lambda r: math.nan, model, [0.1, 0.2])

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schouten.cones import (ConeSpec, CurvatureFunction, cone_margin, f_eval,
-                            gamma_k_member, homotopy_ft, mu_plus, sigma_k)
+from schouten.cones import ConeSpec, CurvatureFunction, sigma_k
 from schouten.errors import ConeExitError, DomainError
 
 
@@ -39,16 +38,16 @@ def test_sigma_k_argument_errors():
 def test_gamma_k_membership_basics():
     for n in (3, 5, 8):
         for k in range(1, n + 1):
-            assert gamma_k_member(np.ones(n), k)
+            assert ConeSpec.gamma(n, k).contains(np.ones(n))
     # vertex is not in the open cone
-    assert not gamma_k_member(np.zeros(4), 2)
+    assert not ConeSpec.gamma(4, 2).contains(np.zeros(4))
     # (-mu, 1, ..., 1) with mu > (n-k)/k is outside
     n, k = 5, 2
     lam = np.ones(n)
     lam[0] = -((n - k) / k + 0.2)
-    assert not gamma_k_member(lam, k)
+    assert not ConeSpec.gamma(n, k).contains(lam)
     lam[0] = -((n - k) / k - 0.2)
-    assert gamma_k_member(lam, k)
+    assert ConeSpec.gamma(n, k).contains(lam)
 
 
 @settings(max_examples=100, deadline=None)
@@ -109,8 +108,7 @@ def test_cone_margin_examples():
     assert cone_n.margin(np.ones(n)) == pytest.approx(1.0, abs=1e-11)
     # sigma_1(lam - t e) = 5 - 3 t for lam = (3, 1, 1)
     cone_1 = ConeSpec.gamma(3, 1)
-    assert cone_margin([3.0, 1.0, 1.0], cone_1) == pytest.approx(5.0 / 3.0,
-                                                                 abs=1e-10)
+    assert cone_1.margin([3.0, 1.0, 1.0]) == pytest.approx(5.0 / 3.0, abs=1e-10)
     # boundary point has |margin| ~ 0
     lam = np.ones(5)
     lam[0] = -1.5  # mu_plus(Gamma_2, n=5) = 1.5
@@ -128,7 +126,7 @@ def test_margin_sign_matches_membership(rng):
 def test_mu_plus_closed_form():
     for n in range(3, 11):
         for k in range(1, n + 1):
-            assert mu_plus(ConeSpec.gamma(n, k)) == pytest.approx(
+            assert ConeSpec.gamma(n, k).mu_plus() == pytest.approx(
                 (n - k) / k, abs=1e-9)
 
 
@@ -139,7 +137,7 @@ def test_mu_plus_decreasing_in_k():
 
 
 def test_mu_plus_homotopy_cone_against_ray_scan():
-    cone = ConeSpec.homotopy(5, 3, 0.35)
+    cone = ConeSpec(5, 3, 0.35)
     mp = cone.mu_plus()
     # dense scan oracle: membership flips exactly at mu_plus
     mus = np.linspace(0.0, 4.0, 40001)
@@ -159,6 +157,10 @@ def test_f_eval_normalisation_and_homogeneity(rng):
     for n, k in [(3, 2), (4, 2), (5, 3), (6, 6)]:
         f = CurvatureFunction.sigma_root(n, k)
         assert f.value(0.5 * np.ones(n)) == pytest.approx(1.0, rel=1e-14)
+        # kappa is derived from (n, k): a deformation keeps it, and it is not an argument
+        assert f.deform(0.3).kappa == f.kappa
+        with pytest.raises(TypeError):
+            CurvatureFunction(cone=f.cone, kappa=1.0)
         for _ in range(20):
             lam = rng.uniform(0.1, 2.0, n)
             t = rng.uniform(0.1, 10.0)
@@ -169,7 +171,7 @@ def test_f_eval_unnormalised_reference_value():
     # sigma_2^(1/2) at (1/2,...,1/2) for n = 4: sqrt(C(4,2)/4) = sqrt(1.5)
     lam = 0.5 * np.ones(4)
     assert sigma_k(lam, 2) ** 0.5 == pytest.approx(math.sqrt(1.5), rel=1e-15)
-    assert f_eval(CurvatureFunction.sigma_root(4, 2), lam) == pytest.approx(1.0)
+    assert CurvatureFunction.sigma_root(4, 2).value(lam) == pytest.approx(1.0)
 
 
 def test_f_eval_outside_cone_raises():
@@ -211,27 +213,27 @@ def test_f_monotone_in_each_entry(rng):
 def test_homotopy_function_endpoints(rng):
     f = CurvatureFunction.sigma_root(4, 2)
     lam = np.array([2.0, 1.0, 0.5, 1.5])
-    assert homotopy_ft(f, 1.0, lam) == pytest.approx(f.value(lam), rel=1e-14)
+    assert f.deform(1.0).value(lam) == pytest.approx(f.value(lam), rel=1e-14)
     # t = 0: sigma_1(lam) * f(e)
     fe = f.value(np.ones(4))
-    assert homotopy_ft(f, 0.0, lam) == pytest.approx(lam.sum() * fe, rel=1e-13)
+    assert f.deform(0.0).value(lam) == pytest.approx(lam.sum() * fe, rel=1e-13)
     # direct substitution oracle at t = 1/2
     lam = np.array([1.0, 0.0, 0.0, 0.0])
     expect = f.value(0.5 * lam + 0.5 * lam.sum() * np.ones(4))
-    assert homotopy_ft(f, 0.5, lam) == pytest.approx(expect, rel=1e-14)
+    assert f.deform(0.5).value(lam) == pytest.approx(expect, rel=1e-14)
 
 
 def test_homotopy_cone_endpoints_batch(rng):
     base = ConeSpec.gamma(5, 3)
     lams = rng.standard_normal((10000, 5))
-    t1 = ConeSpec.homotopy(5, 3, 1.0)
+    t1 = ConeSpec(5, 3, 1.0)
     assert np.array_equal(t1.contains_batch(lams), base.contains_batch(lams))
-    t0 = ConeSpec.homotopy(5, 3, 0.0)
+    t0 = ConeSpec(5, 3, 0.0)
     assert np.array_equal(t0.contains_batch(lams), lams.sum(axis=1) > 0)
 
 
 def test_homotopy_margin_scaling(rng):
-    cone = ConeSpec.homotopy(4, 2, 0.3)
+    cone = ConeSpec(4, 2, 0.3)
     lam = np.array([1.0, 0.7, 0.2, 0.9])
     m = cone.margin(lam)
     # shifting by c along e moves the margin by exactly c
@@ -265,7 +267,7 @@ def test_cone_spec_validation():
     with pytest.raises(ValueError):
         ConeSpec.gamma(4, 5)
     with pytest.raises(ValueError):
-        ConeSpec.homotopy(4, 2, 1.5)
+        ConeSpec(4, 2, 1.5)
 
 
 def _scalar_mu_plus(cone, tol=1e-10):
@@ -298,7 +300,7 @@ def test_mu_plus_bit_equal_to_scalar_bisection():
         for k in range(1, n + 1):
             for t in (1.0, 0.95, 0.7, 0.3):
                 for tol in (1e-10, 1e-3):
-                    cone = ConeSpec.homotopy(n, k, t)
+                    cone = ConeSpec(n, k, t)
                     want = _scalar_mu_plus(cone, tol)
                     if isinstance(want, str):
                         with pytest.raises(BrokenConeError, match=want.split()[0]):
@@ -313,7 +315,7 @@ def test_mu_plus_bit_equal_to_scalar_bisection():
 def test_mu_plus_of_deformed_gamma_1_is_n_minus_1(n, t):
     # T_t rounds the boundary ray (-(n-1), 1, ..., 1) of Gamma_1 to a positive
     # sigma_1; the sandwich check used to read it as inside and raise
-    assert ConeSpec.homotopy(n, 1, t).mu_plus() == pytest.approx(n - 1.0, abs=1e-10)
+    assert ConeSpec(n, 1, t).mu_plus() == pytest.approx(n - 1.0, abs=1e-10)
 
 
 def test_mu_plus_batches_its_membership_calls(monkeypatch):
@@ -347,7 +349,7 @@ def test_margin_batch_matches_bisection_on_homotopy_cones(rng):
     for n in (3, 4, 6, 9):
         for k in range(1, n + 1):
             for t in (1.0, 0.95, 0.7, 0.3, 0.0):
-                cone = ConeSpec.homotopy(n, k, t)
+                cone = ConeSpec(n, k, t)
                 lams = np.concatenate([
                     rng.standard_normal((40, n)),                    # mostly outside
                     rng.uniform(0.05, 2.0, (20, n)),                 # inside
@@ -399,7 +401,7 @@ def test_pair_margin_matches_margin_batch(rng):
     for n in range(3, 11):
         for k in range(1, n + 1):
             for t in (1.0, 0.7, 0.2, 0.0):
-                cone = ConeSpec.homotopy(n, k, t)
+                cone = ConeSpec(n, k, t)
                 b0, a0, boundary = _pair_cases(rng, n, k, t)
                 for mag in (1.0, math.exp(5.0), math.exp(-5.0)):
                     b, a = mag * b0, mag * a0
@@ -418,7 +420,7 @@ def test_pair_margin_matches_margin_batch(rng):
 
 
 def test_pair_margin_non_finite_rows():
-    cone = ConeSpec.homotopy(5, 3, 0.7)
+    cone = ConeSpec(5, 3, 0.7)
     b = np.array([np.nan, np.inf, 1.0, -np.inf, 1.0])
     a = np.array([1.0, 1.0, np.inf, 1.0, 0.5])
     got = cone.pair_margin(b, a)
