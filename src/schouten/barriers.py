@@ -195,7 +195,7 @@ def _chi(p, p1, r):
 def subsolution_eval(n, delta, r):
     """Value and radial log-derivative of r^-(n-2-2*delta) * exp(r)."""
     r = np.asarray(r, dtype=np.float64)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
     if not 0 < delta < 0.25:
         raise DomainError("sub-solution exponent shift needs 0 < delta < 1/4")
@@ -211,7 +211,7 @@ def chi_coefficients_sub(n, delta, r):
     """
     r = np.asarray(r, dtype=np.float64)
     a = n - 2.0 - 2.0 * delta
-    if np.any(r <= 0) or np.any(r >= a):
+    if not np.all((r > 0) & (r < a)):
         raise DomainError("sub-solution coefficients need 0 < r < n-2-2*delta")
     _, l, l1 = _barrier_jet(n, "sub", delta)(r)
     return _chi(l / (n - 2.0), l1 / (n - 2.0), r)
@@ -221,7 +221,7 @@ def supersolution_eval(n, mu, delta, eps, r):
     """Value of (eps r^(1-mu) + 1 - r^delta)^((n-2)/(mu-1))."""
     r = np.asarray(r, dtype=np.float64)
     _check_super_params(mu, delta, eps)
-    if np.any(r <= 0):
+    if not np.all(r > 0):
         raise DomainError("radius must be positive")
     base, _, _ = _super_base(mu, delta, eps, r)
     return base ** ((n - 2.0) / (mu - 1.0))
@@ -289,7 +289,7 @@ class BarrierSweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r_min <= 0:
+        if not self.r_min > 0:
             raise ValueError("r grid must be strictly positive")
         if self.background not in BACKGROUNDS:
             raise ValueError(f"background must be one of {', '.join(BACKGROUNDS)}")

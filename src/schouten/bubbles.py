@@ -37,7 +37,7 @@ class Bubble:
     p: np.ndarray
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise DomainError("bubble concentration scale must be positive")
         object.__setattr__(self, "p", np.asarray(self.p, dtype=np.float64))
         if self.p.shape != (self.n,):

@@ -37,7 +37,8 @@ from .cones import ConeSpec, CurvatureFunction
 # the columns of both barrier sweep CSVs: (n, k) + SweepReport row
 _BARRIER_COLUMNS = ("n", "k", "delta", "mu", "epsilon", "r", "margin", "pass")
 # the columns of both continuation transcripts: one row per accepted state
-_TRANSCRIPT_COLUMNS = ("step", "s", "t", "residual", "min_u", "max_u", "cone_margin")
+_TRANSCRIPT_COLUMNS = ("step", "s", "t", "residual", "min_u", "max_u", "cone_margin",
+                       "newton_iterations")
 
 
 class ConfigError(Exception):
@@ -242,8 +243,8 @@ def _run_bishop_gromov(par, rng):
 
 
 def _transcript_rows(states):
-    return [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u, st.min_cone_margin)
-            for i, st in enumerate(states)]
+    return [(i, st.s, st.t, st.residual_norm, st.min_u, st.max_u, st.min_cone_margin,
+             st.newton_iterations) for i, st in enumerate(states)]
 
 
 def _run_solve_radial(par, rng):

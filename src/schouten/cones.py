@@ -45,9 +45,19 @@ __all__ = [
 _MU_PLUS_LEVELS = 6
 
 
+def _one_row(lam):
+    """The (1, n) batch of one vector, given as (n,) or (1, n); a batch of
+    other rows is refused rather than read at its row 0."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim > 2 or (lam.ndim == 2 and lam.shape[0] != 1):
+        raise ValueError(f"expected one vector of shape (n,) or (1, n), got shape {lam.shape}")
+    return np.atleast_2d(lam)
+
+
 def sigma_k(lam, k):
-    """k-th elementary symmetric polynomial, stable prefix recurrence (O(nk))."""
-    lam = np.atleast_2d(np.asarray(lam, dtype=np.float64))
+    """k-th elementary symmetric polynomial of one vector, stable prefix
+    recurrence (O(nk))."""
+    lam = _one_row(lam)
     n = lam.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}, got {k}")
@@ -118,7 +128,7 @@ class ConeSpec:
         return _kernels.gamma_member(self._map(lams), self.k)
 
     def contains(self, lam):
-        return bool(self.contains_batch(lam)[0])
+        return bool(self.contains_batch(_one_row(lam))[0])
 
     def margin_batch(self, lams):
         """sup{t : lam - t*(1,..,1) in cone}; positive strictly inside."""
@@ -130,7 +140,7 @@ class ConeSpec:
         return m / (self.t + (1.0 - self.t) * self.n)
 
     def margin(self, lam):
-        return float(self.margin_batch(lam)[0])
+        return float(self.margin_batch(_one_row(lam))[0])
 
     def pair_margin(self, b, a):
         """``margin_batch`` of the two-valued rows (b; a, ..., a), a n - 1 times, in closed form.

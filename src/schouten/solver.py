@@ -17,7 +17,12 @@ The solver walks the two-parameter residual family
 
 with damped Newton steps and exact Jacobians.  A solve is one Newton run;
 the (s, t) continuation is the one homotopy, a bisecting walk in which a
-failed leg is halved toward its target.  The module also hosts the
+failed leg is halved toward its target.  Each leg starts from the secant
+prediction u_k + c (u_k - u_(k-1)) of the last two accepted states, c the
+projection of the leg's step in p = (s, t) onto the last one: a family
+linear along the walk (n = 4 on the cone homotopy) is met at once, and a
+prediction that is not positive or leaves the cone fails its leg like a
+Newton run that does.  The module also hosts the
 semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
 its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
 Jacobian at t = 0, u = 1.
@@ -547,11 +552,18 @@ def newton_continuation(start, schedule, f, psi=1.0, tol=1e-10, max_steps=400,
                         min_step=1e-6):
     """Walk the (s, t) schedule from an already-converged start state.
 
+    Each leg's Newton run starts from the secant prediction
+    u_k + c (u_k - u_(k-1)) of the last two accepted states, with
+    c = <p - p_k, p_k - p_(k-1)> / ||p_k - p_(k-1)||^2 for p = (s, t) (Allgower
+    & Georg, Introduction to Numerical Continuation Methods, ch. 2); the first
+    leg, a leg after two states at one p, and a leg orthogonal to the last
+    one (c = 0) start from u_k itself.
     Each accepted state satisfies residual <= tol, u > 0 and a strictly
-    positive cone margin; a failed leg is bisected in parameter space (its
-    midpoint is walked first), and the walk aborts with the last good state
-    once a failing leg is shorter than ``min_step`` (max norm) or the
-    attempts exceed ``max_steps``.  Returns the accepted states.
+    positive cone margin; a leg whose prediction is not positive or leaves
+    the cone fails like any other.  A failed leg is bisected in parameter
+    space (its midpoint is walked first), and the walk aborts with the last
+    good state once a failing leg is shorter than ``min_step`` (max norm) or
+    the attempts exceed ``max_steps``.  Returns the accepted states.
     """
     if start.residual_norm > tol:
         raise ValueError("continuation start state does not satisfy the tolerance")
@@ -564,8 +576,16 @@ def newton_continuation(start, schedule, f, psi=1.0, tol=1e-10, max_steps=400,
         if attempts > max_steps:
             raise ContinuationError("continuation exceeded the step budget",
                                     last_state=cur)
+        u = cur.profile.values
+        if len(states) > 1:
+            prev = states[-2]
+            ds, dt = cur.s - prev.s, cur.t - prev.t
+            step2 = ds * ds + dt * dt
+            if step2 > 0:
+                c = ((s - cur.s) * ds + (t - cur.t) * dt) / step2
+                u = u + c * (u - prev.profile.values)
         try:
-            state = newton_solve(cur.profile, f, s, t, psi, tol)
+            state = newton_solve(cur.profile.with_values(u), f, s, t, psi, tol)
             if state.min_cone_margin <= 0:
                 raise ContinuationError("cone margin lost at accepted state")
         except (ContinuationError, DomainError):

@@ -654,6 +654,23 @@ def test_suph_evaluates_no_chart(monkeypatch):
         assert rep.min_G >= -1e-12 and np.isfinite(rep.min_LG)
 
 
+@pytest.mark.parametrize("r", [[math.nan, 0.1], [0.0, 0.1], [-0.1]])
+def test_barrier_evaluations_refuse_a_radius_that_is_not_positive(r):
+    # NaN used to pass the r <= 0 guards and come back as a NaN value
+    with pytest.raises(DomainError, match="radius must be positive"):
+        br.subsolution_eval(4, 0.1, r)
+    with pytest.raises(DomainError, match="radius must be positive"):
+        br.supersolution_eval(4, 1.5, 0.5, 0.1, r)
+    with pytest.raises(DomainError, match="0 < r < n-2-2"):
+        br.chi_coefficients_sub(4, 0.1, r)
+
+
+@pytest.mark.parametrize("r_min", [math.nan, 0.0, -1e-4])
+def test_sweep_config_refuses_an_r_min_that_is_not_positive(r_min):
+    with pytest.raises(ValueError, match="strictly positive"):
+        br.BarrierSweepConfig(n=4, k=2, r_min=r_min)
+
+
 @pytest.mark.parametrize("background", ["flat", "sphere"])
 @pytest.mark.parametrize("delta", [-0.25, math.nan, 0.0, math.inf])
 def test_suph_refuses_a_delta_that_is_not_finite_and_positive(delta, background):

@@ -15,6 +15,12 @@ def test_peak_value():
     assert b5.value(np.zeros(5)) == pytest.approx(b5.c * 2.0 ** 1.5)
 
 
+@pytest.mark.parametrize("a", [0.0, -1.0, float("nan")])
+def test_bubble_refuses_a_scale_that_is_not_positive(a):
+    with pytest.raises(DomainError, match="scale must be positive"):
+        bb.Bubble(n=3, a=a, p=np.zeros(3))
+
+
 def test_translation_covariance(rng):
     for _ in range(10):
         n = int(rng.integers(3, 6))

@@ -447,11 +447,24 @@ def test_solve_campaigns_write_transcripts(tmp_path):
     rc = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 0
     body = reports.csv_body(tmp_path / "out" / "radial" / "solve_radial.csv")
-    assert body.splitlines()[0] == "step,s,t,residual,min_u,max_u,cone_margin"
+    assert body.splitlines()[0] == \
+        "step,s,t,residual,min_u,max_u,cone_margin,newton_iterations"
     profile = (tmp_path / "out" / "radial" / "profile.txt").read_text()
     rows = [line.split() for line in profile.strip().splitlines()]
     assert len(rows) == 48 and all(len(r) == 2 for r in rows)
-    assert (tmp_path / "out" / "homotopy" / "solve_homotopy.csv").exists()
+    # the last column is each state's Newton iterations: the radial start's
+    # own solve, then none, since u = 1 solves every leg; the homotopy's
+    # start is made, not solved, and its family (u = 4 - 3t) is linear in
+    # t, so only its first leg iterates
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    start_iterations = next(r["newton_iterations"] for r in summary["results"]
+                            if r["id"] == "radial")
+    assert start_iterations > 0
+    assert [int(row.split(",")[-1]) for row in body.splitlines()[1:]] \
+        == [start_iterations] + [0] * 5
+    body = reports.csv_body(tmp_path / "out" / "homotopy" / "solve_homotopy.csv")
+    iterations = [int(row.split(",")[-1]) for row in body.splitlines()[1:]]
+    assert iterations[0] == 0 and iterations[1] > 0 and iterations[2:] == [0] * 4
 
 
 def test_radial_start_lies_inside_the_cone():
@@ -494,7 +507,9 @@ def test_cosine_grid_replaces_lobatto(tmp_path, capsys):
 def test_one_step_homotopy_bisects_past_the_collapsed_scale(tmp_path):
     # one leg from the t = 0 constant: Newton's first run drives u to ~1.8e10,
     # where the residual passes tol only in absolute terms; the backward-error
-    # test refuses that state, and the walk bisects to t = 0.5, 0.75, 1
+    # test refuses that state, and the walk bisects to t = 0.5; the family is
+    # linear in t, so the 0.5 -> 1 leg starts at its secant prediction and
+    # is accepted there
     summary = cli.run_campaigns({"campaigns": {"h": {
         "kind": "solve homotopy", "dim": 4, "k": 2, "nodes": 96, "steps": 1}}},
         tmp_path)
@@ -504,7 +519,7 @@ def test_one_step_homotopy_bisects_past_the_collapsed_scale(tmp_path):
     assert result["worst_margin"] == pytest.approx(0.03125, rel=1e-12)
     body = reports.csv_body(tmp_path / "h" / "solve_homotopy.csv")
     assert [float(row.split(",")[2]) for row in body.splitlines()[1:]] \
-        == [0.0, 0.5, 0.75, 1.0]
+        == [0.0, 0.5, 1.0]
 
 
 def test_heavy_imports_load_where_used():

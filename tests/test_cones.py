@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def test_sigma_k_argument_errors():
         sigma_k([1.0, 2.0], 3)
     with pytest.raises(ValueError):
         sigma_k([1.0, 2.0], 0)
+
+
+def test_scalar_calls_refuse_a_batch_of_rows():
+    # sigma_k, contains and margin answer for one vector; a batch of two rows
+    # used to be read at its row 0 (sigma_1 6.0, and Gamma_1 True / 1.0 for
+    # a second row outside it)
+    batch = np.array([[1.0, 2.0, 3.0], [-5.0, 0.0, 0.0]])
+    cone = ConeSpec.gamma(3, 1)
+    for call in (lambda lam: sigma_k(lam, 1), cone.contains, cone.margin):
+        for lam in (batch, batch[None], np.empty((0, 3))):
+            with pytest.raises(ValueError, match=re.escape(f"got shape {lam.shape}")):
+                call(lam)
+        assert call(batch[:1]) == call(batch[0])
+    assert sigma_k(batch[0], 1) == 6.0
+    assert cone.contains([[1.0, 1.0, 1.0]]) and cone.margin([[1.0, 1.0, 1.0]]) == 1.0
+    assert not cone.contains(batch[1])
 
 
 def test_gamma_k_membership_basics():

@@ -655,7 +655,8 @@ def test_continuation_step_underflow(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _pending_list_continuation(start, schedule, solve, min_step, max_steps):
-    """newton_continuation as its own pending-list loop, with ``solve`` as the leg."""
+    """newton_continuation as its own pending-list loop, with ``solve`` as the
+    leg, started from the secant prediction of the last two accepted states."""
     states = [start]
     cur = start
     pending = list(schedule)
@@ -666,8 +667,15 @@ def _pending_list_continuation(start, schedule, solve, min_step, max_steps):
         if attempts > max_steps:
             raise ContinuationError("continuation exceeded the step budget",
                                     last_state=cur)
+        u = cur.profile.values
+        if len(states) > 1:
+            prev = states[-2]
+            ds, dt = cur.s - prev.s, cur.t - prev.t
+            if ds * ds + dt * dt > 0:
+                c = ((target_s - cur.s) * ds + (target_t - cur.t) * dt) / (ds * ds + dt * dt)
+                u = u + c * (u - prev.profile.values)
         try:
-            state = solve(cur.profile, None, target_s, target_t, 1.0, 1e-10)
+            state = solve(cur.profile.with_values(u), None, target_s, target_t, 1.0, 1e-10)
             if state.min_cone_margin <= 0:
                 raise ContinuationError("cone margin lost at accepted state")
         except (ContinuationError, ConeExitError, DomainError):
@@ -683,13 +691,26 @@ def _pending_list_continuation(start, schedule, solve, min_step, max_steps):
     return states
 
 
+class _SyntheticProfile:
+    """The profile of a synthetic state at ``point`` = (s, t): its values are
+    the point, and ``with_values`` keeps the point of the state it came from."""
+
+    def __init__(self, point, values=None):
+        self.point = point
+        self.values = np.array(point if values is None else values, dtype=np.float64)
+
+    def with_values(self, values):
+        return _SyntheticProfile(self.point, values)
+
+
 def _synthetic_solve(log):
-    # a leg from (s0, t0), carried as the state's profile, to (s, t): legs
-    # longer than 0.3 stall, s in (0.35, 0.45) leaves the cone, s below 0.1
-    # leaves the domain and t in (0.5, 0.6) loses the cone margin
+    # a leg from the state at (s0, t0), carried as the profile's point, to
+    # (s, t), started from the profile's values: legs longer than 0.3 stall,
+    # s in (0.35, 0.45) leaves the cone, s below 0.1 leaves the domain and t
+    # in (0.5, 0.6) loses the cone margin
     def solve(profile, f, s, t, psi, tol):
-        s0, t0 = profile
-        log.append((s0, t0, s, t))
+        s0, t0 = profile.point
+        log.append((s0, t0, tuple(profile.values), s, t))
         if max(abs(s - s0), abs(t - t0)) > 0.3:
             raise ContinuationError("synthetic stall")
         if 0.35 < s < 0.45:
@@ -697,8 +718,8 @@ def _synthetic_solve(log):
         if s < 0.1:
             raise DomainError("synthetic domain exit")
         margin = -1.0 if 0.5 < t < 0.6 else 1.0
-        return SimpleNamespace(s=s, t=t, profile=(s, t), min_cone_margin=margin,
-                               residual_norm=0.0)
+        return SimpleNamespace(s=s, t=t, profile=_SyntheticProfile((s, t)),
+                               min_cone_margin=margin, residual_norm=0.0)
     return solve
 
 
@@ -712,7 +733,8 @@ def _synthetic_solve(log):
 ])
 def test_continuation_walk_matches_pending_list_loop(monkeypatch, schedule,
                                                      min_step, max_steps):
-    start = SimpleNamespace(s=1.0, t=0.0, profile=(1.0, 0.0), residual_norm=0.0)
+    start = SimpleNamespace(s=1.0, t=0.0, profile=_SyntheticProfile((1.0, 0.0)),
+                            residual_norm=0.0)
     outcomes = []
     for walk in ("oracle", "walker"):
         log = []
@@ -732,6 +754,70 @@ def test_continuation_walk_matches_pending_list_loop(monkeypatch, schedule,
         outcomes.append((log, end))
     assert outcomes[0] == outcomes[1]
     assert len(outcomes[0][0]) > 2 * len(schedule)  # the legs were bisected
+
+
+def test_linear_homotopy_legs_start_on_the_solution():
+    # the demo's cone homotopy (n = 4, k = 2, 96 nodes, 20 legs): the family
+    # is linear in t, u = 4 - 3t, so from the second leg on the secant
+    # prediction is the solution to rounding and Newton takes no iteration
+    n, num = 4, 96
+    f = CurvatureFunction.sigma_root(n, 2)
+    start = sv.make_state(sv.RadialProfile.make(n, num, values=np.full(num, 4.0)), f, 1.0, 0.0)
+    schedule = [(1.0, t) for t in np.linspace(0.0, 1.0, 21)[1:]]
+    states = sv.newton_continuation(start, schedule, f)
+    assert [st.newton_iterations for st in states] == [0, 4] + [0] * 19
+    assert np.abs(states[-1].profile.values - 1.0).max() < 1e-12
+
+
+def test_turned_leg_starts_at_the_last_state(monkeypatch):
+    # the t-then-s schedule from the t = 0 solution near the constant 4: a leg
+    # along the last one starts from its secant prediction, the leg that turns
+    # from t to s (orthogonal, c = 0) from the last accepted u itself
+    f4 = CurvatureFunction.sigma_root(4, 2)
+    psi = lambda th: 1.0 + 0.1 * np.cos(th)
+    start = sv.newton_solve(sv.RadialProfile.make(4, 48, values=np.full(48, 4.0)), f4, 1.0,
+                            t=0.0, psi=psi)
+    starts, real = [], sv.newton_solve
+
+    def recording(profile, f, s, t, psi, tol):
+        starts.append(((s, t), profile.values))
+        return real(profile, f, s, t, psi, tol)
+
+    monkeypatch.setattr(sv, "newton_solve", recording)
+    states = sv.newton_continuation(start, [(1.0, 0.25), (1.0, 0.5), (0.7, 0.5), (0.4, 0.5)],
+                                    f4, psi=psi)
+    assert [target for target, _ in starts] == [(st.s, st.t) for st in states[1:]]
+    u = [st.profile.values for st in states]
+    assert np.array_equal(starts[0][1], u[0])
+    assert np.array_equal(starts[1][1], u[1] + (u[1] - u[0]))
+    assert np.array_equal(starts[2][1], u[2])
+    c = ((0.4 - 0.7) * (0.7 - 1.0)) / ((0.7 - 1.0) * (0.7 - 1.0))
+    assert np.array_equal(starts[3][1], u[3] + c * (u[3] - u[2]))
+    assert not np.array_equal(starts[3][1], u[3])
+
+
+def test_nonpositive_prediction_is_a_bisected_leg(monkeypatch):
+    # a synthetic branch whose u falls from 1 to 0.4 over s = 1 -> 0.9: the
+    # prediction for s = 0.8 is -0.2 at every node, so building its profile
+    # raises DomainError inside the leg, which the walk bisects to s = 0.85
+    # (predicted 0.1) before it goes on to 0.8; no Newton run sees the
+    # non-positive start
+    prof = sv.RadialProfile.make(4, 16)
+    start = SimpleNamespace(s=1.0, t=1.0, profile=prof, residual_norm=0.0)
+    starts = []
+
+    def solve(profile, f, s, t, psi, tol):
+        starts.append((s, float(profile.values.max())))
+        return SimpleNamespace(s=s, t=t, profile=profile.with_values(np.full(16, s - 0.5)),
+                               min_cone_margin=1.0, residual_norm=0.0)
+
+    monkeypatch.setattr(sv, "newton_solve", solve)
+    states = sv.newton_continuation(start, [(0.9, 1.0), (0.8, 1.0)], None)
+    assert [st.s for st in states] == pytest.approx([1.0, 0.9, 0.85, 0.8], abs=1e-15)
+    assert [s for s, _ in starts] == pytest.approx([0.9, 0.85, 0.8], abs=1e-15)
+    assert starts[0][1] == 1.0
+    assert starts[1][1] == pytest.approx(0.1, abs=1e-12)
+    assert all(value > 0 for _, value in starts)
 
 
 def _counted_newton_runs(monkeypatch, fail=False):
@@ -1030,9 +1116,10 @@ def test_exact_jacobian_matches_oracle_along_the_psi_branch(monkeypatch):
     with pytest.raises(ContinuationError) as err:
         sv.newton_continuation(cur, schedule, f, psi=psi, max_steps=17)
     assert err.value.last_state.s == pytest.approx(0.035)
-    # every Jacobian of the branch: one per Newton iteration (83 over the 21
-    # runs), and one at each run's accepted point for its resolution
-    assert seen[0] == 104
+    # every Jacobian of the branch: one per Newton iteration (72 over the 21
+    # runs, each continuation leg started from the secant prediction), and
+    # one at each run's accepted point for its resolution
+    assert seen[0] == 93
 
 
 @pytest.mark.parametrize("m, t", [(64, 0.4), (96, 1.0), (96, 0.4), (128, 1.0)])
@@ -1306,8 +1393,10 @@ def test_newton_refuses_the_collapsed_scale():
     eta = float(re.search(r"eta = (\S+) exceeds", str(err.value)).group(1))
     assert eta > sv._ETA_MAX
     assert err.value.last_state is None
+    # the walk bisects that leg; the family is linear in t (u = 4 - 3t), so
+    # the 0.5 -> 1 leg, started from the secant prediction, is met at once
     states = sv.newton_continuation(start, [(1.0, 1.0)], f)
-    assert [st.t for st in states] == [0.0, 0.5, 0.75, 1.0]
+    assert [st.t for st in states] == [0.0, 0.5, 1.0]
     assert np.abs(states[-1].profile.values - 1.0).max() < 1e-10
 
 
