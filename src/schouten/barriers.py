@@ -512,7 +512,6 @@ class SupHReport:
     min_LG: float
     flat_certificate: Optional[bool]
     ratio_monotone: dict
-    limit_values: dict
 
 
 def suph_fault(n, delta, background):
@@ -572,7 +571,6 @@ def suph_barrier_check(n, K, delta, background="flat"):
     for label, w in (("r^(2-n)", radii ** (2.0 - n)), ("const", np.ones_like(radii))):
         ratio = w / gvals
         monotone[label] = bool(np.all(np.diff(ratio) > -1e-12 * np.abs(ratio[:-1])))
-    limits = {"const": float(radii[0] ** (n - 2.0) * 1.0)}
     return SupHReport(n=n, K=K, delta=delta, min_G=float(gvals.min()),
                       min_LG=float(lg.min()), flat_certificate=flat_cert,
-                      ratio_monotone=monotone, limit_values=limits)
+                      ratio_monotone=monotone)

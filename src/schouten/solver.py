@@ -22,10 +22,10 @@ prediction u_k + c (u_k - u_(k-1)) of the last two accepted states, c the
 projection of the leg's step in p = (s, t) onto the last one: a family
 linear along the walk (n = 4 on the cone homotopy) is met at once, and a
 prediction that is not positive or leaves the cone fails its leg like a
-Newton run that does.  The module also hosts the
-semilinear family H_t used by the degree checkpoints: ``g0_residual`` is
-its t = 1 member, and ``linearized_H0_spectrum`` is the spectrum of its
-Jacobian at t = 0, u = 1.
+Newton run that does.  The module also hosts the degree checkpoints of the
+semilinear family H_t: ``ht_residual``, its t = 1 member ``g0_residual``,
+and ``linearized_H0_spectrum``, the spectrum of its linearisation at t = 0,
+u = 1, the operator -L - (2/Vol) Int built in place.
 
 The radial grid is the m-node cosine grid, theta_j = j pi / (m - 1): even
 Fourier collocation, the discretisation of an even function of theta, which
@@ -45,10 +45,9 @@ The residual at node i is a function F(u_i, u'_i, u''_i), so its Jacobian
 is J = diag(F_u) + diag(F_u') D1 + diag(F_u'') D2, dense.  The partials
 chain the closed-form partials of the two eigenvalue branches
 (``_kernels.radial_sphere_eig_partials``) through the gradient of f_t on
-two-valued rows (``CurvatureFunction.pair_value``).
-H_t has its own exact Jacobian, -L + diag(...) plus the rank-one term of
-mean(u^2).  No Newton run differences the residual; the dense
-one-column difference is the tests' oracle.
+two-valued rows (``CurvatureFunction.pair_value``).  No Newton run
+differences the residual; the dense one-column difference is the tests'
+oracle.
 
 A Newton run sees its problem as one callable, ``evaluate(u) ->
 (residual, jacobian)``: the residual costs u', u'', the eigenvalue pair
@@ -83,7 +82,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -102,10 +100,6 @@ __all__ = [
     "ht_residual",
     "g0_residual",
     "g0_constant_solution",
-    "ht_continuation",
-    "HtState",
-    "apriori_margins",
-    "MarginReport",
 ]
 
 
@@ -222,7 +216,7 @@ class RadialProfile:
         if self.n < 3:
             raise DomainError(f"radial profile needs dimension n >= 3, got {self.n}")
         _grid(len(values))
-        if np.any(values <= 0):
+        if not np.all(values > 0):
             raise DomainError("radial profile must be strictly positive")
 
     @classmethod
@@ -307,10 +301,10 @@ class RadialProfile:
 # Schouten eigenvalues and the fully nonlinear residual
 # ---------------------------------------------------------------------------
 
-def schouten_eig_matrix(profile, values=None):
+def schouten_eig_matrix(profile):
     """(num_nodes, n) eigenvalue rows [radial, tangential x (n-1)], unsorted."""
-    v = profile.values if values is None else values
-    if np.any(v <= 0):
+    v = profile.values
+    if not np.all(v > 0):
         raise DomainError("conformal factor must stay positive")
     rad, tan = _kernels.radial_sphere_eigs(v, profile.d1(v), profile.d2(v), profile.cot_theta(),
                                            profile.pole_mask(), profile.n)
@@ -345,7 +339,7 @@ def _residual_evaluator(profile, ft, s, weight):
     n, cot, pole = profile.n, profile.cot_theta(), profile.pole_mask()
 
     def evaluate(u):
-        if (u <= 0).any():
+        if not np.all(u > 0):
             raise DomainError("conformal factor must stay positive")
         up, upp = profile.d1(u), profile.d2(u)
         rad, tan = _kernels.radial_sphere_eigs(u, up, upp, cot, pole, n)
@@ -382,27 +376,23 @@ def residual_Fs(profile, f, s, psi=1.0, values=None):
 class ContinuationState:
     s: float
     t: float
-    alpha: float
     profile: RadialProfile
     residual_norm: float
     min_cone_margin: float
     min_u: float
     max_u: float
-    max_abs_log_u: float
-    c1_log: float
-    c2_log: float
     ricci_margin: float
     newton_iterations: int = 0
 
 
-def _ricci_margin_from_eigs(lam, n, alpha=0.0):
-    # eigenvalues of Ric_{g_u} + (n-1) alpha^2 g_u relative to g_u
+def _ricci_margin_from_eigs(lam, n):
+    # eigenvalues of Ric_{g_u} relative to g_u
     s1 = lam.sum(axis=1)
-    rel = (n - 2.0) * lam + s1[:, None] + (n - 1.0) * alpha ** 2
+    rel = (n - 2.0) * lam + s1[:, None]
     return float(rel.min())
 
 
-def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
+def make_state(profile, f, s, t, psi=1.0, iterations=0):
     """The ``ContinuationState`` of a profile at (s, t).
 
     The residual is the generic certificate of the Newton loop's closed
@@ -413,26 +403,20 @@ def make_state(profile, f, s, t, psi=1.0, alpha=0.0, iterations=0):
     """
     ft = f.deform(t) if t != 1.0 else f
     v = profile.values
-    lam = schouten_eig_matrix(profile, v)
+    lam = schouten_eig_matrix(profile)
     res = ft.value_batch(lam) - _psi_values(psi, profile) * v ** (-s)
-    margin = float(ft.cone.pair_margin(lam[:, 0], lam[:, 1]).min())
-    logu = np.log(profile.values)
-    state = ContinuationState(
-        s=s, t=t, alpha=alpha, profile=profile,
+    return ContinuationState(
+        s=s, t=t, profile=profile,
         residual_norm=float(np.abs(res).max()),
-        min_cone_margin=margin,
-        min_u=float(profile.values.min()),
-        max_u=float(profile.values.max()),
-        max_abs_log_u=float(np.abs(logu).max()),
-        c1_log=float(np.abs(profile.d1(logu)).max()),
-        c2_log=float(np.abs(profile.d2(logu)).max()),
-        ricci_margin=_ricci_margin_from_eigs(lam, profile.n, alpha),
+        min_cone_margin=float(ft.cone.pair_margin(lam[:, 0], lam[:, 1]).min()),
+        min_u=float(v.min()),
+        max_u=float(v.max()),
+        ricci_margin=_ricci_margin_from_eigs(lam, profile.n),
         newton_iterations=iterations,
     )
-    return state
 
 
-_NEWTON_MAX_ITER, _HT_MAX_ITER, _HT_TOL = 60, 40, 1e-10
+_NEWTON_MAX_ITER = 60
 # the largest normwise backward error eta = ||r|| / || |J| |u| || a converged
 # run may have: honest states read <= 1e-14, a collapsed scale reads ~1
 _ETA_MAX = 1e-6
@@ -624,17 +608,6 @@ def ht_residual(profile, t, values=None):
     return -profile.laplacian(v) + coef * v - source * v ** pt
 
 
-def _ht_jacobian(profile, t, v):
-    """Exact Jacobian of ``ht_residual``: -L + diag(coef - source p_t u^(p_t-1))
-    less the rank-one term (1-t) u^(p_t) (2 w u / Vol)^T of mean(u^2), with w
-    the quadrature weights."""
-    pt, coef, source = _ht_terms(profile, t, v)
-    jac = -_laplacian_matrix(profile.num_nodes, profile.n)
-    jac[np.diag_indices_from(jac)] += coef - source * pt * v ** (pt - 1.0)
-    jac -= np.outer((1.0 - t) * v ** pt, 2.0 * profile.quad_weights() * v / profile.volume())
-    return jac
-
-
 def g0_residual(profile, values=None):
     """-Lap u + c(n) R u - u^(n/(n-2)): the t = 1 member of ``ht_residual``."""
     return ht_residual(profile, 1.0, values)
@@ -645,91 +618,22 @@ def g0_constant_solution(n):
     return (n * (n - 2.0) / 4.0) ** ((n - 2.0) / 2.0)
 
 
-@dataclass
-class HtState:
-    t: float
-    profile: RadialProfile
-    residual_norm: float
-    band_lo: Optional[float]
-    band_hi: Optional[float]
-    newton_iterations: int = 0
-
-
-def _ht_band(profile, t):
-    # the normalised quantity s^(1/(p_t - 1)) * u, s the source factor;
-    # meaningful for t > 0
-    pt, _, source = _ht_terms(profile, t, profile.values)
-    if pt - 1.0 < 1e-8:
-        return None, None
-    vals = math.exp(math.log(source) / (pt - 1.0)) * profile.values
-    return float(vals.min()), float(vals.max())
-
-
-def ht_continuation(profile, t_schedule):
-    """Newton walk of the semilinear family along the t schedule."""
-    states = []
-    cur = profile
-    for t in t_schedule:
-        def evaluate(u, t=t, prof=cur):
-            return ht_residual(prof, t, values=u), lambda: _ht_jacobian(prof, t, u)
-
-        u, iters, rn = _damped_newton(evaluate, cur.values, _HT_TOL, _HT_MAX_ITER)
-        cur = cur.with_values(u)
-        lo, hi = _ht_band(cur, t)
-        states.append(HtState(t=t, profile=cur, residual_norm=rn,
-                              band_lo=lo, band_hi=hi, newton_iterations=iters))
-    return states
-
-
 def linearized_H0_spectrum(profile, m, return_vectors=False):
     """Lowest m eigenvalues of phi -> -Lap phi - (2/Vol) Int phi on radial fields.
 
-    The operator is the linearisation of H_0 at u = 1 (``_ht_jacobian``).
-    The unique nonpositive eigenvalue is -2 with constant eigenfunction; the
-    rest of the spectrum is the radial Laplacian spectrum on mean-zero fields,
-    l(l + n - 1) for l = 1..m-1, exact up to rounding.
+    The operator is the linearisation of H_0 at u = 1, built in place as
+    -L - 2 w / Vol (w the quadrature weights, one row per node): at t = 0,
+    u = 1 the diagonal term of ``ht_residual`` vanishes and the rank-one
+    term of mean(u^2) is (2/Vol) Int.  The unique nonpositive eigenvalue is
+    -2 with constant eigenfunction; the rest of the spectrum is the radial
+    Laplacian spectrum on mean-zero fields, l(l + n - 1) for l = 1..m-1,
+    exact up to rounding.
     """
-    a = _ht_jacobian(profile, 0.0, np.ones(profile.num_nodes))
+    w = profile.quad_weights()
+    a = -_laplacian_matrix(profile.num_nodes, profile.n) - 2.0 * w / profile.volume()
     vals, vecs = np.linalg.eig(a)
     order = np.argsort(vals.real)
     vals = vals.real[order][:m]
     if return_vectors:
         return vals, vecs.real[:, order][:, :m]
     return vals
-
-
-# ---------------------------------------------------------------------------
-# margin instrumentation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MarginReport:
-    max_abs_log_u: float
-    c1_log: float
-    c2_log: float
-    min_cone_margin: float
-    min_ricci_margin: float
-    floor: float
-    warnings: list
-
-
-def apriori_margins(state, floor=1e-8):
-    """Margin record of an accepted state; collapses below the floor raise flags."""
-    warnings = []
-    if state.min_cone_margin < floor:
-        warnings.append(
-            f"cone margin {state.min_cone_margin:.3e} below floor {floor:.1e}"
-            " (blow-up warning)")
-    if state.ricci_margin < -floor:
-        warnings.append(f"Ricci margin {state.ricci_margin:.3e} negative")
-    if state.min_u <= floor:
-        warnings.append(f"min u {state.min_u:.3e} collapsing")
-    return MarginReport(
-        max_abs_log_u=state.max_abs_log_u,
-        c1_log=state.c1_log,
-        c2_log=state.c2_log,
-        min_cone_margin=state.min_cone_margin,
-        min_ricci_margin=state.ricci_margin,
-        floor=floor,
-        warnings=warnings,
-    )

@@ -42,6 +42,28 @@ def test_profile_validation():
     assert not hasattr(sv, "GRIDS")
 
 
+# NaN passes a `<= 0` test; each guard reads `not np.all(v > 0)`, so a NaN
+# factor raises DomainError where it enters, not a cone exit or NaN rows later
+
+def test_profile_refuses_a_nan_factor():
+    with pytest.raises(DomainError, match="strictly positive"):
+        sv.RadialProfile.make(4, 8, values=np.full(8, np.nan))
+
+
+def test_residual_refuses_a_nan_factor():
+    prof = sv.RadialProfile.make(4, 8)
+    with pytest.raises(DomainError, match="must stay positive") as err:
+        sv.residual_Fs(prof, CurvatureFunction.sigma_root(4, 2), 1.0, values=np.full(8, np.nan))
+    assert type(err.value) is DomainError
+
+
+def test_schouten_eig_matrix_refuses_a_nan_factor():
+    prof = sv.RadialProfile.make(4, 8)
+    prof.values[:] = np.nan  # the array is the caller's, past the profile's guard
+    with pytest.raises(DomainError, match="must stay positive"):
+        sv.schouten_eig_matrix(prof)
+
+
 def test_profile_rejects_bad_dimension_grid_and_lengths():
     # each used to get through and fail later: n = 2 with a bare
     # ZeroDivisionError in the eigenvalues, one node with an IndexError and
@@ -206,20 +228,6 @@ def test_continuation_requires_converged_start():
                           f, 1.0, 1.0)
     with pytest.raises(ValueError):
         sv.newton_continuation(state, [(0.5, 1.0)], f)
-
-
-def test_make_state_ricci_margin_shifts_by_alpha():
-    # Ric_{g_u} + (n-1) alpha^2 g_u: every relative eigenvalue moves by
-    # (n-1) alpha^2
-    n = 4
-    prof = sv.RadialProfile.make(n, 32)
-    f = CurvatureFunction.sigma_root(n, 2)
-    prof = prof.with_values(1.0 + 0.05 * np.cos(prof.theta))
-    unshifted = sv.make_state(prof, f, 1.0, 1.0)
-    shifted = sv.make_state(prof, f, 1.0, 1.0, alpha=0.7)
-    assert shifted.alpha == 0.7
-    assert shifted.ricci_margin - unshifted.ricci_margin == pytest.approx(
-        (n - 1) * 0.7 ** 2, rel=1e-12)
 
 
 def test_homotopy_continuation_lands_on_unit_constant():
@@ -466,17 +474,29 @@ def test_mobius_family_is_noncompact_at_s0(n, k):
     assert maxima[0] < maxima[1] < maxima[2]
 
 
+def _linearized_operator(prof):
+    """The matrix ``linearized_H0_spectrum`` eigen-decomposes, read from its
+    ``np.linalg.eig`` call."""
+    seen = []
+    real_eig = np.linalg.eig
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eig", lambda a: seen.append(a) or real_eig(a))
+        sv.linearized_H0_spectrum(prof, 1)
+    (a,) = seen
+    return a
+
+
 def test_h_t_checkpoints_are_members_of_the_family():
     # g0_residual (ht_residual at t = 1) against the formula written out,
-    # and the linearised spectrum (the exact H_t Jacobian at t = 0, u = 1)
-    # against the operator -Lap - (2/Vol) Int assembled by hand
+    # and the linearised operator (H_0's at u = 1) against -Lap - (2/Vol) Int
+    # assembled by hand
     for n in (3, 4, 6):
         prof = sv.RadialProfile.make(n, 48, values=lambda th: 1.0 + 0.2 * np.cos(th))
         v = prof.values
         cn = (n - 2.0) / (4.0 * (n - 1.0))
         direct = -prof.laplacian(v) + cn * n * (n - 1.0) * v - v ** (n / (n - 2.0))
         assert np.abs(sv.g0_residual(prof) - direct).max() <= 1e-13 * np.abs(direct).max()
-        jac = sv._ht_jacobian(prof, 0.0, np.ones(48))
+        jac = _linearized_operator(prof)
         w = prof.quad_weights()
         hand = -prof.laplacian(np.eye(48)) - (2.0 / prof.volume()) * np.tile(w, (48, 1))
         assert np.abs(jac - hand).max() <= 1e-12 * np.abs(hand).max()
@@ -506,9 +526,9 @@ def test_laplacian_matrix_matches_hand_built_stencil(n):
 
 
 def test_ht_laplacian_matrix_is_built_once_and_read_only(monkeypatch):
-    # the H_t Jacobian reads the Laplacian's matrix from a read-only cache
+    # the H_t checkpoints read the Laplacian's matrix from a read-only cache
     # per (m, n), bitwise the per-call build, instead of applying the
-    # operator to the identity at every accepted iterate
+    # operator to the identity at every call
     for m, n in ((16, 3), (24, 4), (64, 4), (64, 6)):
         prof = sv.RadialProfile.make(n, m, values=lambda th: 1.0 + 0.1 * np.cos(th))
         lap = sv._laplacian_matrix(m, n)
@@ -519,14 +539,17 @@ def test_ht_laplacian_matrix_is_built_once_and_read_only(monkeypatch):
         for fresh in (sv._laplacian_matrix.__wrapped__(m, n), _hand_built_laplacian(prof),
                       prof.laplacian(np.eye(m))):
             assert fresh.tobytes() == lap.tobytes()
-        jac = sv._ht_jacobian(prof, 0.5, prof.values)
-        assert jac.flags.writeable and not np.shares_memory(jac, lap)
+        op = _linearized_operator(prof)
+        assert op.flags.writeable and not np.shares_memory(op, lap)
     assert sv._laplacian_matrix(24, 4) is not sv._laplacian_matrix(24, 3)
-    # a walk builds each matrix once, whatever its number of iterates
+    # the checkpoints build each matrix once, whatever their number of calls
     sv._laplacian_matrix.cache_clear()
-    sv.ht_continuation(sv.RadialProfile.make(4, 32), np.linspace(0.0, 1.0, 5))
+    prof = sv.RadialProfile.make(4, 32)
+    sv.linearized_H0_spectrum(prof, 4)
+    for t in np.linspace(0.0, 1.0, 5):
+        sv.ht_residual(prof, t)
     info = sv._laplacian_matrix.cache_info()
-    assert info.misses == 1 and info.hits > 4
+    assert info.misses == 1 and info.hits == 5
 
 
 def test_mean_zero_modes_have_laplacian_spectrum():
@@ -555,40 +578,6 @@ def test_ht_family_facts():
     assert sv.g0_constant_solution(n) == pytest.approx(root, abs=1e-10)
     prof_c = prof.with_values(sv.g0_constant_solution(n) * np.ones(96))
     assert np.abs(sv.g0_residual(prof_c)).max() < 1e-12
-
-
-def test_ht_continuation_band_stays_bounded():
-    # the normalised quantity s^(1/(p_t-1)) u stays in a narrow band
-    n = 3
-    prof = sv.RadialProfile.make(n, 64)
-    states = sv.ht_continuation(prof, np.linspace(0.0, 1.0, 9))
-    los = [st.band_lo for st in states if st.band_lo is not None]
-    his = [st.band_hi for st in states if st.band_hi is not None]
-    assert los and max(his) / min(los) < 4.0
-    assert states[-1].profile.values.mean() == pytest.approx(
-        sv.g0_constant_solution(n), rel=1e-8)
-
-
-def test_apriori_margins_reports_and_warns():
-    n = 4
-    prof = sv.RadialProfile.make(n, 48)
-    f = CurvatureFunction.sigma_root(n, 2)
-    state = sv.newton_solve(prof, f, 1.0)
-    rep = sv.apriori_margins(state)
-    assert rep.max_abs_log_u == 0.0
-    assert rep.c1_log == 0.0 and rep.c2_log == 0.0
-    assert not rep.warnings
-    # raising the floor above the healthy margin flags a collapse
-    rep2 = sv.apriori_margins(state, floor=1.0)
-    assert any("blow-up" in w for w in rep2.warnings)
-    # a profile hugging the cone boundary warns (amplitude 0.2 puts the
-    # theta = pi eigenvalues of a 3-sphere profile on the boundary)
-    prof3 = sv.RadialProfile.make(3, 48)
-    f3 = CurvatureFunction.sigma_root(3, 2)
-    spiky = sv.make_state(
-        prof3.with_values(1.0 + 0.1999 * np.cos(prof3.theta)), f3, 2.0, 1.0)
-    rep3 = sv.apriori_margins(spiky, floor=1e-2)
-    assert any("blow-up" in w for w in rep3.warnings)
 
 
 def test_continuation_step_budget_carries_last_state():
@@ -1036,13 +1025,12 @@ def test_exact_jacobian_matches_fd_oracle(monkeypatch, n):
                 _assert_matches_oracle(*_res_and_jac(evaluate), u)
 
 
-def test_exact_ht_jacobian_matches_fd_oracle(monkeypatch):
-    runs = _newton_runs(monkeypatch)
-    prof = sv.RadialProfile.make(4, 24, values=lambda th: 1.0 + 0.1 * np.cos(th))
-    sv.ht_continuation(prof, [0.0, 0.5, 1.0])
-    assert len(runs) == 3
-    for evaluate, u in runs:
-        _assert_matches_oracle(*_res_and_jac(evaluate), u)
+def test_exact_ht_jacobian_matches_fd_oracle():
+    # the linearised operator is the Jacobian of H_0 at u = 1
+    for n in (3, 4, 6):
+        prof = sv.RadialProfile.make(n, 24)
+        _assert_matches_oracle(lambda v: sv.ht_residual(prof, 0.0, values=v),
+                               lambda v: _linearized_operator(prof), np.ones(24))
 
 
 def _psi_branch_start(prof, f, psi):
@@ -1182,11 +1170,12 @@ def test_fd_jacobian_near_the_wall_moves_toward_exact():
 
 
 def test_cosine_and_ht_jacobians_are_not_banded():
-    # both couple nodes beyond the three-point band
+    # the Newton Jacobian and the linearised H_0 operator both couple nodes
+    # beyond the three-point band
     f = CurvatureFunction.sigma_root(4, 2)
     prof = sv.RadialProfile.make(4, 16, values=lambda th: 1.0 + 0.05 * np.cos(th))
     for jac in (_exact_jacobian(prof, f, 1.0, np.ones(16))(prof.values),
-                sv._ht_jacobian(prof, 0.5, prof.values)):
+                _linearized_operator(prof)):
         rows, cols = np.nonzero(jac)
         assert np.abs(rows - cols).max() > 1
 
@@ -1237,10 +1226,6 @@ def test_newton_jacobians_take_no_residual_calls(monkeypatch):
     # one Jacobian per accepted iterate, the start included; one trial rejected
     assert len(jacobians) == state.newton_iterations + 1 == 7
     assert len(evaluations) == 8
-    # the H_t Jacobian makes no residual call either
-    calls.clear()
-    sv._ht_jacobian(prof, 0.5, prof.values)
-    assert not {"schouten_eig_matrix", "contains_batch", "value_batch", "pair_value"} & set(calls)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,9 +1,9 @@
 """The comparison tools on inputs written by hand, without git or a run.
 
 ``tools/compare_outputs.compare`` is how demo output identity is shown across
-revisions, so its three rules are pinned here: a number that moves is
-reported with its size, a verdict that changes is non-numeric, and a file on
-one side only is non-numeric; with the demo run stubbed, its ``main`` runs
+revisions, so its rules are pinned here: a number that moves is reported
+with its size, a verdict that changes is non-numeric, a file or column on
+one side only is non-numeric and the shared columns are still compared; with the demo run stubbed, its ``main`` runs
 every seed and exits 1 if any seed shows such a change.
 ``tools/bench_pairs`` turns paired benchmark runs into a verdict; its claim
 rule, regression bounds and unresolved spreads are pinned on synthetic runs,
@@ -67,6 +67,21 @@ def test_verdict_change_is_non_numeric(tmp_path, compare, changed):
     lines, bad = compare(_tree(tmp_path / "parent"), _tree(tmp_path / "change", **changed))
     assert bad == 1
     assert sum("NON-NUMERIC CHANGE" in line for line in lines) == 1
+
+
+def test_shared_columns_are_compared_when_a_column_is_added(tmp_path, compare):
+    # the added column is non-numeric; the shared ones are still compared
+    parent = _tree(tmp_path / "parent")
+    change = _tree(tmp_path / "change")
+    (change / "sweep/sweep.csv").write_text(
+        "n,k,margin,pass,iters\n4,1,4.5,1,2\n5,1,-2.0,1,3\n")
+    lines, bad = compare(parent, change)
+    assert bad == 1
+    assert "sweep/sweep.csv iters: column only on the change side" in lines
+    assert "sweep/sweep.csv margin: max |change| 0.5, over max |value| 0.125" in lines
+    # and a removed column is named from the parent side
+    lines, bad = compare(change, parent)
+    assert bad == 1 and "sweep/sweep.csv iters: column only on the parent side" in lines
 
 
 def test_missing_file_is_non_numeric(tmp_path, compare):

@@ -11,14 +11,15 @@ copy's ``src``, and one block of lines is printed per seed.  Every output
 file is read as a table: a CSV by its header (the timestamped ``#`` line
 skipped), any other text file as whitespace-separated columns ``col0``,
 ``col1``, ...; ``summary.json`` as one column per leaf, ``runtime_s``
-skipped.  For every column that changed, the largest absolute
-change and that change over the column's largest |value| (on the parent
-side) are printed.
+skipped.  Columns are matched by name: for every column on both sides that
+changed, the largest absolute change and that change over the column's
+largest |value| (on the parent side) are printed, and a column on one side
+only is reported on its own line.
 
 A change that is not a number moving is a *non-numeric* change: a cell that
-does not parse as a number on either side, a different file, column or row
-set, a different exit status, or any change in a verdict (``pass``,
-``passed``, ``passed_all``, ``r1_certified``).  The script exits 1 if any
+does not parse as a number on either side, a file or column on one side
+only, a different row set, a different exit status, or any change in a
+verdict (``pass``, ``passed``, ``passed_all``, ``r1_certified``).  The script exits 1 if any
 seed shows one, else 0.
 """
 
@@ -115,15 +116,16 @@ def compare(parent_out, change_out):
             bad += 1
             continue
         old, new = columns(old_path), columns(new_path)
-        if list(old) != list(new):
-            lines.append(f"{rel}: columns differ: {list(old)} -> {list(new)}")
-            bad += 1
-            continue
         changed = False
-        for name in old:
-            if old[name] == new[name]:
+        for name in {**old, **new}:
+            if old.get(name) == new.get(name):
                 continue
             changed = True
+            if name not in old or name not in new:
+                side = "parent" if name in old else "change"
+                lines.append(f"{rel} {name}: column only on the {side} side")
+                bad += 1
+                continue
             result = compare_column(name, old[name], new[name])
             if result is None:
                 lines.append(f"{rel} {name}: NON-NUMERIC CHANGE")
